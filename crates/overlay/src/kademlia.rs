@@ -20,6 +20,7 @@
 //! is the *balanced* outcome: peers are dealt round-robin over the `2^d`
 //! prefixes (so no group is empty) and draw the remaining id bits randomly.
 
+use crate::arena::{probe_row, RowArena, StackRow};
 use crate::traits::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Result, KEY_BITS};
@@ -30,22 +31,20 @@ use rand::Rng;
 /// populations; real deployments use 20).
 pub const BUCKET_K: usize = 8;
 
-/// One Kademlia participant.
-struct Node {
-    /// 64-bit node id (distinct across the overlay).
-    id: u64,
-    /// `kbuckets[j]` = up to [`BUCKET_K`] contacts whose id shares exactly
-    /// the first `j` bits with this node's id. Trailing empty buckets are
-    /// truncated (random ids leave everything beyond ~log2 n empty).
-    kbuckets: Vec<Vec<PeerId>>,
-}
+/// Candidate draws a bucket refresh or revive spends before giving up.
+const REFRESH_TRIES: usize = 8;
 
 /// A Kademlia-style overlay.
 pub struct KademliaOverlay {
     /// Group-prefix depth in bits: `2^depth` XOR-prefix replica groups.
     depth: u32,
-    /// Nodes indexed by `PeerId`.
-    nodes: Vec<Node>,
+    /// 64-bit node ids (distinct across the overlay), indexed by `PeerId`.
+    ids: Vec<u64>,
+    /// K-buckets: row `j` of a peer = up to [`BUCKET_K`] contacts whose id
+    /// shares exactly the first `j` bits with the peer's id. A table ends at
+    /// its deepest populated bucket (random ids leave everything beyond
+    /// ~log2 n empty).
+    kbuckets: RowArena<BUCKET_K>,
     /// `(id, peer)` sorted by id — the range oracle bucket sampling and
     /// stale-entry repair draw from.
     sorted: Vec<(u64, PeerId)>,
@@ -107,13 +106,8 @@ impl KademliaOverlay {
             ids.iter().enumerate().map(|(i, &id)| (id, PeerId::from_idx(i))).collect();
         sorted.sort_unstable_by_key(|&(id, _)| id);
 
-        let mut overlay = KademliaOverlay {
-            depth,
-            nodes: ids.into_iter().map(|id| Node { id, kbuckets: Vec::new() }).collect(),
-            sorted,
-            groups,
-            group_of,
-        };
+        let kbuckets = RowArena::with_capacity(0, 0);
+        let mut overlay = KademliaOverlay { depth, ids, kbuckets, sorted, groups, group_of };
         overlay.rebuild_routing_tables(rng);
         Ok(overlay)
     }
@@ -125,7 +119,19 @@ impl KademliaOverlay {
 
     /// Node id of `peer` (for tests).
     pub fn node_id(&self, peer: PeerId) -> u64 {
-        self.nodes[peer.idx()].id
+        self.ids[peer.idx()]
+    }
+
+    /// Number of k-buckets `peer` keeps (its deepest non-empty bucket at
+    /// build time, plus one).
+    pub fn bucket_count(&self, peer: PeerId) -> usize {
+        self.kbuckets.row_count(peer)
+    }
+
+    /// The contacts in k-bucket `j` of `peer`, in slot order; empty for
+    /// `j >= bucket_count(peer)`.
+    pub fn bucket(&self, peer: PeerId, j: usize) -> &[PeerId] {
+        self.kbuckets.row(peer, j)
     }
 
     /// The id interval populated by bucket `j` of a node with id `x`:
@@ -145,73 +151,65 @@ impl KademliaOverlay {
     /// contacts from each bucket's id range — the steady-state table a
     /// Kademlia node converges to after lookups have walked its tree.
     pub fn rebuild_routing_tables(&mut self, rng: &mut SmallRng) {
-        let n = self.nodes.len();
+        let n = self.ids.len();
+        // Random ids populate ~log2 n buckets per peer (plus a thinning
+        // tail); reserving that up front spares the build repeated
+        // regrowth, and the slack goes back once at the end.
+        let mut kbuckets = RowArena::with_capacity(n, n.ilog2() as usize + 3);
         for p in 0..n {
-            let x = self.nodes[p].id;
-            let mut kbuckets: Vec<Vec<PeerId>> = Vec::new();
-            for j in 0..KEY_BITS {
+            let x = self.ids[p];
+            kbuckets.begin_peer();
+            // The id sharing the longest prefix with `x` is one of its
+            // neighbours in id order; every bucket past that prefix has an
+            // empty range (and draws nothing), so the table ends there.
+            let at = self.sorted.partition_point(|&(id, _)| id < x);
+            let bucket_of =
+                |i: usize| self.sorted.get(i).map_or(0, |&(id, _)| (id ^ x).leading_zeros() + 1);
+            let rows = bucket_of(at.wrapping_sub(1)).max(bucket_of(at + 1));
+            for j in 0..rows {
                 let range = self.bucket_range(x, j);
-                let mut bucket = Vec::with_capacity(BUCKET_K.min(range.len()));
+                let mut bucket = StackRow::<BUCKET_K>::new();
                 if range.len() <= BUCKET_K {
-                    bucket.extend(range.iter().map(|&(_, peer)| peer));
+                    range.iter().for_each(|&(_, peer)| bucket.push(peer));
                 } else {
                     for _ in 0..BUCKET_K {
                         let &(_, pick) = &range[rng.random_range(0..range.len())];
-                        if !bucket.contains(&pick) {
+                        if !bucket.as_slice().contains(&pick) {
                             bucket.push(pick);
                         }
                     }
                 }
-                kbuckets.push(bucket);
+                kbuckets.push_row(bucket.as_slice());
             }
-            while kbuckets.last().is_some_and(Vec::is_empty) {
-                kbuckets.pop();
-            }
-            self.nodes[p].kbuckets = kbuckets;
         }
+        kbuckets.shrink_to_fit();
+        self.kbuckets = kbuckets;
     }
 
-    /// Replaces the stale contact at `bucket[pos]` of `peer` with a fresh
-    /// online sample from the bucket's id range, or evicts it when none can
-    /// be found — Kademlia's bucket refresh, message-free by the paper's
-    /// piggybacking assumption.
-    fn refresh_entry(
-        &mut self,
-        peer: PeerId,
+    /// Draws up to [`REFRESH_TRIES`] candidates from the id range of bucket
+    /// `j` of the node with id `x` and returns the first one `accept`s —
+    /// Kademlia's bucket refresh, message-free by the paper's piggybacking
+    /// assumption.
+    fn sample_contact(
+        &self,
+        x: u64,
         j: usize,
-        pos: usize,
-        live: &Liveness,
         rng: &mut SmallRng,
-    ) {
-        let x = self.nodes[peer.idx()].id;
-        let mut replacement = None;
-        {
-            let range = self.bucket_range(x, j as u32);
-            let bucket = &self.nodes[peer.idx()].kbuckets[j];
-            for _ in 0..8 {
-                if range.is_empty() {
-                    break;
-                }
-                let (_, cand) = range[rng.random_range(0..range.len())];
-                if live.is_online(cand) && !bucket.contains(&cand) {
-                    replacement = Some(cand);
-                    break;
-                }
-            }
+        accept: impl Fn(PeerId) -> bool,
+    ) -> Option<PeerId> {
+        let range = self.bucket_range(x, j as u32);
+        if range.is_empty() {
+            return None;
         }
-        let bucket = &mut self.nodes[peer.idx()].kbuckets[j];
-        match replacement {
-            Some(fresh) => bucket[pos] = fresh,
-            None => {
-                bucket.swap_remove(pos);
-            }
-        }
+        (0..REFRESH_TRIES)
+            .map(|_| range[rng.random_range(0..range.len())].1)
+            .find(|&cand| accept(cand))
     }
 }
 
 impl Overlay for KademliaOverlay {
     fn num_active(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     fn group_count(&self) -> usize {
@@ -261,13 +259,12 @@ impl Overlay for KademliaOverlay {
         // since the peer is not responsible); bucket `b` holds exactly the
         // contacts that agree with the key through bit `b`, so any of them
         // is strict progress.
-        let me = &self.nodes[current.idx()];
-        let b = Key(me.id).common_prefix_len(key) as usize;
+        let b = Key(self.ids[current.idx()]).common_prefix_len(key) as usize;
         // Greedy: contact attempts in XOR-distance order to the key. Every
         // attempt is a real message, wasted if the target is offline.
-        let mut order: Vec<PeerId> = me.kbuckets.get(b).cloned().unwrap_or_default();
-        order.sort_unstable_by_key(|&c| self.nodes[c.idx()].id ^ key.0);
-        for cand in order {
+        let mut order = StackRow::<BUCKET_K>::copy_of(self.kbuckets.row(current, b));
+        order.as_mut_slice().sort_unstable_by_key(|&c| self.ids[c.idx()] ^ key.0);
+        for &cand in order.as_slice() {
             state.hops += 1;
             // Saturating: once exhausted, each further bucket gets exactly
             // one attempt before dead-ending (mirrors the trie).
@@ -290,65 +287,6 @@ impl Overlay for KademliaOverlay {
         })
     }
 
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) {
-        // Probe each k-bucket entry with probability env; entries found
-        // stale are refreshed from the bucket's id range (free, per the
-        // paper's piggybacking assumption). Rejoined peers re-enter tables
-        // through the same refresh sampling.
-        if !live.is_online(peer) {
-            return;
-        }
-        let p = peer.idx();
-        for j in 0..self.nodes[p].kbuckets.len() {
-            let mut stale: Vec<PeerId> = Vec::new();
-            for &c in &self.nodes[p].kbuckets[j] {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(c) {
-                        stale.push(c);
-                    }
-                }
-            }
-            for s in stale {
-                if let Some(pos) = self.nodes[p].kbuckets[j].iter().position(|&c| c == s) {
-                    self.refresh_entry(peer, j, pos, live, rng);
-                }
-            }
-            // A bucket drained to empty (every contact evicted while
-            // its whole id range was offline) has no entries left to
-            // probe, so the per-entry refresh above can never revive
-            // it; resample it directly once the range has an online
-            // peer again, or routing from this peer would dead-end on
-            // that prefix forever. Never triggers without churn: build
-            // leaves every non-empty-range bucket populated.
-            if self.nodes[p].kbuckets[j].is_empty() {
-                let x = self.nodes[p].id;
-                let mut revived = None;
-                let range = self.bucket_range(x, j as u32);
-                for _ in 0..8 {
-                    if range.is_empty() {
-                        break;
-                    }
-                    let (_, cand) = range[rng.random_range(0..range.len())];
-                    if live.is_online(cand) {
-                        revived = Some(cand);
-                        break;
-                    }
-                }
-                if let Some(fresh) = revived {
-                    self.nodes[p].kbuckets[j].push(fresh);
-                }
-            }
-        }
-    }
-
     #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
     fn maintenance_plan(
         &self,
@@ -360,67 +298,42 @@ impl Overlay for KademliaOverlay {
         scratch: &mut PlanScratch,
         out: &mut Vec<Repair>,
     ) {
-        // Read-only mirror of `maintenance_step` — with one twist: refresh
-        // acceptance (`!bucket.contains(&cand)`) and the empty-bucket check
-        // read the bucket *mid-mutation*, so the plan replays each bucket's
-        // mutations in `scratch.buf` to keep the candidate draws
-        // draw-for-draw identical to the stepping path.
+        // Probe each k-bucket entry with probability env; entries found
+        // stale are refreshed from the bucket's id range (free, per the
+        // paper's piggybacking assumption). Rejoined peers re-enter tables
+        // through the same refresh sampling.
         if !live.is_online(peer) {
             return;
         }
-        let p = peer.idx();
-        for j in 0..self.nodes[p].kbuckets.len() {
-            scratch.buf.clear();
-            scratch.buf.extend_from_slice(&self.nodes[p].kbuckets[j]);
-            scratch.stale.clear();
-            for &c in &scratch.buf {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(c) {
-                        scratch.stale.push(c);
-                    }
+        let x = self.ids[peer.idx()];
+        for (j, row) in self.kbuckets.rows(peer).enumerate() {
+            probe_row(row, env, live, rng, metrics, &mut scratch.stale);
+            if scratch.stale.is_empty() && !row.is_empty() {
+                continue;
+            }
+            // Refresh acceptance (`!contains(cand)`) and the drained check
+            // below read the bucket *mid-mutation*, so the bucket's repairs
+            // are replayed on a stack copy to keep the candidate draws
+            // identical to applying each one on the spot.
+            let mut bucket = StackRow::<BUCKET_K>::copy_of(row);
+            for &stale in &scratch.stale {
+                if let Some(pos) = bucket.as_slice().iter().position(|&c| c == stale) {
+                    let replacement = self.sample_contact(x, j, rng, |cand| {
+                        live.is_online(cand) && !bucket.as_slice().contains(&cand)
+                    });
+                    bucket.repair_at(pos, replacement);
+                    out.push(Repair::KadRefresh { peer, bucket: j as u32, stale, replacement });
                 }
             }
-            let x = self.nodes[p].id;
-            for si in 0..scratch.stale.len() {
-                let s = scratch.stale[si];
-                if let Some(pos) = scratch.buf.iter().position(|&c| c == s) {
-                    // Simulated `refresh_entry` against the scratch bucket.
-                    let range = self.bucket_range(x, j as u32);
-                    let mut replacement = None;
-                    for _ in 0..8 {
-                        if range.is_empty() {
-                            break;
-                        }
-                        let (_, cand) = range[rng.random_range(0..range.len())];
-                        if live.is_online(cand) && !scratch.buf.contains(&cand) {
-                            replacement = Some(cand);
-                            break;
-                        }
-                    }
-                    match replacement {
-                        Some(fresh) => scratch.buf[pos] = fresh,
-                        None => {
-                            scratch.buf.swap_remove(pos);
-                        }
-                    }
-                    out.push(Repair::KadRefresh { peer, bucket: j as u32, stale: s, replacement });
-                }
-            }
-            if scratch.buf.is_empty() {
-                let mut revived = None;
-                let range = self.bucket_range(x, j as u32);
-                for _ in 0..8 {
-                    if range.is_empty() {
-                        break;
-                    }
-                    let (_, cand) = range[rng.random_range(0..range.len())];
-                    if live.is_online(cand) {
-                        revived = Some(cand);
-                        break;
-                    }
-                }
-                if let Some(fresh) = revived {
+            // A bucket drained to empty (every contact evicted while its
+            // whole id range was offline) has no entries left to probe, so
+            // the per-entry refresh above can never revive it; resample it
+            // directly once the range has an online peer again, or routing
+            // from this peer would dead-end on that prefix forever. Never
+            // triggers without churn: build leaves every non-empty-range
+            // bucket populated.
+            if bucket.as_slice().is_empty() {
+                if let Some(fresh) = self.sample_contact(x, j, rng, |cand| live.is_online(cand)) {
                     out.push(Repair::KadRevive { peer, bucket: j as u32, fresh });
                 }
             }
@@ -430,23 +343,15 @@ impl Overlay for KademliaOverlay {
     fn maintenance_apply(&mut self, repairs: &[Repair], _live: &Liveness) {
         for &r in repairs {
             match r {
+                // The plan only records a refresh when the stale entry was
+                // still present in its simulated bucket, and the real
+                // bucket replays the same mutation sequence, so the
+                // position found here is the planned one.
                 Repair::KadRefresh { peer, bucket, stale, replacement } => {
-                    let b = &mut self.nodes[peer.idx()].kbuckets[bucket as usize];
-                    // The plan only records a refresh when the stale entry
-                    // was still present in its simulated bucket, and the
-                    // real bucket replays the same mutation sequence, so
-                    // the position lookup matches the planned one.
-                    if let Some(pos) = b.iter().position(|&c| c == stale) {
-                        match replacement {
-                            Some(fresh) => b[pos] = fresh,
-                            None => {
-                                b.swap_remove(pos);
-                            }
-                        }
-                    }
+                    self.kbuckets.repair(peer, bucket as usize, stale, replacement);
                 }
                 Repair::KadRevive { peer, bucket, fresh } => {
-                    self.nodes[peer.idx()].kbuckets[bucket as usize].push(fresh);
+                    self.kbuckets.push(peer, bucket as usize, fresh);
                 }
                 other => unreachable!("non-Kademlia repair {other:?} handed to KademliaOverlay"),
             }
@@ -454,17 +359,17 @@ impl Overlay for KademliaOverlay {
     }
 
     fn routing_entries(&self, peer: PeerId) -> usize {
-        self.nodes[peer.idx()].kbuckets.iter().map(Vec::len).sum()
+        self.kbuckets.entries(peer)
     }
 
     fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
         for _ in 0..16 {
-            let cand = PeerId::from_idx(rng.random_range(0..self.nodes.len()));
+            let cand = PeerId::from_idx(rng.random_range(0..self.ids.len()));
             if live.is_online(cand) {
                 return Some(cand);
             }
         }
-        (0..self.nodes.len()).map(PeerId::from_idx).find(|&p| live.is_online(p))
+        (0..self.ids.len()).map(PeerId::from_idx).find(|&p| live.is_online(p))
     }
 }
 
@@ -615,12 +520,10 @@ mod tests {
                 if !live.is_online(PeerId::from_idx(i)) {
                     continue;
                 }
-                for bucket in &o.nodes[i].kbuckets {
-                    for &c in bucket {
-                        total += 1;
-                        if !live.is_online(c) {
-                            stale += 1;
-                        }
+                for &c in o.kbuckets.rows(PeerId::from_idx(i)).flatten() {
+                    total += 1;
+                    if !live.is_online(c) {
+                        stale += 1;
                     }
                 }
             }
@@ -641,7 +544,7 @@ mod tests {
             o.maintenance_round(0.2, &live, &mut r, &mut m);
         }
         let referenced = (0..600)
-            .any(|i| o.nodes[i].kbuckets.iter().any(|b| b.iter().any(|c| rejoined.contains(c))));
+            .any(|i| o.kbuckets.rows(PeerId::from_idx(i)).flatten().any(|c| rejoined.contains(c)));
         assert!(referenced, "rejoined peers must re-enter routing tables");
     }
 
@@ -668,9 +571,9 @@ mod tests {
         // Some online peer's deepest bucket covered exactly the dark group
         // and must have drained (its id range has no online peer to
         // resample).
-        let drained = (0..64).any(|i| {
-            live.is_online(PeerId::from_idx(i)) && o.nodes[i].kbuckets.iter().any(Vec::is_empty)
-        });
+        let drained = (0..64)
+            .map(PeerId::from_idx)
+            .any(|p| live.is_online(p) && o.kbuckets.rows(p).any(<[PeerId]>::is_empty));
         assert!(drained, "a bucket whose whole range went dark must drain");
 
         for &p in &dark {
@@ -680,9 +583,9 @@ mod tests {
             o.maintenance_round(1.0, &live, &mut r, &mut m);
         }
         for i in 0..64 {
-            for (j, bucket) in o.nodes[i].kbuckets.iter().enumerate() {
+            for (j, bucket) in o.kbuckets.rows(PeerId::from_idx(i)).enumerate() {
                 if bucket.is_empty() {
-                    let range = o.bucket_range(o.nodes[i].id, j as u32);
+                    let range = o.bucket_range(o.ids[i], j as u32);
                     assert!(
                         range.is_empty(),
                         "bucket {j} of peer {i} must revive once its range is back online"

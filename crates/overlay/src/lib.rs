@@ -23,6 +23,7 @@
 //! reusable property suite every substrate (current and future) runs
 //! verbatim — see `tests/conformance.rs`.
 
+mod arena;
 pub mod chord;
 pub mod churn;
 pub mod conformance;

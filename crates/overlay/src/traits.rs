@@ -103,9 +103,6 @@ pub enum Repair {
 /// caller-owned buffer set instead of per-call allocations.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    /// A simulated routing-bucket copy (Kademlia's refresh acceptance
-    /// reads the bucket mid-mutation, so planning replays it here).
-    pub(crate) buf: Vec<PeerId>,
     /// Stale entries collected by the probe sweep of one level/bucket.
     pub(crate) stale: Vec<PeerId>,
 }
@@ -233,6 +230,12 @@ pub trait Overlay: Send + Sync {
     /// stepping peers `0..num_active` with one rng must equal one
     /// [`Overlay::maintenance_round`] call with the same rng state (the
     /// conformance kit enforces this).
+    ///
+    /// The default is [`Overlay::maintenance_plan`] into a local buffer
+    /// followed by [`Overlay::maintenance_apply`] — exact for any substrate
+    /// whose plan for one routing row never reads another row of the same
+    /// peer. Neither local `Vec` allocates unless a probe found a stale
+    /// entry.
     fn maintenance_step(
         &mut self,
         peer: PeerId,
@@ -240,7 +243,11 @@ pub trait Overlay: Send + Sync {
         live: &Liveness,
         rng: &mut SmallRng,
         metrics: &mut Metrics,
-    );
+    ) {
+        let mut repairs = Vec::new();
+        self.maintenance_plan(peer, env, live, rng, metrics, &mut PlanScratch::new(), &mut repairs);
+        self.maintenance_apply(&repairs, live);
+    }
 
     /// The read-only half of [`Overlay::maintenance_step`]: probes `peer`'s
     /// routing entries with probability `env`, drawing from `rng` in

@@ -12,6 +12,7 @@
 //! across leaves. The paper's own analysis likewise assumes a balanced
 //! binary key space (Section 3.2, footnote 3).
 
+use crate::arena::{probe_row, RowArena, StackRow};
 use crate::traits::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Prefix, Result};
@@ -34,10 +35,10 @@ pub struct TrieOverlay {
     paths: Vec<Prefix>,
     /// Members of each leaf: `leaves[leaf_index]` = peer ids.
     leaves: Vec<Vec<PeerId>>,
-    /// Routing tables: `refs[p][level]` = up to [`REFS_PER_LEVEL`] peers
-    /// whose path agrees with `p`'s on the first `level` bits and differs at
-    /// bit `level`.
-    refs: Vec<Vec<Vec<PeerId>>>,
+    /// Routing tables: row `level` of peer `p` = up to [`REFS_PER_LEVEL`]
+    /// peers whose path agrees with `p`'s on the first `level` bits and
+    /// differs at bit `level`.
+    refs: RowArena<REFS_PER_LEVEL>,
 }
 
 impl TrieOverlay {
@@ -80,7 +81,7 @@ impl TrieOverlay {
             leaves[leaf].push(PeerId::from_idx(i));
         }
 
-        let mut overlay = TrieOverlay { depth, paths, leaves, refs: Vec::new() };
+        let mut overlay = TrieOverlay { depth, paths, leaves, refs: RowArena::with_capacity(0, 0) };
         overlay.rebuild_routing_tables(rng);
         Ok(overlay)
     }
@@ -113,6 +114,11 @@ impl TrieOverlay {
         self.leaf_of_peer(peer)
     }
 
+    /// The level-`level` references of `peer`, in slot order.
+    pub fn level_refs(&self, peer: PeerId, level: u32) -> &[PeerId] {
+        self.refs.row(peer, level as usize)
+    }
+
     /// The path of `peer`.
     pub fn path_of(&self, peer: PeerId) -> Prefix {
         self.paths[peer.idx()]
@@ -133,37 +139,24 @@ impl TrieOverlay {
     /// P-Grid's exchange protocol.
     pub fn rebuild_routing_tables(&mut self, rng: &mut SmallRng) {
         let n = self.paths.len();
-        let num_leaves = self.leaves.len();
-        let mut refs = Vec::with_capacity(n);
-        for p in 0..n {
-            let my_leaf = self.leaf_of_peer(PeerId::from_idx(p));
-            let mut levels = Vec::with_capacity(self.depth as usize);
+        let mut refs = RowArena::with_capacity(n, self.depth as usize);
+        for peer in (0..n).map(PeerId::from_idx) {
+            refs.begin_peer();
             for level in 0..self.depth {
-                // Sibling subtree at `level`: leaves that share the first
-                // `level` bits of my leaf and differ at bit `level`. The
-                // level block [start, start + 2·block) splits into a lower
-                // and an upper half; my sibling is whichever half I am not
-                // in.
-                let block = num_leaves >> (level + 1); // leaves per half
-                let my_block_start = (my_leaf >> (self.depth - level)) << (self.depth - level);
-                let half = self.depth - level - 1;
-                let my_side = (my_leaf >> half) & 1;
-                let sibling_start =
-                    if my_side == 0 { my_block_start + block } else { my_block_start };
-                let mut level_refs = Vec::with_capacity(REFS_PER_LEVEL);
+                let mut level_refs = StackRow::<REFS_PER_LEVEL>::new();
                 for _ in 0..REFS_PER_LEVEL {
-                    let leaf = sibling_start + rng.random_range(0..block);
-                    let members = &self.leaves[leaf];
-                    if let Some(&pick) = members.as_slice().choose(rng) {
-                        level_refs.push(pick);
+                    match self.sample_sibling(peer, level, rng) {
+                        Some(pick) if !level_refs.as_slice().contains(&pick) => {
+                            level_refs.push(pick);
+                        }
+                        _ => {}
                     }
                 }
-                level_refs.sort_unstable();
-                level_refs.dedup();
-                levels.push(level_refs);
+                level_refs.as_mut_slice().sort_unstable();
+                refs.push_row(level_refs.as_slice());
             }
-            refs.push(levels);
         }
+        refs.shrink_to_fit();
         self.refs = refs;
     }
 
@@ -176,46 +169,25 @@ impl TrieOverlay {
         }
     }
 
-    /// Replaces a stale reference of `peer` at `level` with a fresh sample
-    /// from the correct sibling subtree (message-free repair; the paper
-    /// assumes repair information piggybacks on regular traffic).
-    fn repair_ref(&mut self, peer: PeerId, level: u32, stale: PeerId, rng: &mut SmallRng) {
-        let replacement = self.sample_replacement(peer, level, rng);
-        self.apply_ref_repair(peer, level, stale, replacement);
-    }
-
-    /// The rng half of [`TrieOverlay::repair_ref`]: samples a sibling-leaf
-    /// replacement without touching the reference lists (draws depend only
-    /// on the immutable leaf partition, so plan and step draw identically).
-    fn sample_replacement(&self, peer: PeerId, level: u32, rng: &mut SmallRng) -> Option<PeerId> {
-        let num_leaves = self.leaves.len();
+    /// Samples a level-`level` reference for `peer`: a random member of a
+    /// random leaf of its sibling subtree at that level. Used to build the
+    /// tables and to replace stale references (message-free repair; the
+    /// paper assumes repair information piggybacks on regular traffic).
+    /// Draws depend only on the immutable leaf partition, never on the
+    /// reference lists, so a plan made before earlier repairs are applied
+    /// draws the same.
+    fn sample_sibling(&self, peer: PeerId, level: u32, rng: &mut SmallRng) -> Option<PeerId> {
+        // Sibling subtree at `level`: leaves that share the first `level`
+        // bits of my leaf and differ at bit `level`. The level block
+        // [start, start + 2·block) splits into a lower and an upper half; my
+        // sibling is whichever half I am not in.
         let my_leaf = self.leaf_of_peer(peer);
-        let block = num_leaves >> (level + 1);
+        let block = self.leaves.len() >> (level + 1); // leaves per half
         let my_block_start = (my_leaf >> (self.depth - level)) << (self.depth - level);
-        let half = self.depth - level - 1;
-        let my_side = (my_leaf >> half) & 1;
+        let my_side = (my_leaf >> (self.depth - level - 1)) & 1;
         let sibling_start = if my_side == 0 { my_block_start + block } else { my_block_start };
         let leaf = sibling_start + rng.random_range(0..block);
         self.leaves[leaf].as_slice().choose(rng).copied()
-    }
-
-    /// The mutation half of [`TrieOverlay::repair_ref`].
-    fn apply_ref_repair(
-        &mut self,
-        peer: PeerId,
-        level: u32,
-        stale: PeerId,
-        replacement: Option<PeerId>,
-    ) {
-        let level_refs = &mut self.refs[peer.idx()][level as usize];
-        if let Some(pos) = level_refs.iter().position(|&r| r == stale) {
-            match replacement {
-                Some(fresh) if !level_refs.contains(&fresh) => level_refs[pos] = fresh,
-                _ => {
-                    level_refs.swap_remove(pos);
-                }
-            }
-        }
     }
 }
 
@@ -264,12 +236,12 @@ impl Overlay for TrieOverlay {
             return Ok(HopOutcome::Arrived(state.current));
         }
         let level = key.common_prefix_len(Key(path.bits())).min(self.depth - 1);
-        let level_refs = &self.refs[state.current.idx()][level as usize];
         // Try references in random order until one is online. Every
         // attempt is a real message (wasted if the target is offline).
-        let mut order: Vec<PeerId> = level_refs.clone();
-        order.shuffle(rng);
-        for cand in order {
+        let mut order =
+            StackRow::<REFS_PER_LEVEL>::copy_of(self.refs.row(state.current, level as usize));
+        order.as_mut_slice().shuffle(rng);
+        for &cand in order.as_slice() {
             state.hops += 1;
             // Saturating: once exhausted, each further level gets exactly one
             // attempt before dead-ending (mirrors the attempt-counting loop
@@ -293,36 +265,6 @@ impl Overlay for TrieOverlay {
         })
     }
 
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) {
-        if !live.is_online(peer) {
-            return;
-        }
-        let p = peer.idx();
-        for level in 0..self.depth {
-            // Collect stale entries found by probing; repair after the
-            // immutable walk.
-            let mut stale: Vec<PeerId> = Vec::new();
-            for &r in &self.refs[p][level as usize] {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(r) {
-                        stale.push(r);
-                    }
-                }
-            }
-            for s in stale {
-                self.repair_ref(peer, level, s, rng);
-            }
-        }
-    }
-
     #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
     fn maintenance_plan(
         &self,
@@ -334,27 +276,18 @@ impl Overlay for TrieOverlay {
         scratch: &mut PlanScratch,
         out: &mut Vec<Repair>,
     ) {
-        // Read-only mirror of `maintenance_step`: the probe sweep and the
-        // replacement sampling read only the immutable leaf partition and
-        // this peer's own pre-step references, so recording repairs and
-        // replaying them later is draw-for-draw identical.
+        // The probe sweep of a level reads only that level's pre-step
+        // references and the replacement sampling only the immutable leaf
+        // partition, so recording repairs and replaying them later is
+        // draw-for-draw identical to repairing on the spot.
         if !live.is_online(peer) {
             return;
         }
-        let p = peer.idx();
-        for level in 0..self.depth {
-            scratch.stale.clear();
-            for &r in &self.refs[p][level as usize] {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(r) {
-                        scratch.stale.push(r);
-                    }
-                }
-            }
-            for &s in &scratch.stale {
-                let replacement = self.sample_replacement(peer, level, rng);
-                out.push(Repair::TrieRef { peer, level, stale: s, replacement });
+        for (level, row) in (0..self.depth).zip(self.refs.rows(peer)) {
+            probe_row(row, env, live, rng, metrics, &mut scratch.stale);
+            for &stale in &scratch.stale {
+                let replacement = self.sample_sibling(peer, level, rng);
+                out.push(Repair::TrieRef { peer, level, stale, replacement });
             }
         }
     }
@@ -363,7 +296,10 @@ impl Overlay for TrieOverlay {
         for &r in repairs {
             match r {
                 Repair::TrieRef { peer, level, stale, replacement } => {
-                    self.apply_ref_repair(peer, level, stale, replacement);
+                    // A pick the level already holds evicts instead.
+                    let row = self.refs.row(peer, level as usize);
+                    let fresh = replacement.filter(|f| !row.contains(f));
+                    self.refs.repair(peer, level as usize, stale, fresh);
                 }
                 other => unreachable!("non-trie repair {other:?} handed to TrieOverlay"),
             }
@@ -371,7 +307,7 @@ impl Overlay for TrieOverlay {
     }
 
     fn routing_entries(&self, peer: PeerId) -> usize {
-        self.refs[peer.idx()].iter().map(Vec::len).sum()
+        self.refs.entries(peer)
     }
 
     fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
@@ -548,12 +484,10 @@ mod tests {
             if !live.is_online(peer) {
                 continue;
             }
-            for level in &o.refs[p] {
-                for &r2 in level {
-                    total_refs += 1;
-                    if !live.is_online(r2) {
-                        stale_left += 1;
-                    }
+            for &r2 in o.refs.rows(peer).flatten() {
+                total_refs += 1;
+                if !live.is_online(r2) {
+                    stale_left += 1;
                 }
             }
         }
