@@ -211,11 +211,8 @@ fn main() {
         ),
         _ => println!("no committed baseline found (first run on this checkout)"),
     }
-    // Per-phase wall clock of the timed run. On the legacy `shards = 1`
-    // path only the serial churn and content-update slices are
-    // instrumented (the query/background work dispatches through the
-    // untimed global queue), so the fraction is meaningful on sharded
-    // runs — the sweep below times every row at 8 shards.
+    // Per-phase wall clock of the timed run (every lane pass is timed at
+    // any shard count; the sweep below times every row at 8 shards).
     println!(
         "phase breakdown (ms/round): churn {churn_ms:.2}, queries {queries_ms:.2}, \
          background {background_ms:.2}, barriers {barriers_ms:.2} — serial fraction \

@@ -159,9 +159,8 @@ pub struct SimArgs {
     /// `--peers N`: override the scenario's total population (the S4 scale
     /// knob; `None` keeps each bin's default).
     pub peers: Option<u32>,
-    /// `--threads N`: worker threads for the shard-parallel query phase
-    /// (default 1 = the single-threaded legacy engine). A purely
-    /// *executor* knob: results never depend on it.
+    /// `--threads N`: worker threads for the engine's lane passes
+    /// (default 1). A purely *executor* knob: results never depend on it.
     pub threads: u32,
     /// `--shards N`: the engine's shard count — the *semantic* knob
     /// (`PdhtConfig::shards`). `None` (the default) follows `--threads`

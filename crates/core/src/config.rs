@@ -205,9 +205,9 @@ pub struct PdhtConfig {
     pub mean_degree: usize,
     /// Adjustment window (rounds) of the adaptive TTL controller.
     pub adaptive_window: u64,
-    /// Number of execution shards the engine partitions peers, replica
-    /// groups and the query pipeline into. `1` (the default) is the
-    /// single-threaded path with the historical RNG draw order; `S > 1`
+    /// Number of execution shards (lanes) the engine partitions peers,
+    /// replica groups and the query pipeline into. `1` (the default) is
+    /// one lane drawing the historical un-indexed RNG streams; `S > 1`
     /// splits workload/routing/latency draws onto per-shard streams — a
     /// *semantic* knob: results depend on `S` but never on how many threads
     /// execute the shards (see `PdhtNetwork::set_threads`).

@@ -1,16 +1,17 @@
-//! Round orchestration over a message-granular event queue.
+//! Round orchestration over message-granular lane queues.
 //!
-//! [`PdhtNetwork::step_round`] does not run phases inline: it schedules one
-//! [`RoundPhase`] event per phase on a [`pdht_sim::EventQueue`] at staggered
-//! sub-round instants, then drains the queue in virtual-time order and
-//! dispatches each event to its handler in [`super::maintenance`] /
-//! [`super::routing`]. The queue's total pop order (ties break by insertion)
-//! keeps runs bit-for-bit reproducible.
+//! [`PdhtNetwork::step_round`] walks the six [`RoundPhase`] markers of a
+//! round, each at its own staggered sub-round instant: a phase is its
+//! serial work followed by one [`PdhtNetwork::lane_pass`] that drains every
+//! lane's [`pdht_sim::EventQueue`] in virtual-time order up to the next
+//! marker, dispatching each [`NetEvent`] to its handler in
+//! [`super::maintenance`] / [`super::routing`]. Each queue's total pop order
+//! (ties break by insertion) and the barrier merge between lanes keep runs
+//! bit-for-bit reproducible.
 //!
-//! Since the message-level refactor the queue carries [`NetEvent`]s, not
-//! bare phases: the query pipeline in [`super::routing`] runs as a state
-//! machine over in-flight queries, scheduling one [`NetEvent::MessageArrival`]
-//! per forwarded message (or parallel message wave) with a delay drawn from
+//! The query pipeline in [`super::routing`] runs as a state machine over
+//! in-flight queries, scheduling one [`NetEvent::MessageArrival`] per
+//! forwarded message (or parallel message wave) with a delay drawn from
 //! the configured [`crate::LatencyConfig`]. Zero-delay steps are executed
 //! inline in issue order — which is exactly the old synchronous semantics,
 //! so a [`crate::LatencyConfig::Zero`] run reproduces the phase-granular
@@ -18,39 +19,31 @@
 //! cross round boundaries, and race churn, and populate the per-query
 //! latency histograms surfaced in [`SimReport`].
 
-use crate::admission::AdmissionFilter;
 use crate::config::{OverlayKind, PdhtConfig, Strategy};
-use crate::network::maintenance::UpdateCtx;
 use crate::network::peer::PeerStores;
-use crate::network::routing::QueryCtx;
-use crate::network::shard::{LaneMsg, ShardedState};
+use crate::network::shard::{lane_stream, ShardedState};
 use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
-use pdht_gossip::{ReplicaGroup, VersionedValue, WavePool};
+use pdht_gossip::{ReplicaGroup, VersionedValue};
 use pdht_model::{CostModel, SelectionModel};
-use pdht_overlay::{
-    ChordOverlay, ChurnModel, KademliaOverlay, Overlay, PlanScratch, Repair, TrieOverlay,
-};
-use pdht_sim::{
-    EventQueue, HistogramSummary, LatencyModel, Metrics, Outbox, RoundDriver, Slab, VisitSet,
-};
+use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
+use pdht_sim::{HistogramSummary, LatencyModel, Metrics, RoundDriver};
 use pdht_types::{Key, MessageKind, PeerId, Result, RngStreams, Round, SimTime};
 use pdht_unstructured::{Replication, Topology};
 use pdht_workload::{QueryWorkload, UpdateProcess};
 use rand::rngs::SmallRng;
 use std::time::{Duration, Instant};
 
-/// Identifier of an in-flight query: a generational slab key, so events
-/// referencing resolved queries miss instead of aliasing a recycled slot.
+/// Identifier of an in-flight query: a generational key into its lane's
+/// slab, so events referencing resolved queries miss instead of aliasing a
+/// recycled slot. Unique per lane, not across lanes.
 pub type QueryId = u64;
 
 /// Identifier of an in-flight update propagation (same slab-key scheme).
 pub type UpdateId = u64;
 
-/// An event on the engine's virtual-time queue.
+/// An event on a lane's virtual-time queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetEvent {
-    /// A round phase comes due.
-    Phase(RoundPhase),
     /// A message of an in-flight query lands at its destination: advance
     /// that query's state machine by one step.
     MessageArrival {
@@ -66,8 +59,8 @@ pub enum NetEvent {
         query: QueryId,
     },
     /// A peer's routing-table maintenance tick comes due: one
-    /// [`pdht_overlay::Overlay::maintenance_step`], then the event
-    /// reschedules itself one round later (each active peer carries its own
+    /// [`pdht_overlay::Overlay::maintenance_plan`] (repairs applied at the
+    /// pass barrier), then the event reschedules itself one round later (each active peer carries its own
     /// perpetual tick at a fixed, optionally jittered, sub-round offset).
     PeerMaintenance {
         /// The peer whose routing table is probed.
@@ -101,16 +94,21 @@ pub enum HookPoint {
         /// The phase about to run.
         phase: RoundPhase,
     },
-    /// A message-level event (arrival or timeout) is about to dispatch.
+    /// A lane dispatched a message-level event (arrival or timeout) of a
+    /// query still in flight.
     ///
-    /// Only fired on the single-shard path: with `cfg.shards > 1` message
-    /// events live on per-shard lane queues drained inside the parallel
-    /// query phase, where a shared mutable hook cannot run. Phase
-    /// boundaries keep firing at any shard count.
-    BeforeMessage {
-        /// The round the event fires in.
+    /// Message events live on lane queues drained inside parallel passes,
+    /// where a shared mutable hook cannot run, so lanes log them and the
+    /// serial barrier ending the pass replays the log in `(lane, time)`
+    /// order — an order fixed by the shard count alone. The observation
+    /// (and any action it returns) therefore lands *after* the events of
+    /// its pass, at every shard count.
+    MessageDispatched {
+        /// The round the event fired in.
         round: u64,
-        /// The in-flight query it belongs to.
+        /// The lane that dispatched it.
+        lane: usize,
+        /// The in-flight query it belongs to (a key into `lane`'s slab).
         query: QueryId,
     },
 }
@@ -127,14 +125,15 @@ pub enum HookAction {
 }
 
 /// An experiment hook observing event boundaries; returned actions are
-/// applied before the event dispatches.
+/// applied at the observation: before a phase's work, and at the barrier
+/// ending the pass for message observations.
 pub type EventHook = Box<dyn FnMut(HookPoint) -> Vec<HookAction>>;
 
-/// One phase of a simulated round, scheduled on the engine's event queue.
+/// One phase of a simulated round.
 ///
-/// Phases fire in this order within every round (each at its own sub-round
-/// instant, so the queue's time ordering — not code layout — sequences
-/// them).
+/// Phases fire in this order within every round, each at its own sub-round
+/// instant: lane events due before a phase's instant dispatch before its
+/// serial work, later ones after.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoundPhase {
     /// Peer session transitions; rejoining IndexAll peers pull missed
@@ -165,13 +164,11 @@ const PHASES: [RoundPhase; 6] = [
 /// µs of virtual time between consecutive phase instants within a round.
 /// The gap leaves room for the per-peer background events *after* their
 /// phase marker: a [`HookPoint::BeforePhase`] observation must fire before
-/// any of that phase's per-peer work dispatches (same-instant ties would
-/// put the rescheduled background events first, since their queue sequence
-/// numbers predate the round's phase events).
+/// any of that phase's per-peer work dispatches.
 pub(crate) const PHASE_SPACING_US: u64 = 10;
 
 /// Offset (µs past the round start) of the [`RoundPhase::Queries`] instant —
-/// the sharded query phase issues its merged batches at exactly this time.
+/// the query phase issues its merged batches at exactly this time.
 pub(crate) const QUERIES_OFFSET_US: u64 = 4 * PHASE_SPACING_US;
 
 /// Base offset (µs past the round start) of every
@@ -218,65 +215,38 @@ pub struct PdhtNetwork {
     pub(crate) updates: UpdateProcess,
     pub(crate) workload: QueryWorkload,
     pub(crate) adaptive: Option<AdaptiveTtl>,
-    pub(crate) admission: AdmissionFilter,
     /// Current keyTtl in rounds (fixed policies keep it constant).
     pub(crate) ttl_rounds: u64,
     /// Per-entry probe rate calibrated to `env·log2(nap)` per peer.
     pub(crate) probe_rate: f64,
     pub(crate) metrics: Metrics,
     pub(crate) driver: RoundDriver,
-    /// Virtual-time queue sequencing phases, per-peer background events,
-    /// and in-flight query/update messages.
-    pub(crate) events: EventQueue<NetEvent>,
-    /// In-flight queries, keyed by [`QueryId`] (generational slab — parking
-    /// and resuming a context is allocation-free). Empty whenever every hop
-    /// delay is zero (steps run inline).
-    pub(crate) inflight: Slab<QueryCtx>,
-    /// In-flight update propagations, keyed by [`UpdateId`]. Empty under
-    /// zero latency for the same reason.
-    pub(crate) updates_inflight: Slab<UpdateCtx>,
     /// Per-hop delay model built from [`PdhtConfig::latency`].
     pub(crate) latency: Box<dyn LatencyModel>,
-    /// Generation-stamped visited scratch shared by every random walk, so
-    /// starting a broadcast search is O(walkers) instead of allocating an
-    /// O(num_peers) map per query.
-    pub(crate) walk_scratch: VisitSet,
-    /// Recyclable flood/rumor wave scratch for the legacy lane (sharded
-    /// engines give each lane its own pool).
-    pub(crate) wave_pool: WavePool,
     /// Experiment hook observing phase/message boundaries.
     pub(crate) hook: Option<EventHook>,
-    /// Events popped off the queue over the whole run (the O(active-work)
-    /// regression gauge: per-round deltas must track transitions/queries/
-    /// background events, not the total population).
+    /// Events dispatched over the whole run — phase markers plus every
+    /// lane event (the O(active-work) regression gauge: per-round deltas
+    /// must track transitions/queries/background events, not the total
+    /// population).
     pub(crate) events_dispatched: u64,
-    // Component RNG streams.
-    pub(crate) rng_churn: SmallRng,
-    pub(crate) rng_workload: SmallRng,
+    /// Engine-side stream picking update entry peers when several lanes
+    /// share the deal.
     pub(crate) rng_overlay: SmallRng,
-    pub(crate) rng_search: SmallRng,
     pub(crate) rng_updates: SmallRng,
-    pub(crate) rng_latency: SmallRng,
     /// Cumulative outcome counters (lane counters merge in here at the
-    /// sharded query barrier).
+    /// bookkeeping barrier).
     pub(crate) counters: Counters,
     /// `(hits, misses)` already flushed to the adaptive-TTL controller —
     /// the bookkeeping phase feeds it the delta since the previous round.
     pub(crate) adaptive_seen: (u64, u64),
-    /// Shard-parallel execution state, present iff `cfg.shards > 1`.
-    /// `None` keeps the single-threaded legacy path bit-for-bit intact.
-    pub(crate) sharded: Option<ShardedState>,
+    /// The lanes: every per-peer and per-message event, every in-flight
+    /// context and every per-lane RNG stream lives here (one lane at
+    /// `cfg.shards = 1`).
+    pub(crate) shards: ShardedState,
     /// Reusable churn-transition buffer (steady-state churn allocates
     /// nothing).
     pub(crate) churn_buf: Vec<(PeerId, bool)>,
-    /// Legacy-lane outbox backing [`PdhtNetwork::query_exec`]. Never
-    /// written: the legacy world's empty `group_shard` disables handoffs.
-    pub(crate) lane_outbox: Outbox<LaneMsg>,
-    /// Legacy-lane repair queue (unused: legacy maintenance mutates the
-    /// overlay directly via `maintenance_step`).
-    pub(crate) lane_repairs: Vec<Repair>,
-    /// Legacy-lane maintenance-plan scratch (unused on the legacy path).
-    pub(crate) plan_scratch: PlanScratch,
     /// Opt-in per-phase wall-clock accounting (the scale bench's
     /// serial-fraction probe); `None` keeps clock reads off the hot paths.
     pub(crate) phase_timers: Option<PhaseBreakdown>,
@@ -284,10 +254,9 @@ pub struct PdhtNetwork {
 
 /// Opt-in wall-clock breakdown of round execution, split into the buckets
 /// that matter for shard scaling: parallel pool time (queries,
-/// background-event drains) versus serial sections (churn, barriers).
-/// Enabled via [`PdhtNetwork::enable_phase_timers`]; most meaningful on
-/// sharded engines, where the serial fraction bounds the achievable
-/// speedup.
+/// background-event drains) versus serial sections (churn, barriers) —
+/// the serial fraction bounds the achievable speedup. Enabled via
+/// [`PdhtNetwork::enable_phase_timers`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseBreakdown {
     /// Serial churn phase (session transitions + rejoin pulls).
@@ -506,44 +475,29 @@ impl PdhtNetwork {
             }
             _ => s.stor as usize,
         };
-        // Shard-parallel state: `cfg.shards` is a semantic knob (shards = 1
-        // is the bit-exact single-threaded engine), capped by the
+        // The lanes: `cfg.shards` is a semantic knob, capped by the
         // population so every shard owns at least one peer.
-        let s_eff = if cfg.shards <= 1 { 1 } else { (cfg.shards as usize).min(num_peers.max(1)) };
-        let sharded = if s_eff > 1 {
-            Some(ShardedState::new(s_eff, s.num_peers, overlay.as_deref(), &streams, cfg.admission))
-        } else {
-            None
-        };
-
-        let mut peers = match (&sharded, &overlay) {
-            (Some(st), Some(o)) => {
-                // Store shard = the shard of the key's replica group, so
-                // every store mutation a query performs is local to the
-                // shard executing it.
-                let assign: Vec<u16> = (0..nap)
-                    .map(|p| st.group_shard[o.group_of_peer(PeerId::from_idx(p))])
-                    .collect();
-                PeerStores::new_sharded(&assign, s_eff, store_capacity, num_keys)
-            }
-            (Some(_), None) => PeerStores::new_sharded(&[], s_eff, store_capacity, num_keys),
-            (None, _) => PeerStores::new(nap, store_capacity, num_keys),
-        };
+        let num_shards = (cfg.shards as usize).clamp(1, num_peers.max(1));
+        let shards =
+            ShardedState::new(num_shards, s.num_peers, overlay.as_deref(), &streams, cfg.admission);
+        let store_lanes: Vec<u16> =
+            (0..nap).map(|p| shards.store_lane(overlay.as_deref(), PeerId::from_idx(p))).collect();
+        let mut peers = PeerStores::new(&store_lanes, num_shards, store_capacity, num_keys);
 
         // Unstructured side.
         let topo = Topology::random(num_peers, cfg.mean_degree, &mut rng_build)?;
         let content = Replication::place(num_articles, s.repl as usize, num_peers, &mut rng_build)?;
 
-        // Processes. Sharded engines give each churn shard its own RNG
-        // stream (`("churn", s)`), so shard calendars evolve independently
-        // of each other and of the single-stream legacy draw.
-        let churn = if let Some(st) = &sharded {
-            let mut init: Vec<SmallRng> =
-                (0..s_eff).map(|i| streams.indexed_stream("churn", i as u64)).collect();
-            ChurnModel::new_sharded(num_peers, cfg.churn, st.peer_shard.clone(), &mut init)
-        } else {
-            ChurnModel::new(num_peers, cfg.churn, &mut streams.stream("churn"))
-        };
+        // Processes. Each churn shard draws from its own stream, so shard
+        // calendars evolve independently of each other.
+        let mut churn_init: Vec<SmallRng> =
+            (0..num_shards).map(|i| lane_stream(&streams, "churn", i, num_shards)).collect();
+        let churn = ChurnModel::new_sharded(
+            num_peers,
+            cfg.churn,
+            (0..s.num_peers).map(|p| shards.origin_lane(PeerId(p))).collect(),
+            &mut churn_init,
+        );
         let updates = UpdateProcess::new(num_articles, 1.0 / s.f_upd.max(1e-12))?;
         let workload =
             QueryWorkload::new(num_keys, s.alpha, s.num_peers, cfg.f_qry, cfg.shift.clone())?;
@@ -589,15 +543,10 @@ impl PdhtNetwork {
             }
         }
 
-        let cfg_admission = cfg.admission;
         let latency = cfg.latency.build();
         let mut net = PdhtNetwork {
-            rng_churn: streams.stream("churn-run"),
-            rng_workload: streams.stream("workload"),
             rng_overlay: streams.stream("overlay"),
-            rng_search: streams.stream("search"),
             rng_updates: streams.stream("updates"),
-            rng_latency: streams.stream("latency"),
             latency,
             cfg,
             keys,
@@ -613,25 +562,16 @@ impl PdhtNetwork {
             updates,
             workload,
             adaptive,
-            admission: AdmissionFilter::new(cfg_admission),
             ttl_rounds,
             probe_rate,
             metrics: Metrics::new(),
             driver: RoundDriver::new(),
-            events: EventQueue::new(),
-            inflight: Slab::with_capacity(64),
-            updates_inflight: Slab::with_capacity(16),
-            walk_scratch: VisitSet::new(num_peers),
-            wave_pool: WavePool::new(),
             hook: None,
             events_dispatched: 0,
             counters: Counters::default(),
             adaptive_seen: (0, 0),
-            sharded,
+            shards,
             churn_buf: Vec::new(),
-            lane_outbox: Outbox::new(0),
-            lane_repairs: Vec::new(),
-            plan_scratch: PlanScratch::new(),
             phase_timers: None,
         };
         net.schedule_background();
@@ -643,75 +583,31 @@ impl PdhtNetwork {
     /// only) one [`NetEvent::TtlSweep`] per active peer per `purge_stride`
     /// rounds, staggered so cohort `p % stride` sweeps in round
     /// `r ≡ p (mod stride)` — the same stagger the phase sweep used. Each
-    /// event reschedules itself, so the queue carries a steady `O(nap)`
+    /// event reschedules itself, so the queues carry a steady `O(nap)`
     /// background population instead of the engine sweeping all peers
     /// inside a phase handler.
     ///
     /// Offsets: with zero jitter (the default), every maintenance event
     /// fires at its round's `OverlayMaintenance` instant and every sweep at
     /// the `PurgeExpired` instant, in ascending peer order — which makes
-    /// the event-driven path consume the component RNG streams in exactly
-    /// the order the phase sweeps did, keeping `LatencyConfig::Zero`
-    /// accounting bit-for-bit identical. Non-zero jitter gives each peer a
-    /// fixed hashed offset inside its round.
+    /// one lane consume the component RNG streams in exactly the order the
+    /// phase sweeps did, keeping `LatencyConfig::Zero` accounting
+    /// bit-for-bit identical. Non-zero jitter gives each peer a fixed
+    /// hashed offset inside its round.
     ///
-    /// Sharded engines seed each event into its owning *lane's* queue
-    /// instead of the global one — maintenance ticks at the peer's origin
-    /// shard (they touch only the shared tables and the lane's streams),
-    /// TTL sweeps at the shard owning the peer's store (its replica
-    /// group's shard), so every dispatch is lane-local. The global queue
-    /// then carries nothing but the six phase markers.
+    /// Each event lives on its owning lane's queue — maintenance ticks at
+    /// the peer's origin shard (they touch only the shared tables and the
+    /// lane's streams), TTL sweeps at the shard owning the peer's store —
+    /// so every dispatch is lane-local.
     fn schedule_background(&mut self) {
         let jitter = self.cfg.background;
-        if let Some(st) = &mut self.sharded {
-            if self.overlay.is_some() {
-                for p in 0..self.nap {
-                    let offset = MAINTENANCE_OFFSET_US
-                        + peer_jitter_us(
-                            self.cfg.seed,
-                            0xA11C_E000 + p as u64,
-                            jitter.maintenance_jitter_us,
-                        );
-                    let lane = usize::from(st.peer_shard[p]);
-                    st.lanes[lane].events.schedule_at(
-                        Round(0).start() + SimTime::from_micros(offset),
-                        NetEvent::PeerMaintenance { peer: PeerId::from_idx(p) },
-                    );
-                }
-            }
-            if self.cfg.strategy == Strategy::Partial {
-                let stride = self.cfg.purge_stride;
-                for p in 0..self.nap {
-                    let first = Round(p as u64 % stride);
-                    let offset = TTL_SWEEP_OFFSET_US
-                        + peer_jitter_us(
-                            self.cfg.seed,
-                            0x77E0_0000 + p as u64,
-                            jitter.ttl_jitter_us,
-                        );
-                    let lane = match self.overlay.as_deref() {
-                        Some(o) => {
-                            usize::from(st.group_shard[o.group_of_peer(PeerId::from_idx(p))])
-                        }
-                        None => usize::from(st.peer_shard[p]),
-                    };
-                    st.lanes[lane].events.schedule_at(
-                        first.start() + SimTime::from_micros(offset),
-                        NetEvent::TtlSweep { peer: PeerId::from_idx(p) },
-                    );
-                }
-            }
-            return;
-        }
+        let seed = self.cfg.seed;
         if self.overlay.is_some() {
             for p in 0..self.nap {
                 let offset = MAINTENANCE_OFFSET_US
-                    + peer_jitter_us(
-                        self.cfg.seed,
-                        0xA11C_E000 + p as u64,
-                        jitter.maintenance_jitter_us,
-                    );
-                self.events.schedule_at(
+                    + peer_jitter_us(seed, 0xA11C_E000 + p as u64, jitter.maintenance_jitter_us);
+                let lane = usize::from(self.shards.origin_lane(PeerId::from_idx(p)));
+                self.shards.lanes[lane].events.schedule_at(
                     Round(0).start() + SimTime::from_micros(offset),
                     NetEvent::PeerMaintenance { peer: PeerId::from_idx(p) },
                 );
@@ -720,12 +616,14 @@ impl PdhtNetwork {
         if self.cfg.strategy == Strategy::Partial {
             let stride = self.cfg.purge_stride;
             for p in 0..self.nap {
+                let peer = PeerId::from_idx(p);
                 let first = Round(p as u64 % stride);
                 let offset = TTL_SWEEP_OFFSET_US
-                    + peer_jitter_us(self.cfg.seed, 0x77E0_0000 + p as u64, jitter.ttl_jitter_us);
-                self.events.schedule_at(
+                    + peer_jitter_us(seed, 0x77E0_0000 + p as u64, jitter.ttl_jitter_us);
+                let lane = usize::from(self.shards.store_lane(self.overlay.as_deref(), peer));
+                self.shards.lanes[lane].events.schedule_at(
                     first.start() + SimTime::from_micros(offset),
-                    NetEvent::TtlSweep { peer: PeerId::from_idx(p) },
+                    NetEvent::TtlSweep { peer },
                 );
             }
         }
@@ -764,12 +662,12 @@ impl PdhtNetwork {
     /// Failure injection: knocks a uniform `fraction` of all peers offline
     /// at once; they rejoin through the configured churn process.
     pub fn force_blackout(&mut self, fraction: f64) {
-        self.churn.force_blackout(fraction, &mut self.rng_churn);
+        self.churn.force_blackout(fraction, &mut self.shards.churn_rngs[0]);
     }
 
-    /// Installs an [`EventHook`] observing every phase and message boundary;
-    /// actions it returns are applied before the event dispatches. Replaces
-    /// any previous hook.
+    /// Installs an [`EventHook`] observing every phase boundary and message
+    /// event (see [`HookPoint`] for when each observation — and any action
+    /// it returns — lands). Replaces any previous hook.
     pub fn set_event_hook(&mut self, hook: EventHook) {
         self.hook = Some(hook);
     }
@@ -781,40 +679,33 @@ impl PdhtNetwork {
 
     /// Queries currently in flight (always 0 when every hop delay is zero).
     pub fn queries_in_flight(&self) -> usize {
-        let lanes: usize =
-            self.sharded.as_ref().map_or(0, |st| st.lanes.iter().map(|l| l.inflight.len()).sum());
-        self.inflight.len() + lanes
+        self.shards.lanes.iter().map(|l| l.inflight.len()).sum()
     }
 
-    /// Number of execution shards (1 = the single-threaded legacy engine).
+    /// Number of execution shards (lanes).
     pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |st| st.shards)
+        self.shards.lanes.len()
     }
 
-    /// Sets how many OS threads execute the sharded query phase. Purely an
-    /// executor knob: simulation results depend only on
-    /// [`PdhtConfig::shards`], never on the thread count, so any value
-    /// yields bit-identical output. No-op on unsharded engines.
+    /// Sets how many OS threads execute the lane passes. Purely an executor
+    /// knob: simulation results depend only on [`PdhtConfig::shards`],
+    /// never on the thread count, so any value yields bit-identical output
+    /// (a single lane runs inline on the calling thread whatever the
+    /// count).
     pub fn set_threads(&mut self, threads: usize) {
-        if let Some(st) = &mut self.sharded {
-            st.pool.set_threads(threads);
-        }
+        self.shards.pool.set_threads(threads);
     }
 
-    /// The configured worker-thread count (1 on unsharded engines).
+    /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |st| st.pool.threads())
+        self.shards.pool.threads()
     }
 
     /// Update propagations currently in flight (always 0 when every hop
-    /// delay is zero). Counts the engine slab plus every lane slab, like
+    /// delay is zero), summed over the lanes like
     /// [`PdhtNetwork::queries_in_flight`].
     pub fn updates_in_flight(&self) -> usize {
-        let lanes: usize = self
-            .sharded
-            .as_ref()
-            .map_or(0, |st| st.lanes.iter().map(|l| l.updates_inflight.len()).sum());
-        self.updates_inflight.len() + lanes
+        self.shards.lanes.iter().map(|l| l.updates_inflight.len()).sum()
     }
 
     /// Starts collecting the per-phase wall-clock breakdown (a scale-bench
@@ -829,7 +720,8 @@ impl PdhtNetwork {
         self.phase_timers
     }
 
-    /// Total events dispatched off the virtual-time queue so far. Scale
+    /// Total events dispatched so far (phase markers plus lane events, as
+    /// of the last completed round). Scale
     /// experiments assert the per-round delta scales with *active work*
     /// (background events, churn transitions, in-flight messages), not
     /// with the total population.
@@ -843,15 +735,10 @@ impl PdhtNetwork {
     /// concurrent waves) while `acquires` grows with every flood/rumor.
     #[doc(hidden)]
     pub fn wave_pool_stats(&self) -> (usize, u64) {
-        let mut slots = self.wave_pool.slots();
-        let mut acquires = self.wave_pool.acquires();
-        if let Some(sharded) = &self.sharded {
-            for lane in &sharded.lanes {
-                slots += lane.waves.slots();
-                acquires += lane.waves.acquires();
-            }
-        }
-        (slots, acquires)
+        self.shards
+            .lanes
+            .iter()
+            .fold((0, 0), |(slots, acq), l| (slots + l.waves.slots(), acq + l.waves.acquires()))
     }
 
     /// Runs `n` rounds.
@@ -861,130 +748,78 @@ impl PdhtNetwork {
         }
     }
 
-    /// Executes one round by scheduling its phases on the event queue and
-    /// draining it in virtual-time order. Message arrivals of in-flight
-    /// queries interleave with the phases at their own instants; arrivals
-    /// falling beyond the round boundary stay parked and fire in the round
-    /// they belong to.
+    /// Executes one round: walks the six phase markers in order, each one
+    /// its hook observation, its serial work, then a parallel drain of the
+    /// lanes up to the next marker. Message arrivals of in-flight queries
+    /// interleave with the phases at their own instants; arrivals falling
+    /// beyond the round boundary stay parked and fire in the round they
+    /// belong to.
     pub fn step_round(&mut self) {
         let round = self.driver.next_round();
-        // Each phase gets its own instant inside the round; the queue's
-        // (time, insertion) order fixes the sequence deterministically.
-        for (i, phase) in PHASES.into_iter().enumerate() {
-            self.events.schedule_at(
-                round.start() + SimTime::from_micros(i as u64 * PHASE_SPACING_US),
-                NetEvent::Phase(phase),
-            );
-        }
-        // Drain strictly *within* the round: `pop_until` is inclusive and
-        // `round.end()` is the next round's start, so the deadline is one
-        // tick earlier — an event parked exactly on the boundary belongs to
-        // the next round and must not fire here with this round's number.
-        let in_round = round.end() - SimTime::from_micros(1);
-        while let Some(scheduled) = self.events.pop_until(in_round) {
+        for (index, phase) in PHASES.into_iter().enumerate() {
+            // A marker counts as one dispatched event, like any lane event.
             self.events_dispatched += 1;
-            // Message events carry their own round (they may have been
-            // scheduled rounds ago); within this loop it equals `round`.
-            self.dispatch(scheduled.event, scheduled.time.round().0);
+            self.run_hook(HookPoint::BeforePhase { round: round.0, phase });
+            self.run_phase(index, phase, round);
         }
-        // Park the clock at the round boundary so external schedulers can
-        // target the next round directly.
-        self.events.advance_to(round.end());
         self.driver.advance();
     }
 
-    /// Routes one event to its handler, consulting the hook first.
-    fn dispatch(&mut self, event: NetEvent, round: u64) {
-        if self.hook.is_some() {
-            // Stale message events (arrivals/timeouts of already-resolved
-            // queries) are no-ops and stay invisible to the hook, as are
-            // the per-peer background ticks (phase boundaries remain the
-            // hook's calibration seam — one observation per phase per
-            // round, not one per peer).
-            let point = match event {
-                NetEvent::Phase(phase) => Some(HookPoint::BeforePhase { round, phase }),
-                NetEvent::MessageArrival { query, .. } | NetEvent::QueryTimeout { query } => self
-                    .inflight
-                    .contains(query)
-                    .then_some(HookPoint::BeforeMessage { round, query }),
-                NetEvent::PeerMaintenance { .. }
-                | NetEvent::TtlSweep { .. }
-                | NetEvent::GossipPush { .. } => None,
-            };
-            if let Some(point) = point {
-                self.run_hook(point);
-            }
-        }
-        match event {
-            NetEvent::Phase(phase) => self.run_phase(phase, round),
-            NetEvent::MessageArrival { query, .. } => self.on_message_arrival(query, round),
-            NetEvent::QueryTimeout { query } => self.on_query_timeout(query),
-            NetEvent::PeerMaintenance { peer } => self.on_peer_maintenance(peer),
-            NetEvent::TtlSweep { peer } => self.on_ttl_sweep(peer, round),
-            NetEvent::GossipPush { update, .. } => self.on_gossip_push(update, round),
-        }
-    }
-
-    /// Executes one phase marker. On the legacy path `OverlayMaintenance`
-    /// and `PurgeExpired` are pure calibration boundaries (their per-peer
-    /// events dispatch off the global queue at their own instants); on
-    /// sharded engines every phase marker additionally drains the lanes in
-    /// parallel up to the next marker, so lane-resident background events
-    /// fire *after* their phase's hook seam.
-    fn run_phase(&mut self, phase: RoundPhase, round: u64) {
-        let sharded = self.sharded.is_some();
+    /// One phase: its serial work, then the lane pass that drains every
+    /// lane up to one tick before the next marker — so per-peer background
+    /// events fire *after* their phase's hook seam (`OverlayMaintenance`
+    /// and `PurgeExpired` are pure calibration boundaries with no serial
+    /// work of their own).
+    fn run_phase(&mut self, index: usize, phase: RoundPhase, round: Round) {
+        let t0 = self.phase_timers.is_some().then(Instant::now);
         match phase {
-            RoundPhase::Churn => {
-                let t0 = self.phase_timers.is_some().then(Instant::now);
-                self.phase_churn(round);
-                if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
-                    tm.churn += t0.elapsed();
-                }
-                if sharded {
-                    self.sharded_pass(round, 1);
-                }
-            }
-            RoundPhase::OverlayMaintenance => {
-                if sharded {
-                    self.sharded_pass(round, 2);
-                }
-            }
-            RoundPhase::PurgeExpired => {
-                if sharded {
-                    self.sharded_pass(round, 3);
-                }
-            }
-            RoundPhase::ContentUpdates => {
-                let t0 = self.phase_timers.is_some().then(Instant::now);
-                self.phase_content_updates(round);
-                if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
-                    tm.barriers += t0.elapsed();
-                }
-                if sharded {
-                    self.sharded_pass(round, 4);
-                }
-            }
-            RoundPhase::Queries => self.phase_queries(round),
+            RoundPhase::Churn => self.phase_churn(round.0),
+            RoundPhase::OverlayMaintenance | RoundPhase::PurgeExpired => {}
+            RoundPhase::ContentUpdates => self.phase_content_updates(round.0),
+            RoundPhase::Queries => self.generate_queries(round.0),
             RoundPhase::Bookkeeping => {
                 self.fold_lanes();
-                self.phase_bookkeeping(round);
+                self.phase_bookkeeping(round.0);
             }
         }
-    }
+        if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
+            match phase {
+                RoundPhase::Churn => tm.churn += t0.elapsed(),
+                RoundPhase::ContentUpdates => tm.barriers += t0.elapsed(),
+                RoundPhase::Queries => tm.queries += t0.elapsed(),
+                _ => {}
+            }
+        }
 
-    /// Runs one parallel lane drain ending just before phase instant
-    /// `next_phase_index` of `round`. No-op on unsharded engines.
-    fn sharded_pass(&mut self, round: u64, next_phase_index: u64) {
-        let Some(mut st) = self.sharded.take() else { return };
-        let deadline =
-            Round(round).start() + SimTime::from_micros(next_phase_index * PHASE_SPACING_US - 1);
-        self.lane_pass(&mut st, deadline, None, false);
-        self.sharded = Some(st);
+        let (last, queries) = (phase == RoundPhase::Bookkeeping, phase == RoundPhase::Queries);
+        // PIN(one-lane): with several lanes the query pass runs through to
+        // the round boundary and Bookkeeping marks the round after it
+        // (pinned by the `route_event` / `loaded_mix` fingerprints); one
+        // lane stops at the Bookkeeping marker like every other pass, so
+        // the round is marked *before* the jittered ticks and sweeps in its
+        // tail (pinned by the `walk_miss` fingerprint and
+        // `jittered_ticks_land_on_the_pinned_side_of_each_round_mark`).
+        let to_boundary = last || (queries && self.shards.lanes.len() > 1);
+        let deadline = if to_boundary {
+            // `pop_until` is inclusive and `round.end()` is the next
+            // round's start: an event parked exactly on the boundary
+            // belongs to the next round and must not fire in this one.
+            round.end() - SimTime::from_micros(1)
+        } else {
+            round.start() + SimTime::from_micros((index as u64 + 1) * PHASE_SPACING_US - 1)
+        };
+        // The last pass parks every lane clock on the boundary and folds
+        // the tail's accounting, so counters and `events_dispatched` are
+        // current when the round returns.
+        self.lane_pass(deadline, last.then_some(round.end()), queries);
+        if last {
+            self.fold_lanes();
+        }
     }
 
     /// Calls the hook (temporarily detached to keep the borrow checker
     /// happy) and applies any requested actions.
-    fn run_hook(&mut self, point: HookPoint) {
+    pub(crate) fn run_hook(&mut self, point: HookPoint) {
         let Some(mut hook) = self.hook.take() else { return };
         let actions = hook(point);
         self.hook = Some(hook);
@@ -1255,55 +1090,79 @@ mod tests {
         assert!(r.msgs_per_round_model_view() <= r.msgs_per_round);
     }
 
+    fn cfg_sharded(strategy: Strategy, shards: u32) -> PdhtConfig {
+        let mut c = cfg(strategy, 1.0 / 60.0);
+        c.shards = shards;
+        c
+    }
+
+    /// Events pending across every lane queue.
+    fn pending(net: &PdhtNetwork) -> usize {
+        net.shards.lanes.iter().map(|l| l.events.len()).sum()
+    }
+
     #[test]
     fn boundary_events_belong_to_the_next_round() {
         // An event parked exactly on the round boundary (the seam external
         // schedulers are promised) must not fire during the earlier round.
-        // NoIndex schedules no background events, so the queue population
-        // is exactly the probe event.
-        let mut net = PdhtNetwork::new(cfg(Strategy::NoIndex, 1.0 / 60.0)).unwrap();
-        net.events.schedule_at(Round(1).start(), NetEvent::Phase(RoundPhase::Churn));
-        net.step_round();
-        assert_eq!(net.events.len(), 1, "boundary event must survive round 0");
-        net.step_round();
-        assert!(net.events.is_empty(), "boundary event must fire in round 1");
+        // NoIndex schedules no background events, so the lane population
+        // is exactly the probe event (a stale timeout: a no-op when it
+        // fires).
+        for shards in [1, 4] {
+            let mut net = PdhtNetwork::new(cfg_sharded(Strategy::NoIndex, shards)).unwrap();
+            let last = net.shards.lanes.last_mut().unwrap();
+            last.events.schedule_at(Round(1).start(), NetEvent::QueryTimeout { query: u64::MAX });
+            net.step_round();
+            assert_eq!(pending(&net), 1, "boundary event must survive round 0");
+            assert_eq!(net.events_dispatched(), 6, "only the six markers fired");
+            net.step_round();
+            assert_eq!(pending(&net), 0, "boundary event must fire in round 1");
+            assert_eq!(net.events_dispatched(), 13);
+        }
     }
 
     #[test]
     fn phases_drain_within_their_round() {
-        let mut net = PdhtNetwork::new(cfg(Strategy::NoIndex, 1.0 / 60.0)).unwrap();
-        assert!(net.events.is_empty());
-        net.step_round();
-        assert!(net.events.is_empty(), "all phase events must fire in-round");
-        assert_eq!(net.events.now(), Round(0).end());
-        assert_eq!(net.next_round(), 1);
+        for shards in [1, 4] {
+            let mut net = PdhtNetwork::new(cfg_sharded(Strategy::NoIndex, shards)).unwrap();
+            assert_eq!(pending(&net), 0);
+            net.step_round();
+            assert_eq!(pending(&net), 0, "a round leaves nothing of its own behind");
+            for lane in &net.shards.lanes {
+                assert_eq!(lane.events.now(), Round(0).end(), "lane clocks park on the boundary");
+            }
+            assert_eq!(net.next_round(), 1);
+        }
     }
 
     #[test]
     fn background_events_keep_a_steady_per_peer_population() {
         // Every active peer carries one perpetual maintenance event, plus
-        // (Partial) one TTL-sweep event; each round consumes and reschedules
-        // them, so the pending population is invariant across rounds.
-        let mut net = PdhtNetwork::new(cfg(Strategy::Partial, 1.0 / 60.0)).unwrap();
-        let expected = 2 * net.num_active_peers();
-        assert_eq!(net.events.len(), expected, "maintenance + TTL sweep per active peer");
-        for _ in 0..3 {
-            net.step_round();
-            assert_eq!(net.events.len(), expected, "background events must reschedule");
-        }
+        // (Partial) one TTL-sweep event, on its lane's queue; each round
+        // consumes and reschedules them, so the pending population is
+        // invariant across rounds.
+        for shards in [1, 4] {
+            let mut net = PdhtNetwork::new(cfg_sharded(Strategy::Partial, shards)).unwrap();
+            let expected = 2 * net.num_active_peers();
+            assert_eq!(pending(&net), expected, "maintenance + TTL sweep per active peer");
+            for _ in 0..3 {
+                net.step_round();
+                assert_eq!(pending(&net), expected, "background events must reschedule");
+            }
 
-        let net = PdhtNetwork::new(cfg(Strategy::IndexAll, 1.0 / 60.0)).unwrap();
-        assert_eq!(
-            net.events.len(),
-            net.num_active_peers(),
-            "IndexAll never expires entries: maintenance only"
-        );
+            let net = PdhtNetwork::new(cfg_sharded(Strategy::IndexAll, shards)).unwrap();
+            assert_eq!(
+                pending(&net),
+                net.num_active_peers(),
+                "IndexAll never expires entries: maintenance only"
+            );
+        }
     }
 
     #[test]
     fn dispatch_count_tracks_active_work_not_population() {
-        // IndexAll, zero latency, no churn: the only queue events are the 6
-        // phase markers plus one maintenance tick per *active* peer — an
+        // IndexAll, zero latency, no churn: the only events are the 6 phase
+        // markers plus one maintenance tick per *active* peer — an
         // exact per-round dispatch count. A stray O(population) event
         // source (the regression the O(active-work) refactor guards
         // against) would break this equality immediately.

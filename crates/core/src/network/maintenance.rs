@@ -19,15 +19,13 @@
 //! # Execution lanes
 //!
 //! The update state machine and the per-peer background handlers are
-//! written against [`QueryExec`], like the query pipeline: the legacy
-//! single-lane engine builds one exec over its own fields and keeps its
-//! background events on the global queue, while sharded engines seed them
-//! into the owning lane's queue and dispatch them inside the parallel
-//! passes (see [`super::shard`]). On a lane, a maintenance tick only
-//! *plans* its repairs ([`pdht_overlay::Overlay::maintenance_plan`]) —
-//! the shared routing tables are repaired serially at the pass barrier —
-//! and an update propagation whose next key belongs to another shard's
-//! replica group hands its context over through the barrier outbox.
+//! written against [`QueryExec`], like the query pipeline: their events
+//! live on the owning lane's queue and dispatch inside the parallel passes
+//! (see [`super::shard`]). A maintenance tick only *plans* its repairs
+//! ([`pdht_overlay::Overlay::maintenance_plan`]) — the shared routing
+//! tables are repaired serially at the pass barrier — and an update
+//! propagation whose next key belongs to another shard's replica group
+//! hands its context over through the barrier outbox.
 
 use super::engine::{NetEvent, PdhtNetwork, UpdateId, PHASE_SPACING_US};
 use super::routing::QueryExec;
@@ -38,7 +36,6 @@ use pdht_gossip::{RumorWave, VersionedValue};
 use pdht_overlay::{HopOutcome, LookupState};
 use pdht_sim::Metrics;
 use pdht_types::{MessageKind, PeerId, Round, SimTime};
-use pdht_workload::updates::Replacement;
 
 /// The pipeline position of an in-flight update propagation: routing the
 /// current key of the replaced article towards its responsible peer, or
@@ -85,8 +82,7 @@ enum UpdateFate {
     /// A wave goes in flight (or advances inline under zero delay).
     Next,
     /// The next key's replica group lives on another shard: hand the
-    /// context over through the barrier outbox. Unreachable on the legacy
-    /// path, whose world carries an empty `group_shard`.
+    /// context over through the barrier outbox.
     Handoff(u32),
 }
 
@@ -99,15 +95,11 @@ impl PdhtNetwork {
     pub(crate) fn phase_churn(&mut self, round: u64) {
         let mut transitions = std::mem::take(&mut self.churn_buf);
         transitions.clear();
-        // Sharded engines drain the per-shard churn calendars serially in
-        // shard order, one RNG stream per shard — deterministic regardless
-        // of thread count (churn is cheap; parallelizing it would buy
-        // little and the liveness vector is shared).
-        if let Some(st) = &mut self.sharded {
-            self.churn.step_second_sharded_into(&mut st.churn_rngs, &mut transitions);
-        } else {
-            self.churn.step_second_into(&mut self.rng_churn, &mut transitions);
-        }
+        // The per-shard churn calendars drain serially in shard order, one
+        // RNG stream per shard — deterministic regardless of thread count
+        // (churn is cheap; parallelizing it would buy little and the
+        // liveness vector is shared).
+        self.churn.step_second_sharded_into(&mut self.shards.churn_rngs, &mut transitions);
         if self.cfg.strategy == Strategy::IndexAll {
             for &(peer, now_online) in &transitions {
                 if now_online && peer.idx() < self.nap {
@@ -118,81 +110,42 @@ impl PdhtNetwork {
         self.churn_buf = transitions;
     }
 
-    /// One peer's maintenance tick on the legacy single-lane path: probe
-    /// its routing entries at the calibrated rate, then reschedule the tick
-    /// one round later (the event is perpetual, so each peer keeps its
-    /// fixed sub-round offset). Sharded engines dispatch
-    /// [`QueryExec::on_lane_maintenance`] instead.
-    pub(crate) fn on_peer_maintenance(&mut self, peer: PeerId) {
-        if let Some(o) = &mut self.overlay {
-            o.maintenance_step(
-                peer,
-                self.probe_rate,
-                self.churn.liveness(),
-                &mut self.rng_overlay,
-                &mut self.metrics,
-            );
-        }
-        self.events.schedule_in(SimTime::from_secs(1), NetEvent::PeerMaintenance { peer });
-    }
-
-    /// One peer's TTL eviction sweep on the legacy path (Partial only —
-    /// IndexAll entries never expire): purge its expired entries, then
-    /// reschedule `purge_stride` rounds later, preserving the staggered
-    /// cohorts.
-    pub(crate) fn on_ttl_sweep(&mut self, peer: PeerId, round: u64) {
-        self.peers.purge_expired(peer, round);
-        self.events
-            .schedule_in(SimTime::from_secs(self.cfg.purge_stride), NetEvent::TtlSweep { peer });
-    }
-
     /// Update phase: content replacement, plus (IndexAll) kicking off one
-    /// update-propagation state machine per replaced article — driven
-    /// inline on the legacy lane, dealt to the owning shard's lane on
-    /// sharded engines.
+    /// update-propagation state machine per replaced article, dealt —
+    /// through the barrier outbox, stamped at the phase instant — to the
+    /// lane owning the first key's replica group, which starts and drives
+    /// it with its own streams.
     pub(crate) fn phase_content_updates(&mut self, round: u64) {
         let replacements = self.updates.round_updates(&mut self.rng_updates);
         for rep in &replacements {
             self.content.replace_item(rep.article as usize, &mut self.rng_updates);
         }
-        if self.cfg.strategy != Strategy::IndexAll {
+        let (Strategy::IndexAll, Some(o)) = (self.cfg.strategy, self.overlay.as_deref()) else {
             return;
-        }
-        if self.sharded.is_some() {
-            self.deal_updates_sharded(&replacements, round);
-        } else {
-            for rep in replacements {
-                self.query_exec().start_update(rep.article, rep.new_version, round);
-            }
-        }
-    }
-
-    /// Sharded update kickoff: the entry peer is picked serially on the
-    /// engine's overlay stream (deterministic regardless of lane progress),
-    /// then the propagation context is dealt — through the barrier outbox,
-    /// stamped at the phase instant — to the lane owning the first key's
-    /// replica group, which adopts and drives it with its own streams.
-    fn deal_updates_sharded(&mut self, replacements: &[Replacement], round: u64) {
-        let Some(o) = self.overlay.as_deref() else { return };
-        let st = self.sharded.as_mut().expect("sharded update deal needs sharded state");
+        };
+        let st = &mut self.shards;
         let t_updates = Round(round).start() + SimTime::from_micros(3 * PHASE_SPACING_US);
         for rep in replacements {
-            let Some(entry) = o.entry_peer(self.churn.liveness(), &mut self.rng_overlay) else {
-                continue;
+            // PIN(one-lane): several lanes get every entry peer picked up
+            // front on the engine's overlay stream (deterministic
+            // regardless of lane progress; pinned by the `loaded_mix`
+            // fingerprint). One lane draws it on the stream that also
+            // drives the propagation, so draw and drive must interleave
+            // per article (pinned by
+            // `zero_latency_reproduces_seed_accounting_with_gossip_waves`
+            // and the `gossip_coded` fingerprint): left to the lane.
+            let entry = if st.lanes.len() == 1 {
+                None
+            } else {
+                let picked = o.entry_peer(self.churn.liveness(), &mut self.rng_overlay);
+                let Some(entry) = picked else { continue };
+                Some(entry)
             };
             let ki = self.keys_by_article[rep.article as usize][0];
-            let key = self.keys[ki as usize];
-            let dest = u32::from(st.group_shard[o.group_of_key(key)]);
-            let ctx = UpdateCtx {
-                id: 0, // assigned by the destination lane at delivery
-                article: rep.article,
-                new_version: rep.new_version,
-                entry,
-                pos: 0,
-                steps: 0,
-                stage: UpdateStage::Route { lookup: o.begin_lookup(entry, key) },
-            };
-            st.deal.push(dest, t_updates, LaneMsg::Update(ctx));
+            let dest = st.group_shard[o.group_of_key(self.keys[ki as usize])];
+            let start =
+                LaneMsg::StartUpdate { article: rep.article, new_version: rep.new_version, entry };
+            st.deal.push(u32::from(dest), t_updates, start);
         }
     }
 
@@ -209,12 +162,6 @@ impl PdhtNetwork {
             self.peers.insert(peer, ki, key, value, round, Ttl::Infinite);
         }
     }
-
-    /// Advances the update propagation whose wave just landed (legacy
-    /// single-lane dispatch).
-    pub(crate) fn on_gossip_push(&mut self, id: UpdateId, round: u64) {
-        self.query_exec().on_gossip_push(id, round);
-    }
 }
 
 impl QueryExec<'_> {
@@ -226,11 +173,13 @@ impl QueryExec<'_> {
         }
     }
 
-    /// One peer's maintenance tick on a sharded lane: *plan* its repairs —
-    /// probes and replacement draws on the lane's overlay stream against
-    /// the shared (immutable during the pass) routing tables — queue them
-    /// for the serial barrier, and reschedule the tick.
-    pub(crate) fn on_lane_maintenance(&mut self, peer: PeerId) {
+    /// One peer's maintenance tick: *plan* its repairs — probes and
+    /// replacement draws on the lane's overlay stream against the shared
+    /// (immutable during the pass) routing tables, at the calibrated rate —
+    /// queue them for the serial barrier, and reschedule the tick one
+    /// round later (the event is perpetual, so each peer keeps its fixed
+    /// sub-round offset).
+    pub(crate) fn on_peer_maintenance(&mut self, peer: PeerId) {
         if let Some(o) = self.world.overlay {
             o.maintenance_plan(
                 peer,
@@ -245,28 +194,38 @@ impl QueryExec<'_> {
         self.lane.events.schedule_in(SimTime::from_secs(1), NetEvent::PeerMaintenance { peer });
     }
 
-    /// One peer's TTL eviction sweep on a sharded lane (the event lives on
-    /// the shard owning the peer's store, so the purge is lane-local).
-    pub(crate) fn on_lane_ttl_sweep(&mut self, peer: PeerId, round: u64) {
+    /// One peer's TTL eviction sweep (Partial only — IndexAll entries never
+    /// expire): purge its expired entries, then reschedule `purge_stride`
+    /// rounds later, preserving the staggered cohorts. The event lives on
+    /// the shard owning the peer's store, so the purge is lane-local.
+    pub(crate) fn on_ttl_sweep(&mut self, peer: PeerId, round: u64) {
         self.lane.stores.purge_expired(peer, round);
         self.lane
             .events
             .schedule_in(SimTime::from_secs(self.world.purge_stride), NetEvent::TtlSweep { peer });
     }
 
-    /// Adopts a dealt (or handed-off) propagation context into this lane's
-    /// slab and drives it.
+    /// Adopts a handed-off propagation context into this lane's slab and
+    /// drives it.
     pub(crate) fn deliver_update(&mut self, mut ctx: UpdateCtx, round: u64) {
         ctx.id = self.lane.updates_inflight.reserve();
         self.drive_update(ctx, round);
     }
 
     /// Issues one update propagation (IndexAll, Eq. 9): picks the entry
-    /// peer, starts routing the article's first key, and drives the state
-    /// machine until it completes or a wave goes in flight.
-    pub(crate) fn start_update(&mut self, article: u32, new_version: u64, round: u64) {
+    /// peer unless the deal already did, starts routing the article's first
+    /// key, and drives the state machine until it completes or a wave goes
+    /// in flight.
+    pub(crate) fn start_update(
+        &mut self,
+        article: u32,
+        new_version: u64,
+        entry: Option<PeerId>,
+        round: u64,
+    ) {
         let Some(o) = self.world.overlay else { return };
-        let Some(entry) = o.entry_peer(self.world.live, self.lane.rng_overlay) else { return };
+        let entry = entry.or_else(|| o.entry_peer(self.world.live, self.lane.rng_overlay));
+        let Some(entry) = entry else { return };
         let ki = self.world.keys_by_article[article as usize][0];
         let key = self.world.keys[ki as usize];
         let id = self.lane.updates_inflight.reserve();
@@ -456,9 +415,8 @@ impl QueryExec<'_> {
     }
 
     /// Moves `ctx` to its article's next key (routing from the same entry
-    /// peer), finishes the propagation when every key is done, or — on
-    /// sharded engines — hands the context to the shard owning the next
-    /// key's replica group.
+    /// peer), finishes the propagation when every key is done, or hands the
+    /// context to the shard owning the next key's replica group.
     fn next_update_key(&mut self, ctx: &mut UpdateCtx) -> UpdateFate {
         ctx.pos += 1;
         let keys = &self.world.keys_by_article[ctx.article as usize];
@@ -468,11 +426,9 @@ impl QueryExec<'_> {
         let key = self.world.keys[keys[ctx.pos] as usize];
         let o = self.world.overlay.expect("update implies overlay");
         ctx.stage = UpdateStage::Route { lookup: o.begin_lookup(ctx.entry, key) };
-        if !self.world.group_shard.is_empty() {
-            let dest = u32::from(self.world.group_shard[o.group_of_key(key)]);
-            if dest != u32::from(self.lane.stores.shard_id) {
-                return UpdateFate::Handoff(dest);
-            }
+        let dest = self.world.group_shard[o.group_of_key(key)];
+        if dest != self.lane.stores.shard_id {
+            return UpdateFate::Handoff(u32::from(dest));
         }
         UpdateFate::Next
     }

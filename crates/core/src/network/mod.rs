@@ -22,15 +22,17 @@
 //! * [`maintenance`] — background work: churn transitions and rejoin
 //!   pulls, routing-table probe maintenance, TTL eviction sweeps, and
 //!   update propagation through replica gossip,
-//! * [`shard`] — shard-parallel rounds: with [`crate::PdhtConfig::shards`]
-//!   `> 1` the population splits into shards, each owning a query lane
-//!   (stores, RNG streams, event queue); the query phase generates and
-//!   executes work shard-parallel on a scoped thread pool with a
+//! * [`shard`] — the lanes: the population splits into
+//!   [`crate::PdhtConfig::shards`] shards (one by default), each owning a
+//!   lane (stores, RNG streams, in-flight slabs, event queue); every phase
+//!   drains the lanes in parallel on a persistent thread pool with a
 //!   deterministic outbox merge between the passes,
-//! * [`engine`] — orchestration: round phases and query messages ride one
-//!   deterministic [`pdht_sim::EventQueue`] as [`NetEvent`]s dispatched in
-//!   virtual-time order, with [`pdht_sim::RoundDriver`] tracking the round
-//!   counter, per-query latency histograms feeding [`SimReport`], and
+//! * [`engine`] — orchestration: each round walks its six phase markers —
+//!   hook observation, serial work, lane pass — with query messages and
+//!   per-peer background events riding the lanes' deterministic
+//!   [`pdht_sim::EventQueue`]s as [`NetEvent`]s dispatched in virtual-time
+//!   order, [`pdht_sim::RoundDriver`] tracking the round counter,
+//!   per-query latency histograms feeding [`SimReport`], and
 //!   [`engine::EventHook`]s injecting faults at precise instants.
 //!
 //! The structured overlay is held as a `Box<dyn Overlay>` chosen from

@@ -16,16 +16,16 @@
 //!
 //! # Sharding
 //!
-//! For shard-parallel rounds the stores are grouped into [`StoreShard`]
-//! regions: peers of the same replica group always land in the same shard
+//! The stores are grouped into one [`StoreShard`] region per execution
+//! lane: peers of the same replica group always land in the same shard
 //! (the engine assigns shard = the group's shard), each shard keeps its own
 //! refcounts and distinct-key counter, and a `peer → (shard, local index)`
 //! slot table translates ids. Because a key is only ever stored at its
 //! responsible group — true at every insert site: the query pipeline, TTL
 //! sweeps, and IndexAll preload/gossip all write at group members — each
 //! key's copies live entirely inside one shard, so per-shard `distinct`
-//! counts are disjoint and the global gauge is their sum. The unsharded
-//! constructor is the single-shard identity mapping.
+//! counts are disjoint and the global gauge is their sum. One shard is
+//! the identity mapping.
 
 use crate::index::{InsertResult, PartialIndex};
 use crate::ttl::Ttl;
@@ -140,24 +140,15 @@ pub(crate) struct PeerStores {
 }
 
 impl PeerStores {
-    /// `nap` empty stores of `capacity` entries each in a single shard
-    /// (identity slot mapping), over a key universe of `num_keys` dense
-    /// indices.
-    pub(crate) fn new(nap: usize, capacity: usize, num_keys: usize) -> PeerStores {
-        PeerStores {
-            slot: (0..nap).map(|i| (0, i as u32)).collect(),
-            shards: vec![StoreShard::new(nap, capacity, num_keys)],
-        }
-    }
-
-    /// Stores split into `num_shards` regions: peer `p` lives in shard
-    /// `assign[p]`, shard-local indices dense in ascending peer order.
-    /// Shards with no members still get an (empty) region, so the engine's
-    /// lane list always zips cleanly.
+    /// Empty stores of `capacity` entries each over a key universe of
+    /// `num_keys` dense indices, split into `num_shards` regions: peer `p`
+    /// lives in shard `assign[p]`, shard-local indices dense in ascending
+    /// peer order. Shards with no members still get an (empty) region, so
+    /// the engine's lane list always zips cleanly.
     ///
     /// # Panics
     /// Panics if `assign` names a shard `>= num_shards`.
-    pub(crate) fn new_sharded(
+    pub(crate) fn new(
         assign: &[u16],
         num_shards: usize,
         capacity: usize,
@@ -182,7 +173,7 @@ impl PeerStores {
     }
 
     /// The slot table and the mutable shard regions, for callers that hand
-    /// each region to a different worker (the shard-parallel query phase).
+    /// each region to a different worker (the lane passes).
     pub(crate) fn split_mut(&mut self) -> (&[(u16, u32)], &mut [StoreShard]) {
         (&self.slot, &mut self.shards)
     }
@@ -221,12 +212,6 @@ impl PeerStores {
     pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<VersionedValue> {
         let (s, l) = self.local(peer);
         self.shards[s].peek_local(l, idx, now)
-    }
-
-    /// Evicts every expired entry at `peer`, updating the accounting.
-    pub(crate) fn purge_expired(&mut self, peer: PeerId, now: u64) {
-        let (s, l) = self.local(peer);
-        self.shards[s].purge_expired_local(l, now);
     }
 
     /// Snapshot of `peer`'s live entries (rejoin donors hand this over).
@@ -289,8 +274,9 @@ impl ShardStores<'_> {
         self.shard.peek_local(self.local(peer), idx, now)
     }
 
-    /// See [`PeerStores::purge_expired`] (lane-local TTL sweeps dispatch
-    /// here: the sweep event lives on the shard owning the peer's store).
+    /// Evicts every expired entry at `peer`, updating the accounting (TTL
+    /// sweeps dispatch here: the sweep event lives on the shard owning the
+    /// peer's store).
     pub(crate) fn purge_expired(&mut self, peer: PeerId, now: u64) {
         let l = self.local(peer);
         self.shard.purge_expired_local(l, now);
@@ -303,13 +289,23 @@ mod tests {
 
     const V: VersionedValue = VersionedValue { version: 1, data: 7 };
 
+    /// `nap` stores in a single shard (the one-lane layout).
+    fn one_shard(nap: usize, capacity: usize, num_keys: usize) -> PeerStores {
+        PeerStores::new(&vec![0; nap], 1, capacity, num_keys)
+    }
+
+    fn purge(p: &mut PeerStores, peer: PeerId, now: u64) {
+        let (slot, shards) = p.split_mut();
+        ShardStores { slot, shard_id: 0, shard: &mut shards[0] }.purge_expired(peer, now);
+    }
+
     fn k(idx: u32) -> Key {
         Key::hash_bytes(&u64::from(idx).to_le_bytes())
     }
 
     #[test]
     fn distinct_keys_track_copies_not_replicas() {
-        let mut p = PeerStores::new(3, 8, 64);
+        let mut p = one_shard(3, 8, 64);
         p.insert(PeerId(0), 42, k(42), V, 0, Ttl::Rounds(10));
         p.insert(PeerId(1), 42, k(42), V, 0, Ttl::Rounds(10));
         assert_eq!(p.distinct_keys(), 1, "two replicas, one key");
@@ -319,18 +315,18 @@ mod tests {
 
     #[test]
     fn purge_releases_accounting() {
-        let mut p = PeerStores::new(2, 8, 16);
+        let mut p = one_shard(2, 8, 16);
         p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(5));
         p.insert(PeerId(1), 1, k(1), V, 0, Ttl::Rounds(5));
-        p.purge_expired(PeerId(0), 100);
+        purge(&mut p, PeerId(0), 100);
         assert_eq!(p.distinct_keys(), 1, "one replica still holds the key");
-        p.purge_expired(PeerId(1), 100);
+        purge(&mut p, PeerId(1), 100);
         assert_eq!(p.distinct_keys(), 0);
     }
 
     #[test]
     fn eviction_by_capacity_is_accounted() {
-        let mut p = PeerStores::new(1, 1, 4);
+        let mut p = one_shard(1, 1, 4);
         p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(10));
         let res = p.insert(PeerId(0), 2, k(2), V, 0, Ttl::Rounds(10));
         assert!(res.evicted.is_some(), "capacity 1 must evict");
@@ -341,7 +337,7 @@ mod tests {
 
     #[test]
     fn snapshot_returns_live_entries() {
-        let mut p = PeerStores::new(1, 8, 4);
+        let mut p = one_shard(1, 8, 4);
         p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(10));
         p.insert(PeerId(0), 2, k(2), V, 0, Ttl::Rounds(10));
         let mut snap = p.snapshot(PeerId(0));
@@ -352,10 +348,10 @@ mod tests {
 
     #[test]
     fn repeated_purges_reuse_the_scratch_buffer() {
-        let mut p = PeerStores::new(1, 8, 8);
+        let mut p = one_shard(1, 8, 8);
         for round in 0..4u64 {
             p.insert(PeerId(0), 1, k(1), V, round, Ttl::Rounds(1));
-            p.purge_expired(PeerId(0), round + 1);
+            purge(&mut p, PeerId(0), round + 1);
             assert_eq!(p.distinct_keys(), 0);
         }
     }
@@ -364,7 +360,7 @@ mod tests {
     fn sharded_layout_routes_peers_to_their_region() {
         // Peers 0,2 in shard 0; peers 1,3 in shard 1.
         let assign = [0u16, 1, 0, 1];
-        let mut p = PeerStores::new_sharded(&assign, 2, 8, 16);
+        let mut p = PeerStores::new(&assign, 2, 8, 16);
         p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(5));
         p.insert(PeerId(2), 1, k(1), V, 0, Ttl::Rounds(5));
         p.insert(PeerId(1), 2, k(2), V, 0, Ttl::Rounds(5));
@@ -382,7 +378,7 @@ mod tests {
     #[test]
     fn empty_shards_still_materialize() {
         let assign = [2u16, 2];
-        let mut p = PeerStores::new_sharded(&assign, 4, 8, 8);
+        let mut p = PeerStores::new(&assign, 4, 8, 8);
         let (_, shards) = p.split_mut();
         assert_eq!(shards.len(), 4);
         assert_eq!(shards[2].stores.len(), 2);
@@ -392,7 +388,7 @@ mod tests {
     #[test]
     fn shard_view_matches_facade() {
         let assign = [0u16, 1, 0, 1];
-        let mut p = PeerStores::new_sharded(&assign, 2, 8, 16);
+        let mut p = PeerStores::new(&assign, 2, 8, 16);
         p.insert(PeerId(1), 5, k(5), V, 0, Ttl::Rounds(9));
         let (slot, shards) = p.split_mut();
         let mut view = ShardStores { slot, shard_id: 1, shard: &mut shards[1] };

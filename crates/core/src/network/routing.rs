@@ -30,11 +30,10 @@
 //! engine into a read-only [`QueryWorld`] (overlay, topology, liveness —
 //! shared by every shard) and a mutable [`QueryLane`] (stores, RNG
 //! streams, metrics, in-flight slab, event queue — exclusively owned).
-//! The single-threaded engine builds one exec over its own fields; the
-//! shard-parallel phase in [`super::shard`] builds one per shard, each
-//! wrapping that shard's lane state, and runs them on worker threads.
+//! Every pass in [`super::shard`] builds one exec per shard, each wrapping
+//! that shard's lane state, and runs them on the worker pool.
 
-use super::engine::{Counters, NetEvent, PdhtNetwork, QueryId};
+use super::engine::{Counters, NetEvent, QueryId};
 use super::maintenance::UpdateCtx;
 use super::peer::ShardStores;
 use super::shard::LaneMsg;
@@ -154,9 +153,8 @@ pub(crate) struct QueryWorld<'a> {
     pub(crate) latency: &'a dyn LatencyModel,
     /// Article → its key indices (update propagations walk this list).
     pub(crate) keys_by_article: &'a [Vec<u32>],
-    /// Replica group → owning shard. **Empty on the legacy single-lane
-    /// path**, which disables cross-shard update handoffs — the distinction
-    /// that keeps `shards = 1` runs bit-identical.
+    /// Replica group → owning shard (update propagations hand off when
+    /// their next key's group lives elsewhere).
     pub(crate) group_shard: &'a [u16],
     pub(crate) strategy: Strategy,
     pub(crate) walkers: usize,
@@ -176,9 +174,8 @@ pub(crate) struct QueryWorld<'a> {
 }
 
 /// The exclusively-owned, mutable side of query execution: one lane's
-/// stores, RNG streams, accounting, and virtual-time queue. The engine's
-/// own fields form the single legacy lane; each shard owns one of these
-/// between barriers.
+/// stores, RNG streams, accounting, and virtual-time queue. Each shard
+/// owns one of these between barriers.
 pub(crate) struct QueryLane<'a> {
     pub(crate) stores: ShardStores<'a>,
     pub(crate) admission: &'a mut AdmissionFilter,
@@ -196,13 +193,16 @@ pub(crate) struct QueryLane<'a> {
     pub(crate) updates_inflight: &'a mut Slab<UpdateCtx>,
     pub(crate) events: &'a mut EventQueue<NetEvent>,
     /// Cross-lane traffic produced while draining (update handoffs),
-    /// merged at the next pass barrier. Never written on the legacy path.
+    /// merged at the next pass barrier.
     pub(crate) outbox: &'a mut Outbox<LaneMsg>,
     /// Routing-table repairs planned by this lane's maintenance ticks,
     /// applied serially (in lane order) at the pass barrier.
     pub(crate) repairs: &'a mut Vec<Repair>,
     /// Reusable scratch for [`pdht_overlay::Overlay::maintenance_plan`].
     pub(crate) plan: &'a mut PlanScratch,
+    /// Log of live message events for the installed hook; `None` (no hook)
+    /// keeps the dispatch path free of it.
+    pub(crate) observed: Option<&'a mut Vec<(SimTime, QueryId)>>,
 }
 
 /// A world/lane pair: the complete capability set of the query pipeline.
@@ -211,115 +211,44 @@ pub(crate) struct QueryExec<'a> {
     pub(crate) lane: QueryLane<'a>,
 }
 
-impl PdhtNetwork {
-    /// Query phase: issues the round's workload into the state machine.
-    /// With zero hop latency every query completes inline, in issue order.
-    /// Sharded engines run the shard-parallel phase in [`super::shard`]
-    /// instead.
-    pub(crate) fn phase_queries(&mut self, round: u64) {
-        if self.sharded.is_some() {
-            self.phase_queries_sharded(round);
-            return;
-        }
-        let queries = self.workload.round_queries(round, &mut self.rng_workload);
-        let mut exec = self.query_exec();
-        for q in queries {
-            exec.start_query(q, round);
-        }
-    }
-
-    /// Advances the query whose message just landed (single-lane path;
-    /// sharded engines drain message events inside the query phase).
-    pub(crate) fn on_message_arrival(&mut self, id: QueryId, round: u64) {
-        self.query_exec().on_message_arrival(id, round);
-    }
-
-    /// Abandons an in-flight query whose deadline expired (single-lane
-    /// path).
-    pub(crate) fn on_query_timeout(&mut self, id: QueryId) {
-        self.query_exec().on_query_timeout(id);
-    }
-
-    /// Assembles a [`QueryExec`] over the engine's own fields: the legacy
-    /// single lane (store shard 0 is the whole population on unsharded
-    /// engines).
-    pub(crate) fn query_exec(&mut self) -> QueryExec<'_> {
-        let (slot, shards) = self.peers.split_mut();
-        QueryExec {
-            world: QueryWorld {
-                overlay: self.overlay.as_deref(),
-                live: self.churn.liveness(),
-                topo: &self.topo,
-                content: &self.content,
-                updates: &self.updates,
-                groups: &self.groups,
-                keys: &self.keys,
-                article_of: &self.article_of,
-                latency: self.latency.as_ref(),
-                keys_by_article: &self.keys_by_article,
-                // Empty on purpose: the legacy lane owns every group, so
-                // update handoffs must never fire.
-                group_shard: &[],
-                strategy: self.cfg.strategy,
-                walkers: self.cfg.walkers,
-                walk_budget: u64::from(self.cfg.walk_budget_factor)
-                    * u64::from(self.cfg.scenario.num_peers),
-                nap: self.nap,
-                ttl_rounds: self.ttl_rounds,
-                probe_rate: self.probe_rate,
-                purge_stride: self.cfg.purge_stride,
-                query_timeout_secs: self.cfg.query_timeout_secs,
-                gossip_codec: self.cfg.gossip_codec,
-                gen_size: self.cfg.gossip_generation,
-            },
-            lane: QueryLane {
-                stores: ShardStores { slot, shard_id: 0, shard: &mut shards[0] },
-                admission: &mut self.admission,
-                metrics: &mut self.metrics,
-                counters: &mut self.counters,
-                rng_overlay: &mut self.rng_overlay,
-                rng_search: &mut self.rng_search,
-                rng_latency: &mut self.rng_latency,
-                scratch: &mut self.walk_scratch,
-                waves: &mut self.wave_pool,
-                inflight: &mut self.inflight,
-                updates_inflight: &mut self.updates_inflight,
-                events: &mut self.events,
-                outbox: &mut self.lane_outbox,
-                repairs: &mut self.lane_repairs,
-                plan: &mut self.plan_scratch,
-            },
-        }
-    }
-}
-
 impl QueryExec<'_> {
     /// Pops and dispatches every lane event due by `deadline` (inclusive) —
-    /// message arrivals and timeouts of this lane's in-flight queries, plus
-    /// (sharded engines only) the lane's background events: maintenance
-    /// ticks, TTL sweeps, and update-propagation waves — in
-    /// `(time, insertion)` order. Returns the number of events dispatched.
-    ///
-    /// The legacy single-lane path keeps its background events on the
-    /// engine's global queue, so the three background arms are unreachable
-    /// there — new dispatch work here cannot perturb `shards = 1` runs.
+    /// message arrivals and timeouts of this lane's in-flight queries plus
+    /// its background events: maintenance ticks, TTL sweeps, and
+    /// update-propagation waves — in `(time, insertion)` order. Returns the
+    /// number of events dispatched.
     pub(crate) fn drain_until(&mut self, deadline: SimTime) -> u64 {
         let mut dispatched = 0;
         while let Some(scheduled) = self.lane.events.pop_until(deadline) {
             dispatched += 1;
             let round = scheduled.time.round().0;
             match scheduled.event {
-                NetEvent::MessageArrival { query, .. } => self.on_message_arrival(query, round),
-                NetEvent::QueryTimeout { query } => self.on_query_timeout(query),
-                NetEvent::GossipPush { update, .. } => self.on_gossip_push(update, round),
-                NetEvent::PeerMaintenance { peer } => self.on_lane_maintenance(peer),
-                NetEvent::TtlSweep { peer } => self.on_lane_ttl_sweep(peer, round),
-                NetEvent::Phase(phase) => {
-                    unreachable!("phase markers live on the global queue, got {phase:?}")
+                NetEvent::MessageArrival { query, .. } => {
+                    self.observe_message(scheduled.time, query);
+                    self.on_message_arrival(query, round);
                 }
+                NetEvent::QueryTimeout { query } => {
+                    self.observe_message(scheduled.time, query);
+                    self.on_query_timeout(query);
+                }
+                NetEvent::GossipPush { update, .. } => self.on_gossip_push(update, round),
+                NetEvent::PeerMaintenance { peer } => self.on_peer_maintenance(peer),
+                NetEvent::TtlSweep { peer } => self.on_ttl_sweep(peer, round),
             }
         }
         dispatched
+    }
+
+    /// Logs a message event for the hook, if one is installed. Stale events
+    /// (arrivals/timeouts of already-resolved queries) are no-ops and stay
+    /// invisible, as do the per-peer background ticks (phase boundaries
+    /// remain the hook's calibration seam).
+    fn observe_message(&mut self, time: SimTime, query: QueryId) {
+        if let Some(log) = &mut self.lane.observed {
+            if self.lane.inflight.contains(query) {
+                log.push((time, query));
+            }
+        }
     }
 
     /// Delivers one merged cross-lane message at the current lane instant.
@@ -327,6 +256,9 @@ impl QueryExec<'_> {
         match msg {
             LaneMsg::Query(q) => self.start_query(q, round),
             LaneMsg::Update(ctx) => self.deliver_update(ctx, round),
+            LaneMsg::StartUpdate { article, new_version, entry } => {
+                self.start_update(article, new_version, entry, round);
+            }
         }
     }
 

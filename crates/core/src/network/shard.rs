@@ -1,16 +1,15 @@
-//! Shard-parallel round execution.
+//! Lane-parallel round execution — the engine's only execution structure.
 //!
-//! With [`crate::PdhtConfig::shards`] `S > 1` the peer population is
-//! partitioned into `S` contiguous origin ranges and the replica groups
-//! into `S` group ranges; each shard owns a [`LaneState`] — its slice of
-//! the peer stores, its own RNG streams, admission filter, in-flight
-//! slabs, and virtual-time event queue — and the *whole round* (not just
-//! the query phase) runs shard-parallel on a persistent
-//! [`pdht_sim::ShardPool`]:
+//! The peer population is partitioned into `S =` [`crate::PdhtConfig::shards`]
+//! contiguous origin ranges and the replica groups into `S` group ranges;
+//! each shard owns a [`LaneState`] — its slice of the peer stores, its own
+//! RNG streams, admission filter, in-flight slabs, and virtual-time event
+//! queue — and the *whole round* runs lane by lane on a persistent
+//! [`pdht_sim::ShardPool`]. `S = 1` is the same structure with one lane:
 //!
-//! * The engine's global queue carries only the six phase markers; every
-//!   background event (maintenance tick, TTL sweep, gossip wave) and every
-//!   in-flight message lives on the owning lane's queue.
+//! * Every background event (maintenance tick, TTL sweep, gossip wave) and
+//!   every in-flight message lives on the owning lane's queue; the engine
+//!   itself only walks the six phase markers.
 //! * After each phase's serial work, [`PdhtNetwork::lane_pass`] drains the
 //!   lanes in parallel up to the next phase instant: maintenance ticks
 //!   fire after the `OverlayMaintenance` marker, TTL sweeps after
@@ -26,7 +25,8 @@
 //! * Maintenance ticks *plan* repairs against the shared routing tables
 //!   ([`pdht_overlay::Overlay::maintenance_plan`]); the barrier applies
 //!   each lane's plan serially in lane order, so the tables stay immutable
-//!   while workers route through them.
+//!   while workers route through them. The same barrier replays the
+//!   message events an installed [`super::engine::EventHook`] observes.
 //!
 //! Results depend only on `S` — the thread count just decides how many
 //! workers pull lane tasks off the pool — so any `--threads` value yields
@@ -36,7 +36,7 @@
 //! store shard = replica-group shard at every insert site and everything
 //! else rides the outboxes.
 
-use super::engine::{Counters, NetEvent, PdhtNetwork, QUERIES_OFFSET_US};
+use super::engine::{Counters, HookPoint, NetEvent, PdhtNetwork, QueryId, QUERIES_OFFSET_US};
 use super::maintenance::UpdateCtx;
 use super::peer::{ShardStores, StoreShard};
 use super::routing::{QueryCtx, QueryExec, QueryLane, QueryWorld};
@@ -46,16 +46,24 @@ use pdht_overlay::{Overlay, PlanScratch, Repair};
 use pdht_sim::{
     merge_outboxes_into, EventQueue, MergeBuffers, Metrics, Outbox, ShardPool, Slab, VisitSet,
 };
-use pdht_types::{RngStreams, Round, SimTime};
+use pdht_types::{PeerId, RngStreams, Round, SimTime};
 use pdht_workload::Query;
 use rand::rngs::SmallRng;
 use std::time::Instant;
 
-/// A unit of cross-lane traffic: a freshly generated query dealt to the
-/// shard owning its key's replica group, or an update-propagation context
-/// handed to the shard owning its next key.
+/// A unit of cross-lane traffic: a freshly generated query or a replaced
+/// article's update propagation dealt to the shard owning its (first)
+/// key's replica group, or a propagation context handed to the shard
+/// owning its next key.
 pub(crate) enum LaneMsg {
     Query(Query),
+    /// `entry` is the DHT peer all key routes start from when the deal
+    /// picked it, else the lane draws one.
+    StartUpdate {
+        article: u32,
+        new_version: u64,
+        entry: Option<PeerId>,
+    },
     Update(UpdateCtx),
 }
 
@@ -73,9 +81,15 @@ pub(crate) struct LaneState {
     /// Lane-private outcome counters, merged at the bookkeeping barrier.
     pub(crate) counters: Counters,
     pub(crate) admission: AdmissionFilter,
+    /// Generation-stamped visited scratch shared by every random walk of
+    /// this lane, so starting a broadcast search is O(walkers) instead of
+    /// allocating an O(num_peers) map per query.
     pub(crate) scratch: VisitSet,
     /// Recyclable flood/rumor wave scratch owned by this lane.
     pub(crate) waves: WavePool,
+    /// In-flight queries, keyed by [`QueryId`] (generational slab — parking
+    /// and resuming a context is allocation-free). Empty whenever every hop
+    /// delay is zero (steps run inline).
     pub(crate) inflight: Slab<QueryCtx>,
     /// In-flight update propagations whose current key this shard owns.
     pub(crate) updates_inflight: Slab<UpdateCtx>,
@@ -90,31 +104,32 @@ pub(crate) struct LaneState {
     pub(crate) repairs: Vec<Repair>,
     /// Reusable maintenance-plan scratch.
     pub(crate) plan: PlanScratch,
+    /// Live message events dispatched while a hook is installed, replayed
+    /// through it at the pass barrier (never written otherwise).
+    pub(crate) observed: Vec<(SimTime, QueryId)>,
     /// Lane events dispatched, folded into the engine's global counter at
     /// the bookkeeping barrier.
     pub(crate) dispatched: u64,
 }
 
-/// The engine's shard-parallel state: the partition maps, one
-/// [`LaneState`] per shard, the per-shard churn streams, the reusable
-/// merge buffers, and the persistent worker pool.
+/// The engine's lane structure: the partition maps, one [`LaneState`] per
+/// shard, the per-shard churn streams, the reusable merge buffers, and the
+/// persistent worker pool.
 pub(crate) struct ShardedState {
-    /// Number of shards `S` (fixed at build; `>= 2`).
-    pub(crate) shards: usize,
     /// Replica group → owning shard (`g * S / group_count`; empty without
     /// an overlay).
     pub(crate) group_shard: Vec<u16>,
-    /// Peer → origin shard (contiguous ranges; drives workload generation,
-    /// the churn calendar split, and maintenance-event placement).
-    pub(crate) peer_shard: Vec<u16>,
-    /// Shard → its origin range `[lo, hi)`.
+    /// Shard → its contiguous origin range `[lo, hi)` of peers (drives
+    /// workload generation, the churn calendar split, and
+    /// maintenance-event placement).
     pub(crate) ranges: Vec<(u32, u32)>,
+    /// One lane per shard (`S = lanes.len()`, fixed at build).
     pub(crate) lanes: Vec<LaneState>,
-    /// Per-shard churn streams (`("churn-run", s)`), drained serially in
-    /// shard order each churn phase.
+    /// Per-shard churn streams, drained serially in shard order each churn
+    /// phase.
     pub(crate) churn_rngs: Vec<SmallRng>,
     /// Engine-side outbox (src = `S`) dealing serially created work — one
-    /// update context per replaced article — into the lanes.
+    /// message per replaced article — into the lanes.
     pub(crate) deal: Outbox<LaneMsg>,
     /// Caller-owned merge buffers: the barrier is allocation-free at
     /// steady state.
@@ -123,11 +138,32 @@ pub(crate) struct ShardedState {
     pub(crate) pool: ShardPool,
 }
 
+/// Lane `lane`'s stream for `label` out of `lanes`, so shard counts — not
+/// thread counts — define the random universe.
+pub(crate) fn lane_stream(
+    streams: &RngStreams,
+    label: &str,
+    lane: usize,
+    lanes: usize,
+) -> SmallRng {
+    // PIN(one-lane): a single lane draws the historical un-indexed streams.
+    // Forced by the `shards = 1` vectors in `golden_accounting.rs` /
+    // `background_events.rs` and the `walk_miss` / `gossip_coded`
+    // fingerprints; the indexed labels are pinned by `route_event` /
+    // `loaded_mix` at `shards = 8`.
+    if lanes == 1 {
+        streams.stream(label)
+    } else {
+        streams.indexed_stream(label, lane as u64)
+    }
+}
+
 impl ShardedState {
-    /// Builds the partition maps and per-shard lanes for `shards >= 2`
-    /// shards over `num_peers` peers. Each lane's RNG streams derive from
-    /// the seed via `("<component>", shard)` indexed labels, so shard
-    /// counts — not thread counts — define the random universe.
+    /// Builds the partition maps and per-shard lanes for `shards` shards
+    /// over `num_peers` peers.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= shards <= num_peers` (every shard owns a peer).
     pub(crate) fn new(
         shards: usize,
         num_peers: u32,
@@ -135,17 +171,11 @@ impl ShardedState {
         streams: &RngStreams,
         admission: AdmissionPolicy,
     ) -> ShardedState {
-        debug_assert!(shards >= 2 && shards <= usize::try_from(num_peers).unwrap_or(usize::MAX));
         let n = num_peers as usize;
+        assert!((1..=n).contains(&shards), "shards must be in 1..={n}, got {shards}");
         let ranges: Vec<(u32, u32)> = (0..shards)
             .map(|s| (((s * n) / shards) as u32, (((s + 1) * n) / shards) as u32))
             .collect();
-        let mut peer_shard = vec![0u16; n];
-        for (s, &(lo, hi)) in ranges.iter().enumerate() {
-            for p in lo..hi {
-                peer_shard[p as usize] = s as u16;
-            }
-        }
         let group_shard: Vec<u16> = match overlay {
             Some(o) => {
                 let gc = o.group_count();
@@ -155,10 +185,10 @@ impl ShardedState {
         };
         let lanes: Vec<LaneState> = (0..shards)
             .map(|s| LaneState {
-                rng_workload: streams.indexed_stream("workload", s as u64),
-                rng_overlay: streams.indexed_stream("overlay", s as u64),
-                rng_search: streams.indexed_stream("search", s as u64),
-                rng_latency: streams.indexed_stream("latency", s as u64),
+                rng_workload: lane_stream(streams, "workload", s, shards),
+                rng_overlay: lane_stream(streams, "overlay", s, shards),
+                rng_search: lane_stream(streams, "search", s, shards),
+                rng_latency: lane_stream(streams, "latency", s, shards),
                 metrics: Metrics::new(),
                 counters: Counters::default(),
                 admission: AdmissionFilter::new(admission),
@@ -170,21 +200,35 @@ impl ShardedState {
                 outbox: Outbox::new(s as u32),
                 repairs: Vec::new(),
                 plan: PlanScratch::new(),
+                observed: Vec::new(),
                 dispatched: 0,
             })
             .collect();
         let churn_rngs: Vec<SmallRng> =
-            (0..shards).map(|s| streams.indexed_stream("churn-run", s as u64)).collect();
+            (0..shards).map(|s| lane_stream(streams, "churn-run", s, shards)).collect();
         ShardedState {
-            shards,
             group_shard,
-            peer_shard,
             ranges,
             lanes,
             churn_rngs,
             deal: Outbox::new(shards as u32),
             merge: MergeBuffers::new(shards),
             pool: ShardPool::new(1),
+        }
+    }
+
+    /// The origin shard of `peer`.
+    pub(crate) fn origin_lane(&self, peer: PeerId) -> u16 {
+        self.ranges.partition_point(|&(_, hi)| hi <= peer.0) as u16
+    }
+
+    /// The lane owning `peer`'s store: its replica group's shard, so every
+    /// store mutation a query performs is local to the shard executing it
+    /// (the peer's origin shard when there is no overlay).
+    pub(crate) fn store_lane(&self, overlay: Option<&dyn Overlay>, peer: PeerId) -> u16 {
+        match overlay {
+            Some(o) => self.group_shard[o.group_of_peer(peer)],
+            None => self.origin_lane(peer),
         }
     }
 }
@@ -198,70 +242,54 @@ struct LaneTask<'a> {
 }
 
 impl PdhtNetwork {
-    /// The shard-parallel query phase: a parallel generate pass deals the
-    /// round's workload into the outboxes, then a [`PdhtNetwork::lane_pass`]
-    /// issues the merged batches at the phase instant and drains the rest
-    /// of the round, parking every lane clock at the boundary.
-    pub(crate) fn phase_queries_sharded(&mut self, round: u64) {
-        let mut st = self.sharded.take().expect("sharded query phase needs sharded state");
-        let r = Round(round);
-        let t_q = r.start() + SimTime::from_micros(QUERIES_OFFSET_US);
-        let in_round = r.end() - SimTime::from_micros(1);
-
-        // Generate (parallel): each shard draws its origin range's workload
-        // and deals queries to the shard owning the key's replica group
-        // (its own shard without an overlay: NoIndex broadcasts are
-        // origin-local).
-        let t0 = self.phase_timers.is_some().then(Instant::now);
-        {
-            let workload = &self.workload;
-            let keys = &self.keys;
-            let overlay = self.overlay.as_deref();
-            let group_shard: &[u16] = &st.group_shard;
-            let ranges: &[(u32, u32)] = &st.ranges;
-            let (pool, lanes) = (&st.pool, &mut st.lanes);
-            pool.run(lanes, |s, lane| {
-                let (lo, hi) = ranges[s];
-                for q in workload.round_queries_range(round, &mut lane.rng_workload, lo, hi) {
-                    let dest = match overlay {
-                        Some(o) => u32::from(group_shard[o.group_of_key(keys[q.key_index])]),
-                        None => s as u32,
-                    };
-                    lane.outbox.push(dest, t_q, LaneMsg::Query(q));
-                }
-            });
-        }
-        if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
-            tm.queries += t0.elapsed();
-        }
-
-        self.lane_pass(&mut st, in_round, Some(r.end()), true);
-        self.sharded = Some(st);
+    /// The generate half of the query phase (parallel): each shard draws
+    /// its origin range's workload and deals queries, stamped at the phase
+    /// instant, to the shard owning the key's replica group (its own shard
+    /// without an overlay: NoIndex broadcasts are origin-local). The
+    /// phase's [`PdhtNetwork::lane_pass`] then issues the merged batches.
+    pub(crate) fn generate_queries(&mut self, round: u64) {
+        let t_q = Round(round).start() + SimTime::from_micros(QUERIES_OFFSET_US);
+        let workload = &self.workload;
+        let keys = &self.keys;
+        let overlay = self.overlay.as_deref();
+        let group_shard: &[u16] = &self.shards.group_shard;
+        let ranges: &[(u32, u32)] = &self.shards.ranges;
+        self.shards.pool.run(&mut self.shards.lanes, |s, lane| {
+            let (lo, hi) = ranges[s];
+            for q in workload.round_queries_range(round, &mut lane.rng_workload, lo, hi) {
+                let dest = match overlay {
+                    Some(o) => u32::from(group_shard[o.group_of_key(keys[q.key_index])]),
+                    None => s as u32,
+                };
+                lane.outbox.push(dest, t_q, LaneMsg::Query(q));
+            }
+        });
     }
 
     /// Runs one parallel drain pass over every lane: merge the outboxes
     /// (and the engine's deal box) into the `(time, src, seq)` total
     /// order, deliver each shard's batch with per-message clock clamping
     /// (`max(msg.time, lane now)`), drain lane events due by `deadline`,
-    /// then apply the planned routing-table repairs serially in lane
-    /// order. Loops until every outbox is quiescent — cross-lane waves
-    /// (update handoffs) settle within the pass. `advance` parks every
-    /// lane clock afterwards (the round boundary on the final pass).
+    /// then — serially, in lane order — apply the planned routing-table
+    /// repairs and replay observed message events through the hook. Loops
+    /// until every outbox is quiescent — cross-lane waves (update handoffs)
+    /// settle within the pass. `advance` parks every lane clock afterwards
+    /// (the round boundary on the final pass).
     pub(crate) fn lane_pass(
         &mut self,
-        st: &mut ShardedState,
         deadline: SimTime,
         advance: Option<SimTime>,
         queries_bucket: bool,
     ) {
         let timing = self.phase_timers.is_some();
+        let hooked = self.hook.is_some();
         let mut pool_time = std::time::Duration::ZERO;
         let mut barrier_time = std::time::Duration::ZERO;
         let mut first = true;
         loop {
             let t0 = timing.then(Instant::now);
             {
-                let ShardedState { lanes, deal, merge, .. } = &mut *st;
+                let ShardedState { lanes, deal, merge, .. } = &mut self.shards;
                 // The deal box is chained unconditionally: it is only
                 // non-empty on the first iteration after the content-update
                 // phase and drains like any lane outbox.
@@ -273,6 +301,7 @@ impl PdhtNetwork {
             if let Some(t0) = t0 {
                 barrier_time += t0.elapsed();
             }
+            let st = &mut self.shards;
             let have_msgs = st.merge.total() > 0;
             if !have_msgs && !first {
                 break;
@@ -312,49 +341,45 @@ impl PdhtNetwork {
                     .zip(st.merge.batches_mut().iter_mut())
                     .map(|((lane, store), batch)| LaneTask { lane, store, batch })
                     .collect();
-                let pool = &st.pool;
                 let t0 = timing.then(Instant::now);
-                pool.run(&mut tasks, |s, task| {
-                    let mut dispatched = 0;
-                    {
-                        let lane = &mut *task.lane;
-                        let mut exec = QueryExec {
-                            world,
-                            lane: QueryLane {
-                                stores: ShardStores {
-                                    slot,
-                                    shard_id: s as u16,
-                                    shard: &mut *task.store,
-                                },
-                                admission: &mut lane.admission,
-                                metrics: &mut lane.metrics,
-                                counters: &mut lane.counters,
-                                rng_overlay: &mut lane.rng_overlay,
-                                rng_search: &mut lane.rng_search,
-                                rng_latency: &mut lane.rng_latency,
-                                scratch: &mut lane.scratch,
-                                waves: &mut lane.waves,
-                                inflight: &mut lane.inflight,
-                                updates_inflight: &mut lane.updates_inflight,
-                                events: &mut lane.events,
-                                outbox: &mut lane.outbox,
-                                repairs: &mut lane.repairs,
-                                plan: &mut lane.plan,
+                st.pool.run(&mut tasks, |s, task| {
+                    let lane = &mut *task.lane;
+                    let mut exec = QueryExec {
+                        world,
+                        lane: QueryLane {
+                            stores: ShardStores {
+                                slot,
+                                shard_id: s as u16,
+                                shard: &mut *task.store,
                             },
-                        };
-                        for msg in task.batch.drain(..) {
-                            // A handed-off context can carry a timestamp
-                            // behind this lane's clock; deliveries clamp
-                            // forward (never backward — the merge order is
-                            // already fixed).
-                            let at = msg.time.max(exec.lane.events.now());
-                            dispatched += exec.drain_until(at);
-                            exec.lane.events.advance_to(at);
-                            exec.deliver(msg.payload, at.round().0);
-                        }
-                        dispatched += exec.drain_until(deadline);
+                            admission: &mut lane.admission,
+                            metrics: &mut lane.metrics,
+                            counters: &mut lane.counters,
+                            rng_overlay: &mut lane.rng_overlay,
+                            rng_search: &mut lane.rng_search,
+                            rng_latency: &mut lane.rng_latency,
+                            scratch: &mut lane.scratch,
+                            waves: &mut lane.waves,
+                            inflight: &mut lane.inflight,
+                            updates_inflight: &mut lane.updates_inflight,
+                            events: &mut lane.events,
+                            outbox: &mut lane.outbox,
+                            repairs: &mut lane.repairs,
+                            plan: &mut lane.plan,
+                            observed: hooked.then_some(&mut lane.observed),
+                        },
+                    };
+                    for msg in task.batch.drain(..) {
+                        // A handed-off context can carry a timestamp
+                        // behind this lane's clock; deliveries clamp
+                        // forward (never backward — the merge order is
+                        // already fixed).
+                        let at = msg.time.max(exec.lane.events.now());
+                        lane.dispatched += exec.drain_until(at);
+                        exec.lane.events.advance_to(at);
+                        exec.deliver(msg.payload, at.round().0);
                     }
-                    task.lane.dispatched += dispatched;
+                    lane.dispatched += exec.drain_until(deadline);
                 });
                 if let Some(t0) = t0 {
                     pool_time += t0.elapsed();
@@ -362,11 +387,11 @@ impl PdhtNetwork {
             }
             // Serial barrier: apply each lane's planned repairs in lane
             // order — the only routing-table mutation between phases.
-            if st.lanes.iter().any(|l| !l.repairs.is_empty()) {
+            if self.shards.lanes.iter().any(|l| !l.repairs.is_empty()) {
                 let t0 = timing.then(Instant::now);
                 let live = self.churn.liveness();
                 let o = self.overlay.as_deref_mut().expect("maintenance repairs imply an overlay");
-                for lane in &mut st.lanes {
+                for lane in &mut self.shards.lanes {
                     if !lane.repairs.is_empty() {
                         o.maintenance_apply(&lane.repairs, live);
                         lane.repairs.clear();
@@ -376,13 +401,16 @@ impl PdhtNetwork {
                     barrier_time += t0.elapsed();
                 }
             }
+            if hooked {
+                self.replay_observed_messages();
+            }
             if !work {
                 break;
             }
             first = false;
         }
         if let Some(at) = advance {
-            for lane in &mut st.lanes {
+            for lane in &mut self.shards.lanes {
                 lane.events.advance_to(at);
             }
         }
@@ -396,11 +424,23 @@ impl PdhtNetwork {
         }
     }
 
+    /// Replays the message events the lanes dispatched this pass through
+    /// the hook in `(lane, time)` order — a total order that depends only
+    /// on the shard count — applying returned actions as it goes.
+    fn replay_observed_messages(&mut self) {
+        for lane in 0..self.shards.lanes.len() {
+            let mut observed = std::mem::take(&mut self.shards.lanes[lane].observed);
+            for (time, query) in observed.drain(..) {
+                self.run_hook(HookPoint::MessageDispatched { round: time.round().0, lane, query });
+            }
+            self.shards.lanes[lane].observed = observed;
+        }
+    }
+
     /// The bookkeeping barrier: folds every lane's accounting into the
-    /// engine, in shard order. No-op on unsharded engines.
+    /// engine, in shard order.
     pub(crate) fn fold_lanes(&mut self) {
-        let Some(st) = &mut self.sharded else { return };
-        for lane in &mut st.lanes {
+        for lane in &mut self.shards.lanes {
             let lane_metrics = std::mem::replace(&mut lane.metrics, Metrics::new());
             self.metrics.merge_from(&lane_metrics);
             self.counters.merge_from(&lane.counters);

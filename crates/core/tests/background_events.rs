@@ -14,11 +14,11 @@
 //! maintenance/TTL/gossip equivalence for all 3 strategies × 3 overlays.
 
 use pdht_core::{
-    BackgroundSchedule, LatencyConfig, OverlayKind, PdhtConfig, PdhtNetwork, Strategy,
+    BackgroundSchedule, GossipCodec, LatencyConfig, OverlayKind, PdhtConfig, PdhtNetwork, Strategy,
 };
 use pdht_model::Scenario;
 use pdht_overlay::ChurnConfig;
-use pdht_types::MessageKind;
+use pdht_types::{MessageKind, Round};
 
 fn busy_cfg(kind: OverlayKind, strategy: Strategy) -> PdhtConfig {
     let mut scenario = Scenario::table1_scaled(20);
@@ -34,8 +34,8 @@ fn busy_cfg(kind: OverlayKind, strategy: Strategy) -> PdhtConfig {
 
 /// Per-kind cumulative totals in [`MessageKind::ALL`] order, checked to be
 /// identical at every thread count (`--threads` is a pure executor knob;
-/// under the default `shards = 1` the engine takes the single-threaded
-/// path regardless).
+/// under the default `shards = 1` the single lane runs inline on the
+/// calling thread regardless).
 fn run_totals(cfg: PdhtConfig, rounds: u64) -> [u64; MessageKind::COUNT] {
     let mut out = [0u64; MessageKind::COUNT];
     for threads in [1usize, 2, 4, 8] {
@@ -186,8 +186,8 @@ fn sharded_busy_config_is_thread_invariant() {
     // maintenance and TTL sweeps, update waves riding non-zero latency —
     // run at shards = 4. `run_totals` asserts the per-kind accounting is
     // bit-identical across thread counts {1, 2, 4, 8}; this is the
-    // whole-round-lanes analogue of the golden vectors above (which pin
-    // the `shards = 1` legacy path).
+    // several-lanes analogue of the golden vectors above (which pin
+    // `shards = 1`).
     for strategy in [Strategy::Partial, Strategy::IndexAll] {
         let mut cfg = busy_cfg(OverlayKind::Trie, strategy);
         cfg.shards = 4;
@@ -220,4 +220,95 @@ fn nonzero_latency_leaves_updates_in_flight() {
         net.step_round();
         assert_eq!(net.updates_in_flight(), 0);
     }
+}
+
+/// Cumulative outcome gauges sampled at each round's bookkeeping instant.
+const OUTCOME_GAUGES: [&str; 10] = [
+    "hits",
+    "misses",
+    "stale_hits",
+    "lookup_failures",
+    "search_failures",
+    "skipped_offline",
+    "query_timeouts",
+    "gossip_innovative",
+    "gossip_redundant",
+    "gossip_bytes",
+];
+
+/// Everything the benchmark fingerprint hashes, read per round: per-kind
+/// counts of **each** of rounds 10..=19 (so a message moving across a
+/// round's metrics mark shows), the outcome gauges after round 19,
+/// `events_dispatched` and `indexed_keys`.
+fn per_round_golden(
+    mut cfg: PdhtConfig,
+) -> (Vec<[u64; MessageKind::COUNT]>, [u64; 10], u64, usize) {
+    cfg.background = BackgroundSchedule { maintenance_jitter_us: 900_000, ttl_jitter_us: 900_000 };
+    let mut net = PdhtNetwork::new(cfg).expect("network builds");
+    net.run(20);
+    let per_round = (10..=19)
+        .map(|r| {
+            let counts = net.metrics().counts_between(Round(r), Round(r)).expect("round ran");
+            MessageKind::ALL.map(|k| counts[k])
+        })
+        .collect();
+    let outcomes =
+        OUTCOME_GAUGES.map(|g| net.metrics().gauge_last(g).expect("gauge sampled") as u64);
+    (per_round, outcomes, net.events_dispatched(), net.indexed_keys())
+}
+
+#[test]
+fn jittered_ticks_land_on_the_pinned_side_of_each_round_mark() {
+    // Captured on the commit before the one-engine rewrite (`shards = 1`,
+    // zero latency, Gnutella churn, 900 ms maintenance + TTL jitter). A
+    // round's metrics mark falls at its Bookkeeping instant, 50 µs in, so
+    // nearly every jittered tick and sweep of round r is counted in round
+    // r + 1 — until now only the benchmark's `walk_miss` fingerprint saw
+    // which side of the mark they land on.
+    assert_eq!(
+        per_round_golden(busy_cfg(OverlayKind::Trie, Strategy::Partial)),
+        (
+            vec![
+                [13, 37, 0, 6542, 0, 0, 2531, 5, 23, 0],
+                [14, 49, 0, 12180, 0, 0, 1874, 4, 23, 0],
+                [8, 52, 0, 259, 0, 0, 2732, 3, 21, 0],
+                [8, 40, 0, 800, 0, 0, 3056, 3, 20, 0],
+                [16, 40, 0, 6733, 0, 0, 3890, 6, 27, 0],
+                [11, 44, 0, 6120, 0, 0, 2211, 2, 21, 0],
+                [8, 50, 0, 307, 0, 0, 1684, 3, 15, 0],
+                [10, 40, 0, 109, 0, 0, 1022, 2, 16, 0],
+                [24, 33, 0, 44, 0, 0, 1002, 3, 24, 0],
+                [16, 34, 0, 449, 0, 0, 2879, 5, 22, 0],
+            ],
+            [298, 163, 6, 0, 15, 264, 0, 0, 0, 0],
+            3345,
+            144
+        )
+    );
+
+    // The write side: ~5 article replacements a round, each an RLNC wave
+    // per key, interleaved with the jittered ticks.
+    let mut cfg = busy_cfg(OverlayKind::Chord, Strategy::IndexAll);
+    cfg.scenario.f_upd = 0.05;
+    cfg.gossip_codec = GossipCodec::Rlnc;
+    assert_eq!(
+        per_round_golden(cfg),
+        (
+            vec![
+                [162, 448, 0, 0, 48729, 2498, 0, 0, 0, 0],
+                [122, 410, 0, 0, 22506, 960, 0, 0, 0, 0],
+                [113, 401, 0, 0, 25419, 1304, 0, 0, 0, 0],
+                [138, 430, 0, 0, 44679, 2306, 0, 0, 0, 0],
+                [148, 414, 0, 0, 30767, 1278, 0, 0, 0, 0],
+                [110, 390, 0, 0, 8486, 458, 0, 0, 0, 0],
+                [91, 414, 0, 0, 66008, 3250, 0, 0, 0, 0],
+                [75, 458, 0, 0, 55033, 3294, 0, 0, 0, 0],
+                [124, 400, 0, 0, 11752, 626, 0, 0, 0, 0],
+                [121, 434, 0, 0, 49693, 2690, 0, 0, 0, 0],
+            ],
+            [461, 0, 19, 0, 0, 264, 0, 258884, 200653, 105361068],
+            20120,
+            2000
+        )
+    );
 }

@@ -13,9 +13,9 @@ use pdht_types::MessageKind;
 /// Per-kind cumulative totals in [`MessageKind::ALL`] order. Each golden
 /// vector must reproduce at every thread count — `--threads` is a pure
 /// executor knob, so the worker count can never move a single message
-/// count. (With the default `shards = 1` the engine takes the
-/// single-threaded path regardless; the sharded-semantics equivalents live
-/// in `sharded_determinism.rs`.)
+/// count. (With the default `shards = 1` the single lane runs inline on
+/// the calling thread regardless; the several-lanes equivalents live in
+/// `sharded_determinism.rs`.)
 fn run_totals(kind: OverlayKind, strategy: Strategy) -> [u64; MessageKind::COUNT] {
     let mut out = [0u64; MessageKind::COUNT];
     for threads in [1usize, 2, 4, 8] {

@@ -162,25 +162,57 @@ fn hook_fires_before_the_phase_its_background_events_follow() {
 fn hook_observes_message_events_under_latency() {
     use std::cell::RefCell;
     use std::rc::Rc;
-    let seen = Rc::new(RefCell::new((0u64, 0u64)));
-    let seen_hook = Rc::clone(&seen);
-    let mut net = PdhtNetwork::new(cfg(
-        Strategy::Partial,
-        LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 },
-    ))
-    .expect("builds");
-    net.set_event_hook(Box::new(move |point| {
-        let mut s = seen_hook.borrow_mut();
-        match point {
-            HookPoint::BeforePhase { .. } => s.0 += 1,
-            HookPoint::BeforeMessage { .. } => s.1 += 1,
-        }
-        Vec::new()
-    }));
-    net.run(5);
-    let (phases, messages) = *seen.borrow();
-    assert_eq!(phases, 5 * 6, "six phases per round");
-    assert!(messages > 0, "per-hop events must be observable");
+    for shards in [1u32, 4] {
+        let seen = Rc::new(RefCell::new((0u64, 0u64)));
+        let seen_hook = Rc::clone(&seen);
+        let mut c = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
+        c.shards = shards;
+        let mut net = PdhtNetwork::new(c).expect("builds");
+        net.set_event_hook(Box::new(move |point| {
+            let mut s = seen_hook.borrow_mut();
+            match point {
+                HookPoint::BeforePhase { .. } => s.0 += 1,
+                HookPoint::MessageDispatched { lane, .. } => {
+                    assert!(lane < shards as usize);
+                    s.1 += 1;
+                }
+            }
+            Vec::new()
+        }));
+        net.run(5);
+        let (phases, messages) = *seen.borrow();
+        assert_eq!(phases, 5 * 6, "shards={shards}: six phases per round");
+        assert!(messages > 0, "shards={shards}: per-hop events must be observable");
+    }
+}
+
+#[test]
+fn blackout_from_a_message_observation_is_thread_invariant() {
+    // A fault injected from a message observation lands at the serial
+    // barrier ending the pass, in (lane, time) replay order — so the run
+    // stays a function of the shard count alone.
+    let run_at = |threads: usize| {
+        let mut c = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
+        c.shards = 4;
+        let mut net = PdhtNetwork::new(c).expect("builds");
+        net.set_threads(threads);
+        let mut fired = false;
+        net.set_event_hook(Box::new(move |point| match point {
+            HookPoint::MessageDispatched { round: 6, .. } if !fired => {
+                fired = true;
+                vec![HookAction::Blackout { fraction: 0.7 }]
+            }
+            _ => Vec::new(),
+        }));
+        net.run(10);
+        assert_eq!(net.report(0, 5).skipped_offline, 0, "no churn before the blackout");
+        (net.report(0, 9), net.events_dispatched(), net.indexed_keys())
+    };
+    let baseline = run_at(1);
+    assert!(baseline.0.skipped_offline > 0, "the blackout must take origins offline");
+    for threads in [2, 4] {
+        assert_eq!(run_at(threads), baseline, "threads={threads} diverged");
+    }
 }
 
 proptest! {
@@ -236,4 +268,24 @@ proptest! {
             prop_assert_eq!(net.queries_in_flight(), 0);
         }
     }
+}
+
+#[test]
+fn phase_timers_account_lane_passes_at_one_shard() {
+    // Every lane pass is timed at any shard count: a single-lane run must
+    // charge its query pass to `queries` and the maintenance/TTL/tail
+    // passes to `background`, not report them as free.
+    let mut net = PdhtNetwork::new(cfg(
+        Strategy::Partial,
+        LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 },
+    ))
+    .expect("builds");
+    assert_eq!(net.shards(), 1);
+    assert!(net.phase_breakdown().is_none(), "timers are opt-in");
+    net.enable_phase_timers();
+    net.run(20);
+    let t = net.phase_breakdown().expect("timers enabled");
+    assert!(!t.queries.is_zero(), "query passes must be timed: {t:?}");
+    assert!(!t.background.is_zero(), "background passes must be timed: {t:?}");
+    assert!(t.serial_fraction() > 0.0 && t.serial_fraction() < 1.0, "{t:?}");
 }
