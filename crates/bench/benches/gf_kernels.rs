@@ -1,19 +1,20 @@
-//! Benchmarks of the GF(256) kernels behind the coded gossip codecs: the
-//! Russian-peasant reference multiply vs the log/exp table lookup, the
-//! three axpy strategies (peasant bytewise, table bytewise, word-sliced
-//! nibble tables) at the row lengths the decoders actually touch, and
-//! end-to-end decoder fills at each supported generation size for the
-//! dense and sparse encoders.
+//! Benchmarks of the GF(256) kernel behind the coded gossip codecs: the
+//! Russian-peasant reference multiply vs the product-table lookup, the
+//! production [`gf_axpy`] beside a scalar reference fold at the row
+//! lengths the decoders actually touch, end-to-end decoder fills at each
+//! supported generation size for the dense and sparse encoders, and the
+//! triangular encode of a full-rank generation-32 decoder.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_gossip::codec::{gf_axpy, gf_mul, gf_mul_ref, Decoder};
+use pdht_gossip::codec::{gf_axpy, gf_mul, gf_mul_ref, CoeffVec, Decoder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Row lengths exercised by the axpy benchmarks: a generation-8 coefficient
-/// row, a generation-32 row, and a payload-sized row (the chunk length a
-/// wire implementation would fold per packet).
-const ROW_LENS: [usize; 3] = [8, 32, 1024];
+/// row, the mean `[c..g]` slice a triangular encode or elimination folds at
+/// generation 32, a whole generation-32 row, and a payload-sized row (the
+/// chunk length a wire implementation would fold per packet).
+const ROW_LENS: [usize; 4] = [8, 16, 32, 1024];
 
 fn rand_bytes(rng: &mut SmallRng, n: usize) -> Vec<u8> {
     (0..n).map(|_| rng.random::<u8>()).collect()
@@ -46,9 +47,9 @@ fn bench_mul(c: &mut Criterion) {
 fn bench_axpy(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0x6f_0002);
     // Every nonzero multiplier, visited per iteration: row elimination
-    // picks a fresh `f` per pivot, so the per-multiplier table-build cost
-    // of the sliced kernel must be on the clock. Runtime values also stop
-    // the compiler from specializing the reference loop for one constant.
+    // picks a fresh `f` per pivot, so each call lands on a different
+    // product-table row. Runtime values also stop the compiler from
+    // specializing the reference loop for one constant.
     let fs: Vec<u8> = (1..=255u8).collect();
     for len in ROW_LENS {
         let src = rand_bytes(&mut rng, len);
@@ -61,24 +62,14 @@ fn bench_axpy(c: &mut Criterion) {
                         // codegen — without it LLVM turns the fixed-round
                         // peasant loop into its own SIMD kernel and the row
                         // measures the autovectorizer, not the scalar
-                        // baseline the table kernels replaced.
+                        // baseline the table kernel replaced.
                         *d ^= black_box(gf_mul_ref(*s, f));
                     }
                 }
                 black_box(dst[0])
             })
         });
-        c.bench_function(&format!("gf/axpy_table_{len}x255"), |b| {
-            b.iter(|| {
-                for &f in &fs {
-                    for (d, s) in dst.iter_mut().zip(&src) {
-                        *d ^= gf_mul(*s, f);
-                    }
-                }
-                black_box(dst[0])
-            })
-        });
-        c.bench_function(&format!("gf/axpy_sliced_{len}x255"), |b| {
+        c.bench_function(&format!("gf/axpy_{len}x255"), |b| {
             b.iter(|| {
                 for &f in &fs {
                     gf_axpy(&mut dst, &src, f);
@@ -118,5 +109,18 @@ fn bench_decoder_fill(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_mul, bench_axpy, bench_decoder_fill);
+fn bench_encode(c: &mut Criterion) {
+    // A full-rank decoder with dense echelon rows: the sender a coded wave
+    // draws most of its packets from once the generation has spread.
+    let mut rng = SmallRng::seed_from_u64(0x6f_0004);
+    let mut sender = Decoder::empty(32);
+    while !sender.is_complete() {
+        let mut v = CoeffVec::zero(32);
+        v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random());
+        sender.insert(v);
+    }
+    c.bench_function("gf/encode_g32_full_rank", |b| b.iter(|| black_box(sender.encode(&mut rng))));
+}
+
+criterion_group!(benches, bench_mul, bench_axpy, bench_decoder_fill, bench_encode);
 criterion_main!(benches);

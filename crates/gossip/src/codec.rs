@@ -33,14 +33,15 @@
 //!
 //! # GF(256) kernels
 //!
-//! Products run off const-built log/exp tables (generator 3 of the AES
-//! field) instead of the 8-round Russian-peasant bit loop; the loop
-//! survives as [`gf_mul_ref`]/[`gf_inv_ref`], the exhaustively-tested
-//! reference. Row operations (`Decoder::insert` elimination, `encode`
-//! accumulation) go through [`gf_axpy`]/[`gf_scale`]: per-multiplier
-//! split 4-bit nibble tables (32 products to build), then 8 source bytes
-//! looked up per iteration and folded into the destination with one u64
-//! XOR — the scalar shape of ISA-L's PSHUFB kernel.
+//! One mechanism: a const-built 64 KiB product table (`GF_PROD[f][b] =
+//! f·b`, generated from the Russian-peasant [`gf_mul_ref`]) plus a 256-byte
+//! inverse table from [`gf_inv_ref`]; the two loops survive as the
+//! exhaustively-tested references. [`gf_mul`], [`gf_axpy`] and
+//! [`gf_scale`] all index the table — a row operation takes its
+//! multiplier's 256-byte row once and spends one lookup per byte, with
+//! nothing built per call. `Decoder` rows are echelon (row `c` is zero
+//! before column `c`), so elimination, encode and absorb fold only the
+//! `[c..g]` tail of a row.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -109,8 +110,8 @@ pub fn pull_bytes(g: usize, donor_rank: usize) -> u64 {
 
 /// GF(256) multiply, reduction polynomial `x^8 + x^4 + x^3 + x + 1` (0x1b,
 /// the AES field). Russian-peasant loop — no tables, constant 8 rounds.
-/// This is the *reference* implementation: [`gf_mul`] is table-driven and
-/// proptested equal to this over all 256×256 pairs.
+/// This is the *reference* implementation: the product table behind
+/// [`gf_mul`] is built from it and tested equal over all 256×256 pairs.
 pub const fn gf_mul_ref(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     let mut i = 0;
@@ -130,7 +131,8 @@ pub const fn gf_mul_ref(mut a: u8, mut b: u8) -> u8 {
 }
 
 /// GF(256) multiplicative inverse via `a^254` (Fermat: `a^255 = 1`),
-/// square-and-multiply over the peasant loop. Reference for [`gf_inv`].
+/// square-and-multiply over the peasant loop. Reference for (and source
+/// of) the [`gf_inv`] table.
 /// `gf_inv_ref(0)` is 0 by convention.
 pub const fn gf_inv_ref(a: u8) -> u8 {
     // Square-and-multiply over the fixed exponent 254 = 0b1111_1110.
@@ -147,116 +149,66 @@ pub const fn gf_inv_ref(a: u8) -> u8 {
     result
 }
 
-/// Const-built log/exp tables over generator 3 (a primitive element of the
-/// AES field): `EXP[i] = 3^i`, `LOG[3^i] = i`. The exp table is doubled
-/// (`EXP[i + 255] = EXP[i]`) so `gf_mul` can index `LOG[a] + LOG[b]`
-/// without a mod-255. `LOG[0]` is never read — `gf_mul`/`gf_inv` guard
-/// zero before indexing.
-const GF_TABLES: ([u8; 512], [u8; 256]) = {
-    let mut exp = [0u8; 512];
-    let mut log = [0u8; 256];
-    let mut x = 1u8;
-    let mut i = 0;
-    while i < 255 {
-        exp[i] = x;
-        log[x as usize] = i as u8;
-        x = gf_mul_ref(x, 3);
-        i += 1;
+/// The whole multiplication table, const-built from [`gf_mul_ref`]:
+/// `GF_PROD[f][b] = f·b`. 64 KiB, but a row operation touches only the
+/// 256-byte row of its multiplier, so the working set per axpy is four
+/// cache lines and nothing is built per call.
+static GF_PROD: [[u8; 256]; 256] = {
+    let mut t = [[0u8; 256]; 256];
+    let mut f = 0;
+    while f < 256 {
+        let mut b = 0;
+        while b < 256 {
+            t[f][b] = gf_mul_ref(f as u8, b as u8);
+            b += 1;
+        }
+        f += 1;
     }
-    while i < 512 {
-        exp[i] = exp[i - 255];
-        i += 1;
-    }
-    (exp, log)
+    t
 };
 
-const GF_EXP: [u8; 512] = GF_TABLES.0;
-const GF_LOG: [u8; 256] = GF_TABLES.1;
+/// Const-built inverses from [`gf_inv_ref`].
+const GF_INV: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut a = 0;
+    while a < 256 {
+        t[a] = gf_inv_ref(a as u8);
+        a += 1;
+    }
+    t
+};
 
-/// GF(256) multiply, table-driven: one add of logs, one exp lookup.
-/// Value-identical to [`gf_mul_ref`] (proptested exhaustively).
+/// GF(256) multiply: one product-table lookup. Value-identical to
+/// [`gf_mul_ref`] (tested over all 256×256 pairs).
 #[inline]
 pub fn gf_mul(a: u8, b: u8) -> u8 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    GF_EXP[GF_LOG[a as usize] as usize + GF_LOG[b as usize] as usize]
+    GF_PROD[usize::from(a)][usize::from(b)]
 }
 
-/// GF(256) multiplicative inverse, table-driven: `EXP[255 - LOG[a]]`.
-/// `gf_inv(0)` is 0 by convention; callers never invert zero pivots.
+/// GF(256) multiplicative inverse: one table lookup. `gf_inv(0)` is 0 by
+/// convention; callers never invert zero pivots.
 #[inline]
 pub fn gf_inv(a: u8) -> u8 {
-    if a == 0 {
-        return 0;
-    }
-    GF_EXP[255 - GF_LOG[a as usize] as usize]
+    GF_INV[usize::from(a)]
 }
 
-/// Branchless doubling in the AES field: `2·x`, reducing by 0x1b on
-/// overflow of the degree-7 term.
-#[inline]
-const fn xtime(x: u8) -> u8 {
-    (x << 1) ^ (((x >> 7) & 1) * 0x1b)
-}
-
-/// Per-multiplier split nibble tables: `lo[n] = f·n`, `hi[n] = f·(n<<4)`,
-/// so `f·b = lo[b & 0xf] ^ hi[b >> 4]` — a cheap doubling build
-/// (`t[2k] = xtime(t[k])`, `t[2k+1] = t[2k] ^ t[1]`, ~40 branchless ALU
-/// ops total) buys a 2-lookup-1-XOR multiply for every subsequent byte.
-#[inline]
-fn nibble_tables(f: u8) -> ([u8; 16], [u8; 16]) {
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    lo[1] = f;
-    hi[1] = xtime(xtime(xtime(xtime(f))));
-    let mut n = 2;
-    while n < 16 {
-        lo[n] = xtime(lo[n / 2]);
-        lo[n + 1] = lo[n] ^ f;
-        hi[n] = xtime(hi[n / 2]);
-        hi[n + 1] = hi[n] ^ hi[1];
-        n += 2;
-    }
-    (lo, hi)
-}
-
-/// Word-sliced GF(256) axpy: `dst[i] ^= f · src[i]` over equal-length
-/// slices. Main loop handles 8 bytes per iteration: one u64 load per
-/// slice, 8 nibble-table lookups assembling the product word, one u64
-/// XOR into the destination. The tail runs byte-wise off the same
-/// tables. This is the row-elimination / encode-accumulation kernel.
+/// GF(256) axpy: `dst[i] ^= f · src[i]` over equal-length slices, one
+/// lookup per byte in the multiplier's product-table row. This is the
+/// row-elimination / encode-accumulation kernel.
 pub fn gf_axpy(dst: &mut [u8], src: &[u8], f: u8) {
     debug_assert_eq!(dst.len(), src.len());
-    if f == 0 {
-        return;
-    }
-    let (lo, hi) = nibble_tables(f);
-    let mut d8 = dst.chunks_exact_mut(8);
-    let mut s8 = src.chunks_exact(8);
-    let mul = |b: u8| u64::from(lo[(b & 0xf) as usize] ^ hi[(b >> 4) as usize]);
-    for (d, s) in d8.by_ref().zip(s8.by_ref()) {
-        // Eight independent table lookups per word, OR-ed together as a
-        // tree (no loop-carried chain, no byte-store round-trip), so the
-        // loads pipeline; the product lands as one u64 XOR into the
-        // destination.
-        let prod = (mul(s[0]) | mul(s[1]) << 8 | mul(s[2]) << 16 | mul(s[3]) << 24)
-            | (mul(s[4]) << 32 | mul(s[5]) << 40 | mul(s[6]) << 48 | mul(s[7]) << 56);
-        let dw = u64::from_le_bytes(d.as_ref().try_into().expect("chunk of 8")) ^ prod;
-        d.copy_from_slice(&dw.to_le_bytes());
-    }
-    for (d, &s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d ^= lo[(s & 0xf) as usize] ^ hi[(s >> 4) as usize];
+    let prod = &GF_PROD[usize::from(f)];
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= prod[usize::from(s)];
     }
 }
 
-/// In-place GF(256) scale: `row[i] = f · row[i]`, nibble-table driven
-/// (the pivot-normalization kernel; rows are short, so byte-wise off the
-/// tables is already a large win over per-byte peasant loops).
+/// In-place GF(256) scale: `row[i] = f · row[i]` off the same table row
+/// (the pivot-normalization kernel).
 pub fn gf_scale(row: &mut [u8], f: u8) {
-    let (lo, hi) = nibble_tables(f);
+    let prod = &GF_PROD[usize::from(f)];
     for b in row.iter_mut() {
-        *b = lo[(*b & 0xf) as usize] ^ hi[(*b >> 4) as usize];
+        *b = prod[usize::from(*b)];
     }
 }
 
@@ -322,10 +274,12 @@ impl std::fmt::Debug for CoeffVec {
 }
 
 /// Per-member decoding state: a row-echelon GF(256) matrix at a runtime
-/// generation size `gen ∈ 1..=MAX_GENERATION`. Row `c`, when present, has
-/// its pivot (leading 1) in column `c`. Rows are inline arrays — a
-/// decoder never allocates, so pooled `Vec<Decoder>` scratch resets in
-/// O(n) regardless of the generation size.
+/// generation size `gen ∈ 1..=MAX_GENERATION`. Row `c`, when present, is
+/// zero before column `c`, has its pivot (leading 1) in column `c` and is
+/// zero from column `gen` on — `encode` and `absorb` rely on all three.
+/// Rows are inline arrays — a decoder never allocates, so pooled
+/// `Vec<Decoder>` scratch resets in O(n) regardless of the generation
+/// size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decoder {
     rows: [[u8; MAX_GENERATION]; MAX_GENERATION],
@@ -387,7 +341,6 @@ impl Decoder {
     /// Folds one packet in. Returns `true` iff it was innovative (raised
     /// the rank). Gaussian elimination against the stored echelon rows;
     /// the reduced vector becomes a new normalized pivot row or vanishes.
-    /// Row arithmetic runs through the word-sliced [`gf_axpy`] kernel.
     pub fn insert(&mut self, mut v: CoeffVec) -> bool {
         let g = usize::from(self.gen);
         debug_assert_eq!(v.len(), g, "packet generation mismatch");
@@ -413,6 +366,8 @@ impl Decoder {
     /// A fresh random combination of everything this decoder holds
     /// ([`GossipCodec::Rlnc`] send path). Draws one GF(256) coefficient per
     /// held row; the zero vector at rank 0 (receivers count it redundant).
+    /// Row `c` is echelon — zero before its pivot column `c` — so only
+    /// `[c..g]` of it is folded.
     pub fn encode(&self, rng: &mut SmallRng) -> CoeffVec {
         let g = usize::from(self.gen);
         let mut out = CoeffVec::zero(g);
@@ -421,18 +376,16 @@ impl Decoder {
                 continue;
             }
             let coeff: u8 = rng.random();
-            if coeff == 0 {
-                continue;
-            }
-            gf_axpy(&mut out.coeffs[..g], &self.rows[c][..g], coeff);
+            gf_axpy(&mut out.coeffs[c..g], &self.rows[c][c..g], coeff);
         }
         out
     }
 
     /// A sparse random combination ([`GossipCodec::RlncSparse`] send
     /// path): ⌈G/4⌉ draws of (held row, nonzero coefficient), each folded
-    /// in with [`gf_axpy`]. Encode cost is O(G) rows → O(⌈G/4⌉) rows, so
-    /// it stays flat as the generation grows; repeated row picks merge
+    /// in with [`gf_axpy`] over the row's `[c..g]` like [`Decoder::
+    /// encode`]. Encode cost is O(G) rows → O(⌈G/4⌉) rows, so it stays
+    /// flat as the generation grows; repeated row picks merge
     /// coefficients (still a valid, merely sparser, combination). The
     /// zero vector at rank 0.
     pub fn encode_sparse(&self, rng: &mut SmallRng) -> CoeffVec {
@@ -445,7 +398,7 @@ impl Decoder {
             let pick = rng.random_range(0..self.rank());
             let c = (0..g).filter(|&c| self.present[c]).nth(pick).expect("rank held rows");
             let coeff = rng.random_range(1..=255u8);
-            gf_axpy(&mut out.coeffs[..g], &self.rows[c][..g], coeff);
+            gf_axpy(&mut out.coeffs[c..g], &self.rows[c][c..g], coeff);
         }
         out
     }
@@ -471,16 +424,16 @@ impl Decoder {
     }
 
     /// Anti-entropy: folds every row of `donor` in. Returns the rank
-    /// gained (a pull transfers the donor's whole received space).
+    /// gained (a pull transfers the donor's whole received space). Donor
+    /// rows are read in place — they are zero past the generation, so a
+    /// row is already a valid packet — and, being echelon, cost `insert`
+    /// only their `[c..g]` tail.
     pub fn absorb(&mut self, donor: &Decoder) -> usize {
         debug_assert_eq!(self.gen, donor.gen, "generation mismatch in absorb");
-        let g = usize::from(self.gen);
         let before = self.rank();
-        for c in 0..g {
+        for c in 0..usize::from(self.gen) {
             if donor.present[c] {
-                let mut v = CoeffVec::zero(g);
-                v.coeffs[..g].copy_from_slice(&donor.rows[c][..g]);
-                self.insert(v);
+                self.insert(CoeffVec { coeffs: donor.rows[c], len: self.gen });
             }
         }
         self.rank() - before
@@ -490,6 +443,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -512,11 +466,13 @@ mod tests {
         assert_eq!(gf_mul(0x53, 0xca), 1);
     }
 
+    /// The product table (`gf_mul(f, b)` is `GF_PROD[f][b]`, the lookup
+    /// the row kernels make) equals the reference over all 256 × 256 pairs.
     #[test]
     fn table_mul_matches_the_peasant_reference_exhaustively() {
-        for a in 0..=255u8 {
+        for f in 0..=255u8 {
             for b in 0..=255u8 {
-                assert_eq!(gf_mul(a, b), gf_mul_ref(a, b), "a={a:#x} b={b:#x}");
+                assert_eq!(gf_mul(f, b), gf_mul_ref(f, b), "f={f:#x} b={b:#x}");
             }
         }
     }
@@ -749,5 +705,87 @@ mod tests {
         assert_eq!(pull_bytes(32, 0), 4);
         assert_eq!(pull_bytes(32, 5), 4 + 5 * (32 + 32));
         assert_eq!(pull_bytes(8, 8), 1 + 8 * (128 + 8));
+    }
+
+    /// A decoder fed `packets` random vectors at generation `g`; `mask`
+    /// thins the byte alphabet so dependent vectors and zero coefficients
+    /// (partial rank, skipped pivots) actually occur.
+    fn random_decoder(g: usize, packets: usize, mask: u8, rng: &mut SmallRng) -> Decoder {
+        let mut d = Decoder::empty(g);
+        for _ in 0..packets {
+            let mut v = CoeffVec::zero(g);
+            v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random::<u8>() & mask);
+            d.insert(v);
+        }
+        d
+    }
+
+    /// `out ^= coeff · row` over the whole row with the reference multiply
+    /// — the untruncated fold the triangular encodes must equal.
+    fn fold_full_width(out: &mut [u8; MAX_GENERATION], row: &[u8; MAX_GENERATION], coeff: u8) {
+        for (o, &r) in out.iter_mut().zip(row) {
+            *o ^= gf_mul_ref(coeff, r);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What the triangular folds rely on: after any insert stream every
+        /// stored row `c` is zero before column `c`, has pivot 1 in column
+        /// `c`, and is zero from the generation size on.
+        #[test]
+        fn stored_rows_stay_echelon_and_zero_padded(
+            g in 1usize..=32,
+            packets in 0usize..64,
+            mask in prop::sample::select(vec![0x01u8, 0x03, 0xff]),
+            seed in any::<u64>(),
+        ) {
+            let d = random_decoder(g, packets, mask, &mut SmallRng::seed_from_u64(seed));
+            let mut held = 0;
+            for c in 0..g {
+                if !d.present[c] {
+                    continue;
+                }
+                held += 1;
+                prop_assert!(d.rows[c][..c].iter().all(|&b| b == 0), "row {c} before its pivot");
+                prop_assert_eq!(d.rows[c][c], 1);
+                prop_assert!(d.rows[c][g..].iter().all(|&b| b == 0), "row {c} past g={g}");
+            }
+            prop_assert_eq!(held, d.rank());
+        }
+
+        /// `encode` and `encode_sparse` on partial-rank decoders produce
+        /// the full-width reference fold and leave the RNG at the same next
+        /// word.
+        #[test]
+        fn encodes_match_a_full_width_reference_fold(
+            g in 1usize..=32,
+            packets in 0usize..40,
+            mask in prop::sample::select(vec![0x03u8, 0xff]),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let d = random_decoder(g, packets, mask, &mut rng);
+            let held: Vec<usize> = (0..g).filter(|&c| d.present[c]).collect();
+
+            let mut ref_rng = rng.clone();
+            let mut dense = [0u8; MAX_GENERATION];
+            for &c in &held {
+                fold_full_width(&mut dense, &d.rows[c], ref_rng.random());
+            }
+            prop_assert_eq!(d.encode(&mut rng), CoeffVec { coeffs: dense, len: g as u8 });
+            prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>());
+
+            let mut sparse = [0u8; MAX_GENERATION];
+            if !held.is_empty() {
+                for _ in 0..g.div_ceil(4) {
+                    let c = held[ref_rng.random_range(0..held.len())];
+                    fold_full_width(&mut sparse, &d.rows[c], ref_rng.random_range(1..=255u8));
+                }
+            }
+            prop_assert_eq!(d.encode_sparse(&mut rng), CoeffVec { coeffs: sparse, len: g as u8 });
+            prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>());
+        }
     }
 }

@@ -598,8 +598,9 @@ impl ReplicaGroup {
                     GossipCodec::RlncSparse => Some(decoders[spreader].encode_sparse(rng)),
                     _ => Some(decoders[spreader].encode(rng)),
                 };
-                if !heard_from[target].contains(&(spreader as u16)) {
-                    heard_from[target].push(spreader as u16);
+                let heard = u32::try_from(spreader).expect("group size fits u32");
+                if !heard_from[target].contains(&heard) {
+                    heard_from[target].push(heard);
                 }
                 let innovative = packet.is_some_and(|p| decoders[target].insert(p));
                 if innovative {
@@ -665,7 +666,7 @@ impl ReplicaGroup {
             if delivered[me] || !live.is_online(self.members[me]) {
                 continue;
             }
-            let online_donor = |h: &u16| live.is_online(self.members[usize::from(*h)]);
+            let online_donor = |h: &u32| live.is_online(self.members[*h as usize]);
             let count = heard_from[me].iter().filter(|h| online_donor(h)).count();
             if count == 0 {
                 continue;
@@ -675,11 +676,19 @@ impl ReplicaGroup {
                 .iter()
                 .filter(|h| online_donor(h))
                 .nth(pick)
-                .expect("pick is in range");
+                .expect("pick is in range") as usize;
             metrics.record_n(MessageKind::GossipPull, 2);
-            let donor_space = decoders[usize::from(donor)].clone();
+            // A member never hears from itself (the subnet has no
+            // self-loops), so donor and receiver borrow disjointly.
+            let (receiver, donor_space) = if donor < me {
+                let (lo, hi) = decoders.split_at_mut(me);
+                (&mut hi[0], &lo[donor])
+            } else {
+                let (lo, hi) = decoders.split_at_mut(donor);
+                (&mut lo[me], &hi[0])
+            };
             wave.bytes += pull_bytes(usize::from(wave.gen), donor_space.rank());
-            let gained = decoders[me].absorb(&donor_space);
+            let gained = receiver.absorb(donor_space);
             if gained == 0 {
                 wave.redundant += 1;
             } else {
@@ -1233,6 +1242,32 @@ mod tests {
         let completed = g.pull_missing(&mut wave, &mut deliver, &live, &mut r, &mut m, &mut pool);
         assert_eq!(wave.reached(), before + completed);
         assert!(m.totals()[MessageKind::GossipPull] >= 2 * completed as u64);
+    }
+
+    /// Local indices past `u16::MAX` survive the knowledge map: every
+    /// recorded donor is a subnet neighbor of the member that heard it.
+    #[test]
+    fn knowledge_map_names_the_real_donor_past_65536_members() {
+        let n = (1usize << 16) + 8;
+        let members: Vec<PeerId> = (100..100 + n as u32).map(PeerId).collect();
+        let g = ReplicaGroup::new(members, &mut rng()).unwrap();
+        let live = all_online(n);
+        let mut r = SmallRng::seed_from_u64(6);
+        let mut m = Metrics::new();
+        let mut pool = WavePool::new();
+        let codec = GossipCodec::Rlnc;
+        let origin = PeerId(100 + n as u32 - 1);
+        let mut wave = g.push_begin(origin, codec, 8, |_| true, &live, &mut pool);
+        g.push_wave(&mut wave, codec, |_| true, &live, &mut r, &mut m, &mut pool);
+        let heard_from = &pool.rumor_mut(wave.slot).heard_from;
+        assert!(heard_from.iter().any(|h| !h.is_empty()), "the origin pushed to someone");
+        for (member, heard) in heard_from.iter().enumerate() {
+            let nbs = g.subnet.neighbors(PeerId::from_idx(member));
+            for &h in heard {
+                assert!(nbs.contains(&PeerId(h)), "member {member} never heard from {h}");
+            }
+        }
+        g.pull_missing(&mut wave, |_| true, &live, &mut r, &mut m, &mut pool);
     }
 
     #[test]

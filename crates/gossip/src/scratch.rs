@@ -64,7 +64,7 @@ pub(crate) struct RumorScratch {
     /// Members whose deliver closure fired (decoded the update).
     pub(crate) delivered: Vec<bool>,
     /// Anti-entropy knowledge map: who each member heard packets from.
-    pub(crate) heard_from: Vec<Vec<u16>>,
+    pub(crate) heard_from: Vec<Vec<u32>>,
 }
 
 /// Lane-owned arena of recyclable wave scratch slots.
