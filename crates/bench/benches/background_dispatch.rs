@@ -1,11 +1,11 @@
 //! Benchmarks of whole rounds dominated by the background-event load —
 //! per-peer maintenance ticks, TTL sweeps, and gossip-push update waves,
 //! with queries off (`fQry = 0`) so the query pipeline contributes
-//! nothing. This is the traffic the whole-round lane refactor moved off
-//! the global queue: at `shards = 1` every event dispatches through the
-//! serial legacy path, at `shards = 8` each lane drains its own peers'
-//! events inside the parallel passes and only the six phase markers stay
-//! global. The shards axis is therefore the dispatch-path comparison
+//! nothing. Every one of these events lives on a lane queue at every shard
+//! count: `shards = 1` is one lane draining the whole population inline,
+//! `shards = 8` splits the same population over eight lanes drained inside
+//! the parallel passes (the engine itself only walks the six phase markers
+//! of a round). The shards axis is therefore the lane-count comparison
 //! (same population, same schedules), measured at 10k and 100k peers.
 //!
 //! Thread count is left at the criterion host's discretion via

@@ -21,13 +21,13 @@
 
 use crate::config::{OverlayKind, PdhtConfig, Strategy};
 use crate::network::peer::PeerStores;
-use crate::network::shard::{lane_stream, ShardedState};
+use crate::network::shard::{lane_stream, origin_lane, partition_maps, store_lane, ShardedState};
 use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
 use pdht_gossip::{ReplicaGroup, VersionedValue};
 use pdht_model::{CostModel, SelectionModel};
 use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
 use pdht_sim::{HistogramSummary, LatencyModel, Metrics, RoundDriver};
-use pdht_types::{Key, MessageKind, PeerId, Result, RngStreams, Round, SimTime};
+use pdht_types::{Key, Liveness, MessageKind, PeerId, Result, RngStreams, Round, SimTime};
 use pdht_unstructured::{Replication, Topology};
 use pdht_workload::{QueryWorkload, UpdateProcess};
 use rand::rngs::SmallRng;
@@ -190,8 +190,12 @@ fn peer_jitter_us(seed: u64, salt: u64, bound_us: u64) -> u64 {
     pdht_types::mix64(seed, salt) % (bound_us + 1)
 }
 
-/// The assembled network.
-pub struct PdhtNetwork {
+/// Everything a lane pass reads and never writes: the configuration, the
+/// key universe, the substrates, the processes, and the partition maps.
+/// Workers share one `&World` during a pass; it is mutated only in the
+/// serial sections between passes (churn, content replacement, repair
+/// application, the adaptive-TTL flush).
+pub(crate) struct World {
     pub(crate) cfg: PdhtConfig,
     /// Dense key index → routed key.
     pub(crate) keys: Vec<Key>,
@@ -206,23 +210,41 @@ pub struct PdhtNetwork {
     pub(crate) nap: usize,
     /// One replica group per overlay partition group.
     pub(crate) groups: Vec<ReplicaGroup>,
-    /// Per-active-peer TTL stores plus distinct-key accounting.
-    pub(crate) peers: PeerStores,
     /// The unstructured overlay over all peers.
     pub(crate) topo: Topology,
     /// Content placement per article.
     pub(crate) content: Replication,
     pub(crate) updates: UpdateProcess,
     pub(crate) workload: QueryWorkload,
-    pub(crate) adaptive: Option<AdaptiveTtl>,
     /// Current keyTtl in rounds (fixed policies keep it constant).
     pub(crate) ttl_rounds: u64,
     /// Per-entry probe rate calibrated to `env·log2(nap)` per peer.
     pub(crate) probe_rate: f64,
-    pub(crate) metrics: Metrics,
-    pub(crate) driver: RoundDriver,
     /// Per-hop delay model built from [`PdhtConfig::latency`].
     pub(crate) latency: Box<dyn LatencyModel>,
+    /// Shard → its contiguous origin range `[lo, hi)` of peers.
+    pub(crate) ranges: Vec<(u32, u32)>,
+    /// Replica group → owning shard (empty without an overlay).
+    pub(crate) group_shard: Vec<u16>,
+}
+
+impl World {
+    /// Who is online right now.
+    pub(crate) fn live(&self) -> &Liveness {
+        self.churn.liveness()
+    }
+}
+
+/// The assembled network: the shared `World`, the lanes that execute
+/// against it, and the serial engine state around them.
+pub struct PdhtNetwork {
+    pub(crate) world: World,
+    /// Per-active-peer TTL stores plus distinct-key accounting, one region
+    /// per lane.
+    pub(crate) peers: PeerStores,
+    pub(crate) adaptive: Option<AdaptiveTtl>,
+    pub(crate) metrics: Metrics,
+    pub(crate) driver: RoundDriver,
     /// Experiment hook observing phase/message boundaries.
     pub(crate) hook: Option<EventHook>,
     /// Events dispatched over the whole run — phase markers plus every
@@ -266,8 +288,9 @@ pub struct PhaseBreakdown {
     /// Parallel pool time draining background events (maintenance, TTL
     /// sweeps, update waves).
     pub background: Duration,
-    /// Serial barrier work: outbox merges, repair application, and the
-    /// serial slice of the content-update phase.
+    /// Serial barrier work: outbox merges, repair application, the serial
+    /// slice of the content-update phase, and the bookkeeping phase (both
+    /// lane folds, gauges, the round mark, the adaptive-TTL flush).
     pub barriers: Duration,
 }
 
@@ -476,12 +499,17 @@ impl PdhtNetwork {
             _ => s.stor as usize,
         };
         // The lanes: `cfg.shards` is a semantic knob, capped by the
-        // population so every shard owns at least one peer.
+        // population so every shard owns at least one peer. Lanes and peer
+        // stores are allocated *before* the topology and the processes:
+        // building them later moved `setup_s` by +18 % on `gossip_coded`
+        // (DESIGN.md §8.0.3), so the stores are laid out from the local
+        // partition maps instead of a finished `World`.
         let num_shards = (cfg.shards as usize).clamp(1, num_peers.max(1));
-        let shards =
-            ShardedState::new(num_shards, s.num_peers, overlay.as_deref(), &streams, cfg.admission);
-        let store_lanes: Vec<u16> =
-            (0..nap).map(|p| shards.store_lane(overlay.as_deref(), PeerId::from_idx(p))).collect();
+        let (ranges, group_shard) = partition_maps(num_shards, s.num_peers, overlay.as_deref());
+        let shards = ShardedState::new(num_shards, s.num_peers, &streams, cfg.admission);
+        let store_lanes: Vec<u16> = (0..nap)
+            .map(|p| store_lane(&ranges, &group_shard, overlay.as_deref(), PeerId::from_idx(p)))
+            .collect();
         let mut peers = PeerStores::new(&store_lanes, num_shards, store_capacity, num_keys);
 
         // Unstructured side.
@@ -495,7 +523,7 @@ impl PdhtNetwork {
         let churn = ChurnModel::new_sharded(
             num_peers,
             cfg.churn,
-            (0..s.num_peers).map(|p| shards.origin_lane(PeerId(p))).collect(),
+            (0..s.num_peers).map(|p| origin_lane(&ranges, PeerId(p))).collect(),
             &mut churn_init,
         );
         let updates = UpdateProcess::new(num_articles, 1.0 / s.f_upd.max(1e-12))?;
@@ -543,11 +571,8 @@ impl PdhtNetwork {
             }
         }
 
-        let latency = cfg.latency.build();
-        let mut net = PdhtNetwork {
-            rng_overlay: streams.stream("overlay"),
-            rng_updates: streams.stream("updates"),
-            latency,
+        let world = World {
+            latency: cfg.latency.build(),
             cfg,
             keys,
             article_of,
@@ -556,18 +581,25 @@ impl PdhtNetwork {
             overlay,
             nap,
             groups,
-            peers,
             topo,
             content,
             updates,
             workload,
-            adaptive,
             ttl_rounds,
             probe_rate,
+            ranges,
+            group_shard,
+        };
+        let mut net = PdhtNetwork {
+            world,
+            peers,
+            adaptive,
             metrics: Metrics::new(),
             driver: RoundDriver::new(),
             hook: None,
             events_dispatched: 0,
+            rng_overlay: streams.stream("overlay"),
+            rng_updates: streams.stream("updates"),
             counters: Counters::default(),
             adaptive_seen: (0, 0),
             shards,
@@ -600,27 +632,27 @@ impl PdhtNetwork {
     /// lane's streams), TTL sweeps at the shard owning the peer's store —
     /// so every dispatch is lane-local.
     fn schedule_background(&mut self) {
-        let jitter = self.cfg.background;
-        let seed = self.cfg.seed;
-        if self.overlay.is_some() {
-            for p in 0..self.nap {
+        let World { cfg, overlay, nap, ranges, group_shard, .. } = &self.world;
+        let (jitter, seed) = (cfg.background, cfg.seed);
+        if overlay.is_some() {
+            for p in 0..*nap {
                 let offset = MAINTENANCE_OFFSET_US
                     + peer_jitter_us(seed, 0xA11C_E000 + p as u64, jitter.maintenance_jitter_us);
-                let lane = usize::from(self.shards.origin_lane(PeerId::from_idx(p)));
+                let lane = usize::from(origin_lane(ranges, PeerId::from_idx(p)));
                 self.shards.lanes[lane].events.schedule_at(
                     Round(0).start() + SimTime::from_micros(offset),
                     NetEvent::PeerMaintenance { peer: PeerId::from_idx(p) },
                 );
             }
         }
-        if self.cfg.strategy == Strategy::Partial {
-            let stride = self.cfg.purge_stride;
-            for p in 0..self.nap {
+        if cfg.strategy == Strategy::Partial {
+            let stride = cfg.purge_stride;
+            for p in 0..*nap {
                 let peer = PeerId::from_idx(p);
                 let first = Round(p as u64 % stride);
                 let offset = TTL_SWEEP_OFFSET_US
                     + peer_jitter_us(seed, 0x77E0_0000 + p as u64, jitter.ttl_jitter_us);
-                let lane = usize::from(self.shards.store_lane(self.overlay.as_deref(), peer));
+                let lane = usize::from(store_lane(ranges, group_shard, overlay.as_deref(), peer));
                 self.shards.lanes[lane].events.schedule_at(
                     first.start() + SimTime::from_micros(offset),
                     NetEvent::TtlSweep { peer },
@@ -631,17 +663,17 @@ impl PdhtNetwork {
 
     /// The configuration.
     pub fn config(&self) -> &PdhtConfig {
-        &self.cfg
+        &self.world.cfg
     }
 
     /// Peers participating in the structured overlay.
     pub fn num_active_peers(&self) -> usize {
-        self.nap
+        self.world.nap
     }
 
     /// Current keyTtl in rounds.
     pub fn ttl_rounds(&self) -> u64 {
-        self.ttl_rounds
+        self.world.ttl_rounds
     }
 
     /// Distinct keys currently resident in the index.
@@ -662,7 +694,7 @@ impl PdhtNetwork {
     /// Failure injection: knocks a uniform `fraction` of all peers offline
     /// at once; they rejoin through the configured churn process.
     pub fn force_blackout(&mut self, fraction: f64) {
-        self.churn.force_blackout(fraction, &mut self.shards.churn_rngs[0]);
+        self.world.churn.force_blackout(fraction, &mut self.shards.churn_rngs[0]);
     }
 
     /// Installs an [`EventHook`] observing every phase boundary and message
@@ -785,9 +817,9 @@ impl PdhtNetwork {
         if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
             match phase {
                 RoundPhase::Churn => tm.churn += t0.elapsed(),
-                RoundPhase::ContentUpdates => tm.barriers += t0.elapsed(),
+                RoundPhase::ContentUpdates | RoundPhase::Bookkeeping => tm.barriers += t0.elapsed(),
                 RoundPhase::Queries => tm.queries += t0.elapsed(),
-                _ => {}
+                RoundPhase::OverlayMaintenance | RoundPhase::PurgeExpired => {}
             }
         }
 
@@ -813,7 +845,11 @@ impl PdhtNetwork {
         // current when the round returns.
         self.lane_pass(deadline, last.then_some(round.end()), queries);
         if last {
+            let t0 = self.phase_timers.is_some().then(Instant::now);
             self.fold_lanes();
+            if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
+                tm.barriers += t0.elapsed();
+            }
         }
     }
 
@@ -841,11 +877,11 @@ impl PdhtNetwork {
             ctl.observe_n(self.counters.hits - seen_hits, self.counters.misses - seen_misses);
             self.adaptive_seen = (self.counters.hits, self.counters.misses);
             if ctl.end_round() {
-                self.ttl_rounds = ctl.ttl_rounds();
+                self.world.ttl_rounds = ctl.ttl_rounds();
             }
         }
         self.metrics.gauge("indexed_keys", Round(round), self.peers.distinct_keys() as f64);
-        self.metrics.gauge("availability", Round(round), self.churn.liveness().availability());
+        self.metrics.gauge("availability", Round(round), self.world.live().availability());
         self.metrics.gauge("hits", Round(round), self.counters.hits as f64);
         self.metrics.gauge("misses", Round(round), self.counters.misses as f64);
         self.metrics.gauge("search_failures", Round(round), self.counters.search_failures as f64);
@@ -860,7 +896,7 @@ impl PdhtNetwork {
         );
         self.metrics.gauge("gossip_redundant", Round(round), self.counters.gossip_redundant as f64);
         self.metrics.gauge("gossip_bytes", Round(round), self.counters.gossip_bytes as f64);
-        self.metrics.gauge("ttl_rounds", Round(round), self.ttl_rounds as f64);
+        self.metrics.gauge("ttl_rounds", Round(round), self.world.ttl_rounds as f64);
         self.metrics.mark_round(Round(round));
     }
 
@@ -1072,7 +1108,7 @@ mod tests {
         let filled = net.indexed_keys();
         assert!(filled > 0);
         // Cut the load to zero by swapping in a zero-rate workload.
-        net.workload = QueryWorkload::new(2_000, 1.2, 1_000, 0.0, None).unwrap();
+        net.world.workload = QueryWorkload::new(2_000, 1.2, 1_000, 0.0, None).unwrap();
         net.run(10);
         assert!(
             net.indexed_keys() < filled / 4,
@@ -1118,6 +1154,42 @@ mod tests {
             net.step_round();
             assert_eq!(pending(&net), 0, "boundary event must fire in round 1");
             assert_eq!(net.events_dispatched(), 13);
+        }
+    }
+
+    #[test]
+    fn observed_log_is_written_only_under_a_hook_and_drained_every_round() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        for shards in [1, 4] {
+            let mut c = cfg_sharded(Strategy::Partial, shards);
+            c.latency = crate::LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 };
+            // Hook-less: nothing drains the log, so a single write would
+            // still be there (and would have allocated).
+            let mut net = PdhtNetwork::new(c.clone()).unwrap();
+            net.run(3);
+            for lane in &net.shards.lanes {
+                assert_eq!(lane.observed.capacity(), 0, "shards={shards}: log touched unhooked");
+            }
+
+            let seen = Rc::new(Cell::new(0u64));
+            let seen_hook = Rc::clone(&seen);
+            let mut net = PdhtNetwork::new(c).unwrap();
+            net.set_event_hook(Box::new(move |point| {
+                if let HookPoint::MessageDispatched { .. } = point {
+                    seen_hook.set(seen_hook.get() + 1);
+                }
+                Vec::new()
+            }));
+            for _ in 0..3 {
+                net.step_round();
+                for lane in &net.shards.lanes {
+                    assert!(lane.observed.is_empty(), "shards={shards}: log outlived its round");
+                }
+            }
+            assert!(seen.get() > 0, "shards={shards}: message events must reach the hook");
+            let logged: usize = net.shards.lanes.iter().map(|l| l.observed.capacity()).sum();
+            assert!(logged > 0, "shards={shards}: observations travel through the lane logs");
         }
     }
 

@@ -28,13 +28,12 @@
 //! hands its context over through the barrier outbox.
 
 use super::engine::{NetEvent, PdhtNetwork, UpdateId, PHASE_SPACING_US};
-use super::routing::QueryExec;
-use super::shard::LaneMsg;
+use super::routing::{route_hop, HopStream, QueryExec};
+use super::shard::{LaneMsg, LaneState};
 use crate::config::Strategy;
 use crate::ttl::Ttl;
 use pdht_gossip::{RumorWave, VersionedValue};
 use pdht_overlay::{HopOutcome, LookupState};
-use pdht_sim::Metrics;
 use pdht_types::{MessageKind, PeerId, Round, SimTime};
 
 /// The pipeline position of an in-flight update propagation: routing the
@@ -99,10 +98,10 @@ impl PdhtNetwork {
         // RNG stream per shard — deterministic regardless of thread count
         // (churn is cheap; parallelizing it would buy little and the
         // liveness vector is shared).
-        self.churn.step_second_sharded_into(&mut self.shards.churn_rngs, &mut transitions);
-        if self.cfg.strategy == Strategy::IndexAll {
+        self.world.churn.step_second_sharded_into(&mut self.shards.churn_rngs, &mut transitions);
+        if self.world.cfg.strategy == Strategy::IndexAll {
             for &(peer, now_online) in &transitions {
-                if now_online && peer.idx() < self.nap {
+                if now_online && peer.idx() < self.world.nap {
                     self.pull_on_rejoin(peer, round);
                 }
             }
@@ -116,11 +115,12 @@ impl PdhtNetwork {
     /// lane owning the first key's replica group, which starts and drives
     /// it with its own streams.
     pub(crate) fn phase_content_updates(&mut self, round: u64) {
-        let replacements = self.updates.round_updates(&mut self.rng_updates);
+        let world = &mut self.world;
+        let replacements = world.updates.round_updates(&mut self.rng_updates);
         for rep in &replacements {
-            self.content.replace_item(rep.article as usize, &mut self.rng_updates);
+            world.content.replace_item(rep.article as usize, &mut self.rng_updates);
         }
-        let (Strategy::IndexAll, Some(o)) = (self.cfg.strategy, self.overlay.as_deref()) else {
+        let (Strategy::IndexAll, Some(o)) = (world.cfg.strategy, world.overlay.as_deref()) else {
             return;
         };
         let st = &mut self.shards;
@@ -137,12 +137,12 @@ impl PdhtNetwork {
             let entry = if st.lanes.len() == 1 {
                 None
             } else {
-                let picked = o.entry_peer(self.churn.liveness(), &mut self.rng_overlay);
+                let picked = o.entry_peer(world.live(), &mut self.rng_overlay);
                 let Some(entry) = picked else { continue };
                 Some(entry)
             };
-            let ki = self.keys_by_article[rep.article as usize][0];
-            let dest = st.group_shard[o.group_of_key(self.keys[ki as usize])];
+            let ki = world.keys_by_article[rep.article as usize][0];
+            let dest = world.group_shard[o.group_of_key(world.keys[ki as usize])];
             let start =
                 LaneMsg::StartUpdate { article: rep.article, new_version: rep.new_version, entry };
             st.deal.push(u32::from(dest), t_updates, start);
@@ -151,9 +151,9 @@ impl PdhtNetwork {
 
     /// IndexAll rejoin path: pull the donor's store (2 messages).
     fn pull_on_rejoin(&mut self, peer: PeerId, round: u64) {
-        let Some(o) = &self.overlay else { return };
+        let Some(o) = &self.world.overlay else { return };
         let group = o.group_of_peer(peer);
-        let live = self.churn.liveness();
+        let live = self.world.live();
         let donor =
             o.group_members(group).iter().copied().find(|&m| m != peer && live.is_online(m));
         let Some(donor) = donor else { return };
@@ -180,16 +180,10 @@ impl QueryExec<'_> {
     /// round later (the event is perpetual, so each peer keeps its fixed
     /// sub-round offset).
     pub(crate) fn on_peer_maintenance(&mut self, peer: PeerId) {
-        if let Some(o) = self.world.overlay {
-            o.maintenance_plan(
-                peer,
-                self.world.probe_rate,
-                self.world.live,
-                self.lane.rng_overlay,
-                self.lane.metrics,
-                self.lane.plan,
-                self.lane.repairs,
-            );
+        if let Some(o) = &self.world.overlay {
+            let LaneState { rng_overlay, metrics, plan, repairs, .. } = &mut *self.lane;
+            let rate = self.world.probe_rate;
+            o.maintenance_plan(peer, rate, self.world.live(), rng_overlay, metrics, plan, repairs);
         }
         self.lane.events.schedule_in(SimTime::from_secs(1), NetEvent::PeerMaintenance { peer });
     }
@@ -199,10 +193,9 @@ impl QueryExec<'_> {
     /// rounds later, preserving the staggered cohorts. The event lives on
     /// the shard owning the peer's store, so the purge is lane-local.
     pub(crate) fn on_ttl_sweep(&mut self, peer: PeerId, round: u64) {
-        self.lane.stores.purge_expired(peer, round);
-        self.lane
-            .events
-            .schedule_in(SimTime::from_secs(self.world.purge_stride), NetEvent::TtlSweep { peer });
+        self.stores.purge_expired(peer, round);
+        let stride = SimTime::from_secs(self.world.cfg.purge_stride);
+        self.lane.events.schedule_in(stride, NetEvent::TtlSweep { peer });
     }
 
     /// Adopts a handed-off propagation context into this lane's slab and
@@ -223,8 +216,8 @@ impl QueryExec<'_> {
         entry: Option<PeerId>,
         round: u64,
     ) {
-        let Some(o) = self.world.overlay else { return };
-        let entry = entry.or_else(|| o.entry_peer(self.world.live, self.lane.rng_overlay));
+        let Some(o) = &self.world.overlay else { return };
+        let entry = entry.or_else(|| o.entry_peer(self.world.live(), &mut self.lane.rng_overlay));
         let Some(entry) = entry else { return };
         let ki = self.world.keys_by_article[article as usize][0];
         let key = self.world.keys[ki as usize];
@@ -255,7 +248,7 @@ impl QueryExec<'_> {
                 }
                 UpdateFate::Next => {
                     ctx.steps += 1;
-                    let delay = self.world.latency.sample(self.lane.rng_latency);
+                    let delay = self.world.latency.sample(&mut self.lane.rng_latency);
                     if delay == SimTime::ZERO {
                         continue;
                     }
@@ -283,58 +276,39 @@ impl QueryExec<'_> {
     /// One step of the propagation state machine, at the current virtual
     /// instant inside round `round`.
     fn step_update(&mut self, ctx: &mut UpdateCtx, round: u64) -> UpdateFate {
-        let ki = self.world.keys_by_article[ctx.article as usize][ctx.pos];
-        let key = self.world.keys[ki as usize];
+        let world = self.world;
+        let ki = world.keys_by_article[ctx.article as usize][ctx.pos];
+        let key = world.keys[ki as usize];
         let new_version = ctx.new_version;
+        let value = VersionedValue { version: new_version, data: u64::from(ki) };
+        let o = world.overlay.as_deref().expect("update implies overlay");
+        let group = &world.groups[o.group_of_key(key)];
+        let codec = world.cfg.gossip_codec;
+        let live = world.live();
+        let stores = &mut self.stores;
+        // Writes the new version at one group member. "Fresh" means this
+        // delivery changed the member's state — the rumor-death condition.
+        // (Reporting "member is current" instead would keep spreaders alive
+        // forever once everyone converged.)
+        let mut deliver = |member_local: usize| {
+            let member = group.members()[member_local];
+            let prior = stores.peek(member, ki, round).map(|v| v.version);
+            stores.insert(member, ki, key, value, round, Ttl::Infinite);
+            prior.is_none_or(|pv| pv < new_version)
+        };
         match ctx.stage {
-            UpdateStage::Route { lookup } => {
-                let mut lookup = lookup;
+            UpdateStage::Route { mut lookup } => {
                 // Route hops are update traffic (the cSIndx part of cUpd).
-                let mut scratch = Metrics::new();
-                let outcome = {
-                    let o = self.world.overlay.expect("update implies overlay");
-                    o.next_hop(
-                        key,
-                        &mut lookup,
-                        self.world.live,
-                        self.lane.rng_overlay,
-                        &mut scratch,
-                    )
-                };
-                self.lane
-                    .metrics
-                    .record_n(MessageKind::GossipPush, scratch.totals()[MessageKind::RouteHop]);
-                match outcome {
+                let (stream, kind) = (HopStream::Overlay, MessageKind::GossipPush);
+                match route_hop(world, self.lane, key, &mut lookup, stream, kind) {
                     Ok(HopOutcome::Forwarded(_)) => {
                         ctx.stage = UpdateStage::Route { lookup };
                         UpdateFate::Next
                     }
                     Ok(HopOutcome::Arrived(at)) => {
-                        let value = VersionedValue { version: new_version, data: u64::from(ki) };
-                        let wave = {
-                            let o = self.world.overlay.expect("update implies overlay");
-                            let group = &self.world.groups[o.group_of_key(key)];
-                            let stores = &mut self.lane.stores;
-                            group.push_begin(
-                                at,
-                                self.world.gossip_codec,
-                                self.world.gen_size,
-                                |member_local| {
-                                    let member = group.members()[member_local];
-                                    // "Fresh" means this delivery changed
-                                    // the member's state — the rumor-death
-                                    // condition. (Reporting "member is
-                                    // current" instead would keep spreaders
-                                    // alive forever once everyone
-                                    // converged.)
-                                    let prior = stores.peek(member, ki, round).map(|v| v.version);
-                                    stores.insert(member, ki, key, value, round, Ttl::Infinite);
-                                    prior.is_none_or(|pv| pv < new_version)
-                                },
-                                self.world.live,
-                                self.lane.waves,
-                            )
-                        };
+                        let gen = world.cfg.gossip_generation;
+                        let waves = &mut self.lane.waves;
+                        let wave = group.push_begin(at, codec, gen, &mut deliver, live, waves);
                         ctx.stage = UpdateStage::Gossip { wave };
                         UpdateFate::Next
                     }
@@ -345,71 +319,37 @@ impl QueryExec<'_> {
             }
 
             UpdateStage::Gossip { ref mut wave } => {
-                let value = VersionedValue { version: new_version, data: u64::from(ki) };
+                let LaneState { rng_overlay: rng, metrics, waves, counters, .. } = &mut *self.lane;
                 let before = (wave.innovative(), wave.redundant(), wave.bytes());
-                let done = {
-                    let o = self.world.overlay.expect("update implies overlay");
-                    let group = &self.world.groups[o.group_of_key(key)];
-                    let stores = &mut self.lane.stores;
-                    group.push_wave(
-                        wave,
-                        self.world.gossip_codec,
-                        |member_local| {
-                            let member = group.members()[member_local];
-                            let prior = stores.peek(member, ki, round).map(|v| v.version);
-                            stores.insert(member, ki, key, value, round, Ttl::Infinite);
-                            prior.is_none_or(|pv| pv < new_version)
-                        },
-                        self.world.live,
-                        self.lane.rng_overlay,
-                        self.lane.metrics,
-                        self.lane.waves,
-                    )
-                };
+                let done = group.push_wave(wave, codec, &mut deliver, live, rng, metrics, waves);
                 if done {
                     // Anti-entropy mop-up, inline at the wave's death
                     // instant (no extra events, so zero-latency dispatch
                     // counts are untouched): members of a coded wave that
                     // heard packets but never reached full rank pull a
                     // known donor's space. A no-op for Plain waves.
-                    let o = self.world.overlay.expect("update implies overlay");
-                    let group = &self.world.groups[o.group_of_key(key)];
-                    let stores = &mut self.lane.stores;
-                    group.pull_missing(
-                        wave,
-                        |member_local| {
-                            let member = group.members()[member_local];
-                            let prior = stores.peek(member, ki, round).map(|v| v.version);
-                            stores.insert(member, ki, key, value, round, Ttl::Infinite);
-                            prior.is_none_or(|pv| pv < new_version)
-                        },
-                        self.world.live,
-                        self.lane.rng_overlay,
-                        self.lane.metrics,
-                        self.lane.waves,
-                    );
+                    group.pull_missing(wave, &mut deliver, live, rng, metrics, waves);
                     // The pull was the last reader of the slot's decoder
                     // state; recycle it. (Waves never cross lanes in the
                     // Gossip stage — handoffs happen stage=Route — so the
                     // slot is always lane-local here.)
-                    wave.release(self.lane.waves);
+                    wave.release(waves);
                 }
                 // Fold this step's innovative/redundant classifications
                 // and byte spend into the lane counters (incremental:
                 // handoffs and parked waves never double-count).
-                self.lane.counters.gossip_innovative += wave.innovative() - before.0;
-                self.lane.counters.gossip_redundant += wave.redundant() - before.1;
-                self.lane.counters.gossip_bytes += wave.bytes() - before.2;
-                if done {
-                    // One sample per completed wave: its total wasted
-                    // receives (the sim_hist_report wasted-bandwidth row)
-                    // and its total wire bytes.
-                    self.lane.metrics.observe("gossip_wave_redundant", wave.redundant());
-                    self.lane.metrics.observe("gossip_wave_bytes", wave.bytes());
-                    self.next_update_key(ctx)
-                } else {
-                    UpdateFate::Next
+                counters.gossip_innovative += wave.innovative() - before.0;
+                counters.gossip_redundant += wave.redundant() - before.1;
+                counters.gossip_bytes += wave.bytes() - before.2;
+                if !done {
+                    return UpdateFate::Next;
                 }
+                // One sample per completed wave: its total wasted receives
+                // (the sim_hist_report wasted-bandwidth row) and its total
+                // wire bytes.
+                metrics.observe("gossip_wave_redundant", wave.redundant());
+                metrics.observe("gossip_wave_bytes", wave.bytes());
+                self.next_update_key(ctx)
             }
         }
     }
@@ -424,10 +364,10 @@ impl QueryExec<'_> {
             return UpdateFate::Done;
         }
         let key = self.world.keys[keys[ctx.pos] as usize];
-        let o = self.world.overlay.expect("update implies overlay");
+        let o = self.world.overlay.as_deref().expect("update implies overlay");
         ctx.stage = UpdateStage::Route { lookup: o.begin_lookup(ctx.entry, key) };
         let dest = self.world.group_shard[o.group_of_key(key)];
-        if dest != self.lane.stores.shard_id {
+        if dest != self.stores.shard_id {
             return UpdateFate::Handoff(u32::from(dest));
         }
         UpdateFate::Next

@@ -9,7 +9,7 @@
 //!
 //! # Architecture
 //!
-//! The engine is composed of four seams, one per submodule:
+//! The engine is composed of five seams, one per submodule:
 //!
 //! * [`peer`] — per-peer state: every active peer's TTL'd [`crate::PartialIndex`]
 //!   plus the global distinct-key accounting, behind one borrow-friendly
@@ -27,7 +27,9 @@
 //!   lane (stores, RNG streams, in-flight slabs, event queue); every phase
 //!   drains the lanes in parallel on a persistent thread pool with a
 //!   deterministic outbox merge between the passes,
-//! * [`engine`] — orchestration: each round walks its six phase markers —
+//! * [`engine`] — the `World` every lane pass shares read-only (config,
+//!   key universe, substrates, processes, partition maps) and
+//!   orchestration: each round walks its six phase markers —
 //!   hook observation, serial work, lane pass — with query messages and
 //!   per-peer background events riding the lanes' deterministic
 //!   [`pdht_sim::EventQueue`]s as [`NetEvent`]s dispatched in virtual-time

@@ -26,27 +26,30 @@
 //!
 //! # Execution lanes
 //!
-//! The pipeline itself is written against [`QueryExec`]: a split of the
-//! engine into a read-only [`QueryWorld`] (overlay, topology, liveness —
-//! shared by every shard) and a mutable [`QueryLane`] (stores, RNG
-//! streams, metrics, in-flight slab, event queue — exclusively owned).
-//! Every pass in [`super::shard`] builds one exec per shard, each wrapping
-//! that shard's lane state, and runs them on the worker pool.
+//! The pipeline is written against [`QueryExec`]: the engine's read-only
+//! [`World`] (overlay, topology, liveness — shared by every shard), one
+//! shard's store region, and that shard's whole [`LaneState`] (RNG streams,
+//! metrics, in-flight slabs, event queue — exclusively owned). Every pass
+//! in [`super::shard`] builds one exec per shard and runs them on the
+//! worker pool.
+//!
+//! Each pipeline primitive exists once: [`route_hop`] is the engine's only
+//! DHT forward (query, insert and update routes differ in the stream they
+//! draw from and the [`MessageKind`] their hops are priced under), and
+//! [`flood_visit`] is the only per-member visit of a replica-subnetwork
+//! flood (lookup floods peek, insert floods write).
 
-use super::engine::{Counters, NetEvent, QueryId};
-use super::maintenance::UpdateCtx;
+use super::engine::{NetEvent, QueryId, World};
 use super::peer::ShardStores;
-use super::shard::LaneMsg;
-use crate::admission::AdmissionFilter;
+use super::shard::{LaneMsg, LaneState};
 use crate::config::Strategy;
 use crate::ttl::Ttl;
-use pdht_gossip::{FloodWave, GossipCodec, ReplicaGroup, VersionedValue, WavePool};
-use pdht_overlay::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
-use pdht_sim::{EventQueue, LatencyModel, Metrics, Outbox, Slab, VisitSet};
-use pdht_types::{Key, Liveness, MessageKind, PeerId, SimTime};
-use pdht_unstructured::{RandomWalk, Replication, SearchOutcome, Topology, WalkWave};
-use pdht_workload::{Query, UpdateProcess};
-use rand::rngs::SmallRng;
+use pdht_gossip::{FloodWave, ReplicaGroup, VersionedValue};
+use pdht_overlay::{HopOutcome, LookupState};
+use pdht_sim::Metrics;
+use pdht_types::{Key, MessageKind, PeerId, Result, SimTime};
+use pdht_unstructured::{RandomWalk, SearchOutcome, WalkWave};
+use pdht_workload::Query;
 
 /// Why a broadcast search is running — determines how its outcome is
 /// accounted, mirroring the three broadcast call sites of the synchronous
@@ -136,91 +139,95 @@ pub(crate) enum StepFate {
     Next,
 }
 
-/// The shared, read-only side of query execution: every reference a
-/// pipeline step needs but never mutates, plus the copied configuration
-/// values. `Copy` so the shard dispatcher can hand the same world to every
-/// worker closure by value.
+/// Which lane stream a route draws its stale-reference retries from — part
+/// of the pinned draw order: query and update routes use the overlay
+/// stream, the insert route the search stream.
 #[derive(Clone, Copy)]
-pub(crate) struct QueryWorld<'a> {
-    pub(crate) overlay: Option<&'a dyn Overlay>,
-    pub(crate) live: &'a Liveness,
-    pub(crate) topo: &'a Topology,
-    pub(crate) content: &'a Replication,
-    pub(crate) updates: &'a UpdateProcess,
-    pub(crate) groups: &'a [ReplicaGroup],
-    pub(crate) keys: &'a [Key],
-    pub(crate) article_of: &'a [u32],
-    pub(crate) latency: &'a dyn LatencyModel,
-    /// Article → its key indices (update propagations walk this list).
-    pub(crate) keys_by_article: &'a [Vec<u32>],
-    /// Replica group → owning shard (update propagations hand off when
-    /// their next key's group lives elsewhere).
-    pub(crate) group_shard: &'a [u16],
-    pub(crate) strategy: Strategy,
-    pub(crate) walkers: usize,
-    /// `walk_budget_factor × num_peers`, precomputed.
-    pub(crate) walk_budget: u64,
-    pub(crate) nap: usize,
-    pub(crate) ttl_rounds: u64,
-    /// Per-entry probe rate (lane-local maintenance ticks).
-    pub(crate) probe_rate: f64,
-    /// TTL-sweep reschedule period in rounds.
-    pub(crate) purge_stride: u64,
-    pub(crate) query_timeout_secs: Option<f64>,
-    /// How update-gossip packets are encoded (see [`crate::GossipCodec`]).
-    pub(crate) gossip_codec: GossipCodec,
-    /// Generation size the coded codecs cut updates into.
-    pub(crate) gen_size: usize,
+pub(crate) enum HopStream {
+    Overlay,
+    Search,
 }
 
-/// The exclusively-owned, mutable side of query execution: one lane's
-/// stores, RNG streams, accounting, and virtual-time queue. Each shard
-/// owns one of these between barriers.
-pub(crate) struct QueryLane<'a> {
-    pub(crate) stores: ShardStores<'a>,
-    pub(crate) admission: &'a mut AdmissionFilter,
-    pub(crate) metrics: &'a mut Metrics,
-    pub(crate) counters: &'a mut Counters,
-    pub(crate) rng_overlay: &'a mut SmallRng,
-    pub(crate) rng_search: &'a mut SmallRng,
-    pub(crate) rng_latency: &'a mut SmallRng,
-    pub(crate) scratch: &'a mut VisitSet,
-    /// Recyclable flood/rumor wave scratch (visited bitmaps, frontier
-    /// double-buffers, decoder matrices) owned by this lane.
-    pub(crate) waves: &'a mut WavePool,
-    pub(crate) inflight: &'a mut Slab<QueryCtx>,
-    /// In-flight update propagations owned by this lane.
-    pub(crate) updates_inflight: &'a mut Slab<UpdateCtx>,
-    pub(crate) events: &'a mut EventQueue<NetEvent>,
-    /// Cross-lane traffic produced while draining (update handoffs),
-    /// merged at the next pass barrier.
-    pub(crate) outbox: &'a mut Outbox<LaneMsg>,
-    /// Routing-table repairs planned by this lane's maintenance ticks,
-    /// applied serially (in lane order) at the pass barrier.
-    pub(crate) repairs: &'a mut Vec<Repair>,
-    /// Reusable scratch for [`pdht_overlay::Overlay::maintenance_plan`].
-    pub(crate) plan: &'a mut PlanScratch,
-    /// Log of live message events for the installed hook; `None` (no hook)
-    /// keeps the dispatch path free of it.
-    pub(crate) observed: Option<&'a mut Vec<(SimTime, QueryId)>>,
+/// One DHT forward of `lookup` towards `key` — the engine's only
+/// [`pdht_overlay::Overlay::next_hop`] call. Every attempt the substrate
+/// spent (wasted ones included, whether the step forwarded, arrived or
+/// dead-ended) is priced under `kind`: substrates bump `lookup.hops` with
+/// every `RouteHop` they record (the conformance kit's
+/// `hop_accounting_is_monotone`), so the delta is the exact message count
+/// and the substrate's own tally goes to a throwaway sink.
+pub(crate) fn route_hop(
+    world: &World,
+    lane: &mut LaneState,
+    key: Key,
+    lookup: &mut LookupState,
+    stream: HopStream,
+    kind: MessageKind,
+) -> Result<HopOutcome> {
+    let o = world.overlay.as_deref().expect("routing implies an overlay");
+    let rng = match stream {
+        HopStream::Overlay => &mut lane.rng_overlay,
+        HopStream::Search => &mut lane.rng_search,
+    };
+    let before = lookup.hops;
+    let outcome = o.next_hop(key, lookup, world.live(), rng, &mut Metrics::new());
+    lane.metrics.record_n(kind, u64::from(lookup.hops - before));
+    outcome
 }
 
-/// A world/lane pair: the complete capability set of the query pipeline.
+/// Where a replica-subnetwork flood runs and what it carries: the key's
+/// replica group, dense index and routed form, and the TTL inserts get.
+#[derive(Clone, Copy)]
+struct FloodSite {
+    group: usize,
+    ki: u32,
+    key: Key,
+    ttl: Ttl,
+}
+
+/// The per-member visit of a replica-subnetwork flood over `group`: a
+/// lookup flood (`insert = None`) asks whether the member holds the key —
+/// the first holder answers and stops the flood — an insert flood writes
+/// the value at every member and never stops early.
+fn flood_visit<'s, 'a>(
+    stores: &'s mut ShardStores<'a>,
+    group: &'s ReplicaGroup,
+    site: FloodSite,
+    insert: Option<VersionedValue>,
+    round: u64,
+) -> impl FnMut(usize) -> bool + use<'s, 'a> {
+    move |member_local| {
+        let member = group.members()[member_local];
+        match insert {
+            Some(value) => {
+                stores.insert(member, site.ki, site.key, value, round, site.ttl);
+                false
+            }
+            None => stores.peek(member, site.ki, round).is_some(),
+        }
+    }
+}
+
+/// The complete capability set of the query pipeline and the background
+/// handlers: the shared world, one shard's store region, and that shard's
+/// lane.
 pub(crate) struct QueryExec<'a> {
-    pub(crate) world: QueryWorld<'a>,
-    pub(crate) lane: QueryLane<'a>,
+    pub(crate) world: &'a World,
+    pub(crate) stores: ShardStores<'a>,
+    pub(crate) lane: &'a mut LaneState,
+    /// Whether an [`super::engine::EventHook`] is installed (message events
+    /// are logged into `lane.observed` only then).
+    pub(crate) hooked: bool,
 }
 
 impl QueryExec<'_> {
     /// Pops and dispatches every lane event due by `deadline` (inclusive) —
     /// message arrivals and timeouts of this lane's in-flight queries plus
     /// its background events: maintenance ticks, TTL sweeps, and
-    /// update-propagation waves — in `(time, insertion)` order. Returns the
-    /// number of events dispatched.
-    pub(crate) fn drain_until(&mut self, deadline: SimTime) -> u64 {
-        let mut dispatched = 0;
+    /// update-propagation waves — in `(time, insertion)` order, counting
+    /// them into `lane.dispatched`.
+    pub(crate) fn drain_until(&mut self, deadline: SimTime) {
         while let Some(scheduled) = self.lane.events.pop_until(deadline) {
-            dispatched += 1;
+            self.lane.dispatched += 1;
             let round = scheduled.time.round().0;
             match scheduled.event {
                 NetEvent::MessageArrival { query, .. } => {
@@ -236,7 +243,6 @@ impl QueryExec<'_> {
                 NetEvent::TtlSweep { peer } => self.on_ttl_sweep(peer, round),
             }
         }
-        dispatched
     }
 
     /// Logs a message event for the hook, if one is installed. Stale events
@@ -244,10 +250,8 @@ impl QueryExec<'_> {
     /// invisible, as do the per-peer background ticks (phase boundaries
     /// remain the hook's calibration seam).
     fn observe_message(&mut self, time: SimTime, query: QueryId) {
-        if let Some(log) = &mut self.lane.observed {
-            if self.lane.inflight.contains(query) {
-                log.push((time, query));
-            }
+        if self.hooked && self.lane.inflight.contains(query) {
+            self.lane.observed.push((time, query));
         }
     }
 
@@ -282,7 +286,7 @@ impl QueryExec<'_> {
             if let QueryStage::Flood { mut flood } | QueryStage::InsertFlood { mut flood, .. } =
                 ctx.stage
             {
-                flood.release(self.lane.waves);
+                flood.release(&mut self.lane.waves);
             }
             self.lane.counters.query_timeouts += 1;
             self.record_outcome(false, ctx.article, None);
@@ -293,43 +297,31 @@ impl QueryExec<'_> {
     /// Issues one query: resolves its DHT entry (or starts a broadcast)
     /// and drives the state machine until it completes or goes in flight.
     pub(crate) fn start_query(&mut self, q: Query, round: u64) {
-        if !self.world.live.is_online(q.origin) {
+        if !self.world.live().is_online(q.origin) {
             self.lane.counters.skipped_offline += 1;
             return;
         }
         let key = self.world.keys[q.key_index];
         let article = self.world.article_of[q.key_index];
+        let is_partial = self.world.cfg.strategy == Strategy::Partial;
 
-        let stage = match self.world.strategy {
-            Strategy::NoIndex => match self.begin_walk(q.origin, article) {
-                Ok(walk) => QueryStage::Walk { walk, mode: WalkMode::NoIndex },
-                Err(resolved) => {
-                    self.resolve_walk(WalkMode::NoIndex, resolved.found.is_some(), article);
-                    self.finish_inline();
-                    return;
-                }
-            },
-            Strategy::IndexAll | Strategy::Partial => match self.dht_entry(q.origin) {
-                Some(entry) => {
-                    let o = self.world.overlay.expect("entry implies overlay");
-                    QueryStage::Route { lookup: o.begin_lookup(entry, key) }
-                }
-                // Index unreachable: fall back to pure broadcast.
-                None => match self.begin_walk(q.origin, article) {
-                    Ok(walk) => QueryStage::Walk { walk, mode: WalkMode::Fallback },
-                    Err(resolved) => {
-                        self.resolve_walk(WalkMode::Fallback, resolved.found.is_some(), article);
-                        self.finish_inline();
-                        return;
-                    }
-                },
-            },
-        };
-
-        let is_partial = self.world.strategy == Strategy::Partial;
-        let (entry, group) = match stage {
-            QueryStage::Route { ref lookup } => (lookup.current, lookup.target_group),
-            _ => (q.origin, 0),
+        let (entry, group, stage) = match self.dht_entry(q.origin) {
+            Some(entry) => {
+                let o = self.world.overlay.as_deref().expect("entry implies overlay");
+                let lookup = o.begin_lookup(entry, key);
+                (entry, lookup.target_group, QueryStage::Route { lookup })
+            }
+            // No entry: NoIndex maintains no overlay and always broadcasts;
+            // an indexing strategy found its index unreachable and falls
+            // back to pure broadcast.
+            None => {
+                let mode = match self.world.cfg.strategy {
+                    Strategy::NoIndex => WalkMode::NoIndex,
+                    Strategy::IndexAll | Strategy::Partial => WalkMode::Fallback,
+                };
+                let Some(stage) = self.first_walk(q.origin, article, mode) else { return };
+                (q.origin, 0, stage)
+            }
         };
         let ctx = QueryCtx {
             id: self.lane.inflight.reserve(),
@@ -348,6 +340,21 @@ impl QueryExec<'_> {
         self.drive_query(ctx, round);
     }
 
+    /// The broadcast a query *starts* with, in `mode`; `None` when it
+    /// resolved at the issue instant (accounted here, zero steps, zero
+    /// latency — such queries still count in the histograms).
+    fn first_walk(&mut self, origin: PeerId, article: u32, mode: WalkMode) -> Option<QueryStage> {
+        match self.begin_walk(origin, article) {
+            Ok(walk) => Some(QueryStage::Walk { walk, mode }),
+            Err(resolved) => {
+                self.resolve_walk(mode, resolved.found.is_some(), article);
+                let now = self.lane.events.now();
+                self.observe_query_done(0, now);
+                None
+            }
+        }
+    }
+
     /// Steps `ctx` until it resolves or a message with a non-zero delay
     /// goes in flight (zero delays advance inline — the fast path that
     /// makes `LatencyConfig::Zero` reproduce synchronous execution).
@@ -361,14 +368,14 @@ impl QueryExec<'_> {
                 }
                 StepFate::Next => {
                     ctx.steps += 1;
-                    let delay = self.world.latency.sample(self.lane.rng_latency);
+                    let delay = self.world.latency.sample(&mut self.lane.rng_latency);
                     if delay == SimTime::ZERO {
                         continue;
                     }
                     if !ctx.timeout_armed {
                         // Armed before the first non-zero hop, when virtual
                         // time still equals the issue instant.
-                        if let Some(timeout) = self.world.query_timeout_secs {
+                        if let Some(timeout) = self.world.cfg.query_timeout_secs {
                             self.lane.events.schedule_in(
                                 SimTime::from_secs_f64(timeout),
                                 NetEvent::QueryTimeout { query: ctx.id },
@@ -386,13 +393,6 @@ impl QueryExec<'_> {
         }
     }
 
-    /// Queries resolved at their issue instant still count in the
-    /// histograms (zero steps, zero latency).
-    fn finish_inline(&mut self) {
-        let now = self.lane.events.now();
-        self.observe_query_done(0, now);
-    }
-
     /// The single place every finished (or abandoned) query enters the
     /// per-query histograms.
     fn observe_query_done(&mut self, steps: u32, issued_at: SimTime) {
@@ -404,47 +404,28 @@ impl QueryExec<'_> {
     /// One step of the pipeline state machine, at the current virtual
     /// instant inside round `round`.
     fn step_query(&mut self, ctx: &mut QueryCtx, round: u64) -> StepFate {
+        let ki = ctx.key_index as u32;
+        let site = FloodSite { group: ctx.group, ki, key: ctx.key, ttl: ctx.ttl };
         match ctx.stage {
-            QueryStage::Route { lookup } => {
-                let mut lookup = lookup;
-                let o = self.world.overlay.expect("routing implies overlay");
-                let outcome = o.next_hop(
-                    ctx.key,
-                    &mut lookup,
-                    self.world.live,
-                    self.lane.rng_overlay,
-                    self.lane.metrics,
-                );
-                match outcome {
+            QueryStage::Route { mut lookup } => {
+                let (stream, kind) = (HopStream::Overlay, MessageKind::RouteHop);
+                match route_hop(self.world, self.lane, ctx.key, &mut lookup, stream, kind) {
                     Ok(HopOutcome::Forwarded(_)) => {
                         ctx.stage = QueryStage::Route { lookup };
                         StepFate::Next
                     }
                     Ok(HopOutcome::Arrived(responsible)) => {
                         // Local index check (refreshes TTL on hit).
-                        if let Some(v) = self.lane.stores.get_and_refresh(
-                            responsible,
-                            ctx.key_index as u32,
-                            round,
-                            ctx.ttl,
-                        ) {
+                        if let Some(v) =
+                            self.stores.get_and_refresh(responsible, ki, round, ctx.ttl)
+                        {
                             self.record_outcome(true, ctx.article, Some(v));
                             return StepFate::Done;
                         }
                         // Replica-subnetwork flood (Eq. 16) — the selection
                         // algorithm's consistency net. IndexAll uses it too
                         // (its replicas can drift during churn).
-                        let group = &self.world.groups[ctx.group];
-                        let stores = &self.lane.stores;
-                        let ki = ctx.key_index as u32;
-                        let flood = group.flood_begin(
-                            responsible,
-                            |member_local| {
-                                stores.peek(group.members()[member_local], ki, round).is_some()
-                            },
-                            self.world.live,
-                            self.lane.waves,
-                        );
+                        let flood = self.flood_begin(site, responsible, None, round);
                         ctx.stage = QueryStage::Flood { flood };
                         StepFate::Next
                     }
@@ -456,33 +437,14 @@ impl QueryExec<'_> {
             }
 
             QueryStage::Flood { ref mut flood } => {
-                let done = {
-                    let group = &self.world.groups[ctx.group];
-                    let stores = &self.lane.stores;
-                    let ki = ctx.key_index as u32;
-                    group.flood_wave(
-                        flood,
-                        |member_local| {
-                            stores.peek(group.members()[member_local], ki, round).is_some()
-                        },
-                        self.world.live,
-                        self.lane.metrics,
-                        self.lane.waves,
-                    )
-                };
-                if !done {
+                if !self.flood_wave(site, flood, None, round) {
                     return StepFate::Next;
                 }
                 if let Some(answering) = flood.found() {
                     // The answer can expire while the flood sweeps the group
                     // (possible only with non-zero latency); that is just a
                     // miss.
-                    if let Some(v) = self.lane.stores.get_and_refresh(
-                        answering,
-                        ctx.key_index as u32,
-                        round,
-                        ctx.ttl,
-                    ) {
+                    if let Some(v) = self.stores.get_and_refresh(answering, ki, round, ctx.ttl) {
                         self.record_outcome(true, ctx.article, Some(v));
                         return StepFate::Done;
                     }
@@ -492,18 +454,16 @@ impl QueryExec<'_> {
             }
 
             QueryStage::Walk { ref mut walk, mode } => {
-                let wave = {
-                    let content = self.world.content;
-                    let article = ctx.article as usize;
-                    walk.wave(
-                        self.world.topo,
-                        |p| content.is_holder(article, p),
-                        self.world.live,
-                        self.lane.rng_search,
-                        self.lane.metrics,
-                        self.lane.scratch,
-                    )
-                };
+                let content = &self.world.content;
+                let article = ctx.article as usize;
+                let wave = walk.wave(
+                    &self.world.topo,
+                    |p| content.is_holder(article, p),
+                    self.world.live(),
+                    &mut self.lane.rng_search,
+                    &mut self.lane.metrics,
+                    &mut self.lane.scratch,
+                );
                 match wave {
                     WalkWave::InProgress => StepFate::Next,
                     WalkWave::Found(_) => self.after_walk(ctx, mode, true, round),
@@ -511,51 +471,17 @@ impl QueryExec<'_> {
                 }
             }
 
-            QueryStage::InsertRoute { lookup, value } => {
-                let mut lookup = lookup;
+            QueryStage::InsertRoute { mut lookup, value } => {
                 // Hops of the insert route count as IndexInsert traffic,
                 // exactly as the synchronous pipeline recorded them.
-                let mut scratch = Metrics::new();
-                let o = self.world.overlay.expect("overlay present");
-                let outcome = o.next_hop(
-                    ctx.key,
-                    &mut lookup,
-                    self.world.live,
-                    self.lane.rng_search,
-                    &mut scratch,
-                );
-                self.lane
-                    .metrics
-                    .record_n(MessageKind::IndexInsert, scratch.totals()[MessageKind::RouteHop]);
-                match outcome {
+                let (stream, kind) = (HopStream::Search, MessageKind::IndexInsert);
+                match route_hop(self.world, self.lane, ctx.key, &mut lookup, stream, kind) {
                     Ok(HopOutcome::Forwarded(_)) => {
                         ctx.stage = QueryStage::InsertRoute { lookup, value };
                         StepFate::Next
                     }
                     Ok(HopOutcome::Arrived(at)) => {
-                        let flood = {
-                            let group = &self.world.groups[ctx.group];
-                            let stores = &mut self.lane.stores;
-                            let ki = ctx.key_index as u32;
-                            let key = ctx.key;
-                            let ttl = ctx.ttl;
-                            group.flood_begin(
-                                at,
-                                |member_local| {
-                                    stores.insert(
-                                        group.members()[member_local],
-                                        ki,
-                                        key,
-                                        value,
-                                        round,
-                                        ttl,
-                                    );
-                                    false
-                                },
-                                self.world.live,
-                                self.lane.waves,
-                            )
-                        };
+                        let flood = self.flood_begin(site, at, Some(value), round);
                         ctx.stage = QueryStage::InsertFlood { flood, value };
                         StepFate::Next
                     }
@@ -569,38 +495,40 @@ impl QueryExec<'_> {
             }
 
             QueryStage::InsertFlood { ref mut flood, value } => {
-                let done = {
-                    let group = &self.world.groups[ctx.group];
-                    let stores = &mut self.lane.stores;
-                    let ki = ctx.key_index as u32;
-                    let key = ctx.key;
-                    let ttl = ctx.ttl;
-                    group.flood_wave(
-                        flood,
-                        |member_local| {
-                            stores.insert(
-                                group.members()[member_local],
-                                ki,
-                                key,
-                                value,
-                                round,
-                                ttl,
-                            );
-                            false
-                        },
-                        self.world.live,
-                        self.lane.metrics,
-                        self.lane.waves,
-                    )
-                };
-                if done {
-                    self.record_outcome(false, ctx.article, None);
-                    StepFate::Done
-                } else {
-                    StepFate::Next
+                if !self.flood_wave(site, flood, Some(value), round) {
+                    return StepFate::Next;
                 }
+                self.record_outcome(false, ctx.article, None);
+                StepFate::Done
             }
         }
+    }
+
+    /// Starts a flood of `site`'s replica group at member `at`.
+    fn flood_begin(
+        &mut self,
+        site: FloodSite,
+        at: PeerId,
+        insert: Option<VersionedValue>,
+        round: u64,
+    ) -> FloodWave {
+        let group = &self.world.groups[site.group];
+        let visit = flood_visit(&mut self.stores, group, site, insert, round);
+        group.flood_begin(at, visit, self.world.live(), &mut self.lane.waves)
+    }
+
+    /// Advances `flood` by one BFS frontier level; `true` once it is done.
+    fn flood_wave(
+        &mut self,
+        site: FloodSite,
+        flood: &mut FloodWave,
+        insert: Option<VersionedValue>,
+        round: u64,
+    ) -> bool {
+        let group = &self.world.groups[site.group];
+        let visit = flood_visit(&mut self.stores, group, site, insert, round);
+        let LaneState { metrics, waves, .. } = &mut *self.lane;
+        group.flood_wave(flood, visit, self.world.live(), metrics, waves)
     }
 
     /// Starts a fresh broadcast for `ctx` (or resolves it immediately) in
@@ -641,7 +569,7 @@ impl QueryExec<'_> {
                 };
                 // Admission check: the paper admits every miss; the
                 // frequency-aware extension requires a repeat miss first.
-                let is_partial = self.world.strategy == Strategy::Partial;
+                let is_partial = self.world.cfg.strategy == Strategy::Partial;
                 if is_partial && !self.lane.admission.on_miss(ctx.key, round) {
                     self.record_outcome(false, ctx.article, None);
                     return StepFate::Done;
@@ -649,7 +577,7 @@ impl QueryExec<'_> {
                 // Insert the result at the responsible replicas (routed from
                 // the entry peer, counted as IndexInsert, then replica
                 // flood).
-                let o = self.world.overlay.expect("overlay present");
+                let o = self.world.overlay.as_deref().expect("overlay present");
                 ctx.stage =
                     QueryStage::InsertRoute { lookup: o.begin_lookup(ctx.entry, ctx.key), value };
                 StepFate::Next
@@ -680,27 +608,32 @@ impl QueryExec<'_> {
     /// Begins a k-random-walk broadcast for a holder of `article` from
     /// `origin` (visited state lives in the lane-owned scratch set);
     /// `Err` is the immediately resolved outcome.
-    fn begin_walk(&mut self, origin: PeerId, article: u32) -> Result<RandomWalk, SearchOutcome> {
-        let content = self.world.content;
+    fn begin_walk(
+        &mut self,
+        origin: PeerId,
+        article: u32,
+    ) -> std::result::Result<RandomWalk, SearchOutcome> {
+        let World { cfg, content, topo, .. } = self.world;
         RandomWalk::begin(
-            self.world.topo,
+            topo,
             origin,
-            self.world.walkers,
-            self.world.walk_budget,
+            cfg.walkers,
+            u64::from(cfg.walk_budget_factor) * u64::from(cfg.scenario.num_peers),
             |p| content.is_holder(article as usize, p),
-            self.world.live,
-            self.lane.scratch,
+            self.world.live(),
+            &mut self.lane.scratch,
         )
     }
 
     /// Finds an online DHT peer to hand the query to; free if the origin
     /// itself participates, one `QueryEntry` message otherwise.
     fn dht_entry(&mut self, origin: PeerId) -> Option<PeerId> {
-        let o = self.world.overlay?;
-        if origin.idx() < self.world.nap && self.world.live.is_online(origin) {
+        let o = self.world.overlay.as_deref()?;
+        let live = self.world.live();
+        if origin.idx() < self.world.nap && live.is_online(origin) {
             return Some(origin);
         }
-        let entry = o.entry_peer(self.world.live, self.lane.rng_overlay)?;
+        let entry = o.entry_peer(live, &mut self.lane.rng_overlay)?;
         self.lane.metrics.record(MessageKind::QueryEntry);
         Some(entry)
     }

@@ -2,7 +2,7 @@
 //!
 //! The peer population is partitioned into `S =` [`crate::PdhtConfig::shards`]
 //! contiguous origin ranges and the replica groups into `S` group ranges;
-//! each shard owns a [`LaneState`] — its slice of the peer stores, its own
+//! each shard owns a region of the peer stores and a [`LaneState`] — its own
 //! RNG streams, admission filter, in-flight slabs, and virtual-time event
 //! queue — and the *whole round* runs lane by lane on a persistent
 //! [`pdht_sim::ShardPool`]. `S = 1` is the same structure with one lane:
@@ -39,7 +39,7 @@
 use super::engine::{Counters, HookPoint, NetEvent, PdhtNetwork, QueryId, QUERIES_OFFSET_US};
 use super::maintenance::UpdateCtx;
 use super::peer::{ShardStores, StoreShard};
-use super::routing::{QueryCtx, QueryExec, QueryLane, QueryWorld};
+use super::routing::{QueryCtx, QueryExec};
 use crate::admission::{AdmissionFilter, AdmissionPolicy};
 use pdht_gossip::WavePool;
 use pdht_overlay::{Overlay, PlanScratch, Repair};
@@ -67,9 +67,9 @@ pub(crate) enum LaneMsg {
     Update(UpdateCtx),
 }
 
-/// One shard's exclusively-owned execution state. Everything a
-/// [`QueryLane`] borrows, plus the workload stream used by the generate
-/// pass.
+/// One shard's exclusively-owned execution state: everything a
+/// [`QueryExec`] mutates besides its store shard, plus the workload stream
+/// used by the generate pass.
 pub(crate) struct LaneState {
     pub(crate) rng_workload: SmallRng,
     pub(crate) rng_overlay: SmallRng,
@@ -105,24 +105,18 @@ pub(crate) struct LaneState {
     /// Reusable maintenance-plan scratch.
     pub(crate) plan: PlanScratch,
     /// Live message events dispatched while a hook is installed, replayed
-    /// through it at the pass barrier (never written otherwise).
+    /// through it at the pass barrier (never written without one).
     pub(crate) observed: Vec<(SimTime, QueryId)>,
     /// Lane events dispatched, folded into the engine's global counter at
     /// the bookkeeping barrier.
     pub(crate) dispatched: u64,
 }
 
-/// The engine's lane structure: the partition maps, one [`LaneState`] per
-/// shard, the per-shard churn streams, the reusable merge buffers, and the
-/// persistent worker pool.
+/// The engine's lane structure: one [`LaneState`] per shard, the per-shard
+/// churn streams, the reusable merge buffers, and the persistent worker
+/// pool. (The partition maps are read-only after build and live on
+/// [`super::engine::World`].)
 pub(crate) struct ShardedState {
-    /// Replica group → owning shard (`g * S / group_count`; empty without
-    /// an overlay).
-    pub(crate) group_shard: Vec<u16>,
-    /// Shard → its contiguous origin range `[lo, hi)` of peers (drives
-    /// workload generation, the churn calendar split, and
-    /// maintenance-event placement).
-    pub(crate) ranges: Vec<(u32, u32)>,
     /// One lane per shard (`S = lanes.len()`, fixed at build).
     pub(crate) lanes: Vec<LaneState>,
     /// Per-shard churn streams, drained serially in shard order each churn
@@ -158,31 +152,55 @@ pub(crate) fn lane_stream(
     }
 }
 
+/// The partition maps of `shards` shards over `num_peers` peers: shard →
+/// its contiguous origin range `[lo, hi)` of peers (drives workload
+/// generation, the churn calendar split, and maintenance-event placement),
+/// and replica group → owning shard (`g * S / group_count`; empty without
+/// an overlay).
+///
+/// # Panics
+/// Panics unless `1 <= shards <= num_peers` (every shard owns a peer).
+pub(crate) fn partition_maps(
+    shards: usize,
+    num_peers: u32,
+    overlay: Option<&dyn Overlay>,
+) -> (Vec<(u32, u32)>, Vec<u16>) {
+    let n = num_peers as usize;
+    assert!((1..=n).contains(&shards), "shards must be in 1..={n}, got {shards}");
+    let ranges =
+        (0..shards).map(|s| (((s * n) / shards) as u32, (((s + 1) * n) / shards) as u32)).collect();
+    let gc = overlay.map_or(0, Overlay::group_count);
+    (ranges, (0..gc).map(|g| ((g * shards) / gc) as u16).collect())
+}
+
+/// The origin shard of `peer` under the origin `ranges`.
+pub(crate) fn origin_lane(ranges: &[(u32, u32)], peer: PeerId) -> u16 {
+    ranges.partition_point(|&(_, hi)| hi <= peer.0) as u16
+}
+
+/// The lane owning `peer`'s store: its replica group's shard, so every
+/// store mutation a query performs is local to the shard executing it
+/// (the peer's origin shard when there is no overlay).
+pub(crate) fn store_lane(
+    ranges: &[(u32, u32)],
+    group_shard: &[u16],
+    overlay: Option<&dyn Overlay>,
+    peer: PeerId,
+) -> u16 {
+    match overlay {
+        Some(o) => group_shard[o.group_of_peer(peer)],
+        None => origin_lane(ranges, peer),
+    }
+}
+
 impl ShardedState {
-    /// Builds the partition maps and per-shard lanes for `shards` shards
-    /// over `num_peers` peers.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= shards <= num_peers` (every shard owns a peer).
+    /// Builds `shards` lanes over `num_peers` peers.
     pub(crate) fn new(
         shards: usize,
         num_peers: u32,
-        overlay: Option<&dyn Overlay>,
         streams: &RngStreams,
         admission: AdmissionPolicy,
     ) -> ShardedState {
-        let n = num_peers as usize;
-        assert!((1..=n).contains(&shards), "shards must be in 1..={n}, got {shards}");
-        let ranges: Vec<(u32, u32)> = (0..shards)
-            .map(|s| (((s * n) / shards) as u32, (((s + 1) * n) / shards) as u32))
-            .collect();
-        let group_shard: Vec<u16> = match overlay {
-            Some(o) => {
-                let gc = o.group_count();
-                (0..gc).map(|g| ((g * shards) / gc) as u16).collect()
-            }
-            None => Vec::new(),
-        };
         let lanes: Vec<LaneState> = (0..shards)
             .map(|s| LaneState {
                 rng_workload: lane_stream(streams, "workload", s, shards),
@@ -192,7 +210,7 @@ impl ShardedState {
                 metrics: Metrics::new(),
                 counters: Counters::default(),
                 admission: AdmissionFilter::new(admission),
-                scratch: VisitSet::new(n),
+                scratch: VisitSet::new(num_peers as usize),
                 waves: WavePool::new(),
                 inflight: Slab::with_capacity(16),
                 updates_inflight: Slab::with_capacity(8),
@@ -207,28 +225,11 @@ impl ShardedState {
         let churn_rngs: Vec<SmallRng> =
             (0..shards).map(|s| lane_stream(streams, "churn-run", s, shards)).collect();
         ShardedState {
-            group_shard,
-            ranges,
             lanes,
             churn_rngs,
             deal: Outbox::new(shards as u32),
             merge: MergeBuffers::new(shards),
             pool: ShardPool::new(1),
-        }
-    }
-
-    /// The origin shard of `peer`.
-    pub(crate) fn origin_lane(&self, peer: PeerId) -> u16 {
-        self.ranges.partition_point(|&(_, hi)| hi <= peer.0) as u16
-    }
-
-    /// The lane owning `peer`'s store: its replica group's shard, so every
-    /// store mutation a query performs is local to the shard executing it
-    /// (the peer's origin shard when there is no overlay).
-    pub(crate) fn store_lane(&self, overlay: Option<&dyn Overlay>, peer: PeerId) -> u16 {
-        match overlay {
-            Some(o) => self.group_shard[o.group_of_peer(peer)],
-            None => self.origin_lane(peer),
         }
     }
 }
@@ -249,16 +250,14 @@ impl PdhtNetwork {
     /// phase's [`PdhtNetwork::lane_pass`] then issues the merged batches.
     pub(crate) fn generate_queries(&mut self, round: u64) {
         let t_q = Round(round).start() + SimTime::from_micros(QUERIES_OFFSET_US);
-        let workload = &self.workload;
-        let keys = &self.keys;
-        let overlay = self.overlay.as_deref();
-        let group_shard: &[u16] = &self.shards.group_shard;
-        let ranges: &[(u32, u32)] = &self.shards.ranges;
+        let world = &self.world;
         self.shards.pool.run(&mut self.shards.lanes, |s, lane| {
-            let (lo, hi) = ranges[s];
-            for q in workload.round_queries_range(round, &mut lane.rng_workload, lo, hi) {
-                let dest = match overlay {
-                    Some(o) => u32::from(group_shard[o.group_of_key(keys[q.key_index])]),
+            let (lo, hi) = world.ranges[s];
+            for q in world.workload.round_queries_range(round, &mut lane.rng_workload, lo, hi) {
+                let dest = match &world.overlay {
+                    Some(o) => {
+                        u32::from(world.group_shard[o.group_of_key(world.keys[q.key_index])])
+                    }
                     None => s as u32,
                 };
                 lane.outbox.push(dest, t_q, LaneMsg::Query(q));
@@ -309,31 +308,8 @@ impl PdhtNetwork {
             let work = have_msgs
                 || st.lanes.iter().any(|l| l.events.peek_time().is_some_and(|t| t <= deadline));
             if work {
+                let world = &self.world;
                 let (slot, store_shards) = self.peers.split_mut();
-                let world = QueryWorld {
-                    overlay: self.overlay.as_deref(),
-                    live: self.churn.liveness(),
-                    topo: &self.topo,
-                    content: &self.content,
-                    updates: &self.updates,
-                    groups: &self.groups,
-                    keys: &self.keys,
-                    article_of: &self.article_of,
-                    latency: self.latency.as_ref(),
-                    keys_by_article: &self.keys_by_article,
-                    group_shard: &st.group_shard,
-                    strategy: self.cfg.strategy,
-                    walkers: self.cfg.walkers,
-                    walk_budget: u64::from(self.cfg.walk_budget_factor)
-                        * u64::from(self.cfg.scenario.num_peers),
-                    nap: self.nap,
-                    ttl_rounds: self.ttl_rounds,
-                    probe_rate: self.probe_rate,
-                    purge_stride: self.cfg.purge_stride,
-                    query_timeout_secs: self.cfg.query_timeout_secs,
-                    gossip_codec: self.cfg.gossip_codec,
-                    gen_size: self.cfg.gossip_generation,
-                };
                 let mut tasks: Vec<LaneTask<'_>> = st
                     .lanes
                     .iter_mut()
@@ -343,43 +319,19 @@ impl PdhtNetwork {
                     .collect();
                 let t0 = timing.then(Instant::now);
                 st.pool.run(&mut tasks, |s, task| {
-                    let lane = &mut *task.lane;
-                    let mut exec = QueryExec {
-                        world,
-                        lane: QueryLane {
-                            stores: ShardStores {
-                                slot,
-                                shard_id: s as u16,
-                                shard: &mut *task.store,
-                            },
-                            admission: &mut lane.admission,
-                            metrics: &mut lane.metrics,
-                            counters: &mut lane.counters,
-                            rng_overlay: &mut lane.rng_overlay,
-                            rng_search: &mut lane.rng_search,
-                            rng_latency: &mut lane.rng_latency,
-                            scratch: &mut lane.scratch,
-                            waves: &mut lane.waves,
-                            inflight: &mut lane.inflight,
-                            updates_inflight: &mut lane.updates_inflight,
-                            events: &mut lane.events,
-                            outbox: &mut lane.outbox,
-                            repairs: &mut lane.repairs,
-                            plan: &mut lane.plan,
-                            observed: hooked.then_some(&mut lane.observed),
-                        },
-                    };
+                    let stores = ShardStores { slot, shard_id: s as u16, shard: &mut *task.store };
+                    let mut exec = QueryExec { world, stores, lane: &mut *task.lane, hooked };
                     for msg in task.batch.drain(..) {
                         // A handed-off context can carry a timestamp
                         // behind this lane's clock; deliveries clamp
                         // forward (never backward — the merge order is
                         // already fixed).
                         let at = msg.time.max(exec.lane.events.now());
-                        lane.dispatched += exec.drain_until(at);
+                        exec.drain_until(at);
                         exec.lane.events.advance_to(at);
                         exec.deliver(msg.payload, at.round().0);
                     }
-                    lane.dispatched += exec.drain_until(deadline);
+                    exec.drain_until(deadline);
                 });
                 if let Some(t0) = t0 {
                     pool_time += t0.elapsed();
@@ -389,8 +341,8 @@ impl PdhtNetwork {
             // order — the only routing-table mutation between phases.
             if self.shards.lanes.iter().any(|l| !l.repairs.is_empty()) {
                 let t0 = timing.then(Instant::now);
-                let live = self.churn.liveness();
-                let o = self.overlay.as_deref_mut().expect("maintenance repairs imply an overlay");
+                let live = self.world.churn.liveness();
+                let o = self.world.overlay.as_deref_mut().expect("repairs imply an overlay");
                 for lane in &mut self.shards.lanes {
                     if !lane.repairs.is_empty() {
                         o.maintenance_apply(&lane.repairs, live);

@@ -175,38 +175,75 @@ pub fn check_lookup_equals_stepping(factory: Factory) {
     }
 }
 
+/// The churned shape: `(n, group_size, seed)` with a fifth of the peers
+/// offline (see [`offline_fifth`]).
+const CHURNED: (usize, usize, u64) = (600, 16, 21);
+
+/// Liveness over `n` peers with each peer offline with probability 0.2.
+fn offline_fifth(n: usize, r: &mut SmallRng) -> Liveness {
+    let mut live = Liveness::all_online(n);
+    for i in 0..n {
+        if r.random::<f64>() < 0.2 {
+            live.set(PeerId::from_idx(i), false);
+        }
+    }
+    live
+}
+
+/// A uniformly drawn online peer.
+fn online_start(n: usize, live: &Liveness, r: &mut SmallRng) -> PeerId {
+    loop {
+        let c = PeerId::from_idx(r.random_range(0..n));
+        if live.is_online(c) {
+            break c;
+        }
+    }
+}
+
 /// Hop accounting is monotone and message-backed: every `Forwarded` step
 /// increases `state.hops` by at least one, and the metrics' `RouteHop`
-/// total advances in lockstep with it.
+/// total advances in lockstep with it after **every** `next_hop` call —
+/// arrivals, forwards past stale references, and dead-ends alike (callers
+/// re-price a step as `state.hops` delta, so a hop recorded without the
+/// bump, or the reverse, would silently drop or invent messages). Runs
+/// all-online over `SHAPES` and with a fifth of the peers offline over
+/// `CHURNED`, where wasted attempts and failing steps actually occur.
 pub fn check_hop_accounting_is_monotone(factory: Factory) {
-    for (n, g, seed) in SHAPES {
+    for (n, g, seed) in SHAPES.into_iter().chain([CHURNED]) {
+        let churned = (n, g, seed) == CHURNED;
         let o = build(factory, n, g, seed);
-        let live = Liveness::all_online(n);
         let mut r = SmallRng::seed_from_u64(seed ^ 0xC0);
+        let live = if churned { offline_fifth(n, &mut r) } else { Liveness::all_online(n) };
         let mut m = Metrics::new();
-        for key in keys_for(seed, 25) {
-            let from = PeerId::from_idx(r.random_range(0..n));
+        let mut wasted = 0u32;
+        for key in keys_for(seed, if churned { 200 } else { 25 }) {
+            let from = online_start(n, &live, &mut r);
             let mut st = o.begin_lookup(from, key);
             assert_eq!(st.hops, 0, "a fresh lookup has spent nothing");
             let base = m.totals()[MessageKind::RouteHop];
             loop {
                 let before = st.hops;
-                match o.next_hop(key, &mut st, &live, &mut r, &mut m).expect("step") {
-                    HopOutcome::Arrived(_) => {
-                        assert_eq!(st.hops, before, "arrival must not add hops");
-                        break;
-                    }
-                    HopOutcome::Forwarded(_) => {
-                        assert!(st.hops > before, "every forward costs at least one hop");
-                    }
-                }
+                let step = o.next_hop(key, &mut st, &live, &mut r, &mut m);
                 assert_eq!(
                     m.totals()[MessageKind::RouteHop] - base,
                     u64::from(st.hops),
-                    "RouteHop messages must track state.hops exactly"
+                    "RouteHop messages must track state.hops exactly after {step:?}"
                 );
+                match step {
+                    Ok(HopOutcome::Arrived(_)) => {
+                        assert_eq!(st.hops, before, "arrival must not add hops");
+                        break;
+                    }
+                    Ok(HopOutcome::Forwarded(_)) => {
+                        assert!(st.hops > before, "every forward costs at least one hop");
+                        wasted += st.hops - before - 1;
+                    }
+                    Err(PdhtError::LookupFailed { .. }) if churned => break,
+                    Err(e) => panic!("unexpected routing failure (n={n}, g={g}): {e}"),
+                }
             }
         }
+        assert_eq!(wasted > 0, churned, "only stale references waste attempts (n={n}, g={g})");
     }
 }
 
@@ -235,27 +272,17 @@ pub fn check_determinism_under_fixed_seeds(factory: Factory) {
 /// lookups still succeed, every success lands on an *online* responsible
 /// peer, and every failure is a clean [`PdhtError::LookupFailed`].
 pub fn check_liveness_under_churn(factory: Factory) {
-    let (n, g, seed) = (600usize, 16usize, 21u64);
+    let (n, g, seed) = CHURNED;
     let o = build(factory, n, g, seed);
-    let mut live = Liveness::all_online(n);
     // Decorrelated from the build stream (a shared stream can correlate the
     // offline coin flips with construction randomness).
     let mut r = SmallRng::seed_from_u64(seed ^ 0xE0E0);
-    for i in 0..n {
-        if r.random::<f64>() < 0.2 {
-            live.set(PeerId::from_idx(i), false);
-        }
-    }
+    let live = offline_fifth(n, &mut r);
     let mut m = Metrics::new();
     let trials = 200u32;
     let mut ok = 0u32;
     for key in keys_for(seed, trials as usize) {
-        let from = loop {
-            let c = PeerId::from_idx(r.random_range(0..n));
-            if live.is_online(c) {
-                break c;
-            }
-        };
+        let from = online_start(n, &live, &mut r);
         match o.lookup(from, key, &live, &mut r, &mut m) {
             Ok(out) => {
                 assert!(live.is_online(out.peer), "lookups must terminate at online peers");
@@ -277,12 +304,7 @@ pub fn check_liveness_under_churn(factory: Factory) {
     assert!(m.totals()[MessageKind::Probe] > 0, "maintenance must charge probe messages");
     let mut ok_after = 0u32;
     for key in keys_for(seed ^ 1, 50) {
-        let from = loop {
-            let c = PeerId::from_idx(r.random_range(0..n));
-            if live.is_online(c) {
-                break c;
-            }
-        };
+        let from = online_start(n, &live, &mut r);
         if let Ok(out) = o.lookup(from, key, &live, &mut r, &mut m) {
             assert!(o.is_responsible(out.peer, key));
             ok_after += 1;

@@ -143,8 +143,7 @@ impl PlanScratch {
 /// — and plans maintenance repairs — through a shared `&dyn Overlay` from
 /// multiple worker threads (routing and [`Overlay::maintenance_plan`] take
 /// `&self`; mutation happens only at serial barriers, via
-/// [`Overlay::maintenance_apply`] or the single-shard
-/// [`Overlay::maintenance_step`] path).
+/// [`Overlay::maintenance_apply`]).
 pub trait Overlay: Send + Sync {
     /// Number of peers participating in the overlay (`numActivePeers`).
     fn num_active(&self) -> usize;
@@ -225,11 +224,13 @@ pub trait Overlay: Send + Sync {
     /// messages, per the paper's piggybacking assumption). Offline peers
     /// are a no-op.
     ///
-    /// This is the resumable unit event-driven engines schedule per peer
-    /// (one `PeerMaintenance` event each), decomposing the global sweep:
-    /// stepping peers `0..num_active` with one rng must equal one
+    /// This is the per-peer unit of the global sweep: stepping peers
+    /// `0..num_active` with one rng must equal one
     /// [`Overlay::maintenance_round`] call with the same rng state (the
-    /// conformance kit enforces this).
+    /// conformance kit enforces this). The engine schedules one
+    /// `PeerMaintenance` event per peer but calls only the two halves —
+    /// [`Overlay::maintenance_plan`] on the lane,
+    /// [`Overlay::maintenance_apply`] at the pass barrier.
     ///
     /// The default is [`Overlay::maintenance_plan`] into a local buffer
     /// followed by [`Overlay::maintenance_apply`] — exact for any substrate

@@ -39,7 +39,5 @@ pub use event::{EventQueue, HeapEventQueue, Scheduled};
 pub use latency::{LatencyModel, LogNormalLatency, UniformLatency, ZeroLatency};
 pub use metrics::{Histogram, HistogramSummary, Metrics, RoundDriver};
 pub use scratch::VisitSet;
-pub use shard::{
-    merge_outboxes, merge_outboxes_into, MergeBuffers, OutMsg, Outbox, RespawnPool, ShardPool,
-};
+pub use shard::{merge_outboxes, merge_outboxes_into, MergeBuffers, OutMsg, Outbox, ShardPool};
 pub use slab::{Slab, SlabKey};

@@ -65,39 +65,6 @@ impl Metrics {
         Some(end.since(&start))
     }
 
-    /// Average messages per round over the closed round interval
-    /// `[from, to]`, split by kind. Returns `None` when either boundary is
-    /// missing or the interval is empty.
-    pub fn avg_rate(&self, from: Round, to: Round) -> Option<MsgCounts> {
-        if to < from {
-            return None;
-        }
-        let idx_to = self.round_marks.binary_search_by_key(&to, |&(r, _)| r).ok()?;
-        let end = self.round_marks[idx_to].1;
-        let start = if from.0 == 0 {
-            // From the beginning of time; a round-(from-1) mark may not
-            // exist.
-            match self.round_marks.binary_search_by_key(&Round(from.0.wrapping_sub(1)), |&(r, _)| r)
-            {
-                Ok(i) => self.round_marks[i].1,
-                Err(_) => MsgCounts::new(),
-            }
-        } else {
-            let idx_prev =
-                self.round_marks.binary_search_by_key(&Round(from.0 - 1), |&(r, _)| r).ok()?;
-            self.round_marks[idx_prev].1
-        };
-        let span = to.0 - from.0 + 1;
-        let delta = end.since(&start);
-        let mut avg = MsgCounts::new();
-        for (k, v) in delta.iter() {
-            // Integer division is fine for reporting; exact rates are
-            // recomputed by callers that need floats.
-            avg.add(k, v / span);
-        }
-        Some(avg)
-    }
-
     /// Raw message counts accumulated over the closed round interval
     /// `[from, to]`.
     pub fn counts_between(&self, from: Round, to: Round) -> Option<MsgCounts> {
@@ -114,25 +81,6 @@ impl Metrics {
             self.round_marks[idx_prev].1
         };
         Some(end.since(&start))
-    }
-
-    /// Total messages in the closed round interval `[from, to]` as a float
-    /// rate per round.
-    pub fn total_rate(&self, from: Round, to: Round) -> Option<f64> {
-        if to < from {
-            return None;
-        }
-        let idx_to = self.round_marks.binary_search_by_key(&to, |&(r, _)| r).ok()?;
-        let end = self.round_marks[idx_to].1;
-        let start = if from.0 == 0 {
-            MsgCounts::new()
-        } else {
-            let idx_prev =
-                self.round_marks.binary_search_by_key(&Round(from.0 - 1), |&(r, _)| r).ok()?;
-            self.round_marks[idx_prev].1
-        };
-        let span = (to.0 - from.0 + 1) as f64;
-        Some(end.since(&start).total() as f64 / span)
     }
 
     /// Records a gauge reading (e.g. `"index_size"`) for `round`.
@@ -402,20 +350,6 @@ mod tests {
         let d2 = m.round_delta(Round(2)).unwrap();
         assert_eq!(d2.total(), 0);
         assert!(m.round_delta(Round(9)).is_none());
-    }
-
-    #[test]
-    fn avg_and_total_rate() {
-        let mut m = Metrics::new();
-        for r in 0..10u64 {
-            m.record_n(MK::FloodStep, 10);
-            m.mark_round(Round(r));
-        }
-        let avg = m.avg_rate(Round(0), Round(9)).unwrap();
-        assert_eq!(avg[MK::FloodStep], 10);
-        assert_eq!(m.total_rate(Round(0), Round(9)).unwrap(), 10.0);
-        assert_eq!(m.total_rate(Round(5), Round(9)).unwrap(), 10.0);
-        assert!(m.total_rate(Round(5), Round(4)).is_none());
     }
 
     #[test]
