@@ -46,6 +46,29 @@ fn bench_scheduler(c: &mut Criterion) {
             })
         });
     }
+    // The long-horizon periodic case: one lane's background population at
+    // 100k peers, every event rescheduling itself exactly one second on —
+    // the engine's `PeerMaintenance` shape. Pre-rolled for 20 simulated
+    // seconds so the cursor has been through every level-2/level-3 slot:
+    // what is priced is the steady state, where bucket buffers are either
+    // recycled warm or (one per visited slot) sit cold.
+    group.bench_function("wheel_periodic_1s_12500", |b| {
+        const RESIDENT: u64 = 12_500;
+        let second = pdht_types::SimTime::from_secs(1);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..RESIDENT {
+            q.schedule_in(pdht_types::SimTime::from_micros(i * 80 + 1), i);
+        }
+        for _ in 0..20 * RESIDENT {
+            let ev = q.pop().expect("resident population");
+            q.schedule_in(second, ev.event);
+        }
+        b.iter(|| {
+            let ev = q.pop().expect("resident population");
+            q.schedule_in(second, ev.event);
+            black_box(ev.time)
+        })
+    });
     // The threads axis: the same hold model split over 8 per-shard wheels
     // driven by the shard pool — the shape the sharded engine's lane
     // queues take. Lane state is disjoint, so the thread count is a pure

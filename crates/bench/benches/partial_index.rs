@@ -84,5 +84,58 @@ fn bench_purge(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_hit, bench_miss, bench_insert_with_eviction, bench_purge);
+/// The IndexAll shape: a store holding its replica group's whole key load
+/// (~130 keys scattered over a 2M-key universe), never evicting. Queries
+/// hit, update waves re-insert resident keys, and the build preloads in
+/// ascending index order into an exactly reserved store.
+fn bench_index_all(c: &mut Criterion) {
+    const LOAD: u64 = 130;
+    const STRIDE: u64 = 15_383;
+    let resident = || {
+        let mut idx = PartialIndex::new(LOAD as usize + 8);
+        idx.reserve(LOAD as usize);
+        for i in 0..LOAD {
+            let ki = i * STRIDE;
+            idx.insert(
+                ki as u32,
+                key(ki),
+                VersionedValue { version: 1, data: ki },
+                0,
+                Ttl::Infinite,
+            );
+        }
+        idx
+    };
+    let mut group = c.benchmark_group("index/index_all_130");
+    group.bench_function("get_hit", |b| {
+        let mut idx = resident();
+        let mut now = 0u64;
+        b.iter(|| {
+            now += 1;
+            let ki = (now * 37 % LOAD) * STRIDE;
+            black_box(idx.get_and_refresh(ki as u32, now, Ttl::Infinite))
+        })
+    });
+    group.bench_function("reinsert_resident", |b| {
+        let mut idx = resident();
+        let mut now = 0u64;
+        b.iter(|| {
+            now += 1;
+            let ki = (now * 37 % LOAD) * STRIDE;
+            let value = VersionedValue { version: now, data: ki };
+            black_box(idx.insert(ki as u32, key(ki), value, now, Ttl::Infinite))
+        })
+    });
+    group.bench_function("preload_ascending", |b| b.iter(|| black_box(resident().len())));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_hit,
+    bench_miss,
+    bench_insert_with_eviction,
+    bench_purge,
+    bench_index_all
+);
 criterion_main!(benches);

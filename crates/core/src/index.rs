@@ -11,15 +11,32 @@
 //!
 //! Entries are keyed by the **dense key index** (`0..num_keys`, the
 //! position in the engine's key universe), not the routed [`Key`] hash:
-//! every engine call site already knows the index, integer keys hash
-//! cheaper, and the index doubles as the offset into the engine's flattened
-//! replica-count arena (see `network::peer`). The routed [`Key`] rides
-//! along in each entry for the deterministic eviction tie-break (kept on
-//! the hash, so victim selection is independent of the keying scheme).
+//! every engine call site already knows the index, and the index doubles
+//! as the offset into the engine's flattened replica-count arena (see
+//! `network::peer`). The routed [`Key`] rides along in each entry for the
+//! deterministic eviction tie-break (kept on the hash, so victim selection
+//! is independent of the keying scheme).
+//!
+//! # Layout
+//!
+//! Two parallel columns sorted by dense index — `Vec<u32>` of indices and
+//! `Vec<IndexEntry>` of entries, 36 bytes per resident entry. A store
+//! holds at most `stor` (~100) entries, so a lookup is a binary search
+//! over one or two cache lines of indices, and insert/remove shift a
+//! short tail. Nothing is allocated until the first insert, and the
+//! columns never grow past `capacity`: a store costs what it holds, which
+//! is what lets 10⁵–10⁶ simulated peers each carry one. Every observable
+//! result — [`InsertResult`]s, eviction victims, purge sets, [`iter`]
+//! order (ascending index) — is a function of the operation sequence
+//! alone; nothing depends on a hash table's bucket layout (the hash map
+//! this replaced lives on as the lockstep model in
+//! `crates/core/tests/properties.rs`).
+//!
+//! [`iter`]: PartialIndex::iter
 
 use crate::ttl::Ttl;
 use pdht_gossip::VersionedValue;
-use pdht_types::{fasthash, FastHashMap, Key};
+use pdht_types::Key;
 
 /// One stored entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,6 +49,20 @@ pub struct IndexEntry {
     /// `expires_at == now` is already gone).
     pub expires_at: u64,
 }
+
+impl IndexEntry {
+    /// Re-insert of a resident key: the newer version wins, the expiry
+    /// only ever extends.
+    fn absorb(&mut self, value: VersionedValue, expires_at: u64) {
+        if self.value.version <= value.version {
+            self.value = value;
+        }
+        self.expires_at = self.expires_at.max(expires_at);
+    }
+}
+
+// The per-entry footprint the store sizing (and `peak_rss_mb`) rests on.
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 32);
 
 /// Outcome of an [`PartialIndex::insert`]: whether the key was new to this
 /// store, and any entry evicted to make room. The harness uses both to keep
@@ -48,25 +79,28 @@ pub struct InsertResult {
 /// A bounded TTL key-value store over dense key indices.
 #[derive(Clone, Debug)]
 pub struct PartialIndex {
-    entries: FastHashMap<u32, IndexEntry>,
+    /// Resident dense key indices, strictly ascending.
+    keys: Vec<u32>,
+    /// `entries[i]` is the entry of `keys[i]`.
+    entries: Vec<IndexEntry>,
     capacity: usize,
 }
 
 impl PartialIndex {
-    /// An empty index bounded to `capacity` entries.
+    /// An empty index bounded to `capacity` entries. Allocates nothing.
     pub fn new(capacity: usize) -> PartialIndex {
-        PartialIndex { entries: fasthash::map_with_capacity(capacity.min(1024)), capacity }
+        PartialIndex { keys: Vec::new(), entries: Vec::new(), capacity }
     }
 
     /// Number of live entries (expired-but-unpurged entries included; call
     /// [`PartialIndex::purge_expired_into`] at round boundaries).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// The capacity bound.
@@ -74,27 +108,45 @@ impl PartialIndex {
         self.capacity
     }
 
+    /// Heap bytes the two columns hold (allocated, not just occupied).
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u32>()
+            + self.entries.capacity() * std::mem::size_of::<IndexEntry>()
+    }
+
+    /// Sizes the columns for `total` resident entries (clamped to the
+    /// capacity bound) in one exact allocation — for callers that know a
+    /// store's load up front, instead of doubling towards it.
+    pub fn reserve(&mut self, total: usize) {
+        let extra = total.min(self.capacity).saturating_sub(self.keys.len());
+        self.keys.reserve_exact(extra);
+        self.entries.reserve_exact(extra);
+    }
+
     /// Looks up key index `idx` at round `now`. On a hit the entry's expiry
     /// is reset to `now + ttl` (the query-refresh rule that makes the index
     /// query-adaptive). Expired entries are treated as absent.
     pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<VersionedValue> {
-        match self.entries.get_mut(&idx) {
-            Some(e) if e.expires_at > now => {
-                e.expires_at = ttl.expires_at(now);
-                Some(e.value)
-            }
-            _ => None,
+        let pos = self.keys.binary_search(&idx).ok()?;
+        let e = &mut self.entries[pos];
+        if e.expires_at > now {
+            e.expires_at = ttl.expires_at(now);
+            Some(e.value)
+        } else {
+            None
         }
     }
 
     /// Peeks without refreshing (diagnostics).
     pub fn peek(&self, idx: u32, now: u64) -> Option<VersionedValue> {
-        self.entries.get(&idx).filter(|e| e.expires_at > now).map(|e| e.value)
+        let e = &self.entries[self.keys.binary_search(&idx).ok()?];
+        (e.expires_at > now).then_some(e.value)
     }
 
     /// Inserts key index `idx` (routed key `key`) with expiry `now + ttl`,
     /// overwriting only with newer versions. If at capacity, evicts the
-    /// soonest-expiring entry (ties broken on the routed key's hash).
+    /// soonest-expiring entry (ties broken on the routed key's hash, then
+    /// on the smaller dense index).
     pub fn insert(
         &mut self,
         idx: u32,
@@ -104,54 +156,96 @@ impl PartialIndex {
         ttl: Ttl,
     ) -> InsertResult {
         let expires_at = ttl.expires_at(now);
-        if let Some(existing) = self.entries.get_mut(&idx) {
-            if existing.value.version <= value.version {
-                existing.value = value;
+        let mut pos = match self.keys.binary_search(&idx) {
+            Ok(pos) => {
+                self.entries[pos].absorb(value, expires_at);
+                return InsertResult { was_new: false, evicted: None };
             }
-            existing.expires_at = existing.expires_at.max(expires_at);
-            return InsertResult { was_new: false, evicted: None };
-        }
+            Err(pos) => pos,
+        };
         let mut evicted = None;
-        if self.entries.len() >= self.capacity {
+        if self.keys.len() >= self.capacity {
             // Evict the entry closest to expiry (ties: smallest routed-key
             // hash, for determinism).
-            if let Some((&victim, _)) =
-                self.entries.iter().min_by_key(|(_, e)| (e.expires_at, e.key.0))
-            {
-                self.entries.remove(&victim);
-                evicted = Some(victim);
+            let victim = (0..self.entries.len())
+                .min_by_key(|&i| (self.entries[i].expires_at, self.entries[i].key.0));
+            if let Some(victim) = victim {
+                evicted = Some(self.keys.remove(victim));
+                self.entries.remove(victim);
+                pos -= usize::from(victim < pos);
             }
         }
-        if self.capacity > 0 {
-            self.entries.insert(idx, IndexEntry { key, value, expires_at });
-            InsertResult { was_new: true, evicted }
-        } else {
-            InsertResult { was_new: false, evicted }
+        if self.capacity == 0 {
+            return InsertResult { was_new: false, evicted };
+        }
+        if self.keys.len() == self.keys.capacity() {
+            // Double, but never past the bound (a plain `push` would round
+            // a 100-entry store up to 128).
+            self.reserve((2 * self.keys.len()).max(4));
+        }
+        self.keys.insert(pos, idx);
+        self.entries.insert(pos, IndexEntry { key, value, expires_at });
+        InsertResult { was_new: true, evicted }
+    }
+
+    /// Inserts every entry of `donor` with expiry `now + ttl` — exactly
+    /// [`PartialIndex::insert`] per entry in ascending index order, each
+    /// result handed to `each` — as one in-step walk of the two sorted
+    /// stores: a key both hold costs one comparison, no search.
+    pub fn insert_all_from(
+        &mut self,
+        donor: &PartialIndex,
+        now: u64,
+        ttl: Ttl,
+        mut each: impl FnMut(u32, InsertResult),
+    ) {
+        let expires_at = ttl.expires_at(now);
+        // Every key before `at` is smaller than the donor key in hand —
+        // also across an `insert` below, whatever it evicted.
+        let mut at = 0;
+        for (idx, theirs) in donor.iter() {
+            at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
+            let res = if self.keys.get(at) == Some(&idx) {
+                self.entries[at].absorb(theirs.value, expires_at);
+                InsertResult { was_new: false, evicted: None }
+            } else {
+                self.insert(idx, theirs.key, theirs.value, now, ttl)
+            };
+            each(idx, res);
         }
     }
 
     /// Removes key index `idx` outright. Returns whether it was present.
     pub fn remove(&mut self, idx: u32) -> bool {
-        self.entries.remove(&idx).is_some()
+        let Ok(pos) = self.keys.binary_search(&idx) else { return false };
+        self.keys.remove(pos);
+        self.entries.remove(pos);
+        true
     }
 
     /// Drops all entries with `expires_at <= now`, appending their key
-    /// indices to `out` (callers reuse the buffer so the per-event sweep is
-    /// allocation-free; the harness keeps a global refcount of indexed
-    /// keys).
+    /// indices to `out` in ascending order (callers reuse the buffer so
+    /// the per-event sweep is allocation-free; the harness keeps a global
+    /// refcount of indexed keys). Survivors compact in place, in order.
     pub fn purge_expired_into(&mut self, now: u64, out: &mut Vec<u32>) {
-        self.entries.retain(|&idx, e| {
-            let keep = e.expires_at > now;
-            if !keep {
-                out.push(idx);
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if self.entries[i].expires_at > now {
+                self.keys[kept] = self.keys[i];
+                self.entries[kept] = self.entries[i];
+                kept += 1;
+            } else {
+                out.push(self.keys[i]);
             }
-            keep
-        });
+        }
+        self.keys.truncate(kept);
+        self.entries.truncate(kept);
     }
 
-    /// Iterates live entries (diagnostics/pull-synchronization).
+    /// Iterates live entries in ascending dense-index order
+    /// (diagnostics/pull-synchronization).
     pub fn iter(&self) -> impl Iterator<Item = (u32, IndexEntry)> + '_ {
-        self.entries.iter().map(|(&idx, &e)| (idx, e))
+        self.keys.iter().copied().zip(self.entries.iter().copied())
     }
 }
 
@@ -300,6 +394,35 @@ mod tests {
         assert!(idx.remove(1));
         assert!(!idx.remove(1));
         assert_eq!(idx.iter().count(), 1);
+    }
+
+    #[test]
+    fn iter_and_purge_run_in_ascending_index_order() {
+        let mut idx = PartialIndex::new(8);
+        for i in [5u32, 1, 7, 3, 2] {
+            idx.insert(i, k(i), v(u64::from(i)), 0, Ttl::Rounds(u64::from(i)));
+        }
+        let order: Vec<u32> = idx.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, [1, 2, 3, 5, 7]);
+        assert!(idx.iter().all(|(i, e)| e.key == k(i) && e.value == v(u64::from(i))));
+        assert_eq!(purged(&mut idx, 3), [1, 2, 3]);
+        assert_eq!(idx.iter().map(|(i, _)| i).collect::<Vec<_>>(), [5, 7]);
+    }
+
+    #[test]
+    fn columns_cost_what_they_hold_and_never_outgrow_the_bound() {
+        let mut idx = PartialIndex::new(100);
+        assert_eq!(idx.heap_bytes(), 0, "nothing allocated before the first insert");
+        for i in 0..300u32 {
+            idx.insert(i, k(i), v(1), u64::from(i), Ttl::Rounds(5));
+        }
+        assert_eq!(idx.len(), 100);
+        assert_eq!(idx.heap_bytes(), 100 * 36, "doubling stops at the capacity bound");
+        let mut exact = PartialIndex::new(100);
+        exact.reserve(78);
+        assert_eq!(exact.heap_bytes(), 78 * 36);
+        exact.reserve(1_000);
+        assert_eq!(exact.heap_bytes(), 100 * 36, "reserve clamps to the bound");
     }
 
     #[test]

@@ -487,15 +487,19 @@ impl PdhtNetwork {
         // (or hash skew) makes a group's key load exceed it under IndexAll
         // (see module docs). Uses the *actual* per-group loads, not the
         // average — hashed keys spread with Poisson fluctuation.
-        let store_capacity = match (&overlay, cfg.strategy) {
+        let group_loads = match (&overlay, cfg.strategy) {
             (Some(o), Strategy::IndexAll) => {
                 let mut loads = vec![0usize; o.group_count()];
                 for &key in &keys {
                     loads[o.group_of_key(key)] += 1;
                 }
-                let max_group_load = loads.into_iter().max().unwrap_or(0);
-                (s.stor as usize).max(max_group_load + 8)
+                loads
             }
+            _ => Vec::new(),
+        };
+        let max_group_load = group_loads.iter().copied().max().unwrap_or(0);
+        let store_capacity = match cfg.strategy {
+            Strategy::IndexAll => (s.stor as usize).max(max_group_load + 8),
             _ => s.stor as usize,
         };
         // The lanes: `cfg.shards` is a semantic knob, capped by the
@@ -511,6 +515,16 @@ impl PdhtNetwork {
             .map(|p| store_lane(&ranges, &group_shard, overlay.as_deref(), PeerId::from_idx(p)))
             .collect();
         let mut peers = PeerStores::new(&store_lanes, num_shards, store_capacity, num_keys);
+        // IndexAll stores hold exactly their group's keys from the preload
+        // on: size each once, so a store costs what it holds (here, not at
+        // the preload, so the stores still sit below the topology).
+        if let Some(o) = &overlay {
+            for (group, &load) in group_loads.iter().enumerate() {
+                for &member in o.group_members(group) {
+                    peers.reserve(member, load);
+                }
+            }
+        }
 
         // Unstructured side.
         let topo = Topology::random(num_peers, cfg.mean_degree, &mut rng_build)?;
@@ -679,6 +693,11 @@ impl PdhtNetwork {
     /// Distinct keys currently resident in the index.
     pub fn indexed_keys(&self) -> usize {
         self.peers.distinct_keys()
+    }
+
+    /// Heap bytes the peers' index stores hold (allocated entry columns).
+    pub fn store_bytes(&self) -> usize {
+        self.peers.heap_bytes()
     }
 
     /// Direct access to the metrics (read-only).
@@ -1021,6 +1040,27 @@ mod tests {
             c.overlay = kind;
             let net = PdhtNetwork::new(c).unwrap();
             assert_eq!(net.indexed_keys(), 2_000, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn index_all_stores_cost_what_they_hold() {
+        // 36 B per resident entry (u32 index + 32 B entry), sized exactly
+        // at the preload; a per-peer hash table cost ~130 B per entry here.
+        for kind in OverlayKind::ALL {
+            let mut c = cfg(Strategy::IndexAll, 1.0 / 60.0);
+            c.overlay = kind;
+            let net = PdhtNetwork::new(c).unwrap();
+            let o = net.world.overlay.as_deref().unwrap();
+            let resident: usize =
+                net.world.keys.iter().map(|&k| o.group_members(o.group_of_key(k)).len()).sum();
+            assert!(resident >= 2_000);
+            let bytes = net.store_bytes();
+            assert!(
+                bytes <= 40 * resident,
+                "{kind:?}: {bytes} B for {resident} entries = {} B/entry",
+                bytes / resident
+            );
         }
     }
 

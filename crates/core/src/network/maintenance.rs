@@ -149,7 +149,8 @@ impl PdhtNetwork {
         }
     }
 
-    /// IndexAll rejoin path: pull the donor's store (2 messages).
+    /// IndexAll rejoin path: pull the donor's store (2 messages). Donor and
+    /// rejoiner are members of one replica group, hence of one store shard.
     fn pull_on_rejoin(&mut self, peer: PeerId, round: u64) {
         let Some(o) = &self.world.overlay else { return };
         let group = o.group_of_peer(peer);
@@ -158,9 +159,7 @@ impl PdhtNetwork {
             o.group_members(group).iter().copied().find(|&m| m != peer && live.is_online(m));
         let Some(donor) = donor else { return };
         self.metrics.record_n(MessageKind::GossipPull, 2);
-        for (ki, key, value) in self.peers.snapshot(donor) {
-            self.peers.insert(peer, ki, key, value, round, Ttl::Infinite);
-        }
+        self.peers.pull(donor, peer, round, Ttl::Infinite);
     }
 }
 

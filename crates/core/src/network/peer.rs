@@ -8,11 +8,19 @@
 //! monolithic engine threaded two `&mut` maps through every closure to
 //! achieve the same).
 //!
-//! The accounting is a **flattened arena**: one `u32` refcount per dense
-//! key index in a plain `Vec`, plus a distinct-key counter. Insert, purge
-//! and eviction bookkeeping are integer bumps — no hashing, no allocation —
-//! which keeps the per-event TTL sweeps and query-path store updates
-//! allocation-free at 100k-peer scale.
+//! The accounting is a **flattened arena** ([`Copies`]): one `u32`
+//! refcount per dense key index in a plain `Vec`, plus a distinct-key
+//! counter. Insert, purge and eviction bookkeeping are integer bumps — no
+//! hashing, no allocation — which keeps the per-event TTL sweeps and
+//! query-path store updates allocation-free at 100k-peer scale.
+//!
+//! The stores themselves are sorted columns costing 36 bytes per resident
+//! entry (see [`crate::index`]); an empty store owns no heap at all, and
+//! the IndexAll preload sizes each one exactly through
+//! [`PeerStores::reserve`], so [`PeerStores::heap_bytes`] tracks what the
+//! peers hold rather than a per-peer table size. Because every store is
+//! sorted, an IndexAll rejoin ([`PeerStores::pull`]) is one in-step walk
+//! of donor and receiver — no snapshot, no allocation.
 //!
 //! # Sharding
 //!
@@ -32,16 +40,48 @@ use crate::ttl::Ttl;
 use pdht_gossip::VersionedValue;
 use pdht_types::{Key, PeerId};
 
+/// Replica-copy refcounts of one shard: how many of its stores hold each
+/// dense key index, and how many indices are held at all.
+struct Copies {
+    /// Resident copies per dense key index.
+    counts: Vec<u32>,
+    /// Key indices with at least one resident copy.
+    distinct: usize,
+}
+
+impl Copies {
+    /// Accounts for the outcome of one store insert: a copy more if the
+    /// key was new to the store, a copy less for any entry it evicted.
+    fn record(&mut self, idx: u32, res: InsertResult) {
+        if res.was_new {
+            let c = &mut self.counts[idx as usize];
+            if *c == 0 {
+                self.distinct += 1;
+            }
+            *c += 1;
+        }
+        if let Some(victim) = res.evicted {
+            self.release(victim);
+        }
+    }
+
+    fn release(&mut self, idx: u32) {
+        let c = &mut self.counts[idx as usize];
+        debug_assert!(*c > 0, "refcount underflow for key index {idx}");
+        *c -= 1;
+        if *c == 0 {
+            self.distinct -= 1;
+        }
+    }
+}
+
 /// One shard's worth of peer stores plus its disjoint slice of the
 /// distinct-key accounting. All methods address peers by their
 /// *shard-local* dense index.
 pub(crate) struct StoreShard {
     /// The member peers' [`PartialIndex`]es, in shard-local order.
     stores: Vec<PartialIndex>,
-    /// Replica copies resident in this shard, per dense key index.
-    copies: Vec<u32>,
-    /// Keys with at least one resident copy in this shard.
-    distinct: usize,
+    copies: Copies,
     /// Reusable scratch for per-peer purge sweeps.
     purge_buf: Vec<u32>,
 }
@@ -50,15 +90,14 @@ impl StoreShard {
     fn new(members: usize, capacity: usize, num_keys: usize) -> StoreShard {
         StoreShard {
             stores: (0..members).map(|_| PartialIndex::new(capacity)).collect(),
-            copies: vec![0; num_keys],
-            distinct: 0,
+            copies: Copies { counts: vec![0; num_keys], distinct: 0 },
             purge_buf: Vec::new(),
         }
     }
 
     /// Distinct keys resident in this shard.
     pub(crate) fn distinct_keys(&self) -> usize {
-        self.distinct
+        self.copies.distinct
     }
 
     /// Inserts key index `idx` (routed key `key`) at shard-local peer
@@ -74,16 +113,7 @@ impl StoreShard {
         ttl: Ttl,
     ) -> InsertResult {
         let res = self.stores[local].insert(idx, key, value, now, ttl);
-        if res.was_new {
-            let c = &mut self.copies[idx as usize];
-            if *c == 0 {
-                self.distinct += 1;
-            }
-            *c += 1;
-        }
-        if let Some(victim) = res.evicted {
-            self.drop_copy(victim);
-        }
+        self.copies.record(idx, res);
         res
     }
 
@@ -111,23 +141,25 @@ impl StoreShard {
         buf.clear();
         self.stores[local].purge_expired_into(now, &mut buf);
         for &idx in &buf {
-            self.drop_copy(idx);
+            self.copies.release(idx);
         }
         self.purge_buf = buf;
     }
 
-    /// Snapshot of a shard-local peer's live entries.
-    pub(crate) fn snapshot_local(&self, local: usize) -> Vec<(u32, Key, VersionedValue)> {
-        self.stores[local].iter().map(|(idx, e)| (idx, e.key, e.value)).collect()
-    }
-
-    fn drop_copy(&mut self, idx: u32) {
-        let c = &mut self.copies[idx as usize];
-        debug_assert!(*c > 0, "refcount underflow for key index {idx}");
-        *c -= 1;
-        if *c == 0 {
-            self.distinct -= 1;
-        }
+    /// Inserts every entry of shard-local peer `donor` at shard-local peer
+    /// `receiver` (expiry `now + ttl`), accounting as
+    /// [`StoreShard::insert_local`] would entry by entry.
+    fn pull_local(&mut self, donor: usize, receiver: usize, now: u64, ttl: Ttl) {
+        assert_ne!(donor, receiver, "a peer cannot pull from itself");
+        let (from, into) = if donor < receiver {
+            let (head, tail) = self.stores.split_at_mut(receiver);
+            (&head[donor], &mut tail[0])
+        } else {
+            let (head, tail) = self.stores.split_at_mut(donor);
+            (&tail[0], &mut head[receiver])
+        };
+        let copies = &mut self.copies;
+        into.insert_all_from(from, now, ttl, |idx, res| copies.record(idx, res));
     }
 }
 
@@ -214,10 +246,30 @@ impl PeerStores {
         self.shards[s].peek_local(l, idx, now)
     }
 
-    /// Snapshot of `peer`'s live entries (rejoin donors hand this over).
-    pub(crate) fn snapshot(&self, peer: PeerId) -> Vec<(u32, Key, VersionedValue)> {
+    /// Copies `donor`'s whole store into `receiver`'s (expiry `now + ttl`)
+    /// — the rejoin pull. Both stores are sorted, so this is one in-step
+    /// walk applying [`PeerStores::insert`]'s rules entry by entry, with
+    /// nothing allocated.
+    ///
+    /// # Panics
+    /// Panics unless both peers live in the same shard (members of one
+    /// replica group always do) and are distinct.
+    pub(crate) fn pull(&mut self, donor: PeerId, receiver: PeerId, now: u64, ttl: Ttl) {
+        let ((ds, dl), (rs, rl)) = (self.local(donor), self.local(receiver));
+        assert_eq!(ds, rs, "rejoin donor {donor:?} and {receiver:?} live in different shards");
+        self.shards[rs].pull_local(dl, rl, now, ttl);
+    }
+
+    /// Sizes `peer`'s store for `total` resident entries in one exact
+    /// allocation (see [`PartialIndex::reserve`]).
+    pub(crate) fn reserve(&mut self, peer: PeerId, total: usize) {
         let (s, l) = self.local(peer);
-        self.shards[s].snapshot_local(l)
+        self.shards[s].stores[l].reserve(total);
+    }
+
+    /// Heap bytes held by all stores' entry columns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.shards.iter().flat_map(|s| &s.stores).map(PartialIndex::heap_bytes).sum()
     }
 }
 
@@ -336,14 +388,50 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_returns_live_entries() {
-        let mut p = one_shard(1, 8, 4);
-        p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(10));
-        p.insert(PeerId(0), 2, k(2), V, 0, Ttl::Rounds(10));
-        let mut snap = p.snapshot(PeerId(0));
-        snap.sort_by_key(|&(idx, _, _)| idx);
-        assert_eq!(snap.len(), 2);
-        assert_eq!((snap[0].0, snap[0].1), (1, k(1)));
+    fn pull_equals_inserting_the_donor_entry_by_entry() {
+        // Peers 0 and 1 pull from the same donor (peer 2): one through the
+        // in-step walk, one through per-entry inserts. Overlapping keys
+        // with older/newer versions and longer/shorter expiries, keys only
+        // the donor holds, keys only the receiver holds — and capacity 5,
+        // so the last new key evicts.
+        let build = || {
+            let mut p = one_shard(3, 5, 16);
+            for r in [PeerId(0), PeerId(1)] {
+                p.insert(r, 2, k(2), VersionedValue { version: 5, data: 0 }, 0, Ttl::Rounds(9));
+                p.insert(r, 4, k(4), VersionedValue { version: 1, data: 0 }, 0, Ttl::Rounds(2));
+                p.insert(r, 9, k(9), V, 0, Ttl::Rounds(1));
+            }
+            for (i, version) in [(1, 1), (2, 3), (4, 7), (6, 1), (11, 2)] {
+                p.insert(PeerId(2), i, k(i), VersionedValue { version, data: 1 }, 0, Ttl::Infinite);
+            }
+            p
+        };
+        let mut walked = build();
+        walked.pull(PeerId(2), PeerId(0), 3, Ttl::Rounds(4));
+        let mut looped = build();
+        let donor: Vec<_> = looped.shards[0].stores[2].iter().collect();
+        for (i, e) in donor {
+            looped.insert(PeerId(1), i, e.key, e.value, 3, Ttl::Rounds(4));
+        }
+        let (got, want) = (&walked.shards[0], &looped.shards[0]);
+        assert_eq!(
+            got.stores[0].iter().collect::<Vec<_>>(),
+            want.stores[1].iter().collect::<Vec<_>>()
+        );
+        assert_eq!(got.stores[0].len(), 5, "the pull filled the store and evicted");
+        assert_eq!(got.stores[0].peek(2, 3).unwrap().version, 5, "older donor version ignored");
+        assert_eq!(got.stores[0].peek(4, 3).unwrap().version, 7, "newer donor version taken");
+        assert_eq!(walked.distinct_keys(), looped.distinct_keys());
+        // Receiver 0 of `walked` and receiver 1 of `looped` hold the same
+        // keys, so the per-key refcounts agree too.
+        assert_eq!(got.copies.counts, want.copies.counts);
+    }
+
+    #[test]
+    #[should_panic(expected = "different shards")]
+    fn pull_across_shards_is_rejected() {
+        let mut p = PeerStores::new(&[0, 1], 2, 8, 4);
+        p.pull(PeerId(0), PeerId(1), 0, Ttl::Infinite);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the TTL partial index — the data structure at the
 //! heart of the selection algorithm.
 
-use pdht_core::{AdmissionFilter, AdmissionPolicy, PartialIndex, Ttl};
+use pdht_core::{AdmissionFilter, AdmissionPolicy, IndexEntry, InsertResult, PartialIndex, Ttl};
 use pdht_gossip::VersionedValue;
 use pdht_types::Key;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Arbitrary index operations.
 #[derive(Debug, Clone)]
@@ -28,7 +29,157 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The hash-map store `PartialIndex` was until the sorted columns replaced
+/// it, kept as the lockstep oracle: same rules, none of the layout. The one
+/// addition is the last tie-break component — the map left a full
+/// `(expires_at, key)` tie to its bucket order, the columns (and so this
+/// model) settle it on the smaller dense index.
+struct ModelIndex {
+    entries: HashMap<u32, IndexEntry>,
+    capacity: usize,
+}
+
+impl ModelIndex {
+    fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<VersionedValue> {
+        let e = self.entries.get_mut(&idx).filter(|e| e.expires_at > now)?;
+        e.expires_at = ttl.expires_at(now);
+        Some(e.value)
+    }
+
+    fn peek(&self, idx: u32, now: u64) -> Option<VersionedValue> {
+        self.entries.get(&idx).filter(|e| e.expires_at > now).map(|e| e.value)
+    }
+
+    fn insert(
+        &mut self,
+        idx: u32,
+        key: Key,
+        value: VersionedValue,
+        now: u64,
+        ttl: Ttl,
+    ) -> InsertResult {
+        let expires_at = ttl.expires_at(now);
+        if let Some(existing) = self.entries.get_mut(&idx) {
+            if existing.value.version <= value.version {
+                existing.value = value;
+            }
+            existing.expires_at = existing.expires_at.max(expires_at);
+            return InsertResult { was_new: false, evicted: None };
+        }
+        let mut evicted = None;
+        if self.entries.len() >= self.capacity {
+            evicted =
+                self.entries.iter().map(|(&i, e)| (e.expires_at, e.key.0, i)).min().map(|v| v.2);
+            if let Some(victim) = evicted {
+                self.entries.remove(&victim);
+            }
+        }
+        if self.capacity > 0 {
+            self.entries.insert(idx, IndexEntry { key, value, expires_at });
+        }
+        InsertResult { was_new: self.capacity > 0, evicted }
+    }
+
+    fn remove(&mut self, idx: u32) -> bool {
+        self.entries.remove(&idx).is_some()
+    }
+
+    fn purge_expired(&mut self, now: u64) -> Vec<u32> {
+        let mut gone: Vec<u32> =
+            self.entries.iter().filter(|(_, e)| e.expires_at <= now).map(|(&i, _)| i).collect();
+        gone.sort_unstable();
+        for i in &gone {
+            self.entries.remove(i);
+        }
+        gone
+    }
+}
+
+/// Operations of the lockstep run; `ttl == 0` stands for [`Ttl::Infinite`].
+#[derive(Debug, Clone)]
+enum LockstepOp {
+    Insert { idx: u32, version: u64, ttl: u64 },
+    Get { idx: u32, ttl: u64 },
+    Peek { idx: u32 },
+    Remove { idx: u32 },
+    Purge,
+    Advance { by: u64 },
+}
+
+fn lockstep_op() -> impl Strategy<Value = LockstepOp> {
+    // Twelve indices against capacities 0..=8 force evictions; TTLs of 0..4
+    // rounds force equal expiries, so victims are decided by the tie-break.
+    prop_oneof![
+        (0u32..12, 1u64..6, 0u64..4).prop_map(|(idx, version, ttl)| LockstepOp::Insert {
+            idx,
+            version,
+            ttl
+        }),
+        (0u32..12, 1u64..6, 0u64..4).prop_map(|(idx, version, ttl)| LockstepOp::Insert {
+            idx,
+            version,
+            ttl
+        }),
+        (0u32..12, 0u64..4).prop_map(|(idx, ttl)| LockstepOp::Get { idx, ttl }),
+        (0u32..12).prop_map(|idx| LockstepOp::Peek { idx }),
+        (0u32..12).prop_map(|idx| LockstepOp::Remove { idx }),
+        Just(LockstepOp::Purge),
+        (0u64..3).prop_map(|by| LockstepOp::Advance { by }),
+    ]
+}
+
 proptest! {
+    /// The sorted-column store and the hash-map model it replaced agree on
+    /// every result of every operation, and `iter()` is the model's content
+    /// in ascending dense-index order.
+    #[test]
+    fn sorted_columns_match_the_hash_map_model(
+        capacity in 0usize..=8,
+        ops in prop::collection::vec(lockstep_op(), 1..120),
+    ) {
+        // Routed keys neither ordered like the indices nor distinct, so the
+        // victim scan meets partial and full `(expires_at, key)` ties.
+        let routed = |idx: u32| Key(u64::from(idx * 7 % 5));
+        let as_ttl = |ttl: u64| if ttl == 0 { Ttl::Infinite } else { Ttl::Rounds(ttl) };
+        let mut index = PartialIndex::new(capacity);
+        let mut model = ModelIndex { entries: HashMap::new(), capacity };
+        let mut now = 0u64;
+        for op in ops {
+            match op {
+                LockstepOp::Insert { idx, version, ttl } => {
+                    let value = VersionedValue { version, data: u64::from(idx) };
+                    prop_assert_eq!(
+                        index.insert(idx, routed(idx), value, now, as_ttl(ttl)),
+                        model.insert(idx, routed(idx), value, now, as_ttl(ttl))
+                    );
+                }
+                LockstepOp::Get { idx, ttl } => prop_assert_eq!(
+                    index.get_and_refresh(idx, now, as_ttl(ttl)),
+                    model.get_and_refresh(idx, now, as_ttl(ttl))
+                ),
+                LockstepOp::Peek { idx } => {
+                    prop_assert_eq!(index.peek(idx, now), model.peek(idx, now))
+                }
+                LockstepOp::Remove { idx } => {
+                    prop_assert_eq!(index.remove(idx), model.remove(idx))
+                }
+                LockstepOp::Purge => {
+                    let mut gone = Vec::new();
+                    index.purge_expired_into(now, &mut gone);
+                    gone.sort_unstable();
+                    prop_assert_eq!(gone, model.purge_expired(now));
+                }
+                LockstepOp::Advance { by } => now += by,
+            }
+            prop_assert_eq!(index.len(), model.entries.len());
+            prop_assert!(index.heap_bytes() <= 36 * capacity.max(4), "grew past the bound");
+            let mut want: Vec<(u32, IndexEntry)> =
+                model.entries.iter().map(|(&i, &e)| (i, e)).collect();
+            want.sort_unstable_by_key(|&(i, _)| i);
+            prop_assert_eq!(index.iter().collect::<Vec<_>>(), want);
+        }
+    }
+
     /// Under any operation sequence: capacity is never exceeded, expired
     /// entries are never served, and versions never regress.
     #[test]

@@ -27,6 +27,15 @@
 //! overflow times. Per-level occupancy bitmaps (one `u64` per level, since
 //! a level has 64 slots) plus per-slot minima make `peek` O(levels) without
 //! touching any bucket.
+//!
+//! **Bucket buffers are recycled, not kept.** A drained bucket hands its
+//! `Vec` to its level's free list and the next bucket of that level to
+//! turn non-empty takes it back, so the buffers that exist number the
+//! *concurrently* non-empty buckets (a handful per level under a periodic
+//! population), each at the size a bucket of that level reaches — not one
+//! high-water buffer per slot the cursor ever visited. Free lists are per
+//! level because bucket sizes are: a level-3 bucket holds 262 ms of
+//! events, a level-0 bucket one microsecond's.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -81,8 +90,12 @@ impl<E> Ord for Entry<E> {
 ///   pending time and a level-0 slot holds entries of one exact µs.
 /// * Overflow entries differ from `cur` in bits `>= WHEEL_BITS`.
 pub(crate) struct TimingWheel<E> {
-    /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + slot`).
+    /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + slot`). An
+    /// empty bucket owns no buffer.
     slots: Vec<Vec<Entry<E>>>,
+    /// Per level, the (empty) buffers of drained buckets, waiting for the
+    /// next bucket of that level to turn non-empty.
+    free: [Vec<Vec<Entry<E>>>; LEVELS],
     /// Per-level occupancy bitmap (bit `s` ⇔ `slots[l * SLOTS + s]`
     /// non-empty).
     occupied: [u64; LEVELS],
@@ -97,21 +110,19 @@ pub(crate) struct TimingWheel<E> {
     cur: u64,
     /// Pending entries across ready + wheel + overflow.
     len: usize,
-    /// Reusable drain buffer (keeps cascades allocation-free).
-    spill: Vec<Entry<E>>,
 }
 
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
             slots: std::iter::repeat_with(Vec::new).take(LEVELS * SLOTS).collect(),
+            free: std::array::from_fn(|_| Vec::new()),
             occupied: [0; LEVELS],
             slot_min: vec![u64::MAX; LEVELS * SLOTS],
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
             cur: 0,
             len: 0,
-            spill: Vec::new(),
         }
     }
 
@@ -202,23 +213,39 @@ impl<E> TimingWheel<E> {
                 || level == 0
         );
         let idx = level * SLOTS + slot;
-        self.occupied[level] |= 1 << slot;
+        if self.occupied[level] & (1 << slot) == 0 {
+            self.occupied[level] |= 1 << slot;
+            if let Some(buf) = self.free[level].pop() {
+                self.slots[idx] = buf;
+            }
+        }
         self.slot_min[idx] = self.slot_min[idx].min(e.time);
         self.slots[idx].push(e);
     }
 
-    /// Empties bucket `idx`, clearing its bitmap bit and minimum, and
-    /// re-files every entry against the current cursor.
-    fn cascade_bucket(&mut self, level: usize, slot: usize) {
+    /// Empties bucket `(level, slot)`, clearing its bitmap bit and minimum,
+    /// and returns its entries; the caller hands the drained buffer back
+    /// through [`Self::recycle`].
+    fn take_bucket(&mut self, level: usize, slot: usize) -> Vec<Entry<E>> {
         let idx = level * SLOTS + slot;
         self.occupied[level] &= !(1 << slot);
         self.slot_min[idx] = u64::MAX;
-        let mut spill = std::mem::take(&mut self.spill);
-        spill.append(&mut self.slots[idx]);
-        for e in spill.drain(..) {
+        std::mem::take(&mut self.slots[idx])
+    }
+
+    fn recycle(&mut self, level: usize, buf: Vec<Entry<E>>) {
+        debug_assert!(buf.is_empty());
+        self.free[level].push(buf);
+    }
+
+    /// Empties bucket `(level, slot)` and re-files every entry against the
+    /// current cursor (always at a lower level, or into the ready run).
+    fn cascade_bucket(&mut self, level: usize, slot: usize) {
+        let mut bucket = self.take_bucket(level, slot);
+        for e in bucket.drain(..) {
             self.place(e);
         }
-        self.spill = spill;
+        self.recycle(level, bucket);
     }
 
     /// Cascades every bucket whose time range contains the cursor (needed
@@ -266,18 +293,14 @@ impl<E> TimingWheel<E> {
                 // new ready run. Entries are seq-sorted except when a
                 // cascade interleaved with direct schedules, so sort (O(n)
                 // on the already-sorted common case).
-                let idx = slot;
-                self.occupied[0] &= !(1 << slot);
-                let time = self.slot_min[idx];
-                self.slot_min[idx] = u64::MAX;
+                let time = self.slot_min[slot];
                 debug_assert!(time >= self.cur);
                 self.cur = time;
-                let mut run = std::mem::take(&mut self.spill);
-                run.append(&mut self.slots[idx]);
+                let mut run = self.take_bucket(0, slot);
                 run.sort_unstable_by_key(|e| e.seq);
                 debug_assert!(run.iter().all(|e| e.time == time));
                 self.ready.extend(run.drain(..));
-                self.spill = run;
+                self.recycle(0, run);
                 return;
             }
             // Advance into the earliest occupied higher-level bucket and
@@ -380,6 +403,37 @@ mod tests {
         // All three sit in overflow; popping must still be (time, seq).
         let order: Vec<&str> = std::iter::from_fn(|| w.pop()).map(|e| e.event).collect();
         assert_eq!(order, ["y", "x", "z"]);
+    }
+
+    /// Entries' worth of buffer the wheel's buckets hold, in use or free.
+    fn bucket_capacity<E>(w: &TimingWheel<E>) -> usize {
+        w.slots.iter().chain(w.free.iter().flatten()).map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn periodic_population_keeps_bucket_buffers_proportional_to_live_entries() {
+        // The engine's background shape: every entry reschedules itself one
+        // second on. Over 40 s the cursor visits every level-2 and level-3
+        // slot; a wheel that left each visited bucket its high-water buffer
+        // would end up holding ~30x the live entries.
+        const LIVE: u64 = 2_000;
+        let mut w = TimingWheel::new();
+        for i in 0..LIVE {
+            w.schedule(i * 500, i, ());
+        }
+        let mut seq = LIVE;
+        let mut high_water = 0;
+        while w.peek_time().is_some_and(|t| t < 40_000_000) {
+            let e = w.pop().expect("peeked");
+            w.schedule(e.time + 1_000_000, seq, ());
+            seq += 1;
+            high_water = high_water.max(bucket_capacity(&w));
+        }
+        assert_eq!(w.len(), LIVE as usize);
+        assert!(
+            high_water <= 6 * LIVE as usize,
+            "bucket buffers reached {high_water} entries for {LIVE} live ones"
+        );
     }
 
     #[test]
