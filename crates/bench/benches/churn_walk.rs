@@ -12,28 +12,37 @@ use pdht_unstructured::{RandomWalk, Topology, WalkWave};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// One simulated second of churn. `static_pop` never toggles (the empty
-/// bucket must cost ~nothing regardless of population); "heavy" uses
-/// 100-second mean sessions, ~n/100 transitions per round.
+/// One simulated second of churn into one reused transitions buffer, as
+/// the engine steps it. `static_pop` never toggles (the empty bucket must
+/// cost ~nothing regardless of population); "heavy" uses 100-second mean
+/// sessions, ~n/100 transitions per round.
 fn bench_churn_step(c: &mut Criterion) {
+    fn step(churn: &mut ChurnModel, rng: &mut SmallRng, buf: &mut Vec<(PeerId, bool)>) -> usize {
+        buf.clear();
+        churn.step_second_into(rng, buf);
+        buf.len()
+    }
     let mut group = c.benchmark_group("churn/step_second");
     group.sample_size(50);
     for n in [10_000usize, 100_000] {
         group.bench_function(format!("static_{n}"), |b| {
             let mut rng = SmallRng::seed_from_u64(7);
             let mut churn = ChurnModel::new(n, ChurnConfig::none(), &mut rng);
-            b.iter(|| black_box(churn.step_second(&mut rng).len()))
+            let mut buf = Vec::new();
+            b.iter(|| black_box(step(&mut churn, &mut rng, &mut buf)))
         });
         group.bench_function(format!("gnutella_{n}"), |b| {
             let mut rng = SmallRng::seed_from_u64(7);
             let mut churn = ChurnModel::new(n, ChurnConfig::gnutella_like(), &mut rng);
-            b.iter(|| black_box(churn.step_second(&mut rng).len()))
+            let mut buf = Vec::new();
+            b.iter(|| black_box(step(&mut churn, &mut rng, &mut buf)))
         });
         group.bench_function(format!("heavy_{n}"), |b| {
             let mut rng = SmallRng::seed_from_u64(7);
             let cfg = ChurnConfig { mean_online_secs: 100.0, mean_offline_secs: 100.0 };
             let mut churn = ChurnModel::new(n, cfg, &mut rng);
-            b.iter(|| black_box(churn.step_second(&mut rng).len()))
+            let mut buf = Vec::new();
+            b.iter(|| black_box(step(&mut churn, &mut rng, &mut buf)))
         });
     }
     group.finish();

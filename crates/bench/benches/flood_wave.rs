@@ -1,9 +1,9 @@
 //! The Eq. 16 replica-flood hot path under the two scratch regimes:
 //! `pooled` drives `flood_begin`/`flood_wave` through one long-lived
 //! [`WavePool`] the way the engine's query lanes do (steady state: zero
-//! allocation per flood), `fresh` goes through `flood_query`, which
-//! builds throwaway scratch per call — the regime the pooled rewrite
-//! replaced. The matrix covers the subnet sizes around the paper's
+//! allocation per flood), `fresh` drives the same steps on a new
+//! [`WavePool`] per flood — the per-call scratch regime the pooled
+//! rewrite replaced. The matrix covers the subnet sizes around the paper's
 //! replication factors and two online fractions, since the word-masked
 //! `visited ∨ ¬online` test is the inner-loop operation being priced.
 
@@ -45,7 +45,12 @@ fn bench_flood_wave(c: &mut Criterion) {
             });
             g.bench_function(BenchmarkId::new("fresh", &label), |b| {
                 let mut m = Metrics::new();
-                b.iter(|| black_box(group.flood_query(PeerId(0), |_| false, &live, &mut m)))
+                b.iter(|| {
+                    let mut pool = WavePool::new();
+                    let mut wave = group.flood_begin(PeerId(0), |_| false, &live, &mut pool);
+                    while !group.flood_wave(&mut wave, |_| false, &live, &mut m, &mut pool) {}
+                    black_box(wave.messages())
+                })
             });
         }
     }

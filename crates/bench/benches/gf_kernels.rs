@@ -1,12 +1,12 @@
 //! Benchmarks of the GF(256) kernel behind the coded gossip codecs: the
-//! Russian-peasant reference multiply vs the product-table lookup, the
-//! production [`gf_axpy`] beside a scalar reference fold at the row
-//! lengths the decoders actually touch, end-to-end decoder fills at each
-//! supported generation size for the dense and sparse encoders, and the
-//! triangular encode of a full-rank generation-32 decoder.
+//! product-table multiply, [`gf_axpy`] at the row lengths the decoders
+//! actually touch, end-to-end decoder fills at each supported generation
+//! size for the dense and sparse encoders, and the triangular encode of a
+//! full-rank generation-32 decoder. (The Russian-peasant scalar rows PR 14
+//! measured the table against are recorded in `BENCH_ab_pr14.json`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_gossip::codec::{gf_axpy, gf_mul, gf_mul_ref, CoeffVec, Decoder};
+use pdht_gossip::codec::{gf_axpy, gf_mul, CoeffVec, Decoder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,15 +24,6 @@ fn bench_mul(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0x6f_0001);
     let pairs: Vec<(u8, u8)> =
         (0..4096).map(|_| (rng.random::<u8>(), rng.random::<u8>())).collect();
-    c.bench_function("gf/mul_scalar_4096", |b| {
-        b.iter(|| {
-            let mut acc = 0u8;
-            for &(x, y) in &pairs {
-                acc ^= gf_mul_ref(x, y);
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("gf/mul_table_4096", |b| {
         b.iter(|| {
             let mut acc = 0u8;
@@ -48,27 +39,11 @@ fn bench_axpy(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0x6f_0002);
     // Every nonzero multiplier, visited per iteration: row elimination
     // picks a fresh `f` per pivot, so each call lands on a different
-    // product-table row. Runtime values also stop the compiler from
-    // specializing the reference loop for one constant.
+    // product-table row.
     let fs: Vec<u8> = (1..=255u8).collect();
     for len in ROW_LENS {
         let src = rand_bytes(&mut rng, len);
         let mut dst = rand_bytes(&mut rng, len);
-        c.bench_function(&format!("gf/axpy_scalar_{len}x255"), |b| {
-            b.iter(|| {
-                for &f in &fs {
-                    for (d, s) in dst.iter_mut().zip(&src) {
-                        // black_box pins the reference to genuinely scalar
-                        // codegen — without it LLVM turns the fixed-round
-                        // peasant loop into its own SIMD kernel and the row
-                        // measures the autovectorizer, not the scalar
-                        // baseline the table kernel replaced.
-                        *d ^= black_box(gf_mul_ref(*s, f));
-                    }
-                }
-                black_box(dst[0])
-            })
-        });
         c.bench_function(&format!("gf/axpy_{len}x255"), |b| {
             b.iter(|| {
                 for &f in &fs {

@@ -1,60 +1,52 @@
-//! Benchmarks of the replica-subnetwork operations (Eq. 9's gossip and
-//! Eq. 16's replica flood) at the Table 1 replication factor.
+//! Benchmark of Eq. 9's update gossip at the Table 1 replication factor:
+//! one Plain push wave, `push_begin` plus `push_wave` rounds to the
+//! rumor's death on a long-lived [`WavePool`], the way the engine drives
+//! it. (Eq. 16's replica flood is priced by `flood_wave.rs`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_gossip::{ReplicaGroup, VersionedStore, VersionedValue};
+use pdht_gossip::{GossipCodec, ReplicaGroup, WavePool, GENERATION_SIZE};
 use pdht_sim::Metrics;
-use pdht_types::{Key, Liveness, PeerId};
+use pdht_types::{Liveness, PeerId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn group_of(n: usize) -> (ReplicaGroup, Liveness) {
+fn bench_push(c: &mut Criterion) {
+    let n = 50;
     let mut rng = SmallRng::seed_from_u64(21);
     let members: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
-    (ReplicaGroup::new(members, &mut rng).unwrap(), Liveness::all_online(n))
-}
-
-fn bench_push(c: &mut Criterion) {
-    let (group, live) = group_of(50);
+    let group = ReplicaGroup::new(members, &mut rng).unwrap();
+    let live = Liveness::all_online(n);
     let mut rng = SmallRng::seed_from_u64(22);
-    c.bench_function("gossip/push_update_50", |b| {
+    c.bench_function("gossip/push_wave_50", |b| {
         let mut m = Metrics::new();
+        let mut pool = WavePool::new();
+        // Each member's held version; every iteration pushes a newer one.
+        let mut held = vec![0u64; n];
         let mut version = 0u64;
+        let codec = GossipCodec::Plain;
         b.iter(|| {
             version += 1;
-            let mut store = VersionedStore::new(50);
-            black_box(group.push_update(
-                PeerId(0),
-                Key(7),
-                VersionedValue { version, data: version },
-                &mut store,
+            let mut deliver = |local: usize| {
+                let fresh = held[local] < version;
+                held[local] = version;
+                fresh
+            };
+            let mut wave =
+                group.push_begin(PeerId(0), codec, GENERATION_SIZE, &mut deliver, &live, &mut pool);
+            while !group.push_wave(
+                &mut wave,
+                codec,
+                &mut deliver,
                 &live,
                 &mut rng,
                 &mut m,
-            ))
+                &mut pool,
+            ) {}
+            wave.release(&mut pool);
+            black_box(wave.reached())
         })
     });
 }
 
-fn bench_flood_query(c: &mut Criterion) {
-    let (group, live) = group_of(50);
-    c.bench_function("gossip/flood_query_50", |b| {
-        let mut m = Metrics::new();
-        b.iter(|| black_box(group.flood_query(PeerId(0), |local| local == 37, &live, &mut m)))
-    });
-}
-
-fn bench_flood_all(c: &mut Criterion) {
-    let (group, live) = group_of(50);
-    c.bench_function("gossip/flood_all_50", |b| {
-        let mut m = Metrics::new();
-        b.iter(|| {
-            let mut delivered = 0u32;
-            group.flood_all(PeerId(0), |_| delivered += 1, &live, &mut m);
-            black_box(delivered)
-        })
-    });
-}
-
-criterion_group!(benches, bench_push, bench_flood_query, bench_flood_all);
+criterion_group!(benches, bench_push);
 criterion_main!(benches);

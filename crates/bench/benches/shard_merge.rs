@@ -8,16 +8,16 @@
 //! the common case when queries are dealt to their key's group shard) to 1
 //! (every message crosses, the pathological all-remote workload); the fill
 //! work per iteration is identical across fractions, so differences are
-//! the merge's routing + merge cost alone. Both forms are measured: the
-//! allocating `merge_outboxes` (fresh buffers per pass) and the
-//! `merge_outboxes_into` form the engine uses, which k-way-merges into
-//! caller-owned [`MergeBuffers`] and allocates nothing at steady state.
+//! the merge's routing + merge cost alone. The merge is the engine's
+//! [`merge_outboxes_into`], which k-way-merges into caller-owned
+//! [`MergeBuffers`] and allocates nothing at steady state.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_sim::{merge_outboxes, merge_outboxes_into, MergeBuffers, Outbox};
+use pdht_sim::{merge_outboxes_into, MergeBuffers, Outbox};
 use pdht_types::{mix64, SimTime};
 
-/// Shard count of the merge sweep (matches `sim_scale`'s sweep).
+/// Shard count of the merge sweep (the `loaded_mix` and `route_event`
+/// benchmark workloads' lane count).
 const SHARDS: usize = 8;
 /// Messages each shard buffers per pass — the order of a busy round's
 /// query hand-off at the `sim_scale` configuration.
@@ -47,30 +47,8 @@ fn fill(outboxes: &mut [Outbox<u64>], cross_fraction: f64) {
     }
 }
 
-fn bench_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_merge/merge");
-    for (label, cross_fraction) in
-        [("cross_0", 0.0), ("cross_10", 0.1), ("cross_50", 0.5), ("cross_100", 1.0)]
-    {
-        group.bench_function(format!("{SHARDS}x{MSGS_PER_SHARD}_{label}"), |b| {
-            let mut outboxes: Vec<Outbox<u64>> =
-                (0..SHARDS).map(|s| Outbox::new(s as u32)).collect();
-            b.iter(|| {
-                // The merge drains the outboxes, so each iteration refills
-                // them — the fill cost is constant across fractions.
-                fill(&mut outboxes, cross_fraction);
-                let merged = merge_outboxes(outboxes.iter_mut(), SHARDS);
-                black_box(merged.iter().map(Vec::len).sum::<usize>())
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The engine's form: merge into persistent [`MergeBuffers`]. Past the
-/// first iteration every internal `Vec` reuses its capacity, so the
-/// difference against `merge` above is the allocator traffic the
-/// caller-owned buffers remove from the barrier.
+/// Merge into persistent [`MergeBuffers`], as the engine does: past the
+/// first iteration every internal `Vec` reuses its capacity.
 fn bench_merge_into(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_merge/merge_into");
     for (label, cross_fraction) in
@@ -94,5 +72,5 @@ fn bench_merge_into(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_merge, bench_merge_into);
+criterion_group!(benches, bench_merge_into);
 criterion_main!(benches);

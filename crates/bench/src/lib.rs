@@ -1,9 +1,11 @@
-//! Shared plumbing for the experiment binaries: fixed-width table printing
-//! and CSV emission into `results/`.
+//! Shared plumbing for the experiment binaries: fixed-width table printing,
+//! CSV emission into `results/` (histogram CSVs included), and the
+//! simulation bins' shared flags.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see the experiment index in `DESIGN.md`) by printing the series to
-//! stdout and writing `results/<name>.csv`.
+//! stdout and writing `results/<name>.csv`. The benchmark of record is the
+//! standalone `benchmark/` package, not these bins.
 
 use pdht_sim::HistogramSummary;
 use std::fs;
@@ -31,43 +33,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
         writeln!(f, "{}", row.join(","))?;
     }
     Ok(path)
-}
-
-/// Pseudorandom hop delay for the scheduler hold-model benchmarks: a
-/// deterministic mix of near-future (same-round) and multi-second delays,
-/// exercising every timing-wheel level the simulator touches. Shared by
-/// `bench event_dispatch` and the `sim_scale` bin so the criterion numbers
-/// and the CI-recorded `wheel_speedup` measure the *same* schedule.
-pub fn sched_delay(i: u64) -> pdht_types::SimTime {
-    pdht_types::SimTime::from_micros(pdht_types::mix64(0xd15ba7c4, i) % 2_000_000 + 1)
-}
-
-/// Writes a pre-rendered JSON document into `results/<name>.json`,
-/// returning its path (benchmark artifacts like `BENCH_sim_scale.json`;
-/// the offline environment has no serde, so callers format the body).
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_json(name: &str, body: &str) -> std::io::Result<PathBuf> {
-    let path = results_dir().join(format!("{name}.json"));
-    fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Extracts the first numeric value stored under `"key":` in
-/// `results/<name>.json`, or `None` if the file or key is absent. Good
-/// enough for the flat hand-rendered benchmark artifacts (no serde in this
-/// environment); bins use it to print deltas against the committed
-/// baseline before overwriting it.
-pub fn read_json_number(name: &str, key: &str) -> Option<f64> {
-    let body = fs::read_to_string(results_dir().join(format!("{name}.json"))).ok()?;
-    let needle = format!("\"{key}\":");
-    let at = body.find(&needle)? + needle.len();
-    let rest = body[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Prints a fixed-width table: header row, separator, data rows.
@@ -127,21 +92,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f3(0.12345), "0.123");
         assert_eq!(f1(719.96), "720.0");
-    }
-
-    #[test]
-    fn json_number_extraction() {
-        let p = write_json(
-            "unit_test_json_artifact",
-            "{\n  \"bench\": \"x\",\n  \"ms_per_round\": 41.625,\n  \"nested\": {\n    \
-             \"speedup\": 2.5\n  }\n}\n",
-        )
-        .unwrap();
-        assert_eq!(read_json_number("unit_test_json_artifact", "ms_per_round"), Some(41.625));
-        assert_eq!(read_json_number("unit_test_json_artifact", "speedup"), Some(2.5));
-        assert_eq!(read_json_number("unit_test_json_artifact", "absent"), None);
-        assert_eq!(read_json_number("no_such_file_at_all", "ms_per_round"), None);
-        let _ = std::fs::remove_file(p);
     }
 }
 

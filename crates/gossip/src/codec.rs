@@ -34,9 +34,10 @@
 //! # GF(256) kernels
 //!
 //! One mechanism: a const-built 64 KiB product table (`GF_PROD[f][b] =
-//! f·b`, generated from the Russian-peasant [`gf_mul_ref`]) plus a 256-byte
-//! inverse table from [`gf_inv_ref`]; the two loops survive as the
-//! exhaustively-tested references. [`gf_mul`], [`gf_axpy`] and
+//! f·b`, generated from the private Russian-peasant `gf_mul_ref`) plus a
+//! 256-byte inverse table from the private `gf_inv_ref`; the two loops
+//! build the tables and are this module's tests' references, nothing
+//! else. [`gf_mul`], [`gf_axpy`] and
 //! [`gf_scale`] all index the table — a row operation takes its
 //! multiplier's 256-byte row once and spends one lookup per byte, with
 //! nothing built per call. `Decoder` rows are echelon (row `c` is zero
@@ -112,7 +113,7 @@ pub fn pull_bytes(g: usize, donor_rank: usize) -> u64 {
 /// the AES field). Russian-peasant loop — no tables, constant 8 rounds.
 /// This is the *reference* implementation: the product table behind
 /// [`gf_mul`] is built from it and tested equal over all 256×256 pairs.
-pub const fn gf_mul_ref(mut a: u8, mut b: u8) -> u8 {
+const fn gf_mul_ref(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     let mut i = 0;
     while i < 8 {
@@ -134,7 +135,7 @@ pub const fn gf_mul_ref(mut a: u8, mut b: u8) -> u8 {
 /// square-and-multiply over the peasant loop. Reference for (and source
 /// of) the [`gf_inv`] table.
 /// `gf_inv_ref(0)` is 0 by convention.
-pub const fn gf_inv_ref(a: u8) -> u8 {
+const fn gf_inv_ref(a: u8) -> u8 {
     // Square-and-multiply over the fixed exponent 254 = 0b1111_1110.
     let mut result = 1u8;
     let mut base = a;
@@ -178,8 +179,8 @@ const GF_INV: [u8; 256] = {
     t
 };
 
-/// GF(256) multiply: one product-table lookup. Value-identical to
-/// [`gf_mul_ref`] (tested over all 256×256 pairs).
+/// GF(256) multiply: one product-table lookup. Value-identical to the
+/// Russian-peasant reference (tested over all 256×256 pairs).
 #[inline]
 pub fn gf_mul(a: u8, b: u8) -> u8 {
     GF_PROD[usize::from(a)][usize::from(b)]
@@ -786,6 +787,24 @@ mod tests {
             }
             prop_assert_eq!(d.encode_sparse(&mut rng), CoeffVec { coeffs: sparse, len: g as u8 });
             prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>());
+        }
+
+        /// The axpy kernel equals the bytewise peasant fold on arbitrary
+        /// lengths, offsets and multipliers — the zero multiplier included.
+        #[test]
+        fn sliced_axpy_matches_the_bytewise_fold(
+            f in any::<u8>(),
+            src in prop::collection::vec(any::<u8>(), 0..64),
+            dst_seed in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let n = src.len().min(dst_seed.len());
+            let mut expect: Vec<u8> = dst_seed[..n].to_vec();
+            for (d, s) in expect.iter_mut().zip(&src[..n]) {
+                *d ^= gf_mul_ref(*s, f);
+            }
+            let mut got: Vec<u8> = dst_seed[..n].to_vec();
+            gf_axpy(&mut got, &src[..n], f);
+            prop_assert_eq!(got, expect);
         }
     }
 }

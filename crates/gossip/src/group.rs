@@ -1,7 +1,7 @@
 //! A replica group and its unstructured subnetwork.
 //!
 //! Message accounting matches the model's terms: update pushes are
-//! [`MessageKind::GossipPush`], rejoin pulls are
+//! [`MessageKind::GossipPush`], anti-entropy pulls are
 //! [`MessageKind::GossipPull`], and intra-group query floods (Eq. 16) are
 //! [`MessageKind::ReplicaFlood`].
 //!
@@ -15,9 +15,8 @@
 
 use crate::codec::{pull_bytes, CoeffVec, Decoder, GossipCodec, MAX_GENERATION};
 use crate::scratch::{words, FloodScratch, RumorScratch, WavePool, NO_SLOT};
-use crate::store::{VersionedStore, VersionedValue};
 use pdht_sim::Metrics;
-use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Result};
+use pdht_types::{Liveness, MessageKind, PdhtError, PeerId, Result};
 use pdht_unstructured::Topology;
 use rand::rngs::SmallRng;
 use rand::seq::IndexedRandom;
@@ -92,8 +91,7 @@ impl FloodWave {
 
 /// Resumable state of a rumor push, advanced one gossip round (= one
 /// parallel message wave) per [`ReplicaGroup::push_wave`] call.
-/// Message-granular engines park this between waves;
-/// [`ReplicaGroup::push_rumor`] just drives it in a loop. The infection
+/// Message-granular engines park this between waves. The infection
 /// bitmap, spreader buffers and (for coded codecs) decoder state live in
 /// the [`WavePool`] slot named by `slot`; the slot outlives the rumor's
 /// death because [`ReplicaGroup::pull_missing`] still reads the decoders,
@@ -315,55 +313,6 @@ impl ReplicaGroup {
         } else {
             false
         }
-    }
-
-    /// Floods a query through the replica subnetwork from `origin` (Eq. 16):
-    /// every online member receives it; `answers(member_local_idx)` reports
-    /// whether that member can answer. Returns `(first answering peer,
-    /// messages spent)`. Messages are counted as
-    /// [`MessageKind::ReplicaFlood`]. This is [`ReplicaGroup::flood_begin`]
-    /// driven to completion with no inter-level delay, on throwaway
-    /// scratch — engines with a lane pool drive the waves themselves.
-    pub fn flood_query<F>(
-        &self,
-        origin: PeerId,
-        answers: F,
-        live: &Liveness,
-        metrics: &mut Metrics,
-    ) -> (Option<PeerId>, u64)
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut pool = WavePool::new();
-        let mut wave = self.flood_begin(origin, &answers, live, &mut pool);
-        while !self.flood_wave(&mut wave, &answers, live, metrics, &mut pool) {}
-        (wave.found, wave.messages)
-    }
-
-    /// Floods the subnetwork from `origin`, delivering to **every** online
-    /// member exactly once (`deliver(local_idx)`), duplicates counted as
-    /// [`MessageKind::ReplicaFlood`]. This is the insert path of the
-    /// selection algorithm: a key found by broadcast is distributed to all
-    /// responsible replicas (Eq. 16's second `cSIndx2`). Returns the
-    /// messages spent.
-    pub fn flood_all<F>(
-        &self,
-        origin: PeerId,
-        mut deliver: F,
-        live: &Liveness,
-        metrics: &mut Metrics,
-    ) -> u64
-    where
-        F: FnMut(usize),
-    {
-        let mut visit = |local: usize| {
-            deliver(local);
-            false
-        };
-        let mut pool = WavePool::new();
-        let mut wave = self.flood_begin(origin, &mut visit, live, &mut pool);
-        while !self.flood_wave(&mut wave, &mut visit, live, metrics, &mut pool) {}
-        wave.messages
     }
 
     /// Starts a resumable rumor push from `origin`: delivers to the origin
@@ -703,119 +652,22 @@ impl ReplicaGroup {
         }
         completed
     }
-
-    /// Generic rumor spreading: like [`ReplicaGroup::push_update`] but the
-    /// state transition is a caller-supplied closure
-    /// (`deliver(local_idx) -> fresh?`), so any store type can ride the
-    /// gossip. This is [`ReplicaGroup::push_begin`] driven to completion
-    /// with no inter-round delay, on throwaway scratch. Returns members
-    /// reached.
-    pub fn push_rumor<F>(
-        &self,
-        origin: PeerId,
-        mut deliver: F,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) -> usize
-    where
-        F: FnMut(usize) -> bool,
-    {
-        let mut pool = WavePool::new();
-        let mut wave = self.push_begin(
-            origin,
-            GossipCodec::Plain,
-            crate::codec::GENERATION_SIZE,
-            &mut deliver,
-            live,
-            &mut pool,
-        );
-        while !self.push_wave(
-            &mut wave,
-            GossipCodec::Plain,
-            &mut deliver,
-            live,
-            rng,
-            metrics,
-            &mut pool,
-        ) {}
-        wave.reached
-    }
-
-    /// Gossips an update through the group: push rounds with fanout
-    /// `PUSH_FANOUT` and feedback death (\[DaHa03\]'s push phase). Online
-    /// members apply the update into `store`; offline members miss it and
-    /// must [`ReplicaGroup::pull_on_rejoin`] later. Returns the number of
-    /// members reached (including the origin).
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_update(
-        &self,
-        origin: PeerId,
-        key: Key,
-        value: VersionedValue,
-        store: &mut VersionedStore,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) -> usize {
-        self.push_rumor(origin, |member| store.apply(member, key, value), live, rng, metrics)
-    }
-
-    /// Anti-entropy pull performed by `member` when it comes back online:
-    /// it contacts one random online group member and adopts any newer
-    /// versions for `keys`. Costs 2 messages (request + response), counted
-    /// as [`MessageKind::GossipPull`]. Returns the number of keys updated.
-    pub fn pull_on_rejoin(
-        &self,
-        member: PeerId,
-        keys: &[Key],
-        store: &mut VersionedStore,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) -> usize {
-        let Some(me) = self.local_index(member) else {
-            return 0;
-        };
-        // Count-then-pick over online members other than `me`: one draw,
-        // no candidate Vec, same donor the collected version chose.
-        let is_candidate = |i: usize| i != me && live.is_online(self.members[i]);
-        let count = (0..self.members.len()).filter(|&i| is_candidate(i)).count();
-        if count == 0 {
-            return 0;
-        }
-        let pick = rng.random_range(0..count);
-        let donor = (0..self.members.len())
-            .filter(|&i| is_candidate(i))
-            .nth(pick)
-            .expect("pick is in range");
-        metrics.record_n(MessageKind::GossipPull, 2);
-        let mut updated = 0usize;
-        for &key in keys {
-            if let Some(v) = store.get(donor, key) {
-                if store.apply(me, key, v) {
-                    updated += 1;
-                }
-            }
-        }
-        updated
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::GENERATION_SIZE;
+    use crate::store::VersionedValue;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(4242)
     }
 
-    fn group(n: usize) -> (ReplicaGroup, VersionedStore) {
+    fn group(n: usize) -> ReplicaGroup {
         let members: Vec<PeerId> = (100..100 + n as u32).map(PeerId).collect();
-        let g = ReplicaGroup::new(members, &mut rng()).unwrap();
-        let s = VersionedStore::new(n);
-        (g, s)
+        ReplicaGroup::new(members, &mut rng()).unwrap()
     }
 
     fn all_online(n: usize) -> Liveness {
@@ -823,128 +675,158 @@ mod tests {
         Liveness::all_online(100 + n)
     }
 
-    const K: Key = Key(0xbeef);
+    /// Drives one flood from `origin` to completion on a fresh pool — the
+    /// flood twin of [`run_wave_at`]. Returns `(first answering peer,
+    /// messages spent)`.
+    fn run_flood<F: FnMut(usize) -> bool>(
+        g: &ReplicaGroup,
+        origin: PeerId,
+        mut visit: F,
+        live: &Liveness,
+        m: &mut Metrics,
+    ) -> (Option<PeerId>, u64) {
+        let mut pool = WavePool::new();
+        let mut wave = g.flood_begin(origin, &mut visit, live, &mut pool);
+        while !g.flood_wave(&mut wave, &mut visit, live, m, &mut pool) {}
+        (wave.found(), wave.messages())
+    }
+
+    /// Drives one Plain push wave from `origin` to its death on a fresh
+    /// pool; `held` is a test-local replica store that takes `value` where
+    /// it is newer. Returns the members reached.
+    fn push_value(
+        g: &ReplicaGroup,
+        origin: PeerId,
+        value: VersionedValue,
+        held: &mut [Option<VersionedValue>],
+        live: &Liveness,
+        r: &mut SmallRng,
+        m: &mut Metrics,
+    ) -> usize {
+        let mut pool = WavePool::new();
+        let mut deliver = |local: usize| {
+            let fresh = held[local].is_none_or(|v| v.version < value.version);
+            if fresh {
+                held[local] = Some(value);
+            }
+            fresh
+        };
+        let codec = GossipCodec::Plain;
+        let mut wave = g.push_begin(origin, codec, GENERATION_SIZE, &mut deliver, live, &mut pool);
+        while !g.push_wave(&mut wave, codec, &mut deliver, live, r, m, &mut pool) {}
+        wave.release(&mut pool);
+        wave.reached()
+    }
+
+    /// Fraction of `held` at `version`.
+    fn share_at(held: &[Option<VersionedValue>], version: u64) -> f64 {
+        held.iter().filter(|v| v.is_some_and(|v| v.version == version)).count() as f64
+            / held.len() as f64
+    }
+
+    const V1: VersionedValue = VersionedValue { version: 1, data: 5 };
 
     #[test]
     fn push_reaches_every_online_member() {
-        let (g, mut s) = group(50);
+        let g = group(50);
         let live = all_online(50);
-        let mut r = rng();
+        let mut held = vec![None; 50];
         let mut m = Metrics::new();
-        let reached = g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 1, data: 5 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
+        let reached = push_value(&g, PeerId(100), V1, &mut held, &live, &mut rng(), &mut m);
         // Coin-death rumor spreading reaches almost everyone; the few
         // stragglers are the price of bounded message cost ([DaHa03]) and
         // are reconciled by pulls.
         assert!(reached >= 45, "push should infect ≥90% of 50 members, reached {reached}");
-        assert!(s.consistency_among(K, 0..50) >= 0.9);
+        assert!(share_at(&held, 1) >= 0.9);
         assert!(m.totals()[MessageKind::GossipPush] >= 44);
     }
 
     #[test]
     fn push_cost_is_linear_with_small_constant() {
-        let (g, mut s) = group(50);
+        let g = group(50);
         let live = all_online(50);
-        let mut r = rng();
         let mut m = Metrics::new();
-        g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 1, data: 5 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
+        push_value(&g, PeerId(100), V1, &mut [None; 50], &live, &mut rng(), &mut m);
         let msgs = m.totals()[MessageKind::GossipPush];
         // Rumor spreading costs O(n log n) worst case; with feedback death
         // it stays within a small multiple of the group size.
         assert!(msgs < 50 * 8, "push used {msgs} messages for 50 members");
     }
 
+    /// A member offline for a whole Plain wave never hears it. Under a
+    /// coded codec a member that heard part of the generation and then
+    /// dropped out misses the rest of the pushes, and completes from the
+    /// wave's pull mop-up once it is back. (The engine's rejoin pull over
+    /// its per-peer stores is `pdht_core`'s `PeerStores::pull`.)
     #[test]
     fn offline_members_miss_updates_then_pull() {
-        let (g, mut s) = group(20);
+        let g = group(20);
         let mut live = all_online(20);
         // Member local 5 (peer 105) is offline during the update.
         live.set(PeerId(105), false);
         let mut r = rng();
         let mut m = Metrics::new();
-        g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 7, data: 9 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
-        assert_eq!(s.get(5, K), None, "offline member must not receive the push");
-        assert!(s.consistency_among(K, 0..20) < 1.0);
+        let mut held = vec![None; 20];
+        let v7 = VersionedValue { version: 7, data: 9 };
+        push_value(&g, PeerId(100), v7, &mut held, &live, &mut r, &mut m);
+        assert_eq!(held[5], None, "offline member must not receive the push");
+        assert!(share_at(&held, 7) < 1.0);
 
-        // It rejoins and pulls.
         live.set(PeerId(105), true);
-        let updated = g.pull_on_rejoin(PeerId(105), &[K], &mut s, &live, &mut r, &mut m);
-        assert_eq!(updated, 1);
-        assert_eq!(s.get(5, K).unwrap().version, 7);
-        assert_eq!(m.totals()[MessageKind::GossipPull], 2);
-        assert!((s.consistency_among(K, 0..20) - 1.0).abs() < 1e-12);
+        let codec = GossipCodec::Rlnc;
+        let mut pool = WavePool::new();
+        let mut got = [false; 20];
+        let mut deliver = |local: usize| {
+            let fresh = !got[local];
+            got[local] = true;
+            fresh
+        };
+        let mut wave = g.push_begin(PeerId(100), codec, 8, &mut deliver, &live, &mut pool);
+        let mut dropped = false;
+        while !g.push_wave(&mut wave, codec, &mut deliver, &live, &mut r, &mut m, &mut pool) {
+            let s = pool.rumor_mut(wave.slot);
+            if !dropped && s.decoders[5].rank() > 0 && !s.delivered[5] {
+                live.set(PeerId(105), false);
+                dropped = true;
+            }
+        }
+        assert!(dropped, "member 5 heard part of the generation mid-wave");
+        assert!(!pool.rumor_mut(wave.slot).delivered[5], "an offline member decodes nothing");
+        live.set(PeerId(105), true);
+        let pulls = m.totals()[MessageKind::GossipPull];
+        g.pull_missing(&mut wave, &mut deliver, &live, &mut r, &mut m, &mut pool);
+        wave.release(&mut pool);
+        assert!(got[5], "the rejoined member completes from the pull");
+        assert!(m.totals()[MessageKind::GossipPull] >= pulls + 2);
     }
 
     #[test]
     fn newer_version_supersedes_older_where_delivered() {
-        let (g, mut s) = group(30);
+        let g = group(30);
         let live = all_online(30);
         let mut r = rng();
         let mut m = Metrics::new();
-        g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 1, data: 1 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
-        g.push_update(
-            PeerId(115),
-            K,
-            VersionedValue { version: 2, data: 2 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
-        assert_eq!(s.latest_version(K), Some(2));
+        let mut held = vec![None; 30];
+        let v = |version: u64| VersionedValue { version, data: version };
+        push_value(&g, PeerId(100), v(1), &mut held, &live, &mut r, &mut m);
+        push_value(&g, PeerId(115), v(2), &mut held, &live, &mut r, &mut m);
         // Rumor spreading with coin death may strand a few members on the
         // old version (they catch up via pull — the "hybrid" part of
         // [DaHa03]); the push alone must still reach the vast majority.
-        assert!(s.consistency_among(K, 0..30) >= 0.9);
+        assert!(share_at(&held, 2) >= 0.9);
         // No member may ever hold version 2 with the wrong payload.
-        for member in 0..30 {
-            let v = s.get(member, K).unwrap();
-            assert_eq!(v.data, v.version, "payload must match its version");
+        for value in &held {
+            let value = value.expect("every member heard one of the pushes");
+            assert_eq!(value.data, value.version, "payload must match its version");
         }
-        // Stragglers reconcile by pulling.
-        for member in 0..30u32 {
-            g.pull_on_rejoin(PeerId(100 + member), &[K], &mut s, &live, &mut r, &mut m);
-        }
-        assert!((s.consistency_among(K, 0..30) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn flood_query_finds_an_answering_member() {
-        let (g, _s) = group(40);
+        let g = group(40);
         let live = all_online(40);
         let mut m = Metrics::new();
-        let (found, msgs) = g.flood_query(PeerId(100), |local| local == 33, &live, &mut m);
+        let (found, msgs) = run_flood(&g, PeerId(100), |local| local == 33, &live, &mut m);
         assert_eq!(found, Some(PeerId(133)));
         assert!(msgs > 0);
         assert_eq!(m.totals()[MessageKind::ReplicaFlood], msgs);
@@ -952,10 +834,10 @@ mod tests {
 
     #[test]
     fn flood_query_when_nobody_answers_costs_full_sweep() {
-        let (g, _s) = group(40);
+        let g = group(40);
         let live = all_online(40);
         let mut m = Metrics::new();
-        let (found, msgs) = g.flood_query(PeerId(100), |_| false, &live, &mut m);
+        let (found, msgs) = run_flood(&g, PeerId(100), |_| false, &live, &mut m);
         assert_eq!(found, None);
         // Full sweep ≈ members · dup2; with degree-4 subnet each member
         // transmits to ~3-4 others, so expect between n and 4n messages.
@@ -965,10 +847,10 @@ mod tests {
 
     #[test]
     fn flood_query_origin_answers_for_free() {
-        let (g, _s) = group(10);
+        let g = group(10);
         let live = all_online(10);
         let mut m = Metrics::new();
-        let (found, msgs) = g.flood_query(PeerId(100), |l| l == 0, &live, &mut m);
+        let (found, msgs) = run_flood(&g, PeerId(100), |l| l == 0, &live, &mut m);
         assert_eq!(found, Some(PeerId(100)));
         assert_eq!(msgs, 0);
     }
@@ -979,10 +861,10 @@ mod tests {
     /// transmission — and nothing for a phantom third node.
     #[test]
     fn two_member_flood_accounting_is_exact() {
-        let (g, _s) = group(2);
+        let g = group(2);
         let live = all_online(2);
         let mut m = Metrics::new();
-        let (found, msgs) = g.flood_query(PeerId(100), |_| false, &live, &mut m);
+        let (found, msgs) = run_flood(&g, PeerId(100), |_| false, &live, &mut m);
         assert_eq!(found, None);
         assert_eq!(msgs, 2, "one forward + one duplicate back, no padding traffic");
         assert_eq!(m.totals()[MessageKind::ReplicaFlood], 2);
@@ -993,69 +875,63 @@ mod tests {
     /// floods and pushes start and die at the origin.
     #[test]
     fn one_member_group_has_no_neighbors() {
-        let (g, mut s) = group(1);
+        let g = group(1);
         let live = all_online(1);
-        let mut r = rng();
         let mut m = Metrics::new();
-        let (found, msgs) = g.flood_query(PeerId(100), |_| false, &live, &mut m);
+        let (found, msgs) = run_flood(&g, PeerId(100), |_| false, &live, &mut m);
         assert_eq!((found, msgs), (None, 0));
-        let reached = g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 1, data: 1 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
+        let reached = push_value(&g, PeerId(100), V1, &mut [None], &live, &mut rng(), &mut m);
         assert_eq!(reached, 1);
         assert_eq!(m.totals()[MessageKind::GossipPush], 0);
         assert_eq!(m.totals()[MessageKind::ReplicaFlood], 0);
     }
 
+    /// Members that heard only from donors who have since gone offline
+    /// have nobody to pull from: the mop-up sends nothing and completes
+    /// nobody.
     #[test]
     fn pull_with_no_online_donor_is_a_noop() {
-        let (g, mut s) = group(5);
-        let mut live = all_online(5);
-        for i in 0..5 {
-            live.set(PeerId(100 + i), false);
-        }
-        live.set(PeerId(102), true);
+        let g = group(5);
+        let live = all_online(5);
         let mut r = rng();
         let mut m = Metrics::new();
-        let updated = g.pull_on_rejoin(PeerId(102), &[K], &mut s, &live, &mut r, &mut m);
-        assert_eq!(updated, 0);
+        let mut pool = WavePool::new();
+        let codec = GossipCodec::Rlnc;
+        let mut wave = g.push_begin(PeerId(100), codec, 8, |_| true, &live, &mut pool);
+        // One round: only the origin has spread, so every receiver's sole
+        // donor is the origin, and no receiver is near full rank.
+        g.push_wave(&mut wave, codec, |_| true, &live, &mut r, &mut m, &mut pool);
+        assert!(wave.innovative() > 0, "the origin reached someone");
+        let mut live = live;
+        live.set(PeerId(100), false);
+        let completed = g.pull_missing(&mut wave, |_| true, &live, &mut r, &mut m, &mut pool);
+        wave.release(&mut pool);
+        assert_eq!(completed, 0);
         assert_eq!(m.totals()[MessageKind::GossipPull], 0);
     }
 
     #[test]
     fn non_member_operations_are_noops() {
-        let (g, mut s) = group(5);
+        let g = group(5);
         let live = all_online(5);
         let mut r = rng();
         let mut m = Metrics::new();
-        assert_eq!(
-            g.push_update(
-                PeerId(1),
-                K,
-                VersionedValue { version: 1, data: 0 },
-                &mut s,
-                &live,
-                &mut r,
-                &mut m
-            ),
-            0
-        );
-        let (found, msgs) = g.flood_query(PeerId(1), |_| true, &live, &mut m);
+        let mut pool = WavePool::new();
+        assert_eq!(push_value(&g, PeerId(1), V1, &mut [None; 5], &live, &mut r, &mut m), 0);
+        let mut wave = g.push_begin(PeerId(1), GossipCodec::Rlnc, 8, |_| true, &live, &mut pool);
+        assert!(wave.is_dead());
+        assert_eq!(g.pull_missing(&mut wave, |_| true, &live, &mut r, &mut m, &mut pool), 0);
+        let (found, msgs) = run_flood(&g, PeerId(1), |_| true, &live, &mut m);
         assert_eq!((found, msgs), (None, 0));
-        assert_eq!(g.pull_on_rejoin(PeerId(1), &[K], &mut s, &live, &mut r, &mut m), 0);
+        assert_eq!(pool.slots(), 0, "no wave acquired scratch");
+        assert_eq!(m.totals().total(), 0, "nothing was sent");
     }
 
     /// Parked waves release their pooled scratch when they complete (or
     /// are explicitly released), so sequential waves reuse one slot.
     #[test]
     fn sequential_waves_reuse_one_pool_slot() {
-        let (g, _s) = group(40);
+        let g = group(40);
         let live = all_online(40);
         let mut m = Metrics::new();
         let mut r = rng();
@@ -1090,8 +966,7 @@ mod tests {
         gen: usize,
         seed: u64,
     ) -> (RumorWave, Metrics, Vec<bool>) {
-        let members: Vec<PeerId> = (100..100 + n as u32).map(PeerId).collect();
-        let g = ReplicaGroup::new(members, &mut rng()).unwrap();
+        let g = group(n);
         let live = all_online(n);
         let mut r = SmallRng::seed_from_u64(seed);
         let mut m = Metrics::new();
@@ -1110,7 +985,7 @@ mod tests {
     }
 
     fn run_wave(n: usize, codec: GossipCodec, seed: u64) -> (RumorWave, Metrics, Vec<bool>) {
-        run_wave_at(n, codec, crate::codec::GENERATION_SIZE, seed)
+        run_wave_at(n, codec, GENERATION_SIZE, seed)
     }
 
     #[test]
@@ -1272,21 +1147,11 @@ mod tests {
 
     #[test]
     fn tiny_groups_work() {
-        let members = vec![PeerId(100), PeerId(101)];
-        let g = ReplicaGroup::new(members, &mut rng()).unwrap();
-        let mut s = VersionedStore::new(2);
+        let g = group(2);
         let live = all_online(2);
         let mut r = rng();
         let mut m = Metrics::new();
-        let reached = g.push_update(
-            PeerId(100),
-            K,
-            VersionedValue { version: 1, data: 1 },
-            &mut s,
-            &live,
-            &mut r,
-            &mut m,
-        );
+        let reached = push_value(&g, PeerId(100), V1, &mut [None; 2], &live, &mut r, &mut m);
         assert_eq!(reached, 2);
         assert!(ReplicaGroup::new(vec![], &mut r).is_err());
     }

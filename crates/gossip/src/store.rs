@@ -1,10 +1,8 @@
-//! Versioned per-member key-value state.
+//! The versioned value replicas hold.
 //!
-//! Values carry monotonically increasing versions; a member accepts an
-//! incoming value only if its version is newer. This is the state the
-//! rumor-spreading layer synchronizes and the consistency metric inspects.
-
-use pdht_types::{fasthash, FastHashMap, Key};
+//! Values carry monotonically increasing versions; a replica accepts an
+//! incoming value only if its version is newer. The per-peer stores the
+//! engine runs (`pdht_core`'s `PartialIndex`) hold these.
 
 /// A versioned value (the payload is an opaque u64 — the simulators never
 /// look inside values; real deployments would store bytes).
@@ -14,136 +12,4 @@ pub struct VersionedValue {
     pub version: u64,
     /// Opaque payload.
     pub data: u64,
-}
-
-/// Per-member versioned stores for one replica group.
-#[derive(Clone, Debug)]
-pub struct VersionedStore {
-    /// `stores[member]` maps key → versioned value.
-    stores: Vec<FastHashMap<Key, VersionedValue>>,
-}
-
-impl VersionedStore {
-    /// Empty stores for `members` replicas.
-    pub fn new(members: usize) -> VersionedStore {
-        VersionedStore { stores: (0..members).map(|_| fasthash::map_with_capacity(16)).collect() }
-    }
-
-    /// Number of members.
-    pub fn members(&self) -> usize {
-        self.stores.len()
-    }
-
-    /// Applies `value` at `member` if strictly newer. Returns `true` when
-    /// the state changed (i.e. the rumor was fresh for this member).
-    pub fn apply(&mut self, member: usize, key: Key, value: VersionedValue) -> bool {
-        let slot = self.stores[member].entry(key);
-        match slot {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                if o.get().version < value.version {
-                    o.insert(value);
-                    true
-                } else {
-                    false
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(value);
-                true
-            }
-        }
-    }
-
-    /// The value `member` holds for `key`.
-    pub fn get(&self, member: usize, key: Key) -> Option<VersionedValue> {
-        self.stores[member].get(&key).copied()
-    }
-
-    /// Highest version of `key` any member holds.
-    pub fn latest_version(&self, key: Key) -> Option<u64> {
-        self.stores.iter().filter_map(|s| s.get(&key)).map(|v| v.version).max()
-    }
-
-    /// Fraction of the given members holding the latest version of `key`
-    /// (1.0 when no member holds the key at all — nothing to disagree on).
-    pub fn consistency_among<I: IntoIterator<Item = usize>>(&self, key: Key, members: I) -> f64 {
-        let Some(latest) = self.latest_version(key) else {
-            return 1.0;
-        };
-        let mut total = 0usize;
-        let mut current = 0usize;
-        for m in members {
-            total += 1;
-            if self.get(m, key).is_some_and(|v| v.version == latest) {
-                current += 1;
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            current as f64 / total as f64
-        }
-    }
-
-    /// Removes `key` at `member` (TTL eviction). Returns `true` if present.
-    pub fn evict(&mut self, member: usize, key: Key) -> bool {
-        self.stores[member].remove(&key).is_some()
-    }
-
-    /// Number of keys `member` holds.
-    pub fn len_of(&self, member: usize) -> usize {
-        self.stores[member].len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const K: Key = Key(0xfeed);
-
-    #[test]
-    fn apply_respects_versions() {
-        let mut s = VersionedStore::new(3);
-        assert!(s.apply(0, K, VersionedValue { version: 1, data: 10 }));
-        assert!(s.apply(0, K, VersionedValue { version: 3, data: 30 }));
-        // Stale and equal versions are rejected.
-        assert!(!s.apply(0, K, VersionedValue { version: 2, data: 20 }));
-        assert!(!s.apply(0, K, VersionedValue { version: 3, data: 99 }));
-        assert_eq!(s.get(0, K).unwrap().data, 30);
-    }
-
-    #[test]
-    fn latest_version_scans_all_members() {
-        let mut s = VersionedStore::new(3);
-        s.apply(0, K, VersionedValue { version: 1, data: 0 });
-        s.apply(2, K, VersionedValue { version: 5, data: 0 });
-        assert_eq!(s.latest_version(K), Some(5));
-        assert_eq!(s.latest_version(Key(1)), None);
-    }
-
-    #[test]
-    fn consistency_measures_fraction_current() {
-        let mut s = VersionedStore::new(4);
-        for m in 0..4 {
-            s.apply(m, K, VersionedValue { version: 1, data: 0 });
-        }
-        s.apply(0, K, VersionedValue { version: 2, data: 0 });
-        s.apply(1, K, VersionedValue { version: 2, data: 0 });
-        assert!((s.consistency_among(K, 0..4) - 0.5).abs() < 1e-12);
-        assert!((s.consistency_among(K, [0usize, 1]) - 1.0).abs() < 1e-12);
-        // Unknown key: vacuously consistent.
-        assert_eq!(s.consistency_among(Key(42), 0..4), 1.0);
-    }
-
-    #[test]
-    fn evict_removes_state() {
-        let mut s = VersionedStore::new(2);
-        s.apply(1, K, VersionedValue { version: 1, data: 7 });
-        assert_eq!(s.len_of(1), 1);
-        assert!(s.evict(1, K));
-        assert!(!s.evict(1, K));
-        assert_eq!(s.get(1, K), None);
-        assert_eq!(s.len_of(1), 0);
-    }
 }

@@ -1,110 +1,87 @@
-//! Property tests for replica gossip: convergence of push+pull over
-//! arbitrary group sizes and offline patterns, and the GF(256) kernel /
-//! decoder invariants behind the coded codecs.
+//! Property tests for replica gossip: the step-API wave contracts over
+//! arbitrary group sizes, codecs and offline patterns, and the decoder
+//! invariants behind the coded codecs.
 
-use pdht_gossip::codec::{gf_axpy, gf_inv, gf_inv_ref, gf_mul, gf_mul_ref, Decoder};
-use pdht_gossip::{ReplicaGroup, VersionedStore, VersionedValue};
+use pdht_gossip::codec::Decoder;
+use pdht_gossip::{GossipCodec, ReplicaGroup, WavePool};
 use pdht_sim::Metrics;
-use pdht_types::{Key, Liveness, PeerId};
+use pdht_types::{Liveness, PeerId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-const K: Key = Key(0xcafe);
+/// `n` members `0..n`, with `offline[i]` taking member `i` down for the
+/// whole wave — except `origin`, which always stays up.
+fn liveness(n: usize, offline: &[bool], origin: usize) -> Liveness {
+    let mut live = Liveness::all_online(n);
+    for (i, &off) in offline.iter().take(n).enumerate() {
+        if off && i != origin {
+            live.set(PeerId(i as u32), false);
+        }
+    }
+    live
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Push followed by a pull sweep makes every online member current,
-    /// regardless of group size, seed or who was offline during the push.
+    /// One `push_begin` / `push_wave` / `pull_missing` wave, under every
+    /// codec and generation size: `deliver` fires for nobody offline,
+    /// coded codecs fire it at most once per member (on decode; Plain fires
+    /// it per receive and lets it report freshness), and the wave's
+    /// `reached()` is the number of members delivered to.
     #[test]
-    fn push_plus_pull_converges(
-        n in 2usize..80,
+    fn push_wave_delivers_at_most_once_to_online_members(
+        codec in prop::sample::select(vec![
+            GossipCodec::Plain,
+            GossipCodec::Chunked,
+            GossipCodec::Rlnc,
+            GossipCodec::RlncSparse,
+        ]),
+        gen in prop::sample::select(vec![1usize, 8, 32]),
+        n in 1usize..80,
         seed in any::<u64>(),
         offline in prop::collection::vec(any::<bool>(), 80),
-        origin_idx in any::<u32>(),
-    ) {
-        let members: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let group = ReplicaGroup::new(members.clone(), &mut rng).unwrap();
-        let mut store = VersionedStore::new(n);
-        let mut live = Liveness::all_online(n);
-        for (i, &off) in offline.iter().take(n).enumerate() {
-            if off {
-                live.set(PeerId(i as u32), false);
-            }
-        }
-        // Pick an online origin, or skip the case.
-        let origin = (0..n).map(|i| PeerId(((origin_idx as usize + i) % n) as u32))
-            .find(|&p| live.is_online(p));
-        prop_assume!(origin.is_some());
-        let origin = origin.unwrap();
-
-        let mut metrics = Metrics::new();
-        let value = VersionedValue { version: 9, data: 42 };
-        group.push_update(origin, K, value, &mut store, &live, &mut rng, &mut metrics);
-
-        // Everyone who was offline comes back and pulls; stragglers pull
-        // too. Each pull contacts ONE random donor, so convergence is
-        // epidemic: O(log n) sweeps w.h.p. — give it a generous cap.
-        for i in 0..n {
-            live.set(PeerId(i as u32), true);
-        }
-        for _ in 0..40 {
-            for i in 0..n as u32 {
-                group.pull_on_rejoin(PeerId(i), &[K], &mut store, &live, &mut rng, &mut metrics);
-            }
-            let consistency = store.consistency_among(K, 0..n);
-            if (consistency - 1.0).abs() < 1e-12 {
-                break;
-            }
-        }
-        prop_assert!(
-            (store.consistency_among(K, 0..n) - 1.0).abs() < 1e-12,
-            "pull sweeps must converge"
-        );
-        for m in 0..n {
-            prop_assert_eq!(store.get(m, K).unwrap().version, 9);
-        }
-    }
-
-    /// Versions never regress at any member under arbitrary interleavings
-    /// of pushes with increasing versions.
-    #[test]
-    fn versions_monotone_under_concurrent_pushes(
-        n in 3usize..40,
-        seed in any::<u64>(),
-        pushes in prop::collection::vec((any::<u32>(), 1u64..20), 1..10),
+        origin_raw in any::<u32>(),
     ) {
         let members: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
         let mut rng = SmallRng::seed_from_u64(seed);
         let group = ReplicaGroup::new(members, &mut rng).unwrap();
-        let mut store = VersionedStore::new(n);
-        let live = Liveness::all_online(n);
+        let origin = origin_raw as usize % n;
+        let live = liveness(n, &offline, origin);
         let mut metrics = Metrics::new();
+        let mut pool = WavePool::new();
+        let mut calls = vec![0u32; n];
+        let mut deliver = |local: usize| {
+            calls[local] += 1;
+            calls[local] == 1
+        };
+        let origin = PeerId(origin as u32);
+        let mut wave = group.push_begin(origin, codec, gen, &mut deliver, &live, &mut pool);
+        while !group.push_wave(
+            &mut wave, codec, &mut deliver, &live, &mut rng, &mut metrics, &mut pool,
+        ) {}
+        let pushed = wave.reached();
+        let completed =
+            group.pull_missing(&mut wave, &mut deliver, &live, &mut rng, &mut metrics, &mut pool);
+        wave.release(&mut pool);
 
-        let mut floor = vec![0u64; n];
-        for (origin_raw, version) in pushes {
-            let origin = PeerId(origin_raw % n as u32);
-            group.push_update(
-                origin,
-                K,
-                VersionedValue { version, data: version },
-                &mut store,
-                &live,
-                &mut rng,
-                &mut metrics,
-            );
-            for (m, fl) in floor.iter_mut().enumerate() {
-                if let Some(v) = store.get(m, K) {
-                    prop_assert!(v.version >= *fl, "version regressed at member {}", m);
-                    *fl = v.version;
-                }
+        prop_assert_eq!(wave.reached(), pushed + completed);
+        prop_assert!(calls[origin.idx()] >= 1, "the origin delivers to itself first");
+        for (i, &c) in calls.iter().enumerate() {
+            if c > 0 {
+                prop_assert!(live.is_online(PeerId(i as u32)), "delivered to offline member {}", i);
+            }
+            if codec.is_coded() {
+                prop_assert!(c <= 1, "{:?}: member {} decoded {} times", codec, i, c);
             }
         }
+        prop_assert_eq!(wave.reached(), calls.iter().filter(|&&c| c > 0).count());
     }
 
-    /// flood_all delivers to every online member exactly once.
+    /// A `flood_begin` / `flood_wave` sweep whose visit never answers
+    /// visits every online member it reaches exactly once, and nobody
+    /// offline.
     #[test]
     fn flood_all_delivers_exactly_once(
         n in 2usize..80,
@@ -114,16 +91,16 @@ proptest! {
         let members: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
         let mut rng = SmallRng::seed_from_u64(seed);
         let group = ReplicaGroup::new(members, &mut rng).unwrap();
-        let mut live = Liveness::all_online(n);
-        for (i, &off) in offline.iter().take(n).enumerate() {
-            // Keep member 0 online as origin.
-            if off && i != 0 {
-                live.set(PeerId(i as u32), false);
-            }
-        }
+        let live = liveness(n, &offline, 0);
         let mut metrics = Metrics::new();
+        let mut pool = WavePool::new();
         let mut delivered = vec![0u32; n];
-        group.flood_all(PeerId(0), |local| delivered[local] += 1, &live, &mut metrics);
+        let mut visit = |local: usize| {
+            delivered[local] += 1;
+            false
+        };
+        let mut wave = group.flood_begin(PeerId(0), &mut visit, &live, &mut pool);
+        while !group.flood_wave(&mut wave, &mut visit, &live, &mut metrics, &mut pool) {}
 
         for (i, &d) in delivered.iter().enumerate() {
             let online = live.is_online(PeerId(i as u32));
@@ -139,35 +116,6 @@ proptest! {
         if live.online_count() == n {
             prop_assert!(delivered.iter().all(|&d| d == 1));
         }
-    }
-
-    /// The table-driven multiply and inverse agree with the Russian-peasant
-    /// references on arbitrary operands (the exhaustive 256x256 sweep lives
-    /// in the codec unit tests; this keeps the invariant in the property
-    /// suite where encoder changes are most likely to be probed).
-    #[test]
-    fn table_kernels_match_the_peasant_references(a in any::<u8>(), b in any::<u8>()) {
-        prop_assert_eq!(gf_mul(a, b), gf_mul_ref(a, b));
-        prop_assert_eq!(gf_inv(a), gf_inv_ref(a));
-    }
-
-    /// The word-sliced axpy equals the bytewise reference fold on arbitrary
-    /// lengths, offsets and multipliers — tails, full words and the zero
-    /// multiplier short-circuit included.
-    #[test]
-    fn sliced_axpy_matches_the_bytewise_fold(
-        f in any::<u8>(),
-        src in prop::collection::vec(any::<u8>(), 0..64),
-        dst_seed in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let n = src.len().min(dst_seed.len());
-        let mut expect: Vec<u8> = dst_seed[..n].to_vec();
-        for (d, s) in expect.iter_mut().zip(&src[..n]) {
-            *d ^= gf_mul_ref(*s, f);
-        }
-        let mut got: Vec<u8> = dst_seed[..n].to_vec();
-        gf_axpy(&mut got, &src[..n], f);
-        prop_assert_eq!(got, expect);
     }
 
     /// Rank is a function of the received packet stream alone: a fresh

@@ -55,7 +55,7 @@ impl ChurnConfig {
 ///
 /// Session toggles are *event-driven*: every peer is filed in a calendar
 /// bucket keyed by the round its next toggle falls in, and
-/// [`ChurnModel::step_second`] processes only the current round's bucket —
+/// [`ChurnModel::step_second_into`] processes only the current round's bucket —
 /// O(transitions) per round instead of scanning every peer's `next_toggle`.
 /// Within a round, filed peers are processed in ascending index order and
 /// each drains all its toggles in the window before the next peer, which
@@ -89,7 +89,7 @@ pub struct ChurnModel {
     /// The calendar round each peer is currently (validly) filed under.
     bucket_of: Vec<u64>,
     now_secs: f64,
-    /// The round [`ChurnModel::step_second`] will process next.
+    /// The round [`ChurnModel::step_second_into`] will process next.
     round: u64,
 }
 
@@ -181,44 +181,25 @@ impl ChurnModel {
     }
 
     /// Advances the process by one second, toggling any peers whose session
-    /// ends in that window. Returns the transitions as `(peer, now_online)`
-    /// pairs — rejoining peers trigger anti-entropy pulls in the harness.
+    /// ends in that window. Appends the transitions as `(peer, now_online)`
+    /// pairs to a caller-owned buffer (not cleared first), so per-round
+    /// drivers reuse one allocation — rejoining peers trigger anti-entropy
+    /// pulls in the engine.
     ///
     /// Only the current round's calendar bucket is visited (sorted to
     /// ascending peer index, the old full scan's order), so the cost is
     /// O(transitions log transitions), not O(population).
-    pub fn step_second(&mut self, rng: &mut SmallRng) -> Vec<(PeerId, bool)> {
-        let mut transitions = Vec::new();
-        self.step_second_into(rng, &mut transitions);
-        transitions
-    }
-
-    /// [`ChurnModel::step_second`] appending into a caller-owned buffer, so
-    /// per-round drivers reuse one allocation instead of returning a fresh
-    /// `Vec` every second.
     pub fn step_second_into(&mut self, rng: &mut SmallRng, out: &mut Vec<(PeerId, bool)>) {
         self.step_second_sharded_into(std::slice::from_mut(rng), out);
     }
 
-    /// The sharded form of [`ChurnModel::step_second`]: shard `s`'s due
-    /// bucket is drained with `rngs[s]`, shards visited in ascending order.
-    /// The drain itself is serial (churn is far off the hot path); splitting
-    /// the calendars exists to keep each shard's toggle draws on its own
-    /// stream, so the rest of the engine can consume those streams from
-    /// worker threads without perturbing churn.
-    ///
-    /// # Panics
-    /// Panics if `rngs.len()` differs from the shard count the model was
-    /// built with.
-    pub fn step_second_sharded(&mut self, rngs: &mut [SmallRng]) -> Vec<(PeerId, bool)> {
-        let mut transitions = Vec::new();
-        self.step_second_sharded_into(rngs, &mut transitions);
-        transitions
-    }
-
-    /// [`ChurnModel::step_second_sharded`] appending into a caller-owned
-    /// buffer (not cleared first; transitions are pushed in the same order
-    /// the returning form produces).
+    /// The sharded form of [`ChurnModel::step_second_into`]: shard `s`'s
+    /// due bucket is drained with `rngs[s]`, shards visited in ascending
+    /// order, transitions appended to the caller's buffer (not cleared
+    /// first). The drain itself is serial (churn is far off the hot path);
+    /// splitting the calendars exists to keep each shard's toggle draws on
+    /// its own stream, so the rest of the engine can consume those streams
+    /// from worker threads without perturbing churn.
     ///
     /// # Panics
     /// Panics if `rngs.len()` differs from the shard count the model was
@@ -308,13 +289,34 @@ mod tests {
         SmallRng::seed_from_u64(1234)
     }
 
+    type Transitions = Vec<(PeerId, bool)>;
+
+    /// One second of `c` into the reused `buf` (cleared first).
+    fn step<'b>(c: &mut ChurnModel, r: &mut SmallRng, buf: &'b mut Transitions) -> &'b Transitions {
+        buf.clear();
+        c.step_second_into(r, buf);
+        buf
+    }
+
+    /// One sharded second of `c` into the reused `buf` (cleared first).
+    fn step_sharded<'b>(
+        c: &mut ChurnModel,
+        rngs: &mut [SmallRng],
+        buf: &'b mut Transitions,
+    ) -> &'b Transitions {
+        buf.clear();
+        c.step_second_sharded_into(rngs, buf);
+        buf
+    }
+
     #[test]
     fn static_config_never_toggles() {
         let mut r = rng();
         let mut c = ChurnModel::new(100, ChurnConfig::none(), &mut r);
         assert_eq!(c.liveness().online_count(), 100);
+        let mut buf = Vec::new();
         for _ in 0..50 {
-            assert!(c.step_second(&mut r).is_empty());
+            assert!(step(&mut c, &mut r, &mut buf).is_empty());
         }
         assert_eq!(c.liveness().online_count(), 100);
     }
@@ -335,8 +337,9 @@ mod tests {
         let mut c = ChurnModel::new(2_000, cfg, &mut r);
         let mut sum = 0.0;
         let rounds = 2_000;
+        let mut buf = Vec::new();
         for _ in 0..rounds {
-            c.step_second(&mut r);
+            step(&mut c, &mut r, &mut buf);
             sum += c.liveness().availability();
         }
         let avg = sum / f64::from(rounds);
@@ -351,8 +354,9 @@ mod tests {
         let cfg = ChurnConfig { mean_online_secs: 50.0, mean_offline_secs: 50.0 };
         let mut c = ChurnModel::new(1_000, cfg, &mut r);
         let mut toggles = 0usize;
+        let mut buf = Vec::new();
         for _ in 0..500 {
-            toggles += c.step_second(&mut r).len();
+            toggles += step(&mut c, &mut r, &mut buf).len();
         }
         let per_sec = toggles as f64 / 500.0;
         assert!((per_sec - 20.0).abs() < 2.0, "toggle rate {per_sec}/s should be ~20");
@@ -373,8 +377,9 @@ mod tests {
         let run = |seed: u64| {
             let mut r = SmallRng::seed_from_u64(seed);
             let mut c = ChurnModel::new(500, cfg, &mut r);
+            let mut buf = Vec::new();
             for _ in 0..100 {
-                c.step_second(&mut r);
+                step(&mut c, &mut r, &mut buf);
             }
             (0..500).map(|i| c.liveness().is_online(PeerId(i))).collect::<Vec<_>>()
         };
@@ -450,14 +455,15 @@ mod tests {
             let mut r_ref = SmallRng::seed_from_u64(0xc0ffee);
             let mut cal = ChurnModel::new(800, cfg, &mut r_cal);
             let mut refm = FullScanChurn::new(800, cfg, &mut r_ref);
+            let mut buf = Vec::new();
             for round in 0..120 {
                 if round == 40 {
                     cal.force_blackout(0.3, &mut r_cal);
                     refm.force_blackout(0.3, &mut r_ref);
                 }
                 assert_eq!(
-                    cal.step_second(&mut r_cal),
-                    refm.step_second(&mut r_ref),
+                    step(&mut cal, &mut r_cal, &mut buf),
+                    &refm.step_second(&mut r_ref),
                     "transition sequences diverged in round {round} (on={on}, off={off})"
                 );
             }
@@ -475,10 +481,11 @@ mod tests {
         let mut a = ChurnModel::new(300, cfg, &mut r_a);
         let mut b = ChurnModel::new_sharded(300, cfg, vec![0; 300], std::slice::from_mut(&mut r_b));
         assert_eq!(a.num_shards(), 1);
+        let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
         for _ in 0..50 {
             assert_eq!(
-                a.step_second(&mut r_a),
-                b.step_second_sharded(std::slice::from_mut(&mut r_b))
+                step(&mut a, &mut r_a, &mut buf_a),
+                step_sharded(&mut b, std::slice::from_mut(&mut r_b), &mut buf_b)
             );
         }
     }
@@ -497,11 +504,12 @@ mod tests {
         let mut combined = ChurnModel::new_sharded(n0 + n1, cfg, shard_of, &mut combined_rngs);
         let mut solo_rng = SmallRng::seed_from_u64(11);
         let mut solo = ChurnModel::new(n0, cfg, &mut solo_rng);
+        let (mut both, mut expect) = (Vec::new(), Vec::new());
         for round in 0..200 {
-            let both = combined.step_second_sharded(&mut combined_rngs);
-            let shard0: Vec<(PeerId, bool)> =
-                both.into_iter().filter(|&(p, _)| (p.0 as usize) < n0).collect();
-            let expect = solo.step_second(&mut solo_rng);
+            step_sharded(&mut combined, &mut combined_rngs, &mut both);
+            let shard0: Transitions =
+                both.iter().copied().filter(|&(p, _)| (p.0 as usize) < n0).collect();
+            step(&mut solo, &mut solo_rng, &mut expect);
             assert_eq!(shard0, expect, "shard-0 transitions diverged in round {round}");
         }
         for i in 0..n0 {
@@ -518,7 +526,7 @@ mod tests {
         let cfg = ChurnConfig::gnutella_like();
         let mut rngs = vec![SmallRng::seed_from_u64(1), SmallRng::seed_from_u64(2)];
         let mut c = ChurnModel::new_sharded(10, cfg, vec![0; 10], &mut rngs[..1]);
-        c.step_second_sharded(&mut rngs);
+        c.step_second_sharded_into(&mut rngs, &mut Vec::new());
     }
 
     #[test]
@@ -529,8 +537,9 @@ mod tests {
         c.force_blackout(1.0, &mut r);
         assert_eq!(c.liveness().online_count(), 0);
         // Mean offline period is 10 s: after 60 s nearly everyone is back.
+        let mut buf = Vec::new();
         for _ in 0..60 {
-            c.step_second(&mut r);
+            step(&mut c, &mut r, &mut buf);
         }
         assert!(
             c.liveness().availability() > 0.7,

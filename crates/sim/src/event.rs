@@ -6,15 +6,12 @@
 //! reproducible. Since the O(active-work) refactor the backend is the
 //! hierarchical timing wheel in [`crate::wheel`] (amortized O(1) per
 //! schedule/pop instead of the binary heap's O(log n) over every resident
-//! event); [`HeapEventQueue`] keeps the original `BinaryHeap` backend as
-//! the reference implementation the conformance proptest and the
-//! `event_dispatch` wheel-vs-heap benchmark compare against. Both produce
-//! the exact same pop order for any schedule.
+//! event). The original `BinaryHeap` queue lives on only as the oracle of
+//! the conformance proptest (`crates/sim/tests/properties.rs`), which pins
+//! the wheel to its exact pop order for arbitrary schedules.
 
 use crate::wheel::TimingWheel;
 use pdht_types::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// An event with its due time (returned by [`EventQueue::pop`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,122 +111,6 @@ impl<E> EventQueue<E> {
         }
         self.now = at;
         self.wheel.advance_cur(at.as_micros());
-    }
-}
-
-struct HeapEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Manual ordering: min-heap by (time, seq). BinaryHeap is a max-heap, so
-// invert the comparison.
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed queue: same API and pop order as
-/// [`EventQueue`], O(log n) per operation over every resident event.
-///
-/// Kept as the reference backend — the kernel proptests pin the wheel's
-/// pop order against it, and `bench event_dispatch` measures the speedup.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO }
-    }
-
-    /// Current virtual time (the due time of the last popped event).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is before the current time.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "cannot schedule into the past ({at:?} < {:?})", self.now);
-        self.heap.push(HeapEntry { time: at, seq: self.seq, event });
-        self.seq += 1;
-    }
-
-    /// Schedules `event` after `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Due time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pops the next event, advancing the clock to its due time.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|e| {
-            debug_assert!(e.time >= self.now);
-            self.now = e.time;
-            Scheduled { time: e.time, event: e.event }
-        })
-    }
-
-    /// Pops the next event only if it is due at or before `deadline`.
-    /// Does **not** advance the clock past `deadline` when nothing is due.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<Scheduled<E>> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Advances the clock to `at` without processing anything.
-    ///
-    /// # Panics
-    /// Panics if events earlier than `at` are still pending, or if `at` is
-    /// in the past.
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "cannot rewind the clock");
-        if let Some(t) = self.peek_time() {
-            assert!(t >= at, "events pending before {at:?}");
-        }
-        self.now = at;
     }
 }
 
@@ -337,24 +218,5 @@ mod tests {
         q.advance_to(SimTime::from_secs(1));
         let got = q.pop_until(SimTime::from_secs(2)).unwrap();
         assert_eq!((got.time, got.event), (SimTime::from_secs(1), "boundary"));
-    }
-
-    #[test]
-    fn heap_backend_matches_wheel_on_a_mixed_schedule() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let times =
-            [3u64, 0, 0, 65, 64, 4095, 4096, 1_000_000, 3, (1 << 37) + 5, (1 << 37) + 5, 12];
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule_at(SimTime::from_micros(t), i);
-            heap.schedule_at(SimTime::from_micros(t), i);
-        }
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`EventQueue`] — a stable priority queue over virtual time (ties break
 //!   by insertion order, so runs are reproducible), backed by a
-//!   hierarchical timing wheel (amortized O(1) per operation;
-//!   [`HeapEventQueue`] keeps the `BinaryHeap` reference backend),
+//!   hierarchical timing wheel (amortized O(1) per operation; its
+//!   `BinaryHeap` reference is the conformance proptest's oracle),
 //! * [`Metrics`] — cumulative and per-round message accounting plus named
 //!   gauges (index size, hit rate, …) and hop [`Histogram`]s,
 //! * [`latency`] — pluggable per-hop [`LatencyModel`]s (zero, uniform,
@@ -35,9 +35,9 @@ pub mod shard;
 pub mod slab;
 pub(crate) mod wheel;
 
-pub use event::{EventQueue, HeapEventQueue, Scheduled};
+pub use event::{EventQueue, Scheduled};
 pub use latency::{LatencyModel, LogNormalLatency, UniformLatency, ZeroLatency};
 pub use metrics::{Histogram, HistogramSummary, Metrics, RoundDriver};
 pub use scratch::VisitSet;
-pub use shard::{merge_outboxes, merge_outboxes_into, MergeBuffers, OutMsg, Outbox, ShardPool};
+pub use shard::{merge_outboxes_into, MergeBuffers, OutMsg, Outbox, ShardPool};
 pub use slab::{Slab, SlabKey};

@@ -530,28 +530,22 @@ where
     }
 }
 
-/// Allocating convenience form of [`merge_outboxes_into`]: merges into
-/// fresh buffers and returns the per-destination batches. Per-pass callers
-/// (the engine) hold a [`MergeBuffers`] instead.
-///
-/// # Panics
-/// Panics if any message addresses a destination `>= dests`.
-pub fn merge_outboxes<'a, T, I>(outboxes: I, dests: usize) -> Vec<Vec<OutMsg<T>>>
-where
-    I: IntoIterator<Item = &'a mut Outbox<T>>,
-    T: 'a,
-{
-    let mut bufs = MergeBuffers::new(dests);
-    merge_outboxes_into(outboxes, &mut bufs);
-    std::mem::take(&mut bufs.batches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// One barrier pass into fresh buffers over `dests` destinations.
+    fn merge<'a, T: 'a>(
+        outboxes: impl IntoIterator<Item = &'a mut Outbox<T>>,
+        dests: usize,
+    ) -> MergeBuffers<T> {
+        let mut bufs = MergeBuffers::new(dests);
+        merge_outboxes_into(outboxes, &mut bufs);
+        bufs
     }
 
     #[test]
@@ -646,7 +640,8 @@ mod tests {
         ob.push(0, t(10), "a");
         ob.push(1, t(5), "b");
         assert_eq!(ob.len(), 2);
-        let merged = merge_outboxes([&mut ob], 2);
+        let merged = merge([&mut ob], 2);
+        let merged = merged.batches();
         assert_eq!(merged[0], vec![OutMsg { dest: 0, time: t(10), src: 3, seq: 0, payload: "a" }]);
         assert_eq!(merged[1], vec![OutMsg { dest: 1, time: t(5), src: 3, seq: 1, payload: "b" }]);
         assert!(ob.is_empty(), "merge drains the outbox");
@@ -660,8 +655,8 @@ mod tests {
         b.push(0, t(5), 10); // same time as a's pushes, higher src
         a.push(0, t(5), 20);
         a.push(0, t(5), 21);
-        let merged = merge_outboxes([&mut a, &mut b], 1);
-        let order: Vec<u32> = merged[0].iter().map(|m| m.payload).collect();
+        let merged = merge([&mut a, &mut b], 1);
+        let order: Vec<u32> = merged.batches()[0].iter().map(|m| m.payload).collect();
         // time 1 first; at time 5: src 0 (seq 0 then 1) before src 1.
         assert_eq!(order, vec![11, 20, 21, 10]);
     }
@@ -670,10 +665,10 @@ mod tests {
     fn merge_resets_sequences_for_the_next_pass() {
         let mut ob: Outbox<u8> = Outbox::new(0);
         ob.push(0, t(1), 1);
-        merge_outboxes([&mut ob], 1);
+        let mut bufs = merge([&mut ob], 1);
         ob.push(0, t(2), 2);
-        let merged = merge_outboxes([&mut ob], 1);
-        assert_eq!(merged[0][0].seq, 0, "sequence restarts after a merge");
+        merge_outboxes_into([&mut ob], &mut bufs);
+        assert_eq!(bufs.batches()[0][0].seq, 0, "sequence restarts after a merge");
     }
 
     #[test]
@@ -687,11 +682,11 @@ mod tests {
         let (mut a1, mut b1) = (Outbox::new(0), Outbox::new(1));
         fill(&mut a1, &mut b1);
         let fwd: Vec<u32> =
-            merge_outboxes([&mut a1, &mut b1], 1)[0].iter().map(|m| m.payload).collect();
+            merge([&mut a1, &mut b1], 1).batches()[0].iter().map(|m| m.payload).collect();
         let (mut a2, mut b2) = (Outbox::new(0), Outbox::new(1));
         fill(&mut a2, &mut b2);
         let rev: Vec<u32> =
-            merge_outboxes([&mut b2, &mut a2], 1)[0].iter().map(|m| m.payload).collect();
+            merge([&mut b2, &mut a2], 1).batches()[0].iter().map(|m| m.payload).collect();
         assert_eq!(fwd, rev, "the (time, src, seq) key fixes the order");
     }
 
@@ -706,17 +701,20 @@ mod tests {
         }
     }
 
+    /// Buffers left dirty by an earlier, larger pass merge exactly what
+    /// fresh ones do: nothing of the previous pass leaks into the next.
     #[test]
-    fn merge_into_matches_the_allocating_merge() {
+    fn merge_into_reused_buffers_match_fresh_buffers() {
         let mut a: Vec<Outbox<u64>> = (0..4).map(Outbox::new).collect();
         let mut b: Vec<Outbox<u64>> = (0..4).map(Outbox::new).collect();
         fill_many(&mut a, 4, 64);
+        let fresh = merge(a.iter_mut(), 4);
+        fill_many(&mut b, 4, 200);
+        let mut reused = merge(b.iter_mut(), 4);
         fill_many(&mut b, 4, 64);
-        let alloc = merge_outboxes(a.iter_mut(), 4);
-        let mut bufs = MergeBuffers::new(4);
-        merge_outboxes_into(b.iter_mut(), &mut bufs);
-        assert_eq!(bufs.batches(), &alloc[..]);
-        assert_eq!(bufs.total(), 4 * 64);
+        merge_outboxes_into(b.iter_mut(), &mut reused);
+        assert_eq!(reused.batches(), fresh.batches());
+        assert_eq!(reused.total(), 4 * 64);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //!
 //! The pop order is the exact total order the heap backend produced —
 //! ascending `(time, seq)` — which the conformance proptest in
-//! `crates/sim/tests/properties.rs` pins against [`crate::HeapEventQueue`]
-//! for arbitrary schedules, same-instant ties, cascading boundaries and
-//! overflow times. Per-level occupancy bitmaps (one `u64` per level, since
-//! a level has 64 slots) plus per-slot minima make `peek` O(levels) without
-//! touching any bucket.
+//! `crates/sim/tests/properties.rs` pins against that `BinaryHeap` queue
+//! (kept there as the oracle) for arbitrary schedules, same-instant ties,
+//! cascading boundaries and overflow times. Per-level occupancy bitmaps
+//! (one `u64` per level, since a level has 64 slots) plus per-slot minima
+//! make `peek` O(levels) without touching any bucket.
 //!
 //! **Bucket buffers are recycled, not kept.** A drained bucket hands its
 //! `Vec` to its level's free list and the next bucket of that level to

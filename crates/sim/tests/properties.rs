@@ -1,8 +1,101 @@
 //! Property tests for the simulation kernel.
 
-use pdht_sim::{EventQueue, HeapEventQueue, Histogram};
+use pdht_sim::{EventQueue, Histogram, Scheduled};
 use pdht_types::SimTime;
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+struct HeapEntry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+// Manual ordering: min-heap by (time, seq). BinaryHeap is a max-heap, so
+// invert the comparison.
+impl<E> PartialEq for HeapEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for HeapEntry<E> {}
+impl<E> PartialOrd for HeapEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for HeapEntry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+/// The original `BinaryHeap`-backed queue, kept as the oracle the timing
+/// wheel's pop order is pinned against: same `(time, seq)` total order as
+/// [`EventQueue`], O(log n) per operation over every resident event.
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<HeapEntry<E>>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl<E> HeapEventQueue<E> {
+    fn new() -> Self {
+        HeapEventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO }
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn schedule_at(&mut self, at: SimTime, event: E) {
+        assert!(at >= self.now, "cannot schedule into the past ({at:?} < {:?})", self.now);
+        self.heap.push(HeapEntry { time: at, seq: self.seq, event });
+        self.seq += 1;
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        self.heap.pop().map(|e| {
+            self.now = e.time;
+            Scheduled { time: e.time, event: e.event }
+        })
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        assert!(at >= self.now, "cannot rewind the clock");
+        if let Some(t) = self.peek_time() {
+            assert!(t >= at, "events pending before {at:?}");
+        }
+        self.now = at;
+    }
+}
+
+#[test]
+fn heap_backend_matches_wheel_on_a_mixed_schedule() {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let times = [3u64, 0, 0, 65, 64, 4095, 4096, 1_000_000, 3, (1 << 37) + 5, (1 << 37) + 5, 12];
+    for (i, &t) in times.iter().enumerate() {
+        wheel.schedule_at(SimTime::from_micros(t), i);
+        heap.schedule_at(SimTime::from_micros(t), i);
+    }
+    loop {
+        let (a, b) = (wheel.pop(), heap.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+}
 
 /// Times that stress every region of the timing wheel: slot boundaries at
 /// every level (powers of 64 ± 1), same-instant ties, and far-future
