@@ -7,7 +7,7 @@
 //! those wasted inserts. This experiment measures both policies on the same
 //! workload.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1, f3};
 use pdht_core::{AdmissionPolicy, PdhtConfig, PdhtNetwork, Strategy, TtlPolicy};
 use pdht_model::Scenario;
 use pdht_types::MessageKind;
@@ -51,23 +51,23 @@ fn main() {
         run(AdmissionPolicy::SecondChance { window_rounds: 50 }, "second-chance/50"),
     ];
 
-    let rows: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                o.label.to_string(),
-                f1(o.msgs),
-                f3(o.p_indexed),
-                f1(o.indexed_keys),
-                f1(o.insert_floods),
-                f1(o.walks),
-            ]
-        })
-        .collect();
-    print_table(
+    emit(
+        "ablation_admission",
         "A3 — admission policies on the same workload (msg/round)",
-        &["policy", "total", "pIndxd", "indexed keys", "insert+flood", "walk steps"],
-        &rows,
+        &["policy", "total_msgs", "p_indexed", "indexed_keys", "insert_flood", "walk_steps"],
+        &outcomes
+            .iter()
+            .map(|o| {
+                vec![
+                    o.label.to_string(),
+                    f1(o.msgs),
+                    f3(o.p_indexed),
+                    f1(o.indexed_keys),
+                    f1(o.insert_floods),
+                    f1(o.walks),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
     let always = &outcomes[0];
@@ -86,25 +86,4 @@ fn main() {
         second.p_indexed, always.p_indexed
     );
     println!("  cSUnstr/(repl·dup2) — the knob the paper's Eq. 17 exposes.");
-
-    let csv: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                o.label.to_string(),
-                f1(o.msgs),
-                f3(o.p_indexed),
-                f1(o.indexed_keys),
-                f1(o.insert_floods),
-                f1(o.walks),
-            ]
-        })
-        .collect();
-    let path = write_csv(
-        "ablation_admission",
-        &["policy", "total_msgs", "p_indexed", "indexed_keys", "insert_flood", "walk_steps"],
-        &csv,
-    )
-    .expect("write results CSV");
-    println!("\nwrote {}", path.display());
 }

@@ -6,8 +6,10 @@
 //! III. `cSIndx2 > cSIndx` (replica flooding on every index search),
 //! IV.  peers cannot know whether a key is indexed, so every miss pays the
 //!      index search *and* the broadcast *and* the insert.
+//!
+//! Writes the committed `results/ablation_overhead.csv`.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1};
 use pdht_model::figures::freq_label;
 use pdht_model::params::QUERY_FREQ_SWEEP;
 use pdht_model::{CostModel, Scenario, SelectionModel, StrategyCosts};
@@ -16,7 +18,6 @@ fn main() {
     let s = Scenario::table1();
     let cost = CostModel::new(&s);
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
     for &f_qry in &QUERY_FREQ_SWEEP {
         let ideal = StrategyCosts::evaluate(&s, f_qry).expect("model");
@@ -37,6 +38,7 @@ fn main() {
 
         let total_overhead = sel.total_cost - ideal.partial_ideal;
         rows.push(vec![
+            format!("{f_qry:.8}"),
             freq_label(f_qry),
             f1(ideal.partial_ideal),
             f1(sel.total_cost),
@@ -46,43 +48,14 @@ fn main() {
             f1(flood_surcharge),
             f1(blind),
         ]);
-        csv_rows.push(vec![
-            format!("{f_qry:.8}"),
-            f1(ideal.partial_ideal),
-            f1(sel.total_cost),
-            f1(total_overhead),
-            f1(admission),
-            f1(size_gap),
-            f1(flood_surcharge),
-            f1(blind),
-        ]);
-        let _ = f3; // formatting helper reserved for ratios below
     }
 
-    print_table(
-        "A1 — overhead decomposition of the selection algorithm (msg/s)",
-        &[
-            "fQry",
-            "ideal",
-            "selection",
-            "overhead",
-            "I/II admission",
-            "II size gap [keys]",
-            "III flooding",
-            "IV blind miss",
-        ],
-        &rows,
-    );
-
-    println!("\nReading: III (replica flooding on hits) dominates at busy loads;");
-    println!("IV (blind double search) grows as the hit rate falls; the admission");
-    println!("error I/II is comparatively small — the TTL filter is a good proxy");
-    println!("for 'worth indexing', which is the core claim of Section 5.");
-
-    let path = write_csv(
+    emit(
         "ablation_overhead",
+        "A1 — overhead decomposition of the selection algorithm (msg/s; size gap in keys)",
         &[
             "f_qry",
+            "f_qry_label",
             "ideal_cost",
             "selection_cost",
             "overhead",
@@ -91,8 +64,11 @@ fn main() {
             "flooding",
             "blind_miss",
         ],
-        &csv_rows,
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
+        &rows,
+    );
+
+    println!("\nReading: III (replica flooding on hits) dominates at busy loads;");
+    println!("IV (blind double search) grows as the hit rate falls; the admission");
+    println!("error I/II is comparatively small — the TTL filter is a good proxy");
+    println!("for 'worth indexing', which is the core claim of Section 5.");
 }

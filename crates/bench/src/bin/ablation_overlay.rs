@@ -6,7 +6,7 @@
 //! (→ `cRtn`), and behaviour under churn. If all stay logarithmic with
 //! comparable constants, the model's conclusions transfer.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1, f3};
 use pdht_overlay::{ChordOverlay, KademliaOverlay, Overlay, TrieOverlay};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PeerId};
@@ -88,7 +88,6 @@ fn measure(name: &'static str, overlay: &mut dyn Overlay, n: usize, seed: u64) -
 
 fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
     for &n in &[1_024usize, 4_096, 16_384] {
         let mut build_rng = SmallRng::seed_from_u64(42);
@@ -109,28 +108,20 @@ fn main() {
                 f1(stats.avg_entries),
                 f1(stats.probes_per_round),
             ]);
-            csv_rows.push(vec![
-                stats.name.to_string(),
-                format!("{}", stats.n),
-                f3(stats.avg_hops_online),
-                f3(stats.avg_hops_churn),
-                f3(stats.success_churn),
-                f1(stats.avg_entries),
-                f1(stats.probes_per_round),
-            ]);
         }
     }
 
-    print_table(
-        "A2 — traditional DHTs compared on the model's inputs",
+    emit(
+        "ablation_overlay",
+        "A2 — traditional DHTs compared on the model's inputs (churn = 30% offline)",
         &[
             "overlay",
             "peers",
-            "hops (online)",
-            "hops (30% churn)",
-            "success (churn)",
-            "entries/peer",
-            "probes/round",
+            "hops_online",
+            "hops_churn",
+            "success_churn",
+            "entries_per_peer",
+            "probes_per_round",
         ],
         &rows,
     );
@@ -141,20 +132,4 @@ fn main() {
     println!("resolves several bits per hop at the price of k-wide buckets), so the");
     println!("paper's qualitative analysis applies to any of them — quantitative");
     println!("results shift with the constants, as footnote 2 anticipates.");
-
-    let path = write_csv(
-        "ablation_overlay",
-        &[
-            "overlay",
-            "peers",
-            "hops_online",
-            "hops_churn",
-            "success_churn",
-            "entries_per_peer",
-            "probes_per_round",
-        ],
-        &csv_rows,
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
 }

@@ -1,9 +1,11 @@
 //! Experiment A5 — exact strategy crossovers.
 //!
 //! The paper reads crossings off its plots; these solvers pin them to
-//! numbers, and show how the scenario's levers move them.
+//! numbers, and show how the scenario's levers move them. Each crossover
+//! is a raw frequency (`-1` = never) beside its `1/N` period label. Writes
+//! the committed `results/crossover_analysis.csv`.
 
-use pdht_bench::{f1, print_table, write_csv};
+use pdht_bench::emit;
 use pdht_model::crossover::{no_index_vs_index_all, selection_vs_index_all};
 use pdht_model::Scenario;
 
@@ -17,8 +19,6 @@ fn period(f: Option<f64>) -> String {
 fn main() {
     let base = Scenario::table1();
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let variants: Vec<(String, Scenario)> = vec![
         ("Table 1".into(), base.clone()),
         ("repl = 25".into(), Scenario { repl: 25, ..base.clone() }),
@@ -29,26 +29,25 @@ fn main() {
         ("env = 1/56 (calmer)".into(), Scenario { env: 1.0 / 56.0, ..base.clone() }),
     ];
 
-    for (label, s) in &variants {
-        let fig1 = no_index_vs_index_all(s).expect("model evaluates");
-        let fig4 = selection_vs_index_all(s).expect("model evaluates");
-        rows.push(vec![label.clone(), period(fig1), period(fig4)]);
-        csv.push(vec![
-            label.replace(',', ";"),
-            fig1.map_or(-1.0, |f| f).to_string(),
-            fig4.map_or(-1.0, |f| f).to_string(),
-        ]);
-    }
-
-    print_table(
-        "A5 — strategy crossover frequencies",
-        &["scenario", "noIndex = indexAll (Fig.1)", "selection = indexAll (Fig.4)"],
+    let rows: Vec<Vec<String>> = variants
+        .iter()
+        .map(|(label, s)| {
+            let fig1 = no_index_vs_index_all(s).expect("model evaluates");
+            let fig4 = selection_vs_index_all(s).expect("model evaluates");
+            let raw = |f: Option<f64>| f.map_or(-1.0, |f| f).to_string();
+            vec![label.clone(), raw(fig1), period(fig1), raw(fig4), period(fig4)]
+        })
+        .collect();
+    emit(
+        "crossover_analysis",
+        "A5 — strategy crossover frequencies (noIndex = indexAll: Fig. 1; selection = indexAll: Fig. 4)",
+        &["scenario", "fig1_crossover_fqry", "fig1_period", "fig4_crossover_fqry", "fig4_period"],
         &rows,
     );
 
     println!(
         "\nReading: Table 1 pins Fig. 1's crossover at {} and Fig. 4's at {} —",
-        rows[0][1], rows[0][2]
+        rows[0][2], rows[0][4]
     );
     println!("inside the bands the plots show. Cheaper broadcasts (higher repl) make");
     println!("noIndex competitive up to busier loads (Fig. 1 crossing moves left).");
@@ -57,13 +56,4 @@ fn main() {
     println!("loads. Churn (env) cuts the other way: maintenance scales with index");
     println!("size, so churnier networks punish the FULL index hardest and partial");
     println!("indexing stays ahead up to busier frequencies.");
-    let _ = f1; // table helper reserved
-
-    let path = write_csv(
-        "crossover_analysis",
-        &["scenario", "fig1_crossover_fqry", "fig4_crossover_fqry"],
-        &csv,
-    )
-    .expect("write results CSV");
-    println!("\nwrote {}", path.display());
 }

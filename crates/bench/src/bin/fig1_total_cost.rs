@@ -1,8 +1,9 @@
 //! Experiment F1 — Fig. 1: total sent messages per second vs query
 //! frequency for `indexAll` (Eq. 11), `noIndex` (Eq. 12) and ideal
-//! `partial` indexing (Eq. 13).
+//! `partial` indexing (Eq. 13). Writes the committed
+//! `results/fig1_total_cost.csv`.
 
-use pdht_bench::{f1, print_table, write_csv};
+use pdht_bench::{emit, f1};
 use pdht_model::figures::{fig1, freq_label};
 use pdht_model::Scenario;
 
@@ -10,14 +11,23 @@ fn main() {
     let s = Scenario::table1();
     let rows = fig1(&s).expect("model evaluates on Table 1");
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![freq_label(r.f_qry), f1(r.index_all), f1(r.no_index), f1(r.partial)])
-        .collect();
-    print_table(
+    emit(
+        "fig1_total_cost",
         "Fig. 1 — total msg/s vs query frequency",
-        &["fQry [1/s]", "indexAll", "noIndex", "partial"],
-        &table,
+        &["f_qry", "f_qry_label", "index_all", "no_index", "partial"],
+        &rows
+            .iter()
+            .map(|r| {
+                let f = r.f_qry;
+                vec![
+                    format!("{f:.8}"),
+                    freq_label(f),
+                    f1(r.index_all),
+                    f1(r.no_index),
+                    f1(r.partial),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
     println!("\nShape checks against the paper:");
@@ -34,17 +44,4 @@ fn main() {
             .map(|r| r.partial / r.index_all.min(r.no_index))
             .fold(f64::NEG_INFINITY, f64::max)
     );
-
-    let path = write_csv(
-        "fig1_total_cost",
-        &["f_qry", "index_all", "no_index", "partial"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![format!("{:.8}", r.f_qry), f1(r.index_all), f1(r.no_index), f1(r.partial)]
-            })
-            .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
 }

@@ -1,7 +1,8 @@
 //! Experiment F2 — Fig. 2: savings of ideal partial indexing compared to
-//! indexing all keys and compared to broadcasting all queries.
+//! indexing all keys and compared to broadcasting all queries. Writes the
+//! committed `results/fig2_savings_ideal.csv`.
 
-use pdht_bench::{f3, print_table, write_csv};
+use pdht_bench::{emit, f3};
 use pdht_model::figures::{fig2, freq_label};
 use pdht_model::Scenario;
 
@@ -9,14 +10,17 @@ fn main() {
     let s = Scenario::table1();
     let rows = fig2(&s).expect("model evaluates on Table 1");
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![freq_label(r.f_qry), f3(r.vs_index_all), f3(r.vs_no_index)])
-        .collect();
-    print_table(
+    emit(
+        "fig2_savings_ideal",
         "Fig. 2 — savings of ideal partial indexing",
-        &["fQry [1/s]", "vs indexAll", "vs noIndex"],
-        &table,
+        &["f_qry", "f_qry_label", "vs_index_all", "vs_no_index"],
+        &rows
+            .iter()
+            .map(|r| {
+                let f = r.f_qry;
+                vec![format!("{f:.8}"), freq_label(f), f3(r.vs_index_all), f3(r.vs_no_index)]
+            })
+            .collect::<Vec<_>>(),
     );
 
     println!("\nShape checks against the paper:");
@@ -30,15 +34,4 @@ fn main() {
         "  all savings positive: min = {:.3}",
         rows.iter().map(|r| r.vs_index_all.min(r.vs_no_index)).fold(f64::INFINITY, f64::min)
     );
-
-    let path = write_csv(
-        "fig2_savings_ideal",
-        &["f_qry", "vs_index_all", "vs_no_index"],
-        &rows
-            .iter()
-            .map(|r| vec![format!("{:.8}", r.f_qry), f3(r.vs_index_all), f3(r.vs_no_index)])
-            .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
 }

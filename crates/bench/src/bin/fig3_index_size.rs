@@ -1,8 +1,8 @@
 //! Experiment F3 — Fig. 3: percentage of indexed keys with ideal partial
 //! indexing ("index size") and percentage of queries answerable from the
-//! index (`pIndxd`).
+//! index (`pIndxd`). Writes the committed `results/fig3_index_size.csv`.
 
-use pdht_bench::{f3, print_table, write_csv};
+use pdht_bench::{emit, f3};
 use pdht_model::figures::{fig3, freq_label};
 use pdht_model::Scenario;
 
@@ -10,14 +10,17 @@ fn main() {
     let s = Scenario::table1();
     let rows = fig3(&s).expect("model evaluates on Table 1");
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![freq_label(r.f_qry), f3(r.index_fraction), f3(r.p_indexed)])
-        .collect();
-    print_table(
+    emit(
+        "fig3_index_size",
         "Fig. 3 — ideal index size and hit probability",
-        &["fQry [1/s]", "index size", "pIndxd"],
-        &table,
+        &["f_qry", "f_qry_label", "index_fraction", "p_indexed"],
+        &rows
+            .iter()
+            .map(|r| {
+                let f = r.f_qry;
+                vec![format!("{f:.8}"), freq_label(f), f3(r.index_fraction), f3(r.p_indexed)]
+            })
+            .collect::<Vec<_>>(),
     );
 
     println!("\nShape checks against the paper:");
@@ -33,15 +36,4 @@ fn main() {
         rows[rows.len() - 1].index_fraction * 100.0,
         rows[rows.len() - 1].p_indexed * 100.0
     );
-
-    let path = write_csv(
-        "fig3_index_size",
-        &["f_qry", "index_fraction", "p_indexed"],
-        &rows
-            .iter()
-            .map(|r| vec![format!("{:.8}", r.f_qry), f3(r.index_fraction), f3(r.p_indexed)])
-            .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
 }

@@ -1,8 +1,9 @@
 //! Experiment F4 — Fig. 4: savings with the proposed **selection
 //! algorithm** (Eq. 14–17) compared to indexing all keys and compared to
-//! broadcasting all queries.
+//! broadcasting all queries. Writes the committed
+//! `results/fig4_savings_selection.csv`.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1, f3};
 use pdht_model::figures::{fig4, freq_label};
 use pdht_model::Scenario;
 
@@ -10,22 +11,23 @@ fn main() {
     let s = Scenario::table1();
     let rows = fig4(&s).expect("model evaluates on Table 1");
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                freq_label(r.f_qry),
-                f1(r.key_ttl),
-                f1(r.total_cost),
-                f3(r.vs_index_all),
-                f3(r.vs_no_index),
-            ]
-        })
-        .collect();
-    print_table(
+    emit(
+        "fig4_savings_selection",
         "Fig. 4 — savings with the selection algorithm",
-        &["fQry [1/s]", "keyTtl [rounds]", "cost [msg/s]", "vs indexAll", "vs noIndex"],
-        &table,
+        &["f_qry", "f_qry_label", "key_ttl", "total_cost", "vs_index_all", "vs_no_index"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{:.8}", r.f_qry),
+                    freq_label(r.f_qry),
+                    f1(r.key_ttl),
+                    f1(r.total_cost),
+                    f3(r.vs_index_all),
+                    f3(r.vs_no_index),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
     println!("\nShape checks against the paper:");
@@ -41,23 +43,4 @@ fn main() {
         "  savings vs noIndex positive on the whole sweep: min = {:.3}",
         rows.iter().map(|r| r.vs_no_index).fold(f64::INFINITY, f64::min)
     );
-
-    let path = write_csv(
-        "fig4_savings_selection",
-        &["f_qry", "key_ttl", "total_cost", "vs_index_all", "vs_no_index"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.8}", r.f_qry),
-                    f1(r.key_ttl),
-                    f1(r.total_cost),
-                    f3(r.vs_index_all),
-                    f3(r.vs_no_index),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("wrote {}", path.display());
 }

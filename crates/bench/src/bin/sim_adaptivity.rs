@@ -5,10 +5,11 @@
 //! popularity ranking is rotated by half the key space (yesterday's cold
 //! keys become today's head). The index hit rate must collapse at the shift
 //! and then recover as the TTL mechanism re-learns the head — without any
-//! coordination or reconfiguration.
+//! coordination or reconfiguration. One row per window under the shared
+//! report columns, in `results/sim_adaptivity.csv`.
 
 use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv, write_histograms_csv,
+    emit, parse_sim_args, reject_peers_override, report_cells, write_histograms_csv, REPORT_HEADER,
 };
 use pdht_core::{PdhtConfig, PdhtNetwork, Strategy, TtlPolicy};
 use pdht_model::Scenario;
@@ -17,17 +18,7 @@ use pdht_zipf::{PopularityShift, RankMap};
 fn main() {
     let args = parse_sim_args();
     reject_peers_override(&args, "sim_adaptivity");
-    println!(
-        "S3 configuration: overlay = {:?}, latency = {:?}, threads = {}, shards = {}, \
-         gossip codec = {:?}, gen size = {}{}",
-        args.overlay,
-        args.latency,
-        args.threads,
-        args.effective_shards(),
-        args.gossip_codec,
-        args.gen_size,
-        if args.smoke { ", smoke mode" } else { "" }
-    );
+    println!("S3 configuration: {}", args.describe());
     let scenario = Scenario::table1_scaled(20); // 1 000 peers, 2 000 keys
     let keys = scenario.keys as usize;
     let shift_round = if args.smoke { 80 } else { 400u64 };
@@ -41,47 +32,26 @@ fn main() {
     .expect("valid schedule");
 
     let mut cfg = PdhtConfig::new(scenario, 1.0 / 30.0, Strategy::Partial);
-    cfg.overlay = args.overlay;
-    cfg.latency = args.latency;
     cfg.shift = Some(shift);
     // A modest fixed TTL keeps the re-learning period visible at this time
     // scale (the Table-1 TTL of ~10^3 rounds would stretch the plot).
     cfg.ttl_policy = TtlPolicy::Fixed(if args.smoke { 40 } else { 120 });
     cfg.purge_stride = 4;
     cfg.seed = 0xada_2004;
-    args.apply_shards(&mut cfg);
+    args.apply(&mut cfg);
 
     let mut net = PdhtNetwork::new(cfg).expect("network builds");
     args.apply_threads(&mut net);
     net.run(total_rounds);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut hit_before = 0.0f64;
     let mut hit_at_shift = f64::INFINITY;
     let mut hit_after = 0.0f64;
     for start in (0..total_rounds).step_by(window as usize) {
         let end = (start + window - 1).min(total_rounds - 1);
         let rep = net.report(start, end);
-        rows.push(vec![
-            format!("{start}..{end}"),
-            f3(rep.p_indexed),
-            f1(rep.indexed_keys),
-            f1(rep.msgs_per_round),
-            if start < shift_round && end >= shift_round {
-                "<- shift".into()
-            } else {
-                String::new()
-            },
-        ]);
-        csv_rows.push(vec![
-            format!("{start}"),
-            f3(rep.p_indexed),
-            f1(rep.indexed_keys),
-            f1(rep.msgs_per_round),
-            f3(rep.wasted_bandwidth),
-            f1(rep.gossip_bytes_per_round),
-        ]);
+        rows.push([vec![start.to_string(), end.to_string()], report_cells(&rep)].concat());
         if end < shift_round && end + window >= shift_round {
             hit_before = rep.p_indexed;
         }
@@ -92,9 +62,10 @@ fn main() {
             hit_after = rep.p_indexed;
         }
     }
-    print_table(
-        "S3 adaptivity — hit rate and index size across a popularity shift",
-        &["rounds", "pIndxd", "indexed keys", "msg/round", ""],
+    emit(
+        "sim_adaptivity",
+        &format!("S3 adaptivity — hit rate and index size across a popularity shift at round {shift_round}"),
+        &[&["window_start", "window_end"], &REPORT_HEADER[..]].concat(),
         &rows,
     );
 
@@ -113,19 +84,6 @@ fn main() {
         }
     );
 
-    let path = write_csv(
-        "sim_adaptivity",
-        &[
-            "window_start",
-            "p_indexed",
-            "indexed_keys",
-            "msgs_per_round",
-            "wasted_bandwidth",
-            "gossip_bytes_per_round",
-        ],
-        &csv_rows,
-    )
-    .expect("write results CSV");
     // The histograms are cumulative over the whole run, so persist them once
     // from the final report (ROADMAP open item: latency histograms → CSVs).
     let final_report = net.report(0, total_rounds - 1);
@@ -134,5 +92,5 @@ fn main() {
         &[(format!("partial/{:?}", net.config().overlay).to_lowercase(), final_report)],
     )
     .expect("write histogram CSV");
-    println!("wrote {} and {}", path.display(), hist_path.display());
+    println!("wrote {}", hist_path.display());
 }

@@ -12,12 +12,10 @@
 //! determinism check (identical accounting at every G).
 //!
 //! The `--gossip-codec` and `--gen-size` flags are ignored here — the grid
-//! *is* the experiment. `--smoke` shrinks rounds for CI; writes
-//! `results/sim_gen_sweep.csv`.
+//! *is* the experiment. `--smoke` shrinks rounds for CI. The printed table
+//! is `results/sim_gen_sweep.csv`, committed as generated by `--smoke`.
 
-use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv, write_histograms_csv,
-};
+use pdht_bench::{emit, f1, f3, parse_sim_args, reject_peers_override, write_histograms_csv};
 use pdht_core::{GossipCodec, PdhtConfig, PdhtNetwork, SimReport, Strategy};
 use pdht_model::Scenario;
 
@@ -33,12 +31,8 @@ fn main() {
     let args = parse_sim_args();
     reject_peers_override(&args, "sim_gen_sweep");
     println!(
-        "S5 configuration: overlay = {:?}, latency = {:?}, threads = {}, shards = {}{}",
-        args.overlay,
-        args.latency,
-        args.threads,
-        args.effective_shards(),
-        if args.smoke { ", smoke mode" } else { "" }
+        "S5 configuration: {} (the codec x generation grid replaces --gossip-codec/--gen-size)",
+        args.describe()
     );
     let rounds: u64 = if args.smoke { 40 } else { 120 };
 
@@ -48,9 +42,7 @@ fn main() {
         let scenario = Scenario { repl: 64, f_upd: 1.0 / 1000.0, ..Scenario::table1_scaled(20) };
         let mut cfg = PdhtConfig::new(scenario, 1.0 / 30.0, Strategy::IndexAll);
         cfg.seed = 0x9e4_2004;
-        cfg.overlay = args.overlay;
-        cfg.latency = args.latency;
-        args.apply_shards(&mut cfg);
+        args.apply(&mut cfg);
         cfg.gossip_codec = codec;
         cfg.gossip_generation = gen;
         let mut net = PdhtNetwork::new(cfg).expect("network builds");
@@ -60,13 +52,11 @@ fn main() {
     };
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut hist_reports: Vec<(String, SimReport)> = Vec::new();
     let mut plain_bytes_per_round: Option<f64> = None;
     for gen in GENERATIONS {
         for (codec, name) in CODECS {
             let rep = run(codec, gen);
-            let received = rep.gossip_innovative + rep.gossip_redundant;
             // Bytes spent per innovative (rank-raising) receive: the
             // sweep's figure of merit — how much bandwidth one unit of
             // actually-new information costs under each codec.
@@ -89,15 +79,6 @@ fn main() {
             rows.push(vec![
                 name.to_string(),
                 gen.to_string(),
-                received.to_string(),
-                rep.gossip_redundant.to_string(),
-                f3(rep.wasted_bandwidth),
-                f1(rep.gossip_bytes_per_round),
-                f1(bytes_per_innovative),
-            ]);
-            csv_rows.push(vec![
-                name.to_string(),
-                gen.to_string(),
                 f1(rep.msgs_per_round),
                 rep.gossip_innovative.to_string(),
                 rep.gossip_redundant.to_string(),
@@ -109,17 +90,12 @@ fn main() {
             hist_reports.push((format!("{name}@g{gen}"), rep));
         }
     }
-    print_table(
+    emit(
+        "sim_gen_sweep",
         &format!(
             "S5 generation-size sweep — repl 64, {rounds} rounds, seed pinned \
-             (bytes/innov = gossip bytes per rank-raising receive)"
+             (bytes_per_innovative = gossip bytes per rank-raising receive)"
         ),
-        &["codec", "G", "received", "redundant", "wasted", "bytes/rnd", "bytes/innov"],
-        &rows,
-    );
-
-    let path = write_csv(
-        "sim_gen_sweep",
         &[
             "codec",
             "gen_size",
@@ -131,10 +107,9 @@ fn main() {
             "gossip_bytes_per_round",
             "bytes_per_innovative",
         ],
-        &csv_rows,
-    )
-    .expect("write results CSV");
+        &rows,
+    );
     let hist_path =
         write_histograms_csv("sim_gen_sweep_hist", &hist_reports).expect("write histogram CSV");
-    println!("\nwrote {} and {}", path.display(), hist_path.display());
+    println!("wrote {}", hist_path.display());
 }

@@ -1,25 +1,29 @@
-//! Histogram report — the plotting companion to the S2/S3/S4 bins: loads
+//! Histogram report — the plotting companion to the S2–S5 bins: loads
 //! every `results/*_hist.csv` the simulation binaries persisted and prints
-//! per-overlay p50/p95/p99 comparison tables for query hops and query
-//! latency, so the cross-substrate latency story (ReCord's evaluation axis
-//! in `PAPERS.md`) reads off one screen instead of N CSVs.
+//! one p50/p95/p99 comparison table over every run, grouped by metric
+//! (query hops, query latency, wave redundancy and bytes), so the
+//! cross-substrate latency story (ReCord's evaluation axis in `PAPERS.md`)
+//! reads off one screen instead of N CSVs. The table is
+//! `results/hist_report.csv`.
 //!
 //! Usage: run after any of the simulation bins, e.g.
 //! `cargo run --release -p pdht-bench --bin sim_vs_model -- --smoke` then
-//! `cargo run --release -p pdht-bench --bin sim_hist_report`. Also writes
-//! the combined rows to `results/hist_report.csv`.
+//! `cargo run --release -p pdht-bench --bin sim_hist_report`.
 
-use pdht_bench::{parse_histogram_csv_row, print_table, results_dir, write_csv};
-use pdht_sim::HistogramSummary;
+use pdht_bench::{emit, parse_histogram_csv_row, results_dir};
 use std::collections::BTreeMap;
 
-/// One labelled series from one histogram CSV.
-struct SeriesRow {
-    /// Source file stem (e.g. `sim_vs_model_hist`).
-    source: String,
-    /// Run label as written by the bin (e.g. `partial@1/30`).
-    label: String,
-    summary: HistogramSummary,
+/// The unit a histogram metric is observed in.
+fn unit(metric: &str) -> &'static str {
+    if metric.ends_with("_us") {
+        "us"
+    } else if metric.ends_with("_bytes") {
+        "bytes/wave"
+    } else if metric.starts_with("gossip_wave") {
+        "receives/wave"
+    } else {
+        "steps"
+    }
 }
 
 fn main() {
@@ -44,7 +48,7 @@ fn main() {
     }
 
     // metric -> rows, keeping file then line order.
-    let mut by_metric: BTreeMap<String, Vec<SeriesRow>> = BTreeMap::new();
+    let mut by_metric: BTreeMap<String, Vec<Vec<String>>> = BTreeMap::new();
     let mut malformed = 0usize;
     for path in &files {
         let source = path.file_stem().and_then(|s| s.to_str()).unwrap_or("unknown").to_string();
@@ -54,10 +58,17 @@ fn main() {
         };
         for line in body.lines().skip(1) {
             match parse_histogram_csv_row(line) {
-                Ok((label, metric, summary)) => by_metric
-                    .entry(metric)
-                    .or_default()
-                    .push(SeriesRow { source: source.clone(), label, summary }),
+                Ok((label, metric, h)) => by_metric.entry(metric.clone()).or_default().push(vec![
+                    metric.clone(),
+                    unit(&metric).to_string(),
+                    source.clone(),
+                    label,
+                    h.count.to_string(),
+                    h.p50.to_string(),
+                    h.p95.to_string(),
+                    h.p99.to_string(),
+                    h.max.to_string(),
+                ]),
                 Err(e) => {
                     eprintln!("warning: skipping row in {}: {e}", path.display());
                     malformed += 1;
@@ -66,73 +77,21 @@ fn main() {
         }
     }
 
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    for (metric, rows) in &by_metric {
-        let display_us = metric.ends_with("_us");
-        let fmt = |v: u64| {
-            if display_us {
-                format!("{:.1}", v as f64 / 1e3)
-            } else {
-                v.to_string()
-            }
-        };
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.source.clone(),
-                    r.label.clone(),
-                    r.summary.count.to_string(),
-                    fmt(r.summary.p50),
-                    fmt(r.summary.p95),
-                    fmt(r.summary.p99),
-                    fmt(r.summary.max),
-                ]
-            })
-            .collect();
-        let unit = if display_us {
-            " (ms)"
-        } else if metric.ends_with("_bytes") {
-            " (bytes/wave)"
-        } else if metric.starts_with("gossip_wave") {
-            " (receives/wave)"
-        } else {
-            " (steps)"
-        };
-        print_table(
-            &format!("{metric}{unit} across runs"),
-            &["source", "run", "count", "p50", "p95", "p99", "max"],
-            &table,
-        );
-        for r in rows {
-            csv_rows.push(vec![
-                metric.clone(),
-                r.source.clone(),
-                r.label.clone(),
-                r.summary.count.to_string(),
-                r.summary.p50.to_string(),
-                r.summary.p95.to_string(),
-                r.summary.p99.to_string(),
-                r.summary.max.to_string(),
-            ]);
-        }
-    }
-
-    let path = write_csv(
+    let rows: Vec<Vec<String>> = by_metric.into_values().flatten().collect();
+    emit(
         "hist_report",
-        &["metric", "source", "run", "count", "p50", "p95", "p99", "max"],
-        &csv_rows,
-    )
-    .expect("write combined CSV");
+        "histograms across runs",
+        &["metric", "unit", "source", "run", "count", "p50", "p95", "p99", "max"],
+        &rows,
+    );
     println!(
-        "\n{} series from {} file(s){}; wrote {}",
-        csv_rows.len(),
+        "{} series from {} file(s){}",
+        rows.len(),
         files.len(),
         if malformed > 0 {
             format!(", {malformed} malformed row(s) skipped")
         } else {
             String::new()
-        },
-        path.display()
+        }
     );
 }

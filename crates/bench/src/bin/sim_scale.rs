@@ -5,24 +5,29 @@
 //! virtual-time queue; the O(active-work) refactor finished the job with a
 //! timing-wheel scheduler (amortized O(1) per event), calendar-bucketed
 //! churn (O(transitions) per round) and allocation-free walk state; the
-//! shard-parallel refactor split each round's passes across `--threads`
-//! worker threads (deterministic outbox barriers). This bin is the scale
-//! smoke: it builds a Table-1-shaped network with the population
+//! shard-parallel refactor split each round's passes into `--shards` lanes
+//! run on `--threads` workers (deterministic outbox barriers). This bin is
+//! the scale smoke: it builds a Table-1-shaped network with the population
 //! overridden (default 100 000 peers; CI runs `--peers 1000000 --smoke`
 //! under a 75 s wall-clock budget) under Gnutella-like churn, runs the
 //! selection algorithm with fully jittered background schedules, and
 //! reports wall-clock per round alongside the usual message accounting.
 //! It then asserts the O(active-work) invariant — per-round dispatched
 //! events must track the active-peer/background population, not the total
-//! population — and that the accounting is thread-invariant at scale.
-//! Timing numbers of record come from `benchmark/`, not from here.
+//! population — and that the accounting is thread-invariant at scale. A
+//! population too small to do work in the window exits 2 instead.
+//! Timing numbers of record come from `benchmark/`, not from here. The
+//! table (shared report columns plus event and wall-clock columns) is
+//! `results/sim_scale.csv`.
 
-use pdht_bench::{f1, f3, parse_sim_args, print_table, write_csv, write_histograms_csv};
-use pdht_core::{BackgroundSchedule, PdhtConfig, PdhtNetwork, PhaseBreakdown, Strategy, TtlPolicy};
+use pdht_bench::{
+    emit, exit_with, f1, parse_sim_args, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER,
+};
+use pdht_core::{
+    BackgroundSchedule, PdhtConfig, PdhtNetwork, PhaseBreakdown, SimReport, Strategy, TtlPolicy,
+};
 use pdht_model::Scenario;
 use pdht_overlay::ChurnConfig;
-use pdht_types::{PdhtError, Result};
-use std::io::Write as _;
 use std::time::Instant;
 
 /// Shard count of the thread-invariance check: `shards` is the semantic
@@ -34,16 +39,16 @@ const INVARIANCE_THREADS: [usize; 2] = [1, 4];
 /// Rounds per invariance run.
 const INVARIANCE_ROUNDS: u64 = 5;
 
-/// The S4 configuration at a given population and shard count: Table-1
-/// shape with the population overridden (key universe and replication at
-/// full scale, so per-peer load is realistic), one query per peer per 10
-/// minutes, bounded TTL, Gnutella-like session churn, and every peer's
-/// maintenance/TTL tick jittered to its own instant.
+/// The S4 configuration at a given population under the bin's flags:
+/// Table-1 shape with the population overridden (key universe and
+/// replication at full scale, so per-peer load is realistic), one query
+/// per peer per 10 minutes, bounded TTL, Gnutella-like session churn, and
+/// every peer's maintenance/TTL tick jittered to its own instant.
 ///
 /// # Errors
 /// Fails when the population cannot hold the configuration (e.g. fewer
 /// peers than the replication factor).
-fn scale_cfg(num_peers: u32, shards: u32) -> Result<PdhtConfig> {
+fn scale_cfg(num_peers: u32, args: &SimArgs) -> pdht_types::Result<PdhtConfig> {
     let scenario = Scenario { num_peers, ..Scenario::table1() };
     let mut cfg = PdhtConfig::new(scenario, 1.0 / 600.0, Strategy::Partial);
     cfg.seed = 0x54_2004;
@@ -51,17 +56,29 @@ fn scale_cfg(num_peers: u32, shards: u32) -> Result<PdhtConfig> {
     cfg.purge_stride = 8;
     cfg.churn = ChurnConfig::gnutella_like();
     cfg.background = BackgroundSchedule { maintenance_jitter_us: 900_000, ttl_jitter_us: 900_000 };
-    cfg.shards = shards;
+    args.apply(&mut cfg);
     cfg.validate()?;
     Ok(cfg)
 }
 
-/// Exits 2 on a configuration the population cannot hold, the way
-/// `parse_sim_args` rejects a bad flag.
-fn reject(e: PdhtError) -> ! {
-    let _ = std::io::stdout().flush();
-    eprintln!("error: {e}");
-    std::process::exit(2);
+/// Whether the run did the work the asserts below measure: it sent
+/// messages and its queries populated the index. A population far below S4
+/// scale can issue no query and send no message in a short window — a
+/// setting to reject, not an engine failure.
+///
+/// # Errors
+/// Names the population, the window and what the run observed.
+fn check_did_work(report: &SimReport, num_peers: u32) -> Result<(), String> {
+    if report.msgs_per_round > 0.0 && report.indexed_keys > 0.0 {
+        return Ok(());
+    }
+    let (from, to) = report.rounds;
+    let issued = report.query_hops.map_or(0, |h| h.count) + report.skipped_offline;
+    Err(format!(
+        "{num_peers} peers did no measurable work in rounds {from}..={to}: {issued} queries \
+         issued, {:.1} msg/round, {:.1} indexed keys — S4 needs a larger --peers",
+        report.msgs_per_round, report.indexed_keys
+    ))
 }
 
 /// `breakdown` as per-round milliseconds `(churn, queries, background,
@@ -75,35 +92,16 @@ fn main() {
     let args = parse_sim_args();
     let num_peers = args.peers.unwrap_or(100_000);
     let rounds: u64 = if args.smoke { 5 } else { 30 };
-    // `effective_shards()` (not `args.threads`): the shard count is the
-    // semantic knob and only *defaults* to the thread count — an explicit
-    // `--shards` decouples the workload from the executor width.
-    let cfg_at = |peers: u32, shards: u32| {
-        let mut cfg = scale_cfg(peers, shards).unwrap_or_else(|e| reject(e));
-        cfg.overlay = args.overlay;
-        cfg.latency = args.latency;
-        cfg.gossip_codec = args.gossip_codec;
-        cfg.gossip_generation = args.gen_size as usize;
-        cfg
+    let build = |peers: u32, args: &SimArgs| {
+        scale_cfg(peers, args)
+            .and_then(PdhtNetwork::new)
+            .unwrap_or_else(|e| exit_with(&e.to_string()))
     };
-    let build = |cfg: PdhtConfig| PdhtNetwork::new(cfg).unwrap_or_else(|e| reject(e));
-    let cfg = cfg_at(num_peers, args.effective_shards());
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "S4 configuration: {num_peers} peers, overlay = {:?}, latency = {:?}, \
-         threads = {}, shards = {}, gossip codec = {:?}, gen size = {} \
-         ({host_cpus} host cpus){}",
-        args.overlay,
-        args.latency,
-        args.threads,
-        args.effective_shards(),
-        args.gossip_codec,
-        args.gen_size,
-        if args.smoke { ", smoke mode" } else { "" }
-    );
+    println!("S4 configuration: {num_peers} peers, {} ({host_cpus} host cpus)", args.describe());
 
     let t0 = Instant::now();
-    let mut net = build(cfg);
+    let mut net = build(num_peers, &args);
     args.apply_threads(&mut net);
     net.enable_phase_timers();
     let build_secs = t0.elapsed().as_secs_f64();
@@ -125,64 +123,26 @@ fn main() {
     let breakdown = net.phase_breakdown().expect("phase timers enabled");
     let (churn_ms, queries_ms, background_ms, barriers_ms) = phase_ms(&breakdown, rounds);
 
-    let rows = vec![vec![
-        num_peers.to_string(),
-        nap.to_string(),
-        args.threads.to_string(),
-        rounds.to_string(),
-        f1(report.msgs_per_round),
-        f3(report.p_indexed),
-        f1(report.indexed_keys),
-        f3(report.wasted_bandwidth),
-        f1(report.gossip_bytes_per_round),
-        f1(events_per_round),
-        format!("{build_secs:.2}"),
-        format!("{per_round_ms:.1}"),
-    ]];
-    print_table(
+    // Persist the artifacts before any check can fire.
+    let head =
+        [num_peers.to_string(), nap.to_string(), args.threads.to_string(), rounds.to_string()];
+    let tail = [f1(events_per_round), format!("{build_secs:.2}"), format!("{per_round_ms:.1}")];
+    emit(
+        "sim_scale",
         "S4 scale — event-driven engine, jittered background schedules",
         &[
-            "peers",
-            "active",
-            "threads",
-            "rounds",
-            "msg/round",
-            "pIndxd",
-            "keys",
-            "wasted",
-            "bytes/rnd",
-            "ev/round",
-            "build s",
-            "ms/round",
-        ],
-        &rows,
+            &["peers", "active", "threads", "rounds"][..],
+            &REPORT_HEADER,
+            &["events_per_round", "build_secs", "ms_per_round"],
+        ]
+        .concat(),
+        &[[&head[..], &report_cells(&report), &tail].concat()],
     );
     println!(
         "phase breakdown (ms/round): churn {churn_ms:.2}, queries {queries_ms:.2}, \
          background {background_ms:.2}, barriers {barriers_ms:.2} — serial fraction {:.3}",
         breakdown.serial_fraction()
     );
-
-    // Persist the artifacts before any assert can fire.
-    let csv = write_csv(
-        "sim_scale",
-        &[
-            "peers",
-            "active",
-            "threads",
-            "rounds",
-            "msgs_per_round",
-            "p_indexed",
-            "indexed_keys",
-            "wasted_bandwidth",
-            "gossip_bytes_per_round",
-            "events_per_round",
-            "build_secs",
-            "ms_per_round",
-        ],
-        &rows,
-    )
-    .expect("write results CSV");
     let hist = write_histograms_csv(
         "sim_scale_hist",
         &[(
@@ -191,10 +151,9 @@ fn main() {
         )],
     )
     .expect("write histogram CSV");
-    println!("\nwrote {} and {}", csv.display(), hist.display());
+    println!("wrote {}", hist.display());
 
-    assert!(report.msgs_per_round > 0.0, "the network must do work at scale");
-    assert!(net.indexed_keys() > 0, "queries must populate the index at scale");
+    check_did_work(&report, num_peers).unwrap_or_else(|e| exit_with(&e));
 
     // O(active-work) regression gate: per-round queue dispatch must track
     // the background-event population (maintenance + staggered TTL sweeps
@@ -224,8 +183,9 @@ fn main() {
     // accounting by a single message. Inherits overlay, latency, codec and
     // generation size, so a coded run proves the coded waves invariant too.
     let check_peers = num_peers.min(100_000);
+    let check_args = SimArgs { shards: INVARIANCE_SHARDS, ..args };
     let msgs_per_round = INVARIANCE_THREADS.map(|threads| {
-        let mut net = build(cfg_at(check_peers, INVARIANCE_SHARDS));
+        let mut net = build(check_peers, &check_args);
         net.set_threads(threads);
         net.run(INVARIANCE_ROUNDS);
         net.report(0, INVARIANCE_ROUNDS - 1).msgs_per_round
@@ -244,11 +204,24 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::scale_cfg;
+    use super::{check_did_work, scale_cfg, SimArgs};
+    use pdht_core::PdhtNetwork;
 
     #[test]
     fn scale_cfg_rejects_populations_below_the_replication_factor() {
-        assert!(scale_cfg(2, 1).is_err(), "2 peers cannot hold repl = 50");
-        assert!(scale_cfg(100_000, 8).is_ok());
+        assert!(scale_cfg(2, &SimArgs::default()).is_err(), "2 peers cannot hold repl = 50");
+        assert!(scale_cfg(100_000, &SimArgs { shards: 8, ..SimArgs::default() }).is_ok());
+    }
+
+    #[test]
+    fn an_idle_run_is_an_error_a_working_run_is_not() {
+        let run = |peers: u32| {
+            let mut net = PdhtNetwork::new(scale_cfg(peers, &SimArgs::default()).unwrap()).unwrap();
+            net.run(5);
+            check_did_work(&net.report(0, 4), peers)
+        };
+        let err = run(60).expect_err("60 peers issue no query and send no message in 5 rounds");
+        assert!(err.contains("60 peers") && err.contains("rounds 0..=4"), "{err}");
+        assert_eq!(run(1_000), Ok(()));
     }
 }

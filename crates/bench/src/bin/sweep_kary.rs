@@ -3,9 +3,9 @@
 //! Larger digit fan-outs buy shorter routes at the price of fatter routing
 //! tables. Since the paper's whole argument is that *maintenance* limits
 //! indexing, the fan-out directly moves the indexing bar `fMin` — this
-//! sweep shows by how much.
+//! sweep shows by how much. Writes the committed `results/sweep_kary.csv`.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1, f3};
 use pdht_model::kary::kary_sweep;
 use pdht_model::Scenario;
 
@@ -15,44 +15,9 @@ fn main() {
     let ks = [2u32, 4, 8, 16, 64, 256];
     let pts = kary_sweep(&s, f_qry, &ks).expect("model evaluates");
 
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{}", p.k),
-                f3(p.c_s_indx),
-                f1(p.table_entries),
-                format!("{:.4}", p.c_ind_key),
-                format!("{:.2e}", p.f_min),
-                f1(p.index_all),
-            ]
-        })
-        .collect();
-    print_table(
-        "A4 — digit fan-out sweep at fQry = 1/300 (full index)",
-        &[
-            "k",
-            "cSIndx [msg]",
-            "table entries",
-            "cIndKey [msg/s]",
-            "fMin [1/s]",
-            "indexAll [msg/s]",
-        ],
-        &rows,
-    );
-
-    let binary = &pts[0];
-    let best =
-        pts.iter().min_by(|a, b| a.index_all.total_cmp(&b.index_all)).expect("non-empty sweep");
-    println!("\nReading: the binary space is {} for this workload (indexAll {:.0} vs best {:.0} at k = {}).",
-        if best.k == 2 { "already optimal" } else { "not optimal" },
-        binary.index_all, best.index_all, best.k);
-    println!("Maintenance grows like (k−1)/log2(k) while search shrinks like 1/log2(k);");
-    println!("with env = 1/14 the maintenance term dominates, so small fan-outs win —");
-    println!("consistent with the paper's choice to analyze the binary case.");
-
-    let path = write_csv(
+    emit(
         "sweep_kary",
+        "A4 — digit fan-out sweep at fQry = 1/300 (full index; msg, msg/s, 1/s)",
         &["k", "c_s_indx", "table_entries", "c_ind_key", "f_min", "index_all"],
         &pts.iter()
             .map(|p| {
@@ -66,7 +31,15 @@ fn main() {
                 ]
             })
             .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("\nwrote {}", path.display());
+    );
+
+    let binary = &pts[0];
+    let best =
+        pts.iter().min_by(|a, b| a.index_all.total_cmp(&b.index_all)).expect("non-empty sweep");
+    println!("\nReading: the binary space is {} for this workload (indexAll {:.0} vs best {:.0} at k = {}).",
+        if best.k == 2 { "already optimal" } else { "not optimal" },
+        binary.index_all, best.index_all, best.k);
+    println!("Maintenance grows like (k−1)/log2(k) while search shrinks like 1/log2(k);");
+    println!("with env = 1/14 the maintenance term dominates, so small fan-outs win —");
+    println!("consistent with the paper's choice to analyze the binary case.");
 }

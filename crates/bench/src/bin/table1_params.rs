@@ -2,9 +2,10 @@
 //!
 //! Prints the scenario exactly as the paper tabulates it, plus the derived
 //! quantities the text quotes (20 000 peers needed for the full index, the
-//! 1440/1–6/1 query/update ratio span).
+//! 1440/1–6/1 query/update ratio span). Writes the committed
+//! `results/table1_params.csv`.
 
-use pdht_bench::{f3, print_table, write_csv};
+use pdht_bench::{emit, f3};
 use pdht_model::{params::QUERY_FREQ_SWEEP, CostModel, Scenario};
 
 fn main() {
@@ -36,7 +37,8 @@ fn main() {
         vec!["Message duplication (unstructured)".into(), "dup".into(), f3(s.dup)],
         vec!["Message duplication (replica net)".into(), "dup2".into(), f3(s.dup2)],
     ];
-    print_table(
+    emit(
+        "table1_params",
         "Table 1 — parameters of the sample scenario",
         &["description", "param", "value"],
         &rows,
@@ -53,10 +55,4 @@ fn main() {
         s.query_update_ratio(QUERY_FREQ_SWEEP[0]),
         s.query_update_ratio(QUERY_FREQ_SWEEP[7]),
     );
-
-    let csv_rows: Vec<Vec<String>> =
-        rows.iter().map(|r| r.iter().map(|c| c.replace(',', ";")).collect()).collect();
-    let path = write_csv("table1_params", &["description", "param", "value"], &csv_rows)
-        .expect("write results CSV");
-    println!("\nwrote {}", path.display());
 }

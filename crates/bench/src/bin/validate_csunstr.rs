@@ -6,7 +6,7 @@
 //! and network sizes, and back out the implied duplication factor — the
 //! one scenario input the paper takes on faith.
 
-use pdht_bench::{f1, f3, print_table, write_csv};
+use pdht_bench::{emit, f1, f3};
 use pdht_sim::Metrics;
 use pdht_types::{Liveness, PeerId};
 use pdht_unstructured::{random_walks, Replication, Topology};
@@ -60,35 +60,9 @@ fn main() {
         rows.push(measure(n, repl, 0xe16));
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.num_peers),
-                format!("{}", r.repl),
-                f1(r.measured_msgs),
-                f1(r.model_unit),
-                f3(r.implied_dup),
-            ]
-        })
-        .collect();
-    print_table(
-        "V1 — Eq. 6 validated: walk-search cost vs numPeers/repl",
-        &["peers", "repl", "measured msg/search", "numPeers/repl", "implied dup"],
-        &table,
-    );
-
-    let dups: Vec<f64> = rows.iter().map(|r| r.implied_dup).collect();
-    let mean_dup = dups.iter().sum::<f64>() / dups.len() as f64;
-    let spread = dups.iter().fold(0.0f64, |m, &d| m.max((d - mean_dup).abs()));
-    println!("\nReading: measured search cost scales like numPeers/repl (Eq. 6's form),");
-    println!("with an implied duplication factor of {mean_dup:.2} ± {spread:.2} across sizes —");
-    println!("the same order as the paper's dup = 1.8 from [LvCa02]. The constant");
-    println!("depends on walker count and graph degree; the 1/repl scaling is the");
-    println!("structural claim, and it holds.");
-
-    let path = write_csv(
+    emit(
         "validate_csunstr",
+        "V1 — Eq. 6 validated: walk-search cost (msg/search) vs numPeers/repl",
         &["peers", "repl", "measured_msgs", "model_unit", "implied_dup"],
         &rows
             .iter()
@@ -102,7 +76,14 @@ fn main() {
                 ]
             })
             .collect::<Vec<_>>(),
-    )
-    .expect("write results CSV");
-    println!("\nwrote {}", path.display());
+    );
+
+    let dups: Vec<f64> = rows.iter().map(|r| r.implied_dup).collect();
+    let mean_dup = dups.iter().sum::<f64>() / dups.len() as f64;
+    let spread = dups.iter().fold(0.0f64, |m, &d| m.max((d - mean_dup).abs()));
+    println!("\nReading: measured search cost scales like numPeers/repl (Eq. 6's form),");
+    println!("with an implied duplication factor of {mean_dup:.2} ± {spread:.2} across sizes —");
+    println!("the same order as the paper's dup = 1.8 from [LvCa02]. The constant");
+    println!("depends on walker count and graph degree; the 1/repl scaling is the");
+    println!("structural claim, and it holds.");
 }

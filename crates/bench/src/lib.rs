@@ -1,12 +1,15 @@
-//! Shared plumbing for the experiment binaries: fixed-width table printing,
-//! CSV emission into `results/` (histogram CSVs included), and the
-//! simulation bins' shared flags.
+//! Shared plumbing for the experiment binaries: the one table/CSV emitter,
+//! the [`SimReport`] column block the simulation bins share, histogram
+//! CSVs, and the simulation bins' shared flags.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see the experiment index in `DESIGN.md`) by printing the series to
-//! stdout and writing `results/<name>.csv`. The benchmark of record is the
-//! standalone `benchmark/` package, not these bins.
+//! (see the experiment index in `DESIGN.md`). Each table goes through
+//! [`emit`] once, which prints it and writes `results/<name>.csv` from the
+//! same header and the same cells: the printed table *is* the CSV. The
+//! benchmark of record is the standalone `benchmark/` package, not these
+//! bins.
 
+use pdht_core::SimReport;
 use pdht_sim::HistogramSummary;
 use std::fs;
 use std::io::Write as _;
@@ -22,10 +25,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Writes a CSV file into `results/`, returning its path.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
+fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
     let path = results_dir().join(format!("{name}.csv"));
     let mut f = fs::File::create(&path)?;
     writeln!(f, "{}", header.join(","))?;
@@ -35,30 +35,47 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
     Ok(path)
 }
 
-/// Prints a fixed-width table: header row, separator, data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Renders a fixed-width table: title, header row, separator, data rows.
+fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let fmt_row = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("{}", fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    for row in rows {
-        println!("{}", fmt_row(row));
+    fn fmt_row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+        let padded: Vec<String> =
+            cells.iter().zip(widths).map(|(c, &w)| format!("{:>w$}", c.as_ref())).collect();
+        padded.join("  ") + "\n"
     }
+    let mut out = format!("\n== {title} ==\n") + &fmt_row(header, &widths);
+    out += &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    out += "\n";
+    for row in rows {
+        out += &fmt_row(row, &widths);
+    }
+    out
+}
+
+/// The one output path of every experiment table: prints `rows` under
+/// `title` as a fixed-width table, writes the same header and cells to
+/// `results/<name>.csv`, and prints the CSV's path. Exits 2 if the file
+/// cannot be written.
+pub fn emit(name: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(title, header, rows));
+    match write_csv(name, header, rows) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => exit_with(&format!("cannot write results/{name}.csv: {e}")),
+    }
+}
+
+/// Prints `error: {msg}` and exits 2, flushing what the bin already
+/// printed first (`process::exit` skips the stdout destructor).
+pub fn exit_with(msg: &str) -> ! {
+    let _ = std::io::stdout().flush();
+    eprintln!("error: {msg}");
+    let _ = std::io::stderr().flush();
+    std::process::exit(2);
 }
 
 /// Formats a float with three significant decimals for tables.
@@ -71,21 +88,55 @@ pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
+/// The [`SimReport`] columns the simulation bins (S2–S4) share, in this
+/// order; [`report_cells`] formats one report into them.
+pub const REPORT_HEADER: [&str; 5] =
+    ["msgs_per_round", "p_indexed", "indexed_keys", "wasted_bandwidth", "gossip_bytes_per_round"];
+
+/// One report's cells under [`REPORT_HEADER`].
+pub fn report_cells(r: &SimReport) -> Vec<String> {
+    vec![
+        f1(r.msgs_per_round),
+        f3(r.p_indexed),
+        f1(r.indexed_keys),
+        f3(r.wasted_bandwidth),
+        f1(r.gossip_bytes_per_round),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn csv_round_trips() {
-        let p = write_csv(
-            "unit_test_artifact",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(body, "a,b\n1,2\n3,4\n");
-        let _ = std::fs::remove_file(p);
+        let header = ["policy", "msgs", "p"];
+        let rows = vec![
+            vec!["always (paper)".to_string(), "2730.3".into(), "0.916".into()],
+            vec!["second-chance".to_string(), "2598.5".into(), "0.887".into()],
+        ];
+        emit("unit_test_artifact", "round trip", &header, &rows);
+        let path = results_dir().join("unit_test_artifact.csv");
+        let body = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(
+            body,
+            "policy,msgs,p\nalways (paper),2730.3,0.916\nsecond-chance,2598.5,0.887\n"
+        );
+        // The printed table carries exactly the file's cells: skip the
+        // blank line, title and separator, then split the right-aligned
+        // columns on their two-space gutters.
+        let printed = render_table("round trip", &header, &rows);
+        let mut lines = printed.lines().skip(2);
+        let table_header = lines.next().unwrap();
+        let table_rows: Vec<&str> = lines.skip(1).collect();
+        let cells = |line: &str| -> Vec<String> {
+            line.split("  ").map(str::trim).filter(|c| !c.is_empty()).map(String::from).collect()
+        };
+        let csv: Vec<Vec<String>> =
+            body.lines().map(|l| l.split(',').map(String::from).collect()).collect();
+        assert_eq!(cells(table_header), csv[0]);
+        assert_eq!(table_rows.iter().map(|l| cells(l)).collect::<Vec<_>>(), csv[1..]);
     }
 
     #[test]
@@ -95,9 +146,9 @@ mod tests {
     }
 }
 
-/// Command-line flags shared by the simulation bins (S2/S3/S4): overlay
-/// substrate, latency model, population override, and a CI-friendly smoke
-/// mode.
+/// Command-line flags shared by the simulation bins (S2–S5): overlay
+/// substrate, latency model, population override, shard and thread
+/// counts, gossip codec, and a CI-friendly smoke mode.
 #[derive(Clone, Copy, Debug)]
 pub struct SimArgs {
     /// `--overlay trie|chord|kademlia` (default: trie, the paper's
@@ -112,11 +163,10 @@ pub struct SimArgs {
     /// `--threads N`: worker threads for the engine's lane passes
     /// (default 1). A purely *executor* knob: results never depend on it.
     pub threads: u32,
-    /// `--shards N`: the engine's shard count — the *semantic* knob
-    /// (`PdhtConfig::shards`). `None` (the default) follows `--threads`
-    /// for back-compat with the old coupled flag, with a warning once
-    /// that coupling starts changing semantics (threads > 1).
-    pub shards: Option<u32>,
+    /// `--shards N`: the engine's shard count (`PdhtConfig::shards`,
+    /// default 1) — the *semantic* knob: results depend on it, never on
+    /// `--threads`.
+    pub shards: u32,
     /// `--gossip-codec plain|chunked|rlnc|rlnc-sparse`: how update-gossip
     /// packets are encoded (`PdhtConfig::gossip_codec`; default plain, the
     /// legacy accounting).
@@ -129,18 +179,30 @@ pub struct SimArgs {
     pub smoke: bool,
 }
 
-impl SimArgs {
-    /// The effective shard count: `--shards` when given, else the
-    /// back-compat fallback to `--threads`.
-    pub fn effective_shards(&self) -> u32 {
-        self.shards.unwrap_or_else(|| self.threads.max(1))
+impl Default for SimArgs {
+    /// The values every flag takes when it is not given.
+    fn default() -> Self {
+        SimArgs {
+            overlay: pdht_core::OverlayKind::Trie,
+            latency: pdht_core::LatencyConfig::Zero,
+            peers: None,
+            threads: 1,
+            shards: 1,
+            gossip_codec: pdht_core::GossipCodec::Plain,
+            gen_size: pdht_gossip::GENERATION_SIZE as u32,
+            smoke: false,
+        }
     }
+}
 
-    /// Applies the semantic knobs to a configuration (shard count and
-    /// gossip codec) — pair with [`SimArgs::apply_threads`] on the built
-    /// network.
-    pub fn apply_shards(&self, cfg: &mut pdht_core::PdhtConfig) {
-        cfg.shards = self.effective_shards();
+impl SimArgs {
+    /// Applies the semantic knobs to a configuration: overlay, latency,
+    /// shard count, gossip codec and generation size. Pair with
+    /// [`SimArgs::apply_threads`] on the built network.
+    pub fn apply(&self, cfg: &mut pdht_core::PdhtConfig) {
+        cfg.overlay = self.overlay;
+        cfg.latency = self.latency;
+        cfg.shards = self.shards;
         cfg.gossip_codec = self.gossip_codec;
         cfg.gossip_generation = self.gen_size as usize;
     }
@@ -148,6 +210,21 @@ impl SimArgs {
     /// Applies the `--threads` knob to a built network (worker count).
     pub fn apply_threads(&self, net: &mut pdht_core::PdhtNetwork) {
         net.set_threads(self.threads.max(1) as usize);
+    }
+
+    /// The flags as the bins' configuration line prints them.
+    pub fn describe(&self) -> String {
+        format!(
+            "overlay = {:?}, latency = {:?}, threads = {}, shards = {}, gossip codec = {:?}, \
+             gen size = {}{}",
+            self.overlay,
+            self.latency,
+            self.threads,
+            self.shards,
+            self.gossip_codec,
+            self.gen_size,
+            if self.smoke { ", smoke mode" } else { "" }
+        )
     }
 }
 
@@ -180,90 +257,49 @@ pub fn parse_gossip_codec(spec: &str) -> Result<pdht_core::GossipCodec, String> 
     }
 }
 
-/// Parses the shared simulation flags from `std::env::args`, exiting with a
-/// usage message on anything unrecognized. Partial output already printed
-/// by the bin is flushed before the error exit, so it is never lost.
+/// Parses the shared simulation flags from `std::env::args`, exiting 2
+/// with a usage message on anything unrecognized (output the bin already
+/// printed is flushed first, so it is never lost).
 pub fn parse_sim_args() -> SimArgs {
-    use pdht_core::{GossipCodec, LatencyConfig, OverlayKind};
+    use pdht_core::OverlayKind;
     let usage = |msg: &str| -> ! {
-        // Flush whatever the bin printed before the bad flag was hit —
-        // `process::exit` skips the stdout destructor.
-        let _ = std::io::stdout().flush();
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: [--overlay trie|chord|kademlia] \
+        exit_with(&format!(
+            "{msg}\nusage: [--overlay trie|chord|kademlia] \
              [--latency zero|uniform:LO_MS,HI_MS|lognormal:MEDIAN_MS,SIGMA] \
              [--peers N] [--threads N] [--shards N] \
              [--gossip-codec plain|chunked|rlnc|rlnc-sparse] [--gen-size G] [--smoke]"
-        );
-        let _ = std::io::stderr().flush();
-        std::process::exit(2);
+        ))
     };
-    let mut args = SimArgs {
-        overlay: OverlayKind::Trie,
-        latency: LatencyConfig::Zero,
-        peers: None,
-        threads: 1,
-        shards: None,
-        gossip_codec: GossipCodec::Plain,
-        gen_size: pdht_gossip::GENERATION_SIZE as u32,
-        smoke: false,
+    let count = |flag: &str, v: &str, lo: u32, hi: u32| {
+        parse_count_flag(flag, v, lo, hi).unwrap_or_else(|e| usage(&e))
     };
+    let mut args = SimArgs::default();
     let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
             "--overlay" => {
-                let v = it.next().unwrap_or_else(|| usage("--overlay needs a value"));
-                args.overlay = match v.as_str() {
+                args.overlay = match value().as_str() {
                     "trie" => OverlayKind::Trie,
                     "chord" => OverlayKind::Chord,
                     "kademlia" => OverlayKind::Kademlia,
                     other => usage(&format!("unknown overlay {other:?}")),
                 };
             }
-            "--latency" => {
-                let v = it.next().unwrap_or_else(|| usage("--latency needs a value"));
-                args.latency = parse_latency(&v).unwrap_or_else(|e| usage(&e));
-            }
-            "--peers" => {
-                let v = it.next().unwrap_or_else(|| usage("--peers needs a value"));
-                args.peers = Some(
-                    parse_count_flag("--peers", &v, 2, u32::MAX).unwrap_or_else(|e| usage(&e)),
-                );
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| usage("--threads needs a value"));
-                args.threads =
-                    parse_count_flag("--threads", &v, 1, 256).unwrap_or_else(|e| usage(&e));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage("--shards needs a value"));
-                args.shards =
-                    Some(parse_count_flag("--shards", &v, 1, 256).unwrap_or_else(|e| usage(&e)));
-            }
+            "--latency" => args.latency = parse_latency(&value()).unwrap_or_else(|e| usage(&e)),
+            "--peers" => args.peers = Some(count("--peers", &value(), 2, u32::MAX)),
+            "--threads" => args.threads = count("--threads", &value(), 1, 256),
+            "--shards" => args.shards = count("--shards", &value(), 1, 256),
             "--gossip-codec" => {
-                let v = it.next().unwrap_or_else(|| usage("--gossip-codec needs a value"));
-                args.gossip_codec = parse_gossip_codec(&v).unwrap_or_else(|e| usage(&e));
+                args.gossip_codec = parse_gossip_codec(&value()).unwrap_or_else(|e| usage(&e));
             }
             "--gen-size" => {
-                let v = it.next().unwrap_or_else(|| usage("--gen-size needs a value"));
-                args.gen_size =
-                    parse_count_flag("--gen-size", &v, 1, pdht_gossip::MAX_GENERATION as u32)
-                        .unwrap_or_else(|e| usage(&e));
+                let hi = pdht_gossip::MAX_GENERATION as u32;
+                args.gen_size = count("--gen-size", &value(), 1, hi);
             }
             "--smoke" => args.smoke = true,
             other => usage(&format!("unknown flag {other:?}")),
         }
-    }
-    if args.shards.is_none() && args.threads > 1 {
-        // The historical flag coupled executor and semantics; keep that
-        // default but say so, since shard count changes results.
-        eprintln!(
-            "note: --shards not given; following --threads ({}) for back-compat. \
-             Shard count is a semantic knob (results depend on it) — pass \
-             --shards to pin it independently of the worker count.",
-            args.threads
-        );
     }
     args
 }
@@ -273,11 +309,10 @@ pub fn parse_sim_args() -> SimArgs {
 /// the flag would mislabel the results.
 pub fn reject_peers_override(args: &SimArgs, bin: &str) {
     if let Some(n) = args.peers {
-        eprintln!(
-            "error: {bin} runs a fixed scenario and does not support --peers {n} \
+        exit_with(&format!(
+            "{bin} runs a fixed scenario and does not support --peers {n} \
              (the population override is the S4 knob — use the sim_scale bin)"
-        );
-        std::process::exit(2);
+        ));
     }
 }
 
@@ -549,27 +584,31 @@ mod flag_spec_tests {
     }
 
     #[test]
-    fn default_shards_follow_threads_explicit_shards_win() {
+    fn threads_alone_leave_one_shard_explicit_shards_win() {
         use super::SimArgs;
         use pdht_core::{LatencyConfig, OverlayKind, PdhtConfig, Strategy};
-        let mut args = SimArgs {
-            overlay: OverlayKind::Trie,
-            latency: LatencyConfig::Zero,
-            peers: None,
-            threads: 4,
-            shards: None,
+        let fresh = || {
+            PdhtConfig::new(pdht_model::Scenario::table1_scaled(20), 1.0 / 30.0, Strategy::Partial)
+        };
+        // `--threads` is an executor knob: it never reaches the config.
+        let mut args = SimArgs { threads: 4, ..SimArgs::default() };
+        let mut cfg = fresh();
+        args.apply(&mut cfg);
+        assert_eq!(cfg.shards, 1, "--threads alone keeps one shard");
+        args = SimArgs {
+            overlay: OverlayKind::Chord,
+            latency: LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 },
+            shards: 8,
             gossip_codec: GossipCodec::Rlnc,
             gen_size: 32,
-            smoke: true,
+            ..args
         };
-        assert_eq!(args.effective_shards(), 4, "back-compat: follow --threads");
-        args.shards = Some(8);
-        assert_eq!(args.effective_shards(), 8, "--shards decouples semantics");
-        let mut cfg =
-            PdhtConfig::new(pdht_model::Scenario::table1_scaled(20), 1.0 / 30.0, Strategy::Partial);
-        args.apply_shards(&mut cfg);
-        assert_eq!(cfg.shards, 8);
+        let mut cfg = fresh();
+        args.apply(&mut cfg);
+        assert_eq!(cfg.shards, 8, "--shards sets the semantic knob");
+        assert_eq!(cfg.overlay, OverlayKind::Chord);
+        assert_eq!(cfg.latency, args.latency);
         assert_eq!(cfg.gossip_codec, GossipCodec::Rlnc);
-        assert_eq!(cfg.gossip_generation, 32, "apply_shards carries --gen-size");
+        assert_eq!(cfg.gossip_generation, 32, "apply carries --gen-size");
     }
 }

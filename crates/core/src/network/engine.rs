@@ -26,7 +26,7 @@ use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
 use pdht_gossip::{ReplicaGroup, VersionedValue};
 use pdht_model::{CostModel, SelectionModel};
 use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
-use pdht_sim::{HistogramSummary, LatencyModel, Metrics, RoundDriver};
+use pdht_sim::{HistogramSummary, LatencyModel, Metrics};
 use pdht_types::{Key, Liveness, MessageKind, PeerId, Result, RngStreams, Round, SimTime};
 use pdht_unstructured::{Replication, Topology};
 use pdht_workload::{QueryWorkload, UpdateProcess};
@@ -244,7 +244,8 @@ pub struct PdhtNetwork {
     pub(crate) peers: PeerStores,
     pub(crate) adaptive: Option<AdaptiveTtl>,
     pub(crate) metrics: Metrics,
-    pub(crate) driver: RoundDriver,
+    /// The round the next `step_round` executes.
+    pub(crate) next_round: Round,
     /// Experiment hook observing phase/message boundaries.
     pub(crate) hook: Option<EventHook>,
     /// Events dispatched over the whole run — phase markers plus every
@@ -609,7 +610,7 @@ impl PdhtNetwork {
             peers,
             adaptive,
             metrics: Metrics::new(),
-            driver: RoundDriver::new(),
+            next_round: Round(0),
             hook: None,
             events_dispatched: 0,
             rng_overlay: streams.stream("overlay"),
@@ -707,7 +708,7 @@ impl PdhtNetwork {
 
     /// Next round to execute.
     pub fn next_round(&self) -> u64 {
-        self.driver.next_round().0
+        self.next_round.0
     }
 
     /// Failure injection: knocks a uniform `fraction` of all peers offline
@@ -721,11 +722,6 @@ impl PdhtNetwork {
     /// it returns — lands). Replaces any previous hook.
     pub fn set_event_hook(&mut self, hook: EventHook) {
         self.hook = Some(hook);
-    }
-
-    /// Removes the event hook.
-    pub fn clear_event_hook(&mut self) {
-        self.hook = None;
     }
 
     /// Queries currently in flight (always 0 when every hop delay is zero).
@@ -806,14 +802,14 @@ impl PdhtNetwork {
     /// beyond the round boundary stay parked and fire in the round they
     /// belong to.
     pub fn step_round(&mut self) {
-        let round = self.driver.next_round();
+        let round = self.next_round;
         for (index, phase) in PHASES.into_iter().enumerate() {
             // A marker counts as one dispatched event, like any lane event.
             self.events_dispatched += 1;
             self.run_hook(HookPoint::BeforePhase { round: round.0, phase });
             self.run_phase(index, phase, round);
         }
-        self.driver.advance();
+        self.next_round = round.next();
     }
 
     /// One phase: its serial work, then the lane pass that drains every

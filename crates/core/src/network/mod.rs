@@ -33,8 +33,8 @@
 //!   hook observation, serial work, lane pass — with query messages and
 //!   per-peer background events riding the lanes' deterministic
 //!   [`pdht_sim::EventQueue`]s as [`NetEvent`]s dispatched in virtual-time
-//!   order, [`pdht_sim::RoundDriver`] tracking the round counter,
-//!   per-query latency histograms feeding [`SimReport`], and
+//!   order, a plain [`pdht_types::Round`] counter tracking the next
+//!   round, per-query latency histograms feeding [`SimReport`], and
 //!   [`engine::EventHook`]s injecting faults at precise instants.
 //!
 //! The structured overlay is held as a `Box<dyn Overlay>` chosen from

@@ -73,23 +73,6 @@ pub fn selection_vs_index_all(s: &Scenario) -> Result<Option<f64>> {
     Ok(bisect_sign_change(1e-5, 1.0, diff))
 }
 
-/// The frequency where *ideal* partial indexing would stop beating
-/// `indexAll`. For the paper's scenario this never happens (ideal partial
-/// degenerates to the full index instead), so `None` is the expected
-/// answer — a property worth pinning.
-///
-/// # Errors
-/// Propagates model-evaluation failures.
-pub fn ideal_vs_index_all(s: &Scenario) -> Result<Option<f64>> {
-    StrategyCosts::evaluate(s, 1e-5)?;
-    StrategyCosts::evaluate(s, 1.0)?;
-    let diff = |f_qry: f64| {
-        let c = StrategyCosts::evaluate(s, f_qry).expect("validated domain");
-        c.partial_ideal - c.index_all
-    };
-    Ok(bisect_sign_change(1e-5, 1.0, diff))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +97,6 @@ mod tests {
             (120.0..300.0).contains(&period),
             "selection crossover at 1/{period:.0}, expected between 1/120 and 1/300"
         );
-    }
-
-    #[test]
-    fn ideal_partial_never_crosses_index_all() {
-        // Ideal partial can always mimic the full index, so it never costs
-        // more — the solver must find no sign change.
-        let s = Scenario::table1();
-        assert_eq!(ideal_vs_index_all(&s).unwrap(), None);
     }
 
     #[test]

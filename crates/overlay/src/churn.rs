@@ -253,11 +253,6 @@ impl ChurnModel {
         self.round += 1;
     }
 
-    /// Forces a specific status (used by failure-injection tests).
-    pub fn force_status(&mut self, peer: PeerId, online: bool) {
-        self.liveness.set(peer, online);
-    }
-
     /// Failure injection: instantly knocks a uniform `fraction` of peers
     /// offline. Their return is rescheduled from the offline-period
     /// distribution (and re-filed in the calendar — the superseded entry
@@ -360,15 +355,6 @@ mod tests {
         }
         let per_sec = toggles as f64 / 500.0;
         assert!((per_sec - 20.0).abs() < 2.0, "toggle rate {per_sec}/s should be ~20");
-    }
-
-    #[test]
-    fn force_status_overrides() {
-        let mut r = rng();
-        let mut c = ChurnModel::new(10, ChurnConfig::none(), &mut r);
-        c.force_status(PeerId(3), false);
-        assert!(!c.liveness().is_online(PeerId(3)));
-        assert_eq!(c.liveness().online_count(), 9);
     }
 
     #[test]

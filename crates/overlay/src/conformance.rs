@@ -481,21 +481,6 @@ pub fn check_maintenance_plan_apply_matches_step(factory: Factory) {
     }
 }
 
-/// Runs every conformance check (the one-call entry point; the
-/// [`conformance_suite!`](crate::conformance_suite) macro exposes them as
-/// individual named tests instead).
-pub fn check_all(factory: Factory) {
-    check_partition_disjoint_and_covering(factory);
-    check_key_responsibility(factory);
-    check_routing_terminates_exactly_at_responsibility(factory);
-    check_lookup_equals_stepping(factory);
-    check_hop_accounting_is_monotone(factory);
-    check_determinism_under_fixed_seeds(factory);
-    check_liveness_under_churn(factory);
-    check_maintenance_step_matches_round(factory);
-    check_maintenance_plan_apply_matches_step(factory);
-}
-
 /// Expands to a module of `#[test]`s — one per conformance invariant — for
 /// the given overlay factory. See the module docs for usage.
 #[macro_export]

@@ -104,11 +104,6 @@ impl TrieOverlay {
         &self.leaves[leaf]
     }
 
-    /// Leaf index responsible for `key`.
-    pub fn leaf_of_key(&self, key: Key) -> usize {
-        self.leaf_of(key)
-    }
-
     /// Leaf index that `peer` belongs to.
     pub fn leaf_of_member(&self, peer: PeerId) -> usize {
         self.leaf_of_peer(peer)

@@ -12,10 +12,8 @@
 //!   gauges (index size, hit rate, …) and hop [`Histogram`]s,
 //! * [`latency`] — pluggable per-hop [`LatencyModel`]s (zero, uniform,
 //!   log-normal) for message-granular engines,
-//! * [`random`] — exponential/Poisson/geometric sampling built on plain
+//! * [`random`] — exponential/Poisson/normal sampling built on plain
 //!   `rand` (the offline set has no `rand_distr`),
-//! * [`RoundDriver`] — a helper that advances simulations round-by-round
-//!   and snapshots metrics at each boundary,
 //! * [`shard`] — shard-parallel execution primitives: a [`ShardPool`] of
 //!   persistent parked workers plus deterministic cross-shard [`Outbox`]es
 //!   merged by `(time, src, seq)` into caller-owned [`MergeBuffers`], so
@@ -37,7 +35,7 @@ pub(crate) mod wheel;
 
 pub use event::{EventQueue, Scheduled};
 pub use latency::{LatencyModel, LogNormalLatency, UniformLatency, ZeroLatency};
-pub use metrics::{Histogram, HistogramSummary, Metrics, RoundDriver};
+pub use metrics::{Histogram, HistogramSummary, Metrics};
 pub use scratch::VisitSet;
 pub use shard::{merge_outboxes_into, MergeBuffers, OutMsg, Outbox, ShardPool};
 pub use slab::{Slab, SlabKey};

@@ -283,50 +283,6 @@ pub struct HistogramSummary {
     pub max: u64,
 }
 
-/// Drives a simulation round-by-round: calls the step closure once per
-/// round, then marks the metrics boundary. This is the pattern every
-/// experiment harness uses, extracted so tests can share it.
-pub struct RoundDriver {
-    next: Round,
-}
-
-impl Default for RoundDriver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoundDriver {
-    /// Starts at round 0.
-    pub fn new() -> Self {
-        RoundDriver { next: Round(0) }
-    }
-
-    /// The round the next `run` call will execute first.
-    pub fn next_round(&self) -> Round {
-        self.next
-    }
-
-    /// Runs `n` rounds: for each, invokes `step(round)` then marks the
-    /// round in `metrics`.
-    pub fn run<F: FnMut(Round)>(&mut self, n: u64, metrics: &mut Metrics, mut step: F) {
-        for _ in 0..n {
-            let r = self.next;
-            step(r);
-            metrics.mark_round(r);
-            self.next = r.next();
-        }
-    }
-
-    /// Advances the round counter without stepping (for harnesses that mark
-    /// metrics themselves).
-    pub fn advance(&mut self) -> Round {
-        let r = self.next;
-        self.next = r.next();
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,23 +471,4 @@ mod tests {
         lane.mark_round(Round(0));
         base.merge_from(&lane);
     }
-
-    #[test]
-    fn round_driver_steps_and_marks() {
-        let mut m = Metrics::new();
-        let mut d = RoundDriver::new();
-        let mut executed = Vec::new();
-        d.run(3, &mut m, |r| {
-            executed.push(r.0);
-            m_stub();
-        });
-        assert_eq!(executed, vec![0, 1, 2]);
-        assert_eq!(d.next_round(), Round(3));
-        assert!(m.round_delta(Round(2)).is_some());
-        // Continue where we left off.
-        d.run(2, &mut m, |_| {});
-        assert_eq!(d.next_round(), Round(5));
-    }
-
-    fn m_stub() {}
 }

@@ -1,9 +1,10 @@
 //! Distribution sampling on top of plain `rand`.
 //!
-//! The offline crate set has no `rand_distr`, so the three distributions the
+//! The offline crate set has no `rand_distr`, so the distributions the
 //! simulators need are implemented here: exponential (churn session lengths,
-//! Poisson inter-arrivals), Poisson counts (queries per round), and a
-//! bounded geometric (retry counts in gossip).
+//! Poisson inter-arrivals), Poisson counts (queries per round), and the
+//! standard normal behind both the Poisson approximation and log-normal
+//! latencies.
 
 use rand::Rng;
 
@@ -66,20 +67,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
     }
-}
-
-/// Samples a geometric count: number of failures before the first success
-/// with success probability `p`, capped at `max` (gossip "coin death").
-///
-/// # Panics
-/// Panics if `p` is not in `(0, 1]`.
-pub fn geometric_capped<R: Rng + ?Sized>(rng: &mut R, p: f64, max: u32) -> u32 {
-    assert!(p > 0.0 && p <= 1.0, "p must be in (0,1], got {p}");
-    let mut k = 0u32;
-    while k < max && rng.random::<f64>() >= p {
-        k += 1;
-    }
-    k
 }
 
 #[cfg(test)]
@@ -145,20 +132,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "variance {var}");
-    }
-
-    #[test]
-    fn geometric_respects_cap_and_mean() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(geometric_capped(&mut r, 0.01, 5) <= 5);
-        }
-        let n = 100_000;
-        let mean: f64 =
-            (0..n).map(|_| f64::from(geometric_capped(&mut r, 0.5, u32::MAX))).sum::<f64>()
-                / f64::from(n);
-        // Mean of geometric(0.5) failures-before-success = (1-p)/p = 1.
-        assert!((mean - 1.0).abs() < 0.03, "mean {mean}");
     }
 
     #[test]

@@ -37,19 +37,6 @@ impl Key {
         (self.0 ^ other.0).leading_zeros()
     }
 
-    /// XOR distance, as used by Kademlia-style metrics; handy for tests.
-    #[inline]
-    pub fn xor_distance(self, other: Key) -> u64 {
-        self.0 ^ other.0
-    }
-
-    /// Clockwise distance on the 2^64 ring from `self` to `other`
-    /// (Chord-style metric).
-    #[inline]
-    pub fn ring_distance_to(self, other: Key) -> u64 {
-        other.0.wrapping_sub(self.0)
-    }
-
     /// The prefix consisting of the first `len` bits of this key.
     #[inline]
     pub fn prefix(self, len: u32) -> Prefix {
@@ -328,12 +315,6 @@ mod tests {
         let keys: Vec<Key> = (0..64).map(|i| Key::hash_str(&format!("key-{i}"))).collect();
         let top_bits: std::collections::HashSet<bool> = keys.iter().map(|k| k.bit(0)).collect();
         assert_eq!(top_bits.len(), 2, "both top-bit values should occur");
-    }
-
-    #[test]
-    fn ring_distance_wraps() {
-        assert_eq!(Key(5).ring_distance_to(Key(7)), 2);
-        assert_eq!(Key(7).ring_distance_to(Key(5)), u64::MAX - 1);
     }
 
     #[test]

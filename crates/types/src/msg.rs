@@ -121,33 +121,6 @@ impl MsgCounts {
         kinds.iter().map(|&k| self.counts[k as usize]).sum()
     }
 
-    /// Messages attributable to *index search* (the model's `cSIndx` /
-    /// `cSIndx2` terms): routing hops, entry messages, replica floods and
-    /// insert hops.
-    pub fn index_search_total(&self) -> u64 {
-        self.sum_of(&[
-            MessageKind::RouteHop,
-            MessageKind::QueryEntry,
-            MessageKind::ReplicaFlood,
-            MessageKind::IndexInsert,
-        ])
-    }
-
-    /// Messages attributable to *broadcast search* (`cSUnstr`).
-    pub fn unstructured_total(&self) -> u64 {
-        self.sum_of(&[MessageKind::FloodStep, MessageKind::WalkStep])
-    }
-
-    /// Messages attributable to *routing maintenance* (`cRtn`).
-    pub fn maintenance_total(&self) -> u64 {
-        self.sum_of(&[MessageKind::Probe, MessageKind::Membership])
-    }
-
-    /// Messages attributable to *updates* (`cUpd`).
-    pub fn update_total(&self) -> u64 {
-        self.sum_of(&[MessageKind::GossipPush, MessageKind::GossipPull])
-    }
-
     /// Difference `self - earlier`, element-wise. Useful for per-round
     /// deltas from cumulative counters.
     ///
@@ -225,23 +198,6 @@ mod tests {
         c.incr(MessageKind::Probe);
         assert_eq!(c[MessageKind::RouteHop], 3);
         assert_eq!(c.total(), 14);
-        assert_eq!(c.unstructured_total(), 10);
-        assert_eq!(c.maintenance_total(), 1);
-        assert_eq!(c.index_search_total(), 3);
-        assert_eq!(c.update_total(), 0);
-    }
-
-    #[test]
-    fn category_totals_partition_the_grand_total() {
-        let mut c = MsgCounts::new();
-        for (i, k) in MessageKind::ALL.into_iter().enumerate() {
-            c.add(k, (i as u64 + 1) * 7);
-        }
-        let partition = c.index_search_total()
-            + c.unstructured_total()
-            + c.maintenance_total()
-            + c.update_total();
-        assert_eq!(partition, c.total(), "categories must partition all kinds");
     }
 
     #[test]

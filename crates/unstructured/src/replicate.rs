@@ -91,12 +91,6 @@ impl Replication {
         set.sort_unstable();
         self.holders[item] = set;
     }
-
-    /// Mean number of items held per peer (storage-load diagnostic).
-    pub fn mean_load(&self) -> f64 {
-        let total: usize = self.holders.iter().map(Vec::len).sum();
-        total as f64 / self.num_peers as f64
-    }
 }
 
 #[cfg(test)]
@@ -128,15 +122,15 @@ mod tests {
     #[test]
     fn load_is_balanced_on_average() {
         let r = Replication::place(1_000, 20, 1_000, &mut rng()).unwrap();
-        // 1000 items · 20 copies / 1000 peers = 20 per peer on average.
-        assert!((r.mean_load() - 20.0).abs() < 1e-9);
-        // And the max load is within a few standard deviations (binomial).
         let mut counts = vec![0usize; 1_000];
         for item in 0..1_000 {
             for &p in r.holders(item) {
                 counts[p.idx()] += 1;
             }
         }
+        // 1000 items · 20 copies / 1000 peers = 20 per peer on average.
+        assert_eq!(counts.iter().sum::<usize>(), 20 * 1_000);
+        // And the max load is within a few standard deviations (binomial).
         let max = *counts.iter().max().unwrap();
         assert!(max < 45, "max load {max} suspiciously unbalanced");
     }

@@ -104,14 +104,6 @@ impl ZipfDistribution {
         // 0-based index of the first cdf entry >= u; +1 makes it a rank.
         self.cdf.partition_point(|&c| c < u) + 1
     }
-
-    /// The smallest `r` such that `head_mass(r) >= target`, or `n` if the
-    /// target is unreachable. Useful for "how many keys cover X % of
-    /// queries" analyses.
-    pub fn ranks_for_mass(&self, target: f64) -> usize {
-        assert!((0.0..=1.0).contains(&target), "target must be a probability");
-        self.cdf.partition_point(|&c| c < target) + usize::from(target > 0.0).min(1)
-    }
 }
 
 #[cfg(test)]
@@ -205,19 +197,6 @@ mod tests {
                 "rank {r}: got {got}, expected {expect} ± {sd}"
             );
         }
-    }
-
-    #[test]
-    fn ranks_for_mass_is_consistent() {
-        let d = dist(1000, 1.2);
-        for &t in &[0.1, 0.5, 0.9, 0.99] {
-            let r = d.ranks_for_mass(t);
-            assert!(d.head_mass(r) >= t);
-            if r > 1 {
-                assert!(d.head_mass(r - 1) < t);
-            }
-        }
-        assert_eq!(d.ranks_for_mass(0.0), 0);
     }
 
     #[test]

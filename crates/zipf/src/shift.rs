@@ -137,11 +137,6 @@ impl PopularityShift {
     pub fn key_for(&self, rank: usize, round: u64) -> usize {
         self.map_at(round).key_for_rank(rank)
     }
-
-    /// Rounds at which the active map changes (excluding round 0).
-    pub fn shift_points(&self) -> impl Iterator<Item = u64> + '_ {
-        self.epochs.iter().skip(1).map(|(s, _)| *s)
-    }
 }
 
 #[cfg(test)]
@@ -198,8 +193,6 @@ mod tests {
         assert_eq!(s.key_for(1, 199), 5);
         assert_eq!(s.key_for(1, 200), 9);
         assert_eq!(s.key_for(1, 10_000), 9);
-        let points: Vec<u64> = s.shift_points().collect();
-        assert_eq!(points, vec![100, 200]);
     }
 
     #[test]
@@ -215,7 +208,6 @@ mod tests {
     #[test]
     fn none_schedule_never_shifts() {
         let s = PopularityShift::none(7);
-        assert_eq!(s.shift_points().count(), 0);
         assert_eq!(s.key_for(3, 0), 2);
         assert_eq!(s.key_for(3, 1_000_000), 2);
     }
