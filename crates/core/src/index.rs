@@ -13,17 +13,20 @@
 //! position in the engine's key universe), not the routed [`Key`] hash:
 //! every engine call site already knows the index, and the index doubles
 //! as the offset into the engine's flattened replica-count arena (see
-//! `network::peer`). The routed [`Key`] rides along in each entry for the
-//! deterministic eviction tie-break (kept on the hash, so victim selection
-//! is independent of the keying scheme).
+//! `network::peer`). An entry stores only what the selection algorithm
+//! changes — the value's version and the expiry. The routed key is
+//! [`Key::of_index`] of the index and the payload is the index itself, so
+//! both are derived, never stored. The eviction tie-break re-derives the
+//! routed key (kept on the hash, so victim selection is independent of the
+//! keying scheme).
 //!
 //! # Layout
 //!
 //! Two parallel columns sorted by dense index — `Vec<u32>` of indices and
-//! `Vec<IndexEntry>` of entries, 36 bytes per resident entry. A store
-//! holds at most `stor` (~100) entries, so a lookup is a binary search
-//! over one or two cache lines of indices, and insert/remove shift a
-//! short tail. Nothing is allocated until the first insert, and the
+//! `Vec<IndexEntry>` of 16-byte entries, 20 bytes per resident entry. A
+//! store holds at most `stor` (~100) entries, so a lookup is a binary
+//! search over one or two cache lines of indices, and insert/remove shift
+//! a short tail. Nothing is allocated until the first insert, and the
 //! columns never grow past `capacity`: a store costs what it holds, which
 //! is what lets 10⁵–10⁶ simulated peers each carry one. Every observable
 //! result — [`InsertResult`]s, eviction victims, purge sets, [`iter`]
@@ -38,13 +41,13 @@ use crate::ttl::Ttl;
 use pdht_gossip::VersionedValue;
 use pdht_types::Key;
 
-/// One stored entry.
+/// One stored entry: the state of a resident key. Its routed key
+/// ([`Key::of_index`]) and payload (the dense index) are derived from the
+/// index the entry is filed under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// The routed key (eviction tie-break and diagnostics).
-    pub key: Key,
-    /// The stored value.
-    pub value: VersionedValue,
+    /// The stored value's version.
+    pub version: u64,
     /// Round at which the entry expires (exclusive: an entry with
     /// `expires_at == now` is already gone).
     pub expires_at: u64,
@@ -53,16 +56,14 @@ pub struct IndexEntry {
 impl IndexEntry {
     /// Re-insert of a resident key: the newer version wins, the expiry
     /// only ever extends.
-    fn absorb(&mut self, value: VersionedValue, expires_at: u64) {
-        if self.value.version <= value.version {
-            self.value = value;
-        }
+    fn absorb(&mut self, version: u64, expires_at: u64) {
+        self.version = self.version.max(version);
         self.expires_at = self.expires_at.max(expires_at);
     }
 }
 
 // The per-entry footprint the store sizing (and `peak_rss_mb`) rests on.
-const _: () = assert!(std::mem::size_of::<IndexEntry>() == 32);
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
 
 /// Outcome of an [`PartialIndex::insert`]: whether the key was new to this
 /// store, and any entry evicted to make room. The harness uses both to keep
@@ -123,30 +124,35 @@ impl PartialIndex {
         self.entries.reserve_exact(extra);
     }
 
-    /// Looks up key index `idx` at round `now`. On a hit the entry's expiry
-    /// is reset to `now + ttl` (the query-refresh rule that makes the index
-    /// query-adaptive). Expired entries are treated as absent.
-    pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<VersionedValue> {
+    /// Looks up key index `idx` at round `now` and returns the stored
+    /// version. On a hit the entry's expiry is reset to `now + ttl` (the
+    /// query-refresh rule that makes the index query-adaptive). Expired
+    /// entries are treated as absent.
+    pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<u64> {
         let pos = self.keys.binary_search(&idx).ok()?;
         let e = &mut self.entries[pos];
         if e.expires_at > now {
             e.expires_at = ttl.expires_at(now);
-            Some(e.value)
+            Some(e.version)
         } else {
             None
         }
     }
 
-    /// Peeks without refreshing (diagnostics).
-    pub fn peek(&self, idx: u32, now: u64) -> Option<VersionedValue> {
+    /// The stored version of `idx`, without refreshing (diagnostics).
+    pub fn peek(&self, idx: u32, now: u64) -> Option<u64> {
         let e = &self.entries[self.keys.binary_search(&idx).ok()?];
-        (e.expires_at > now).then_some(e.value)
+        (e.expires_at > now).then_some(e.version)
     }
 
-    /// Inserts key index `idx` (routed key `key`) with expiry `now + ttl`,
-    /// overwriting only with newer versions. If at capacity, evicts the
-    /// soonest-expiring entry (ties broken on the routed key's hash, then
-    /// on the smaller dense index).
+    /// Inserts key index `idx` with expiry `now + ttl`, overwriting only
+    /// with newer versions. If at capacity, evicts the soonest-expiring
+    /// entry (ties broken on the routed key's hash, then on the smaller
+    /// dense index).
+    ///
+    /// `key` and `value.data` must be what the store derives from `idx`
+    /// ([`Key::of_index`] and the index itself; checked in debug builds):
+    /// only `value.version` is stored.
     pub fn insert(
         &mut self,
         idx: u32,
@@ -155,21 +161,30 @@ impl PartialIndex {
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
+        debug_assert_eq!(key, Key::of_index(idx), "routed key of index {idx} is derived");
+        debug_assert_eq!(value.data, u64::from(idx), "payload of index {idx} is derived");
+        self.insert_version(idx, value.version, now, ttl)
+    }
+
+    /// [`PartialIndex::insert`] of `version` at key index `idx`.
+    pub(crate) fn insert_version(
+        &mut self,
+        idx: u32,
+        version: u64,
+        now: u64,
+        ttl: Ttl,
+    ) -> InsertResult {
         let expires_at = ttl.expires_at(now);
         let mut pos = match self.keys.binary_search(&idx) {
             Ok(pos) => {
-                self.entries[pos].absorb(value, expires_at);
+                self.entries[pos].absorb(version, expires_at);
                 return InsertResult { was_new: false, evicted: None };
             }
             Err(pos) => pos,
         };
         let mut evicted = None;
         if self.keys.len() >= self.capacity {
-            // Evict the entry closest to expiry (ties: smallest routed-key
-            // hash, for determinism).
-            let victim = (0..self.entries.len())
-                .min_by_key(|&i| (self.entries[i].expires_at, self.entries[i].key.0));
-            if let Some(victim) = victim {
+            if let Some(victim) = self.victim() {
                 evicted = Some(self.keys.remove(victim));
                 self.entries.remove(victim);
                 pos -= usize::from(victim < pos);
@@ -184,8 +199,18 @@ impl PartialIndex {
             self.reserve((2 * self.keys.len()).max(4));
         }
         self.keys.insert(pos, idx);
-        self.entries.insert(pos, IndexEntry { key, value, expires_at });
+        self.entries.insert(pos, IndexEntry { version, expires_at });
         InsertResult { was_new: true, evicted }
+    }
+
+    /// Position of the entry to evict: the `(expires_at, routed-key hash)`
+    /// minimum, a full tie going to the smaller dense index. Two passes —
+    /// the soonest expiry, then the hash of only the entries tied at it.
+    fn victim(&self) -> Option<usize> {
+        let soonest = self.entries.iter().map(|e| e.expires_at).min()?;
+        (0..self.entries.len())
+            .filter(|&i| self.entries[i].expires_at == soonest)
+            .min_by_key(|&i| Key::of_index(self.keys[i]).0)
     }
 
     /// Inserts every entry of `donor` with expiry `now + ttl` — exactly
@@ -206,10 +231,10 @@ impl PartialIndex {
         for (idx, theirs) in donor.iter() {
             at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
             let res = if self.keys.get(at) == Some(&idx) {
-                self.entries[at].absorb(theirs.value, expires_at);
+                self.entries[at].absorb(theirs.version, expires_at);
                 InsertResult { was_new: false, evicted: None }
             } else {
-                self.insert(idx, theirs.key, theirs.value, now, ttl)
+                self.insert_version(idx, theirs.version, now, ttl)
             };
             each(idx, res);
         }
@@ -253,14 +278,13 @@ impl PartialIndex {
 mod tests {
     use super::*;
 
-    fn v(version: u64) -> VersionedValue {
-        VersionedValue { version, data: version * 10 }
+    /// Version `version` of key index `idx` (the payload is the index).
+    fn v(idx: u32, version: u64) -> VersionedValue {
+        VersionedValue { version, data: u64::from(idx) }
     }
 
-    /// The routed key for dense index `idx` — the engine's own convention
-    /// (`keys[i] = hash(i)`), so tie-breaks exercise the real scheme.
     fn k(idx: u32) -> Key {
-        Key::hash_bytes(&u64::from(idx).to_le_bytes())
+        Key::of_index(idx)
     }
 
     fn purged(idx: &mut PartialIndex, now: u64) -> Vec<u32> {
@@ -272,17 +296,17 @@ mod tests {
     #[test]
     fn insert_then_get_within_ttl() {
         let mut idx = PartialIndex::new(10);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5));
-        assert_eq!(idx.get_and_refresh(1, 4, Ttl::Rounds(5)), Some(v(1)));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5));
+        assert_eq!(idx.get_and_refresh(1, 4, Ttl::Rounds(5)), Some(1));
         assert_eq!(idx.peek(2, 0), None);
     }
 
     #[test]
     fn entries_expire_after_ttl() {
         let mut idx = PartialIndex::new(10);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5));
         // Expiry at round 5 is exclusive.
-        assert_eq!(idx.peek(1, 4), Some(v(1)));
+        assert_eq!(idx.peek(1, 4), Some(1));
         assert_eq!(idx.peek(1, 5), None);
         assert_eq!(idx.get_and_refresh(1, 5, Ttl::Rounds(5)), None);
     }
@@ -290,10 +314,10 @@ mod tests {
     #[test]
     fn queries_refresh_expiry() {
         let mut idx = PartialIndex::new(10);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5));
         // Touch at round 4: new expiry 9.
         assert!(idx.get_and_refresh(1, 4, Ttl::Rounds(5)).is_some());
-        assert_eq!(idx.peek(1, 8), Some(v(1)));
+        assert_eq!(idx.peek(1, 8), Some(1));
         assert_eq!(idx.peek(1, 9), None);
     }
 
@@ -302,8 +326,8 @@ mod tests {
         // The selection mechanism in miniature: two keys, one queried every
         // round, one never; after ttl rounds only the queried key remains.
         let mut idx = PartialIndex::new(10);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(3));
-        idx.insert(2, k(2), v(1), 0, Ttl::Rounds(3));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(3));
+        idx.insert(2, k(2), v(2, 1), 0, Ttl::Rounds(3));
         for now in 1..10 {
             idx.get_and_refresh(1, now, Ttl::Rounds(3));
             let _ = purged(&mut idx, now);
@@ -315,8 +339,8 @@ mod tests {
     #[test]
     fn purge_returns_expired_keys() {
         let mut idx = PartialIndex::new(10);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(2));
-        idx.insert(2, k(2), v(1), 0, Ttl::Rounds(4));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(2));
+        idx.insert(2, k(2), v(2, 1), 0, Ttl::Rounds(4));
         let mut gone = purged(&mut idx, 2);
         gone.sort_unstable();
         assert_eq!(gone, vec![1]);
@@ -325,10 +349,12 @@ mod tests {
 
     #[test]
     fn capacity_evicts_soonest_expiring() {
+        // Expiry decides before the hash: key 1 hashes lower but lives longer.
+        assert!(k(1) < k(2));
         let mut idx = PartialIndex::new(2);
-        assert!(idx.insert(1, k(1), v(1), 0, Ttl::Rounds(10)).was_new);
-        assert!(idx.insert(2, k(2), v(1), 0, Ttl::Rounds(3)).was_new); // soonest to expire
-        let res = idx.insert(3, k(3), v(1), 0, Ttl::Rounds(7));
+        assert!(idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(10)).was_new);
+        assert!(idx.insert(2, k(2), v(2, 1), 0, Ttl::Rounds(3)).was_new); // soonest to expire
+        let res = idx.insert(3, k(3), v(3, 1), 0, Ttl::Rounds(7));
         assert!(res.was_new);
         assert_eq!(res.evicted, Some(2));
         assert_eq!(idx.len(), 2);
@@ -338,20 +364,21 @@ mod tests {
 
     #[test]
     fn eviction_ties_break_on_routed_key_hash() {
+        // Indices 3 < 4, but their routed keys order the other way, so a
+        // tie-break on the index would evict 3.
+        assert!(k(3) > k(4));
         let mut idx = PartialIndex::new(2);
-        // Same expiry: the smaller routed-key hash goes first, regardless of
-        // the dense indices.
-        idx.insert(7, Key(500), v(1), 0, Ttl::Rounds(5));
-        idx.insert(3, Key(100), v(1), 0, Ttl::Rounds(5));
-        let res = idx.insert(9, Key(900), v(1), 0, Ttl::Rounds(5));
-        assert_eq!(res.evicted, Some(3), "victim is the smallest key hash, not index");
+        idx.insert(3, k(3), v(3, 1), 0, Ttl::Rounds(5));
+        idx.insert(4, k(4), v(4, 1), 0, Ttl::Rounds(5));
+        let res = idx.insert(9, k(9), v(9, 1), 0, Ttl::Rounds(5));
+        assert_eq!(res.evicted, Some(4), "victim is the smallest key hash, not index");
     }
 
     #[test]
     fn reinsert_reports_not_new() {
         let mut idx = PartialIndex::new(4);
-        assert!(idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5)).was_new);
-        let res = idx.insert(1, k(1), v(2), 1, Ttl::Rounds(5));
+        assert!(idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5)).was_new);
+        let res = idx.insert(1, k(1), v(1, 2), 1, Ttl::Rounds(5));
         assert!(!res.was_new);
         assert_eq!(res.evicted, None);
     }
@@ -359,28 +386,28 @@ mod tests {
     #[test]
     fn reinsert_extends_but_never_downgrades_version() {
         let mut idx = PartialIndex::new(4);
-        idx.insert(1, k(1), v(3), 0, Ttl::Rounds(5));
+        idx.insert(1, k(1), v(1, 3), 0, Ttl::Rounds(5));
         // Stale version: value kept, expiry extended.
-        idx.insert(1, k(1), v(2), 2, Ttl::Rounds(5));
-        assert_eq!(idx.peek(1, 6).unwrap().version, 3);
+        idx.insert(1, k(1), v(1, 2), 2, Ttl::Rounds(5));
+        assert_eq!(idx.peek(1, 6), Some(3));
         // Newer version replaces.
-        idx.insert(1, k(1), v(4), 3, Ttl::Rounds(5));
-        assert_eq!(idx.peek(1, 4).unwrap().version, 4);
+        idx.insert(1, k(1), v(1, 4), 3, Ttl::Rounds(5));
+        assert_eq!(idx.peek(1, 4), Some(4));
         assert_eq!(idx.len(), 1);
     }
 
     #[test]
     fn reinsert_never_shortens_expiry() {
         let mut idx = PartialIndex::new(4);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(10));
-        idx.insert(1, k(1), v(1), 1, Ttl::Rounds(2)); // would expire at 3 < 10
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(10));
+        idx.insert(1, k(1), v(1, 1), 1, Ttl::Rounds(2)); // would expire at 3 < 10
         assert!(idx.peek(1, 9).is_some(), "expiry must keep the max");
     }
 
     #[test]
     fn zero_capacity_index_stores_nothing() {
         let mut idx = PartialIndex::new(0);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5));
         assert!(idx.is_empty());
         assert_eq!(idx.peek(1, 0), None);
     }
@@ -388,8 +415,8 @@ mod tests {
     #[test]
     fn remove_and_iter() {
         let mut idx = PartialIndex::new(4);
-        idx.insert(1, k(1), v(1), 0, Ttl::Rounds(5));
-        idx.insert(2, k(2), v(2), 0, Ttl::Rounds(5));
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Rounds(5));
+        idx.insert(2, k(2), v(2, 2), 0, Ttl::Rounds(5));
         assert_eq!(idx.iter().count(), 2);
         assert!(idx.remove(1));
         assert!(!idx.remove(1));
@@ -400,11 +427,13 @@ mod tests {
     fn iter_and_purge_run_in_ascending_index_order() {
         let mut idx = PartialIndex::new(8);
         for i in [5u32, 1, 7, 3, 2] {
-            idx.insert(i, k(i), v(u64::from(i)), 0, Ttl::Rounds(u64::from(i)));
+            idx.insert(i, k(i), v(i, u64::from(i)), 0, Ttl::Rounds(u64::from(i)));
         }
         let order: Vec<u32> = idx.iter().map(|(i, _)| i).collect();
         assert_eq!(order, [1, 2, 3, 5, 7]);
-        assert!(idx.iter().all(|(i, e)| e.key == k(i) && e.value == v(u64::from(i))));
+        assert!(idx
+            .iter()
+            .all(|(i, e)| e == IndexEntry { version: u64::from(i), expires_at: u64::from(i) }));
         assert_eq!(purged(&mut idx, 3), [1, 2, 3]);
         assert_eq!(idx.iter().map(|(i, _)| i).collect::<Vec<_>>(), [5, 7]);
     }
@@ -414,24 +443,24 @@ mod tests {
         let mut idx = PartialIndex::new(100);
         assert_eq!(idx.heap_bytes(), 0, "nothing allocated before the first insert");
         for i in 0..300u32 {
-            idx.insert(i, k(i), v(1), u64::from(i), Ttl::Rounds(5));
+            idx.insert(i, k(i), v(i, 1), u64::from(i), Ttl::Rounds(5));
         }
         assert_eq!(idx.len(), 100);
-        assert_eq!(idx.heap_bytes(), 100 * 36, "doubling stops at the capacity bound");
+        assert_eq!(idx.heap_bytes(), 100 * 20, "doubling stops at the capacity bound");
         let mut exact = PartialIndex::new(100);
         exact.reserve(78);
-        assert_eq!(exact.heap_bytes(), 78 * 36);
+        assert_eq!(exact.heap_bytes(), 78 * 20);
         exact.reserve(1_000);
-        assert_eq!(exact.heap_bytes(), 100 * 36, "reserve clamps to the bound");
+        assert_eq!(exact.heap_bytes(), 100 * 20, "reserve clamps to the bound");
     }
 
     #[test]
     fn saturating_ttl_does_not_overflow() {
         let mut idx = PartialIndex::new(2);
-        idx.insert(1, k(1), v(1), u64::MAX - 1, Ttl::Rounds(u64::MAX));
+        idx.insert(1, k(1), v(1, 1), u64::MAX - 1, Ttl::Rounds(u64::MAX));
         assert!(idx.peek(1, u64::MAX - 1).is_some());
         // Infinite TTL entries survive any clock.
-        idx.insert(2, k(2), v(1), 0, Ttl::Infinite);
+        idx.insert(2, k(2), v(2, 1), 0, Ttl::Infinite);
         assert!(idx.peek(2, u64::MAX - 1).is_some());
     }
 }

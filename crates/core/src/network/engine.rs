@@ -23,7 +23,7 @@ use crate::config::{OverlayKind, PdhtConfig, Strategy};
 use crate::network::peer::PeerStores;
 use crate::network::shard::{lane_stream, origin_lane, partition_maps, store_lane, ShardedState};
 use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
-use pdht_gossip::{ReplicaGroup, VersionedValue};
+use pdht_gossip::ReplicaGroup;
 use pdht_model::{CostModel, SelectionModel};
 use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
 use pdht_sim::{HistogramSummary, LatencyModel, Metrics};
@@ -435,8 +435,7 @@ impl PdhtNetwork {
         let num_keys = s.keys as usize;
 
         // Synthetic key universe: hashed dense indices.
-        let keys: Vec<Key> =
-            (0..num_keys).map(|i| Key::hash_bytes(&(i as u64).to_le_bytes())).collect();
+        let keys: Vec<Key> = (0..s.keys).map(Key::of_index).collect();
         let kpa = cfg.keys_per_article as usize;
         let num_articles = num_keys.div_ceil(kpa);
         let article_of: Vec<u32> = (0..num_keys).map(|i| (i / kpa) as u32).collect();
@@ -576,10 +575,9 @@ impl PdhtNetwork {
         if cfg.strategy == Strategy::IndexAll {
             if let Some(o) = &overlay {
                 for (i, &key) in keys.iter().enumerate() {
-                    let value = VersionedValue { version: 1, data: i as u64 };
                     let group = o.group_of_key(key);
                     for &member in o.group_members(group) {
-                        let res = peers.insert(member, i as u32, key, value, 0, Ttl::Infinite);
+                        let res = peers.insert(member, i as u32, 1, 0, Ttl::Infinite);
                         debug_assert!(res.evicted.is_none(), "preload must fit");
                     }
                 }
@@ -1041,8 +1039,9 @@ mod tests {
 
     #[test]
     fn index_all_stores_cost_what_they_hold() {
-        // 36 B per resident entry (u32 index + 32 B entry), sized exactly
-        // at the preload; a per-peer hash table cost ~130 B per entry here.
+        // 20 B per resident entry (u32 index + 16 B version and expiry),
+        // sized exactly at the preload; storing the derivable routed key
+        // and payload too cost 36 B, a per-peer hash table ~130 B.
         for kind in OverlayKind::ALL {
             let mut c = cfg(Strategy::IndexAll, 1.0 / 60.0);
             c.overlay = kind;
@@ -1053,10 +1052,52 @@ mod tests {
             assert!(resident >= 2_000);
             let bytes = net.store_bytes();
             assert!(
-                bytes <= 40 * resident,
+                bytes <= 24 * resident,
                 "{kind:?}: {bytes} B for {resident} entries = {} B/entry",
                 bytes / resident
             );
+        }
+    }
+
+    #[test]
+    fn store_copies_are_conserved_every_round() {
+        // The replica-copy accounting against a recount of the stores after
+        // every round of a loaded run: query inserts, evictions and TTL
+        // sweeps, fast churn with rejoin pulls, RLNC update waves, non-zero
+        // latency. Peers offline at the start lose their stores (a crash
+        // that loses state), so IndexAll rejoin pulls add entries instead
+        // of only refreshing held ones.
+        use crate::network::peer::ShardStores;
+        for strategy in [Strategy::Partial, Strategy::IndexAll] {
+            for kind in OverlayKind::ALL {
+                for shards in [1, 4] {
+                    let mut c = cfg_sharded(strategy, shards);
+                    c.overlay = kind;
+                    c.scenario.f_upd = 0.05;
+                    c.churn = pdht_overlay::ChurnConfig {
+                        mean_online_secs: 120.0,
+                        mean_offline_secs: 80.0,
+                    };
+                    c.gossip_codec = crate::GossipCodec::Rlnc;
+                    c.latency = crate::LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 200.0 };
+                    let mut net = PdhtNetwork::new(c).unwrap();
+                    let live = net.world.live();
+                    let (slot, regions) = net.peers.split_mut();
+                    for peer in (0..net.world.nap).map(PeerId::from_idx) {
+                        if !live.is_online(peer) {
+                            let shard_id = slot[peer.idx()].0;
+                            let shard = &mut regions[usize::from(shard_id)];
+                            ShardStores { slot, shard_id, shard }.purge_expired(peer, u64::MAX);
+                        }
+                    }
+                    for round in 0..20 {
+                        net.step_round();
+                        if let Err(e) = net.peers.check_copies() {
+                            panic!("{strategy:?} {kind:?} shards={shards} round {round}: {e}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -32,7 +32,7 @@ use super::routing::{route_hop, HopStream, QueryExec};
 use super::shard::{LaneMsg, LaneState};
 use crate::config::Strategy;
 use crate::ttl::Ttl;
-use pdht_gossip::{RumorWave, VersionedValue};
+use pdht_gossip::RumorWave;
 use pdht_overlay::{HopOutcome, LookupState};
 use pdht_types::{MessageKind, PeerId, Round, SimTime};
 
@@ -279,7 +279,6 @@ impl QueryExec<'_> {
         let ki = world.keys_by_article[ctx.article as usize][ctx.pos];
         let key = world.keys[ki as usize];
         let new_version = ctx.new_version;
-        let value = VersionedValue { version: new_version, data: u64::from(ki) };
         let o = world.overlay.as_deref().expect("update implies overlay");
         let group = &world.groups[o.group_of_key(key)];
         let codec = world.cfg.gossip_codec;
@@ -291,8 +290,8 @@ impl QueryExec<'_> {
         // forever once everyone converged.)
         let mut deliver = |member_local: usize| {
             let member = group.members()[member_local];
-            let prior = stores.peek(member, ki, round).map(|v| v.version);
-            stores.insert(member, ki, key, value, round, Ttl::Infinite);
+            let prior = stores.peek(member, ki, round);
+            stores.insert(member, ki, new_version, round, Ttl::Infinite);
             prior.is_none_or(|pv| pv < new_version)
         };
         match ctx.stage {

@@ -14,7 +14,7 @@
 //! hashing, no allocation — which keeps the per-event TTL sweeps and
 //! query-path store updates allocation-free at 100k-peer scale.
 //!
-//! The stores themselves are sorted columns costing 36 bytes per resident
+//! The stores themselves are sorted columns costing 20 bytes per resident
 //! entry (see [`crate::index`]); an empty store owns no heap at all, and
 //! the IndexAll preload sizes each one exactly through
 //! [`PeerStores::reserve`], so [`PeerStores::heap_bytes`] tracks what the
@@ -37,8 +37,7 @@
 
 use crate::index::{InsertResult, PartialIndex};
 use crate::ttl::Ttl;
-use pdht_gossip::VersionedValue;
-use pdht_types::{Key, PeerId};
+use pdht_types::PeerId;
 
 /// Replica-copy refcounts of one shard: how many of its stores hold each
 /// dense key index, and how many indices are held at all.
@@ -100,19 +99,18 @@ impl StoreShard {
         self.copies.distinct
     }
 
-    /// Inserts key index `idx` (routed key `key`) at shard-local peer
-    /// `local`, maintaining the distinct-key accounting for both the insert
-    /// and any eviction it caused.
+    /// Inserts `version` of key index `idx` at shard-local peer `local`,
+    /// maintaining the distinct-key accounting for both the insert and any
+    /// eviction it caused.
     pub(crate) fn insert_local(
         &mut self,
         local: usize,
         idx: u32,
-        key: Key,
-        value: VersionedValue,
+        version: u64,
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
-        let res = self.stores[local].insert(idx, key, value, now, ttl);
+        let res = self.stores[local].insert_version(idx, version, now, ttl);
         self.copies.record(idx, res);
         res
     }
@@ -125,12 +123,12 @@ impl StoreShard {
         idx: u32,
         now: u64,
         ttl: Ttl,
-    ) -> Option<VersionedValue> {
+    ) -> Option<u64> {
         self.stores[local].get_and_refresh(idx, now, ttl)
     }
 
     /// Non-refreshing visibility check at shard-local peer `local`.
-    pub(crate) fn peek_local(&self, local: usize, idx: u32, now: u64) -> Option<VersionedValue> {
+    pub(crate) fn peek_local(&self, local: usize, idx: u32, now: u64) -> Option<u64> {
         self.stores[local].peek(idx, now)
     }
 
@@ -221,27 +219,26 @@ impl PeerStores {
         self.shards.iter().map(StoreShard::distinct_keys).sum()
     }
 
-    /// Inserts key index `idx` (routed key `key`) at `peer`, maintaining
-    /// the distinct-key accounting for both the insert and any eviction it
+    /// Inserts `version` of key index `idx` at `peer`, maintaining the
+    /// distinct-key accounting for both the insert and any eviction it
     /// caused. Returns the raw result for callers that assert fit.
     pub(crate) fn insert(
         &mut self,
         peer: PeerId,
         idx: u32,
-        key: Key,
-        value: VersionedValue,
+        version: u64,
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
         let (s, l) = self.local(peer);
-        self.shards[s].insert_local(l, idx, key, value, now, ttl)
+        self.shards[s].insert_local(l, idx, version, now, ttl)
     }
 
     /// Non-refreshing visibility check at `peer`. The simulation paths all
     /// go through [`ShardStores::peek`] now; the facade form remains for
     /// the unit tests exercising store semantics peer-by-peer.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<VersionedValue> {
+    pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<u64> {
         let (s, l) = self.local(peer);
         self.shards[s].peek_local(l, idx, now)
     }
@@ -271,6 +268,40 @@ impl PeerStores {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.shards.iter().flat_map(|s| &s.stores).map(PartialIndex::heap_bytes).sum()
     }
+
+    /// Recounts every shard's replica-copy accounting from its stores: each
+    /// key index's count is the number of the shard's stores holding it,
+    /// `distinct` is the number of non-zero counts, and the stores' sizes
+    /// sum to the counts' sum. `Err` names the first broken shard.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn check_copies(&self) -> Result<(), String> {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let counts = &shard.copies.counts;
+            let mut held = vec![0u32; counts.len()];
+            for (idx, _) in shard.stores.iter().flat_map(PartialIndex::iter) {
+                held[idx as usize] += 1;
+            }
+            if let Some(idx) = (0..counts.len()).find(|&i| held[i] != counts[i]) {
+                return Err(format!(
+                    "shard {s}: key index {idx} has {} copies, accounted {}",
+                    held[idx], counts[idx]
+                ));
+            }
+            let distinct = counts.iter().filter(|&&c| c > 0).count();
+            if distinct != shard.copies.distinct {
+                return Err(format!(
+                    "shard {s}: {distinct} keys held, accounted {}",
+                    shard.copies.distinct
+                ));
+            }
+            let resident: usize = shard.stores.iter().map(PartialIndex::len).sum();
+            let copies: usize = counts.iter().map(|&c| c as usize).sum();
+            if resident != copies {
+                return Err(format!("shard {s}: {resident} entries resident, {copies} counted"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One shard's view of the peer stores: the shared slot table plus
@@ -299,13 +330,12 @@ impl ShardStores<'_> {
         &mut self,
         peer: PeerId,
         idx: u32,
-        key: Key,
-        value: VersionedValue,
+        version: u64,
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
         let l = self.local(peer);
-        self.shard.insert_local(l, idx, key, value, now, ttl)
+        self.shard.insert_local(l, idx, version, now, ttl)
     }
 
     /// Read-through at `peer`, refreshing the entry's TTL on hit
@@ -316,13 +346,13 @@ impl ShardStores<'_> {
         idx: u32,
         now: u64,
         ttl: Ttl,
-    ) -> Option<VersionedValue> {
+    ) -> Option<u64> {
         let l = self.local(peer);
         self.shard.get_and_refresh_local(l, idx, now, ttl)
     }
 
     /// See [`PeerStores::peek`].
-    pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<VersionedValue> {
+    pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<u64> {
         self.shard.peek_local(self.local(peer), idx, now)
     }
 
@@ -339,8 +369,6 @@ impl ShardStores<'_> {
 mod tests {
     use super::*;
 
-    const V: VersionedValue = VersionedValue { version: 1, data: 7 };
-
     /// `nap` stores in a single shard (the one-lane layout).
     fn one_shard(nap: usize, capacity: usize, num_keys: usize) -> PeerStores {
         PeerStores::new(&vec![0; nap], 1, capacity, num_keys)
@@ -351,25 +379,21 @@ mod tests {
         ShardStores { slot, shard_id: 0, shard: &mut shards[0] }.purge_expired(peer, now);
     }
 
-    fn k(idx: u32) -> Key {
-        Key::hash_bytes(&u64::from(idx).to_le_bytes())
-    }
-
     #[test]
     fn distinct_keys_track_copies_not_replicas() {
         let mut p = one_shard(3, 8, 64);
-        p.insert(PeerId(0), 42, k(42), V, 0, Ttl::Rounds(10));
-        p.insert(PeerId(1), 42, k(42), V, 0, Ttl::Rounds(10));
+        p.insert(PeerId(0), 42, 1, 0, Ttl::Rounds(10));
+        p.insert(PeerId(1), 42, 1, 0, Ttl::Rounds(10));
         assert_eq!(p.distinct_keys(), 1, "two replicas, one key");
-        p.insert(PeerId(2), 43, k(43), V, 0, Ttl::Rounds(10));
+        p.insert(PeerId(2), 43, 1, 0, Ttl::Rounds(10));
         assert_eq!(p.distinct_keys(), 2);
     }
 
     #[test]
     fn purge_releases_accounting() {
         let mut p = one_shard(2, 8, 16);
-        p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(5));
-        p.insert(PeerId(1), 1, k(1), V, 0, Ttl::Rounds(5));
+        p.insert(PeerId(0), 1, 1, 0, Ttl::Rounds(5));
+        p.insert(PeerId(1), 1, 1, 0, Ttl::Rounds(5));
         purge(&mut p, PeerId(0), 100);
         assert_eq!(p.distinct_keys(), 1, "one replica still holds the key");
         purge(&mut p, PeerId(1), 100);
@@ -379,8 +403,8 @@ mod tests {
     #[test]
     fn eviction_by_capacity_is_accounted() {
         let mut p = one_shard(1, 1, 4);
-        p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(10));
-        let res = p.insert(PeerId(0), 2, k(2), V, 0, Ttl::Rounds(10));
+        p.insert(PeerId(0), 1, 1, 0, Ttl::Rounds(10));
+        let res = p.insert(PeerId(0), 2, 1, 0, Ttl::Rounds(10));
         assert!(res.evicted.is_some(), "capacity 1 must evict");
         assert_eq!(p.distinct_keys(), 1);
         assert!(p.peek(PeerId(0), 2, 0).is_some());
@@ -397,12 +421,12 @@ mod tests {
         let build = || {
             let mut p = one_shard(3, 5, 16);
             for r in [PeerId(0), PeerId(1)] {
-                p.insert(r, 2, k(2), VersionedValue { version: 5, data: 0 }, 0, Ttl::Rounds(9));
-                p.insert(r, 4, k(4), VersionedValue { version: 1, data: 0 }, 0, Ttl::Rounds(2));
-                p.insert(r, 9, k(9), V, 0, Ttl::Rounds(1));
+                p.insert(r, 2, 5, 0, Ttl::Rounds(9));
+                p.insert(r, 4, 1, 0, Ttl::Rounds(2));
+                p.insert(r, 9, 1, 0, Ttl::Rounds(1));
             }
             for (i, version) in [(1, 1), (2, 3), (4, 7), (6, 1), (11, 2)] {
-                p.insert(PeerId(2), i, k(i), VersionedValue { version, data: 1 }, 0, Ttl::Infinite);
+                p.insert(PeerId(2), i, version, 0, Ttl::Infinite);
             }
             p
         };
@@ -411,7 +435,7 @@ mod tests {
         let mut looped = build();
         let donor: Vec<_> = looped.shards[0].stores[2].iter().collect();
         for (i, e) in donor {
-            looped.insert(PeerId(1), i, e.key, e.value, 3, Ttl::Rounds(4));
+            looped.insert(PeerId(1), i, e.version, 3, Ttl::Rounds(4));
         }
         let (got, want) = (&walked.shards[0], &looped.shards[0]);
         assert_eq!(
@@ -419,12 +443,30 @@ mod tests {
             want.stores[1].iter().collect::<Vec<_>>()
         );
         assert_eq!(got.stores[0].len(), 5, "the pull filled the store and evicted");
-        assert_eq!(got.stores[0].peek(2, 3).unwrap().version, 5, "older donor version ignored");
-        assert_eq!(got.stores[0].peek(4, 3).unwrap().version, 7, "newer donor version taken");
+        assert_eq!(got.stores[0].peek(2, 3), Some(5), "older donor version ignored");
+        assert_eq!(got.stores[0].peek(4, 3), Some(7), "newer donor version taken");
         assert_eq!(walked.distinct_keys(), looped.distinct_keys());
         // Receiver 0 of `walked` and receiver 1 of `looped` hold the same
         // keys, so the per-key refcounts agree too.
         assert_eq!(got.copies.counts, want.copies.counts);
+    }
+
+    #[test]
+    fn check_copies_recounts_the_stores() {
+        let mut p = PeerStores::new(&[0, 1, 0, 1], 2, 2, 8);
+        p.insert(PeerId(0), 1, 1, 0, Ttl::Rounds(5));
+        p.insert(PeerId(2), 1, 1, 0, Ttl::Rounds(9));
+        p.insert(PeerId(2), 3, 1, 0, Ttl::Rounds(9));
+        p.insert(PeerId(2), 4, 1, 0, Ttl::Rounds(9)); // evicts at capacity 2
+        p.insert(PeerId(1), 5, 1, 0, Ttl::Rounds(9));
+        p.pull(PeerId(2), PeerId(0), 1, Ttl::Rounds(9));
+        purge(&mut p, PeerId(0), 6);
+        assert_eq!(p.check_copies(), Ok(()));
+        p.shards[1].copies.counts[6] += 1;
+        assert_eq!(p.check_copies(), Err("shard 1: key index 6 has 0 copies, accounted 1".into()));
+        p.shards[1].copies.counts[6] -= 1;
+        p.shards[0].copies.distinct += 1;
+        assert_eq!(p.check_copies(), Err("shard 0: 2 keys held, accounted 3".into()));
     }
 
     #[test]
@@ -438,7 +480,7 @@ mod tests {
     fn repeated_purges_reuse_the_scratch_buffer() {
         let mut p = one_shard(1, 8, 8);
         for round in 0..4u64 {
-            p.insert(PeerId(0), 1, k(1), V, round, Ttl::Rounds(1));
+            p.insert(PeerId(0), 1, 1, round, Ttl::Rounds(1));
             purge(&mut p, PeerId(0), round + 1);
             assert_eq!(p.distinct_keys(), 0);
         }
@@ -449,10 +491,10 @@ mod tests {
         // Peers 0,2 in shard 0; peers 1,3 in shard 1.
         let assign = [0u16, 1, 0, 1];
         let mut p = PeerStores::new(&assign, 2, 8, 16);
-        p.insert(PeerId(0), 1, k(1), V, 0, Ttl::Rounds(5));
-        p.insert(PeerId(2), 1, k(1), V, 0, Ttl::Rounds(5));
-        p.insert(PeerId(1), 2, k(2), V, 0, Ttl::Rounds(5));
-        p.insert(PeerId(3), 3, k(3), V, 0, Ttl::Rounds(5));
+        p.insert(PeerId(0), 1, 1, 0, Ttl::Rounds(5));
+        p.insert(PeerId(2), 1, 1, 0, Ttl::Rounds(5));
+        p.insert(PeerId(1), 2, 1, 0, Ttl::Rounds(5));
+        p.insert(PeerId(3), 3, 1, 0, Ttl::Rounds(5));
         assert_eq!(p.distinct_keys(), 3, "global distinct is the sum over shards");
         assert!(p.peek(PeerId(2), 1, 0).is_some());
         assert!(p.peek(PeerId(2), 2, 0).is_none());
@@ -477,11 +519,11 @@ mod tests {
     fn shard_view_matches_facade() {
         let assign = [0u16, 1, 0, 1];
         let mut p = PeerStores::new(&assign, 2, 8, 16);
-        p.insert(PeerId(1), 5, k(5), V, 0, Ttl::Rounds(9));
+        p.insert(PeerId(1), 5, 1, 0, Ttl::Rounds(9));
         let (slot, shards) = p.split_mut();
         let mut view = ShardStores { slot, shard_id: 1, shard: &mut shards[1] };
         assert!(view.peek(PeerId(1), 5, 0).is_some());
-        view.insert(PeerId(3), 6, k(6), V, 0, Ttl::Rounds(9));
+        view.insert(PeerId(3), 6, 1, 0, Ttl::Rounds(9));
         assert!(view.get_and_refresh(PeerId(3), 6, 1, Ttl::Rounds(9)).is_some());
         assert_eq!(p.distinct_keys(), 2);
         assert!(p.peek(PeerId(3), 6, 1).is_some());

@@ -44,7 +44,7 @@ use super::peer::ShardStores;
 use super::shard::{LaneMsg, LaneState};
 use crate::config::Strategy;
 use crate::ttl::Ttl;
-use pdht_gossip::{FloodWave, ReplicaGroup, VersionedValue};
+use pdht_gossip::{FloodWave, ReplicaGroup};
 use pdht_overlay::{HopOutcome, LookupState};
 use pdht_sim::Metrics;
 use pdht_types::{Key, MessageKind, PeerId, Result, SimTime};
@@ -91,15 +91,15 @@ enum QueryStage {
     InsertRoute {
         /// Resumable lookup state from the original entry peer.
         lookup: LookupState,
-        /// The value to index, fixed when the broadcast resolved.
-        value: VersionedValue,
+        /// The version to index, fixed when the broadcast resolved.
+        version: u64,
     },
     /// Distributing the found key through the replica subnetwork.
     InsertFlood {
         /// Resumable BFS frontier delivering the insert.
         flood: FloodWave,
-        /// The value being distributed.
-        value: VersionedValue,
+        /// The version being distributed.
+        version: u64,
     },
 }
 
@@ -175,31 +175,30 @@ pub(crate) fn route_hop(
 }
 
 /// Where a replica-subnetwork flood runs and what it carries: the key's
-/// replica group, dense index and routed form, and the TTL inserts get.
+/// replica group and dense index, and the TTL inserts get.
 #[derive(Clone, Copy)]
 struct FloodSite {
     group: usize,
     ki: u32,
-    key: Key,
     ttl: Ttl,
 }
 
 /// The per-member visit of a replica-subnetwork flood over `group`: a
 /// lookup flood (`insert = None`) asks whether the member holds the key —
 /// the first holder answers and stops the flood — an insert flood writes
-/// the value at every member and never stops early.
+/// the version at every member and never stops early.
 fn flood_visit<'s, 'a>(
     stores: &'s mut ShardStores<'a>,
     group: &'s ReplicaGroup,
     site: FloodSite,
-    insert: Option<VersionedValue>,
+    insert: Option<u64>,
     round: u64,
 ) -> impl FnMut(usize) -> bool + use<'s, 'a> {
     move |member_local| {
         let member = group.members()[member_local];
         match insert {
-            Some(value) => {
-                stores.insert(member, site.ki, site.key, value, round, site.ttl);
+            Some(version) => {
+                stores.insert(member, site.ki, version, round, site.ttl);
                 false
             }
             None => stores.peek(member, site.ki, round).is_some(),
@@ -405,7 +404,7 @@ impl QueryExec<'_> {
     /// instant inside round `round`.
     fn step_query(&mut self, ctx: &mut QueryCtx, round: u64) -> StepFate {
         let ki = ctx.key_index as u32;
-        let site = FloodSite { group: ctx.group, ki, key: ctx.key, ttl: ctx.ttl };
+        let site = FloodSite { group: ctx.group, ki, ttl: ctx.ttl };
         match ctx.stage {
             QueryStage::Route { mut lookup } => {
                 let (stream, kind) = (HopStream::Overlay, MessageKind::RouteHop);
@@ -471,18 +470,18 @@ impl QueryExec<'_> {
                 }
             }
 
-            QueryStage::InsertRoute { mut lookup, value } => {
+            QueryStage::InsertRoute { mut lookup, version } => {
                 // Hops of the insert route count as IndexInsert traffic,
                 // exactly as the synchronous pipeline recorded them.
                 let (stream, kind) = (HopStream::Search, MessageKind::IndexInsert);
                 match route_hop(self.world, self.lane, ctx.key, &mut lookup, stream, kind) {
                     Ok(HopOutcome::Forwarded(_)) => {
-                        ctx.stage = QueryStage::InsertRoute { lookup, value };
+                        ctx.stage = QueryStage::InsertRoute { lookup, version };
                         StepFate::Next
                     }
                     Ok(HopOutcome::Arrived(at)) => {
-                        let flood = self.flood_begin(site, at, Some(value), round);
-                        ctx.stage = QueryStage::InsertFlood { flood, value };
+                        let flood = self.flood_begin(site, at, Some(version), round);
+                        ctx.stage = QueryStage::InsertFlood { flood, version };
                         StepFate::Next
                     }
                     Err(_) => {
@@ -494,8 +493,8 @@ impl QueryExec<'_> {
                 }
             }
 
-            QueryStage::InsertFlood { ref mut flood, value } => {
-                if !self.flood_wave(site, flood, Some(value), round) {
+            QueryStage::InsertFlood { ref mut flood, version } => {
+                if !self.flood_wave(site, flood, Some(version), round) {
                     return StepFate::Next;
                 }
                 self.record_outcome(false, ctx.article, None);
@@ -509,7 +508,7 @@ impl QueryExec<'_> {
         &mut self,
         site: FloodSite,
         at: PeerId,
-        insert: Option<VersionedValue>,
+        insert: Option<u64>,
         round: u64,
     ) -> FloodWave {
         let group = &self.world.groups[site.group];
@@ -522,7 +521,7 @@ impl QueryExec<'_> {
         &mut self,
         site: FloodSite,
         flood: &mut FloodWave,
-        insert: Option<VersionedValue>,
+        insert: Option<u64>,
         round: u64,
     ) -> bool {
         let group = &self.world.groups[site.group];
@@ -563,10 +562,7 @@ impl QueryExec<'_> {
                     self.record_outcome(false, ctx.article, None);
                     return StepFate::Done;
                 }
-                let value = VersionedValue {
-                    version: self.world.updates.version(ctx.article),
-                    data: ctx.key_index as u64,
-                };
+                let version = self.world.updates.version(ctx.article);
                 // Admission check: the paper admits every miss; the
                 // frequency-aware extension requires a repeat miss first.
                 let is_partial = self.world.cfg.strategy == Strategy::Partial;
@@ -579,7 +575,7 @@ impl QueryExec<'_> {
                 // flood).
                 let o = self.world.overlay.as_deref().expect("overlay present");
                 ctx.stage =
-                    QueryStage::InsertRoute { lookup: o.begin_lookup(ctx.entry, ctx.key), value };
+                    QueryStage::InsertRoute { lookup: o.begin_lookup(ctx.entry, ctx.key), version };
                 StepFate::Next
             }
         }
@@ -641,11 +637,11 @@ impl QueryExec<'_> {
     /// Outcome bookkeeping. The adaptive-TTL controller no longer observes
     /// here — the engine flushes the counter deltas at the bookkeeping
     /// phase, outside any parallel section.
-    fn record_outcome(&mut self, hit: bool, article: u32, value: Option<VersionedValue>) {
+    fn record_outcome(&mut self, hit: bool, article: u32, version: Option<u64>) {
         if hit {
             self.lane.counters.hits += 1;
-            if let Some(v) = value {
-                if v.version < self.world.updates.version(article) {
+            if let Some(v) = version {
+                if v < self.world.updates.version(article) {
                     self.lane.counters.stale_hits += 1;
                 }
             }

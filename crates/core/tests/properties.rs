@@ -30,52 +30,49 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// The hash-map store `PartialIndex` was until the sorted columns replaced
-/// it, kept as the lockstep oracle: same rules, none of the layout. The one
-/// addition is the last tie-break component — the map left a full
-/// `(expires_at, key)` tie to its bucket order, the columns (and so this
-/// model) settle it on the smaller dense index.
+/// it, kept as the lockstep oracle: same rules, none of the layout. The
+/// routed key is derived from the index, as the store derives it, and the
+/// victim is the one-pass `(expires_at, routed key, index)` minimum the
+/// store's two-pass scan must reproduce. (The map left a full
+/// `(expires_at, key)` tie to its bucket order; the columns, and so this
+/// model, settle it on the smaller dense index.)
 struct ModelIndex {
     entries: HashMap<u32, IndexEntry>,
     capacity: usize,
 }
 
 impl ModelIndex {
-    fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<VersionedValue> {
+    fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<u64> {
         let e = self.entries.get_mut(&idx).filter(|e| e.expires_at > now)?;
         e.expires_at = ttl.expires_at(now);
-        Some(e.value)
+        Some(e.version)
     }
 
-    fn peek(&self, idx: u32, now: u64) -> Option<VersionedValue> {
-        self.entries.get(&idx).filter(|e| e.expires_at > now).map(|e| e.value)
+    fn peek(&self, idx: u32, now: u64) -> Option<u64> {
+        self.entries.get(&idx).filter(|e| e.expires_at > now).map(|e| e.version)
     }
 
-    fn insert(
-        &mut self,
-        idx: u32,
-        key: Key,
-        value: VersionedValue,
-        now: u64,
-        ttl: Ttl,
-    ) -> InsertResult {
+    fn insert(&mut self, idx: u32, version: u64, now: u64, ttl: Ttl) -> InsertResult {
         let expires_at = ttl.expires_at(now);
         if let Some(existing) = self.entries.get_mut(&idx) {
-            if existing.value.version <= value.version {
-                existing.value = value;
-            }
+            existing.version = existing.version.max(version);
             existing.expires_at = existing.expires_at.max(expires_at);
             return InsertResult { was_new: false, evicted: None };
         }
         let mut evicted = None;
         if self.entries.len() >= self.capacity {
-            evicted =
-                self.entries.iter().map(|(&i, e)| (e.expires_at, e.key.0, i)).min().map(|v| v.2);
+            evicted = self
+                .entries
+                .iter()
+                .map(|(&i, e)| (e.expires_at, Key::of_index(i), i))
+                .min()
+                .map(|v| v.2);
             if let Some(victim) = evicted {
                 self.entries.remove(&victim);
             }
         }
         if self.capacity > 0 {
-            self.entries.insert(idx, IndexEntry { key, value, expires_at });
+            self.entries.insert(idx, IndexEntry { version, expires_at });
         }
         InsertResult { was_new: self.capacity > 0, evicted }
     }
@@ -137,9 +134,6 @@ proptest! {
         capacity in 0usize..=8,
         ops in prop::collection::vec(lockstep_op(), 1..120),
     ) {
-        // Routed keys neither ordered like the indices nor distinct, so the
-        // victim scan meets partial and full `(expires_at, key)` ties.
-        let routed = |idx: u32| Key(u64::from(idx * 7 % 5));
         let as_ttl = |ttl: u64| if ttl == 0 { Ttl::Infinite } else { Ttl::Rounds(ttl) };
         let mut index = PartialIndex::new(capacity);
         let mut model = ModelIndex { entries: HashMap::new(), capacity };
@@ -149,8 +143,8 @@ proptest! {
                 LockstepOp::Insert { idx, version, ttl } => {
                     let value = VersionedValue { version, data: u64::from(idx) };
                     prop_assert_eq!(
-                        index.insert(idx, routed(idx), value, now, as_ttl(ttl)),
-                        model.insert(idx, routed(idx), value, now, as_ttl(ttl))
+                        index.insert(idx, Key::of_index(idx), value, now, as_ttl(ttl)),
+                        model.insert(idx, version, now, as_ttl(ttl))
                     );
                 }
                 LockstepOp::Get { idx, ttl } => prop_assert_eq!(
@@ -172,7 +166,7 @@ proptest! {
                 LockstepOp::Advance { by } => now += by,
             }
             prop_assert_eq!(index.len(), model.entries.len());
-            prop_assert!(index.heap_bytes() <= 36 * capacity.max(4), "grew past the bound");
+            prop_assert!(index.heap_bytes() <= 20 * capacity.max(4), "grew past the bound");
             let mut want: Vec<(u32, IndexEntry)> =
                 model.entries.iter().map(|(&i, &e)| (i, e)).collect();
             want.sort_unstable_by_key(|&(i, _)| i);
@@ -200,10 +194,10 @@ proptest! {
             match op {
                 Op::Insert { key, version, ttl } => {
                     let ki = u32::from(key);
-                    let before = idx.peek(ki, now).map(|v| v.version);
+                    let before = idx.peek(ki, now);
                     idx.insert(
                         ki,
-                        Key(u64::from(key)),
+                        Key::of_index(ki),
                         VersionedValue { version, data: u64::from(key) },
                         now,
                         Ttl::Rounds(ttl),
@@ -212,7 +206,7 @@ proptest! {
                     *ceiling = (*ceiling).max(version);
                     // Overwrite of a live entry keeps the newer version.
                     if let Some(old) = before {
-                        let stored = idx.peek(ki, now).expect("just inserted").version;
+                        let stored = idx.peek(ki, now).expect("just inserted");
                         prop_assert_eq!(stored, old.max(version));
                     }
                 }
@@ -220,10 +214,9 @@ proptest! {
                     if let Some(v) = idx.get_and_refresh(u32::from(key), now, Ttl::Rounds(ttl_default)) {
                         let ceiling = max_inserted.get(&key).copied().unwrap_or(0);
                         prop_assert!(
-                            v.version <= ceiling,
+                            v <= ceiling,
                             "served version above anything inserted"
                         );
-                        prop_assert_eq!(v.data, u64::from(key), "value belongs to key");
                     }
                 }
                 Op::Purge => {
@@ -258,10 +251,11 @@ proptest! {
     ) {
         let mut idx = PartialIndex::new(1024);
         for &(key, ttl) in &entries {
+            let ki = u32::from(key);
             idx.insert(
-                u32::from(key),
-                Key(u64::from(key)),
-                VersionedValue { version: 1, data: 0 },
+                ki,
+                Key::of_index(ki),
+                VersionedValue { version: 1, data: u64::from(key) },
                 0,
                 Ttl::Rounds(ttl),
             );

@@ -67,6 +67,16 @@ impl Key {
     pub fn hash_str(s: &str) -> Key {
         Key::hash_bytes(s.as_bytes())
     }
+
+    /// The routed key of dense key index `idx` in a synthetic key universe:
+    /// [`Key::hash_bytes`] over the index's little-endian `u64` bytes. The
+    /// one definition of that convention — the engine builds its universe
+    /// with it, and per-peer stores re-derive an entry's routed key from
+    /// its index instead of storing it.
+    #[inline]
+    pub fn of_index(idx: u32) -> Key {
+        Key::hash_bytes(&u64::from(idx).to_le_bytes())
+    }
 }
 
 impl fmt::Debug for Key {
@@ -315,6 +325,15 @@ mod tests {
         let keys: Vec<Key> = (0..64).map(|i| Key::hash_str(&format!("key-{i}"))).collect();
         let top_bits: std::collections::HashSet<bool> = keys.iter().map(|k| k.bit(0)).collect();
         assert_eq!(top_bits.len(), 2, "both top-bit values should occur");
+    }
+
+    #[test]
+    fn of_index_is_pinned() {
+        // The engine's key universe, hence every routed key and every
+        // golden, rests on these values.
+        assert_eq!(Key::of_index(0), Key(0x813f_0174_a236_7c13));
+        assert_eq!(Key::of_index(1), Key(0x5ca6_bbcb_b1e8_5355));
+        assert_eq!(Key::of_index(7), Key(0xae25_3598_b337_821e));
     }
 
     #[test]

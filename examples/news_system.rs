@@ -72,11 +72,12 @@ fn main() {
 
     let ttl = 50;
     let mut store = PartialIndex::new(100);
-    let (hot_idx, hot) = (0u32, catalog.key(0));
-    let (cold_idx, cold) = ((catalog.len() - 1) as u32, catalog.key(catalog.len() - 1));
-    let value = |data: u64| VersionedValue { version: 1, data };
-    store.insert(hot_idx, hot, value(0), 0, Ttl::Rounds(ttl));
-    store.insert(cold_idx, cold, value(1), 0, Ttl::Rounds(ttl));
+    // The store files keys by their dense index in the catalog.
+    let (hot_idx, cold_idx) = (0u32, (catalog.len() - 1) as u32);
+    for idx in [hot_idx, cold_idx] {
+        let value = VersionedValue { version: 1, data: u64::from(idx) };
+        store.insert(idx, Key::of_index(idx), value, 0, Ttl::Rounds(ttl));
+    }
     // The hot key is queried every 20 rounds, the cold key never again.
     let mut purged = Vec::new();
     for now in 1..=200 {

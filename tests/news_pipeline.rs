@@ -76,8 +76,8 @@ fn ttl_index_tracks_update_versions() {
     let mut rng = streams.stream("updates");
     let mut updates = UpdateProcess::new(10, 3.0).unwrap(); // fast updates
     let mut index = PartialIndex::new(64);
-    let key = Key::hash_str("title=Weather Iráklion&date=2004/03/14");
-    let ki = 0u32; // dense index of this key in the (single-key) universe
+    let ki = 0u32; // dense index of the one key in this universe
+    let key = Key::of_index(ki);
 
     index.insert(
         ki,
@@ -94,12 +94,12 @@ fn ttl_index_tracks_update_versions() {
             let fresh = VersionedValue { version: updates.version(0), data: 0 };
             index.insert(ki, key, fresh, now, Ttl::Rounds(50));
             let got = index.peek(ki, now).unwrap();
-            assert!(got.version >= last_seen, "versions must not regress");
-            last_seen = got.version;
+            assert!(got >= last_seen, "versions must not regress");
+            last_seen = got;
         }
     }
     assert!(last_seen > 1, "article 0 must have updated with 3 s lifetime");
-    assert_eq!(index.peek(ki, 100).unwrap().version, updates.version(0));
+    assert_eq!(index.peek(ki, 100), Some(updates.version(0)));
 }
 
 #[test]
@@ -119,12 +119,11 @@ fn full_pipeline_selects_popular_metadata() {
         for _ in 0..20 {
             let rank = zipf.sample(&mut rng);
             let ki = (rank - 1) as u32;
-            let key = catalog.key(rank - 1);
             if store.get_and_refresh(ki, now, Ttl::Rounds(ttl)).is_none() {
                 store.insert(
                     ki,
-                    key,
-                    VersionedValue { version: 1, data: rank as u64 },
+                    Key::of_index(ki),
+                    VersionedValue { version: 1, data: u64::from(ki) },
                     now,
                     Ttl::Rounds(ttl),
                 );
