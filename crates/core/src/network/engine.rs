@@ -699,6 +699,25 @@ impl PdhtNetwork {
         self.peers.heap_bytes()
     }
 
+    /// Heap bytes the run's scratch holds — what exists for work in
+    /// flight rather than stored state: every lane's event queue, wave
+    /// pool, in-flight slabs and outbox, plus the deal box and the barrier
+    /// merge buffers, each at its retained capacity.
+    pub fn scratch_bytes(&self) -> usize {
+        let ShardedState { lanes, deal, merge, .. } = &self.shards;
+        let lanes: usize = lanes
+            .iter()
+            .map(|l| {
+                l.events.heap_bytes()
+                    + l.waves.heap_bytes()
+                    + l.inflight.heap_bytes()
+                    + l.updates_inflight.heap_bytes()
+                    + l.outbox.heap_bytes()
+            })
+            .sum();
+        lanes + deal.heap_bytes() + merge.heap_bytes()
+    }
+
     /// Direct access to the metrics (read-only).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -1094,6 +1113,112 @@ mod tests {
                         net.step_round();
                         if let Err(e) = net.peers.check_copies() {
                             panic!("{strategy:?} {kind:?} shards={shards} round {round}: {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_time_scratch_tracks_live_work() {
+        // The loaded shape at test scale: queries with timeouts, churn,
+        // maintenance and RLNC waves under latency on four lanes, for a
+        // few hundred rounds. Each lane's wheel stays within a quarter of
+        // what its most pending events occupy (one arena node each: time,
+        // seq, link and the event) plus the fixed bucket table; each wave
+        // pool within its slots' members' decoder rows at G = 8 — 32 B a
+        // row — plus per-member headers. Per-bucket buffers that keep
+        // every batch they ever held, or 32 inline rows per decoder,
+        // exceed both.
+        const G: usize = 8;
+        const BUCKET_TABLE: usize = 6 * 1024;
+        const MEMBER_HEADERS: usize = 192;
+        let mut c = cfg_sharded(Strategy::IndexAll, 4);
+        c.overlay = OverlayKind::Chord;
+        c.scenario.f_upd = 0.05;
+        c.churn = pdht_overlay::ChurnConfig { mean_online_secs: 120.0, mean_offline_secs: 80.0 };
+        c.gossip_codec = crate::GossipCodec::Rlnc;
+        c.gossip_generation = G;
+        c.latency = crate::LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 200.0 };
+        c.query_timeout_secs = Some(2.0);
+        let mut net = PdhtNetwork::new(c).unwrap();
+        net.run(300);
+        let node = (2 * std::mem::size_of::<u64>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<NetEvent>())
+        .next_multiple_of(8);
+        let members = net.world.groups.iter().map(ReplicaGroup::len).max().unwrap();
+        let mut lanes = 0;
+        for (i, lane) in net.shards.lanes.iter().enumerate() {
+            let (wheel, pending) = (lane.events.heap_bytes(), lane.events.high_water());
+            let bound = pending * node * 5 / 4 + BUCKET_TABLE;
+            assert!(wheel <= bound, "lane {i}: wheel {wheel} B for {pending} pending (≤ {bound})");
+            let (pool, slots) = (lane.waves.heap_bytes(), lane.waves.slots());
+            let bound = slots * members * (G * pdht_gossip::MAX_GENERATION + MEMBER_HEADERS);
+            assert!(pool <= bound, "lane {i}: pool {pool} B in {slots} slots (≤ {bound})");
+            assert!(slots > 0 && pending > 0, "lane {i} ran waves and events");
+            lanes += wheel + pool;
+        }
+        assert!(net.scratch_bytes() >= lanes, "the ledger covers the wheels and pools");
+    }
+
+    #[test]
+    fn pooled_wave_slots_are_all_returned_at_quiescence() {
+        // Every flood and rumor slot a wave acquires comes back: floods on
+        // completion or when their query times out mid-flood, rumor slots
+        // after the pull. Load runs with timeouts short enough to abandon
+        // parked floods, then stops; once nothing is in flight, no lane
+        // may hold a slot. Partial floods on every miss; IndexAll starts
+        // with the offline peers' stores wiped so it floods too, and runs
+        // update waves under each codec.
+        use crate::network::peer::ShardStores;
+        use crate::{GossipCodec, LatencyConfig};
+        let uniform = LatencyConfig::Uniform { lo_ms: 20.0, hi_ms: 200.0 };
+        for strategy in [Strategy::Partial, Strategy::IndexAll] {
+            for codec in [GossipCodec::Plain, GossipCodec::Chunked, GossipCodec::Rlnc] {
+                for shards in [1, 4] {
+                    for latency in [LatencyConfig::Zero, uniform] {
+                        let mut c = cfg_sharded(strategy, shards);
+                        c.scenario.f_upd = 0.05;
+                        c.churn = pdht_overlay::ChurnConfig {
+                            mean_online_secs: 120.0,
+                            mean_offline_secs: 80.0,
+                        };
+                        c.gossip_codec = codec;
+                        c.latency = latency;
+                        c.query_timeout_secs = Some(0.5);
+                        let mut net = PdhtNetwork::new(c).unwrap();
+                        let live = net.world.live();
+                        let (slot, regions) = net.peers.split_mut();
+                        for peer in (0..net.world.nap).map(PeerId::from_idx) {
+                            if !live.is_online(peer) {
+                                let shard_id = slot[peer.idx()].0;
+                                let shard = &mut regions[usize::from(shard_id)];
+                                ShardStores { slot, shard_id, shard }.purge_expired(peer, u64::MAX);
+                            }
+                        }
+                        let case = format!("{strategy:?} {codec:?} shards={shards} {latency:?}");
+                        net.run(20);
+                        let floods: u64 = net.shards.lanes.iter().map(|l| l.waves.acquires()).sum();
+                        assert!(floods > 0, "{case}: no wave acquired a slot");
+                        if latency != LatencyConfig::Zero {
+                            assert!(net.counters.query_timeouts > 0, "{case}: no timeout fired");
+                        }
+                        let articles = net.world.keys_by_article.len();
+                        net.world.workload =
+                            QueryWorkload::new(2_000, 1.2, 1_000, 0.0, None).unwrap();
+                        net.world.updates = UpdateProcess::new(articles, 1e15).unwrap();
+                        // Coded waves outlive the load by up to ~80 rounds.
+                        for _ in 0..150 {
+                            if net.queries_in_flight() + net.updates_in_flight() == 0 {
+                                break;
+                            }
+                            net.step_round();
+                        }
+                        assert_eq!(net.queries_in_flight() + net.updates_in_flight(), 0, "{case}");
+                        for (i, lane) in net.shards.lanes.iter().enumerate() {
+                            assert_eq!(lane.waves.in_use(), (0, 0), "{case}: lane {i} leaked");
                         }
                     }
                 }

@@ -43,6 +43,18 @@
 //! nothing built per call. `Decoder` rows are echelon (row `c` is zero
 //! before column `c`), so elimination, encode and absorb fold only the
 //! `[c..g]` tail of a row.
+//!
+//! # Decoder layout
+//!
+//! A decoder at generation `g` holds exactly `g` rows of a fixed
+//! [`MAX_GENERATION`]-byte stride in one heap buffer, so a member's
+//! scratch costs `32·g` bytes, not a 32×32 matrix at every generation.
+//! The stride stays fixed because a row is a whole coefficient array:
+//! absorb hands rows to `insert` as packets without repacking them (a
+//! flat `g×g` layout measured 10–13 % slower on G = 32 waves). `reset`
+//! keeps the buffer's capacity, so a pooled decoder allocates only when
+//! its generation first grows. A 32×32 inline decoder is kept in this
+//! module's tests as the reference model the layout is checked against.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -54,9 +66,10 @@ use rand::Rng;
 /// combinations instead of repeats.
 pub const GENERATION_SIZE: usize = 8;
 
-/// Hard cap on the generation size: coefficient vectors and decoder rows
-/// are inline `[u8; MAX_GENERATION]` arrays (no allocation at any G), so
-/// this bounds the runtime `gossip_generation` knob.
+/// Hard cap on the generation size: coefficient vectors are inline
+/// `[u8; MAX_GENERATION]` arrays and decoder rows keep that stride (a
+/// decoder holds `g` of them), so this bounds the runtime
+/// `gossip_generation` knob.
 pub const MAX_GENERATION: usize = 32;
 
 /// Nominal whole-value payload in bytes: the unit of the byte-accurate
@@ -275,58 +288,61 @@ impl std::fmt::Debug for CoeffVec {
 }
 
 /// Per-member decoding state: a row-echelon GF(256) matrix at a runtime
-/// generation size `gen ∈ 1..=MAX_GENERATION`. Row `c`, when present, is
-/// zero before column `c`, has its pivot (leading 1) in column `c` and is
-/// zero from column `gen` on — `encode` and `absorb` rely on all three.
-/// Rows are inline arrays — a decoder never allocates, so pooled
-/// `Vec<Decoder>` scratch resets in O(n) regardless of the generation
-/// size.
+/// generation size `g ∈ 1..=MAX_GENERATION`, stored as exactly `g` rows of
+/// stride [`MAX_GENERATION`] (see the module docs). Row `c`, when present,
+/// is zero before column `c`, has its pivot (leading 1) in column `c` and
+/// is zero from column `g` on — `encode` and `absorb` rely on all three;
+/// absent rows are all zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decoder {
-    rows: [[u8; MAX_GENERATION]; MAX_GENERATION],
+    /// `g` rows; the length is the generation size.
+    rows: Vec<[u8; MAX_GENERATION]>,
     present: [bool; MAX_GENERATION],
     rank: u8,
-    gen: u8,
 }
 
 impl Decoder {
     /// A decoder that has seen nothing, at generation size `g`.
     pub fn empty(g: usize) -> Decoder {
         debug_assert!((1..=MAX_GENERATION).contains(&g), "generation {g} out of range");
-        Decoder {
-            rows: [[0; MAX_GENERATION]; MAX_GENERATION],
-            present: [false; MAX_GENERATION],
-            rank: 0,
-            gen: g as u8,
-        }
+        Decoder { rows: vec![[0; MAX_GENERATION]; g], present: [false; MAX_GENERATION], rank: 0 }
     }
 
     /// A full-rank decoder at generation size `g` (the update's origin,
     /// which holds the payload).
     pub fn full(g: usize) -> Decoder {
         let mut d = Decoder::empty(g);
-        for c in 0..g {
-            d.rows[c][c] = 1;
-            d.present[c] = true;
-        }
-        d.rank = g as u8;
+        d.make_full();
         d
     }
 
     /// Resets to [`Decoder::empty`] at generation size `g` in place (the
-    /// pooled-scratch path: no allocation, rows rezeroed so equality and
-    /// row copies never see stale state).
+    /// pooled-scratch path: rows rezeroed so equality and row copies never
+    /// see stale state; the row buffer keeps its capacity, so this
+    /// allocates only when `g` exceeds every generation it held before).
     pub fn reset(&mut self, g: usize) {
         debug_assert!((1..=MAX_GENERATION).contains(&g), "generation {g} out of range");
-        self.rows = [[0; MAX_GENERATION]; MAX_GENERATION];
+        self.rows.clear();
+        self.rows.resize(g, [0; MAX_GENERATION]);
         self.present = [false; MAX_GENERATION];
         self.rank = 0;
-        self.gen = g as u8;
+    }
+
+    /// Makes this decoder full-rank at its generation size in place — what
+    /// [`Decoder::full`] builds, without a new row buffer (a wave's origin
+    /// in a pooled slot).
+    pub(crate) fn make_full(&mut self) {
+        for (c, row) in self.rows.iter_mut().enumerate() {
+            *row = [0; MAX_GENERATION];
+            row[c] = 1;
+            self.present[c] = true;
+        }
+        self.rank = self.rows.len() as u8;
     }
 
     /// The generation size this decoder decodes.
     pub fn generation(&self) -> usize {
-        usize::from(self.gen)
+        self.rows.len()
     }
 
     /// Independent packets received so far.
@@ -336,26 +352,31 @@ impl Decoder {
 
     /// `true` once every chunk can be recovered.
     pub fn is_complete(&self) -> bool {
-        self.rank == self.gen
+        self.rank() == self.rows.len()
+    }
+
+    /// Heap bytes of the row buffer (its capacity, which `reset` keeps).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * MAX_GENERATION
     }
 
     /// Folds one packet in. Returns `true` iff it was innovative (raised
     /// the rank). Gaussian elimination against the stored echelon rows;
     /// the reduced vector becomes a new normalized pivot row or vanishes.
     pub fn insert(&mut self, mut v: CoeffVec) -> bool {
-        let g = usize::from(self.gen);
+        let g = self.rows.len();
         debug_assert_eq!(v.len(), g, "packet generation mismatch");
-        for c in 0..g {
+        for (c, row) in self.rows.iter_mut().enumerate() {
             let f = v.coeffs[c];
             if f == 0 {
                 continue;
             }
             if self.present[c] {
-                gf_axpy(&mut v.coeffs[c..g], &self.rows[c][c..g], f);
+                gf_axpy(&mut v.coeffs[c..g], &row[c..g], f);
             } else {
                 let inv = gf_inv(f);
                 gf_scale(&mut v.coeffs[c..g], inv);
-                self.rows[c] = v.coeffs;
+                *row = v.coeffs;
                 self.present[c] = true;
                 self.rank += 1;
                 return true;
@@ -370,14 +391,14 @@ impl Decoder {
     /// Row `c` is echelon — zero before its pivot column `c` — so only
     /// `[c..g]` of it is folded.
     pub fn encode(&self, rng: &mut SmallRng) -> CoeffVec {
-        let g = usize::from(self.gen);
+        let g = self.rows.len();
         let mut out = CoeffVec::zero(g);
-        for c in 0..g {
+        for (c, row) in self.rows.iter().enumerate() {
             if !self.present[c] {
                 continue;
             }
             let coeff: u8 = rng.random();
-            gf_axpy(&mut out.coeffs[c..g], &self.rows[c][c..g], coeff);
+            gf_axpy(&mut out.coeffs[c..g], &row[c..g], coeff);
         }
         out
     }
@@ -390,7 +411,7 @@ impl Decoder {
     /// coefficients (still a valid, merely sparser, combination). The
     /// zero vector at rank 0.
     pub fn encode_sparse(&self, rng: &mut SmallRng) -> CoeffVec {
-        let g = usize::from(self.gen);
+        let g = self.rows.len();
         let mut out = CoeffVec::zero(g);
         if self.rank == 0 {
             return out;
@@ -418,7 +439,7 @@ impl Decoder {
         if self.rank == 0 {
             return None;
         }
-        let g = usize::from(self.gen);
+        let g = self.rows.len();
         let pick = rng.random_range(0..self.rank());
         let c = (0..g).filter(|&c| self.present[c]).nth(pick)?;
         Some(CoeffVec::unit(g, c))
@@ -430,11 +451,12 @@ impl Decoder {
     /// row is already a valid packet — and, being echelon, cost `insert`
     /// only their `[c..g]` tail.
     pub fn absorb(&mut self, donor: &Decoder) -> usize {
-        debug_assert_eq!(self.gen, donor.gen, "generation mismatch in absorb");
+        debug_assert_eq!(self.rows.len(), donor.rows.len(), "generation mismatch in absorb");
         let before = self.rank();
-        for c in 0..usize::from(self.gen) {
+        let len = self.rows.len() as u8;
+        for (c, &row) in donor.rows.iter().enumerate() {
             if donor.present[c] {
-                self.insert(CoeffVec { coeffs: donor.rows[c], len: self.gen });
+                self.insert(CoeffVec { coeffs: row, len });
             }
         }
         self.rank() - before
@@ -641,6 +663,8 @@ mod tests {
         assert_eq!(d.generation(), 32);
         d.reset(8);
         assert_eq!(d, Decoder::empty(8));
+        assert_eq!(d.heap_bytes(), 32 * MAX_GENERATION, "reset keeps the row buffer");
+        assert_eq!(Decoder::empty(8).heap_bytes(), 8 * MAX_GENERATION);
     }
 
     /// The runtime-G decoder at G=8 reproduces the pre-change fixed-8
@@ -729,12 +753,114 @@ mod tests {
         }
     }
 
+    /// The reference model: a decoder with all 32 rows inline whatever the
+    /// generation, and an explicit generation field — the layout
+    /// [`Decoder`] had before its rows were sized to the generation.
+    #[derive(Clone)]
+    struct RefDecoder {
+        rows: [[u8; MAX_GENERATION]; MAX_GENERATION],
+        present: [bool; MAX_GENERATION],
+        rank: u8,
+        gen: u8,
+    }
+
+    impl RefDecoder {
+        fn empty(g: usize) -> RefDecoder {
+            RefDecoder {
+                rows: [[0; MAX_GENERATION]; MAX_GENERATION],
+                present: [false; MAX_GENERATION],
+                rank: 0,
+                gen: g as u8,
+            }
+        }
+
+        fn make_full(&mut self) {
+            *self = RefDecoder::empty(usize::from(self.gen));
+            for c in 0..usize::from(self.gen) {
+                self.rows[c][c] = 1;
+                self.present[c] = true;
+            }
+            self.rank = self.gen;
+        }
+
+        fn insert(&mut self, mut v: CoeffVec) -> bool {
+            let g = usize::from(self.gen);
+            for c in 0..g {
+                let f = v.coeffs[c];
+                if f == 0 {
+                    continue;
+                }
+                if self.present[c] {
+                    gf_axpy(&mut v.coeffs[c..g], &self.rows[c][c..g], f);
+                } else {
+                    let inv = gf_inv(f);
+                    gf_scale(&mut v.coeffs[c..g], inv);
+                    self.rows[c] = v.coeffs;
+                    self.present[c] = true;
+                    self.rank += 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn encode(&self, rng: &mut SmallRng) -> CoeffVec {
+            let g = usize::from(self.gen);
+            let mut out = CoeffVec::zero(g);
+            for c in 0..g {
+                if !self.present[c] {
+                    continue;
+                }
+                let coeff: u8 = rng.random();
+                gf_axpy(&mut out.coeffs[c..g], &self.rows[c][c..g], coeff);
+            }
+            out
+        }
+
+        fn encode_sparse(&self, rng: &mut SmallRng) -> CoeffVec {
+            let g = usize::from(self.gen);
+            let mut out = CoeffVec::zero(g);
+            if self.rank == 0 {
+                return out;
+            }
+            for _ in 0..g.div_ceil(4) {
+                let pick = rng.random_range(0..usize::from(self.rank));
+                let c = (0..g).filter(|&c| self.present[c]).nth(pick).expect("rank held rows");
+                let coeff = rng.random_range(1..=255u8);
+                gf_axpy(&mut out.coeffs[c..g], &self.rows[c][c..g], coeff);
+            }
+            out
+        }
+
+        fn pick_chunk(&self, rng: &mut SmallRng) -> Option<CoeffVec> {
+            if self.rank == 0 {
+                return None;
+            }
+            let g = usize::from(self.gen);
+            let pick = rng.random_range(0..usize::from(self.rank));
+            let c = (0..g).filter(|&c| self.present[c]).nth(pick)?;
+            Some(CoeffVec::unit(g, c))
+        }
+
+        fn absorb(&mut self, donor: &RefDecoder) -> usize {
+            let before = self.rank;
+            for c in 0..usize::from(self.gen) {
+                if donor.present[c] {
+                    self.insert(CoeffVec { coeffs: donor.rows[c], len: self.gen });
+                }
+            }
+            usize::from(self.rank - before)
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// What the triangular folds rely on: after any insert stream every
-        /// stored row `c` is zero before column `c`, has pivot 1 in column
-        /// `c`, and is zero from the generation size on.
+        /// What the triangular folds rely on, in the generation-sized
+        /// layout: after any insert stream there are exactly `g` rows;
+        /// every stored row `c` is zero before column `c`, has pivot 1 in
+        /// column `c`, and is zero from the generation size on; every
+        /// absent row is zero.
         #[test]
         fn stored_rows_stay_echelon_and_zero_padded(
             g in 1usize..=32,
@@ -743,17 +869,89 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let d = random_decoder(g, packets, mask, &mut SmallRng::seed_from_u64(seed));
+            prop_assert_eq!(d.rows.len(), g);
             let mut held = 0;
-            for c in 0..g {
+            for (c, row) in d.rows.iter().enumerate() {
                 if !d.present[c] {
+                    prop_assert!(row.iter().all(|&b| b == 0), "absent row {c} is not zero");
                     continue;
                 }
                 held += 1;
-                prop_assert!(d.rows[c][..c].iter().all(|&b| b == 0), "row {c} before its pivot");
-                prop_assert_eq!(d.rows[c][c], 1);
-                prop_assert!(d.rows[c][g..].iter().all(|&b| b == 0), "row {c} past g={g}");
+                prop_assert!(row[..c].iter().all(|&b| b == 0), "row {c} before its pivot");
+                prop_assert_eq!(row[c], 1);
+                prop_assert!(row[g..].iter().all(|&b| b == 0), "row {c} past g={g}");
             }
+            prop_assert!(d.present[g..].iter().all(|&p| !p), "a row past g={g} is marked held");
             prop_assert_eq!(held, d.rank());
+        }
+
+        /// Two decoders and their reference models driven by one stream of
+        /// calls — inserts of thinned random packets, encodes, sparse
+        /// encodes and chunk picks fed to the other decoder, absorbs,
+        /// resets to a new generation in place and make-full — agree after
+        /// every call on rank, generation, rows, every classification and
+        /// packet, and the next word of the encode RNG.
+        #[test]
+        fn decoder_matches_the_inline_reference_model(
+            g0 in 1usize..=32,
+            ops in prop::collection::vec((0u8..7, 0usize..2, 1usize..=32, 0usize..3), 0..96),
+            seed in any::<u64>(),
+        ) {
+            let mut new = [Decoder::empty(g0), Decoder::empty(g0)];
+            let mut old = [RefDecoder::empty(g0), RefDecoder::empty(g0)];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut ref_rng = rng.clone();
+            let mut bytes = SmallRng::seed_from_u64(!seed);
+            for (op, i, g, mask) in ops {
+                let j = 1 - i;
+                // A packet from decoder `i` (and its model's) goes on to
+                // decoder `j` when the generations match.
+                let (packet, expect) = match op {
+                    0 => {
+                        let mask = [0x01u8, 0x03, 0xff][mask];
+                        let mut v = CoeffVec::zero(new[i].generation());
+                        v.as_mut_slice().iter_mut().for_each(|b| *b = bytes.random::<u8>() & mask);
+                        prop_assert_eq!(new[i].insert(v), old[i].insert(v));
+                        (None, None)
+                    }
+                    1 => (Some(new[i].encode(&mut rng)), Some(old[i].encode(&mut ref_rng))),
+                    2 => (
+                        Some(new[i].encode_sparse(&mut rng)),
+                        Some(old[i].encode_sparse(&mut ref_rng)),
+                    ),
+                    3 => (new[i].pick_chunk(&mut rng), old[i].pick_chunk(&mut ref_rng)),
+                    4 => {
+                        if new[i].generation() == new[j].generation() {
+                            let (donor, ref_donor) = (new[i].clone(), old[i].clone());
+                            prop_assert_eq!(new[j].absorb(&donor), old[j].absorb(&ref_donor));
+                        }
+                        (None, None)
+                    }
+                    5 => {
+                        new[i].reset(g);
+                        old[i] = RefDecoder::empty(g);
+                        (None, None)
+                    }
+                    _ => {
+                        new[i].make_full();
+                        old[i].make_full();
+                        (None, None)
+                    }
+                };
+                prop_assert_eq!(packet, expect);
+                if let Some(p) = packet.filter(|p| p.len() == new[j].generation()) {
+                    prop_assert_eq!(new[j].insert(p), old[j].insert(p));
+                }
+                for (d, r) in new.iter().zip(&old) {
+                    let g = usize::from(r.gen);
+                    prop_assert_eq!(d.generation(), g);
+                    prop_assert_eq!(d.rank(), usize::from(r.rank));
+                    prop_assert_eq!(d.is_complete(), r.rank == r.gen);
+                    prop_assert_eq!(&d.rows[..], &r.rows[..g]);
+                    prop_assert_eq!(d.present, r.present);
+                }
+                prop_assert_eq!(rng.clone().random::<u64>(), ref_rng.clone().random::<u64>());
+            }
         }
 
         /// `encode` and `encode_sparse` on partial-rank decoders produce

@@ -13,7 +13,7 @@
 //! totals (duplicates and offline targets included) and the RNG draw
 //! order stay bit-for-bit identical to the per-query-`Vec` implementation.
 
-use crate::codec::{pull_bytes, CoeffVec, Decoder, GossipCodec, MAX_GENERATION};
+use crate::codec::{pull_bytes, CoeffVec, GossipCodec, MAX_GENERATION};
 use crate::scratch::{words, FloodScratch, RumorScratch, WavePool, NO_SLOT};
 use pdht_sim::Metrics;
 use pdht_types::{Liveness, MessageKind, PdhtError, PeerId, Result};
@@ -347,7 +347,7 @@ impl ReplicaGroup {
         s.infected[start / WORD_BITS] |= 1u64 << (start % WORD_BITS);
         s.active.push((start, 0));
         if coded {
-            s.decoders[start] = Decoder::full(gen);
+            s.decoders[start].make_full();
             s.delivered[start] = true;
         }
         RumorWave {

@@ -11,12 +11,20 @@
 //! wave completes (floods release themselves; rumor slots are released
 //! explicitly after the pull round, which still needs the decoder state).
 //!
+//! A slot keeps what its largest wave needed: a rumor slot holds one
+//! decoder per member, each `32·g` bytes of rows at the wave's generation
+//! `g`, so the pool's footprint is slots × members × g × 32 B plus the
+//! bitmaps and knowledge map — [`WavePool::heap_bytes`] reports it and the
+//! engine's scratch ledger sums it over lanes.
+//!
 //! The pool also counts acquires and tracks the arena high-water mark so a
 //! regression test can assert the hot path reuses scratch instead of
 //! growing it: with sequential queries per lane, `slots` stays at 1 while
-//! `acquires` grows with every flood.
+//! `acquires` grows with every flood. [`WavePool::in_use`] counts the slots
+//! not on a free list, which must be zero once every wave has finished.
 
 use crate::codec::Decoder;
+use std::mem::size_of;
 
 /// Bits per bitmap word.
 const WORD_BITS: usize = 64;
@@ -46,6 +54,20 @@ pub(crate) struct FloodScratch {
     pub(crate) next: Vec<usize>,
 }
 
+/// Heap bytes of `v`'s allocation (its capacity, not its length).
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+impl FloodScratch {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.visited)
+            + vec_bytes(&self.blocked)
+            + vec_bytes(&self.frontier)
+            + vec_bytes(&self.next)
+    }
+}
+
 /// Scratch for one in-flight rumor push over a replica subnet.
 #[derive(Default)]
 pub(crate) struct RumorScratch {
@@ -65,6 +87,20 @@ pub(crate) struct RumorScratch {
     pub(crate) delivered: Vec<bool>,
     /// Anti-entropy knowledge map: who each member heard packets from.
     pub(crate) heard_from: Vec<Vec<u32>>,
+}
+
+impl RumorScratch {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.infected)
+            + vec_bytes(&self.active)
+            + vec_bytes(&self.next_active)
+            + vec_bytes(&self.nbrs)
+            + vec_bytes(&self.decoders)
+            + self.decoders.iter().map(Decoder::heap_bytes).sum::<usize>()
+            + vec_bytes(&self.delivered)
+            + vec_bytes(&self.heard_from)
+            + self.heard_from.iter().map(vec_bytes).sum::<usize>()
+    }
 }
 
 /// Lane-owned arena of recyclable wave scratch slots.
@@ -92,6 +128,24 @@ impl WavePool {
     /// Waves that acquired scratch so far (the reuse generation counter).
     pub fn acquires(&self) -> u64 {
         self.acquires
+    }
+
+    /// `(flood, rumor)` slots held by waves right now: acquired and not yet
+    /// released. Both are zero whenever no wave is in flight — a slot a
+    /// finished or abandoned wave never returned is a leak.
+    pub fn in_use(&self) -> (usize, usize) {
+        (self.floods.len() - self.floods_free.len(), self.rumors.len() - self.rumors_free.len())
+    }
+
+    /// Heap bytes the pool holds: every slot's buffers at their retained
+    /// capacity (decoder rows included), the slot arenas and free lists.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.floods)
+            + self.floods.iter().map(FloodScratch::heap_bytes).sum::<usize>()
+            + vec_bytes(&self.floods_free)
+            + vec_bytes(&self.rumors)
+            + self.rumors.iter().map(RumorScratch::heap_bytes).sum::<usize>()
+            + vec_bytes(&self.rumors_free)
     }
 
     /// Acquires a flood slot reset for a group of `n` members.
@@ -127,9 +181,9 @@ impl WavePool {
 
     /// Acquires a rumor slot reset for a group of `n` members; `coded`
     /// additionally resets the decoder matrices (to generation size `gen`)
-    /// and the knowledge map. Decoder rows are inline arrays, so raising
-    /// the generation size never touches the allocator — only the one-time
-    /// `Vec<Decoder>` growth to the group's member count does.
+    /// and the knowledge map. A decoder keeps its row buffer across
+    /// resets, so a recycled slot allocates only when the group or the
+    /// generation is larger than any wave it served before.
     pub(crate) fn acquire_rumor(&mut self, n: usize, coded: bool, gen: usize) -> u32 {
         self.acquires += 1;
         let slot = match self.rumors_free.pop() {
@@ -237,6 +291,29 @@ mod tests {
         assert!(!s.decoders[3].is_complete());
         assert!(!s.delivered[3]);
         assert!(s.heard_from[3].is_empty());
+    }
+
+    /// `in_use` counts acquired-but-unreleased slots per kind, and a rumor
+    /// slot costs its members' decoder rows at the wave's generation — 32 B
+    /// per row, `g` rows per member — plus small per-member headers.
+    #[test]
+    fn in_use_and_heap_bytes_follow_the_slots() {
+        let mut pool = WavePool::new();
+        assert_eq!((pool.in_use(), pool.heap_bytes()), ((0, 0), 0));
+        let f = pool.acquire_flood(100);
+        let r = pool.acquire_rumor(100, true, 8);
+        assert_eq!(pool.in_use(), (1, 1));
+        let rows = 100 * 8 * crate::MAX_GENERATION;
+        let held = pool.heap_bytes();
+        assert!(held >= rows && held <= rows + 100 * 128, "{held} B for {rows} B of rows");
+        pool.release_flood(f);
+        pool.release_rumor(r);
+        assert_eq!(pool.in_use(), (0, 0));
+        let at_8 = pool.heap_bytes();
+        assert!(at_8 - held <= 64, "released slots keep their buffers; only free lists grow");
+        let r = pool.acquire_rumor(100, true, 32);
+        assert_eq!(pool.heap_bytes() - at_8, 100 * 24 * crate::MAX_GENERATION);
+        pool.release_rumor(r);
     }
 
     /// A slot recycled at a different generation size resets every decoder

@@ -33,6 +33,7 @@
 
 use pdht_types::SimTime;
 use std::any::Any;
+use std::mem::size_of;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -376,6 +377,11 @@ impl<T> Outbox<T> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Heap bytes of the message buffer at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<OutMsg<T>>()
+    }
 }
 
 /// Caller-owned buffers for [`merge_outboxes_into`]: the per-destination
@@ -428,6 +434,20 @@ impl<T> MergeBuffers<T> {
     /// Total messages across all destinations.
     pub fn total(&self) -> usize {
         self.batches.iter().map(Vec::len).sum()
+    }
+
+    /// Heap bytes of every buffer at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let batches: usize =
+            self.batches.iter().map(|b| b.capacity() * size_of::<OutMsg<T>>()).sum();
+        let runs: usize =
+            self.runs.iter().map(|r| r.capacity() * size_of::<(usize, usize)>()).sum();
+        batches
+            + runs
+            + self.batches.capacity() * size_of::<Vec<OutMsg<T>>>()
+            + self.runs.capacity() * size_of::<Vec<(usize, usize)>>()
+            + (self.starts.capacity() + self.heads.capacity()) * size_of::<usize>()
+            + self.order.capacity() * size_of::<u32>()
     }
 }
 

@@ -72,6 +72,13 @@ impl<T> Slab<T> {
         self.occupied == 0
     }
 
+    /// Heap bytes held: the slot, generation and free-list vectors at
+    /// their capacity (the high-water slot count, never shrunk).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
+            + (self.generations.capacity() + self.free.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Claims a slot and returns its key. The slot is *reserved*: the key is
     /// stable and can be embedded in scheduled events immediately, but the
     /// slab holds no value until [`Slab::park`].

@@ -28,16 +28,23 @@
 //! (one `u64` per level, since a level has 64 slots) plus per-slot minima
 //! make `peek` O(levels) without touching any bucket.
 //!
-//! **Bucket buffers are recycled, not kept.** A drained bucket hands its
-//! `Vec` to its level's free list and the next bucket of that level to
-//! turn non-empty takes it back, so the buffers that exist number the
-//! *concurrently* non-empty buckets (a handful per level under a periodic
-//! population), each at the size a bucket of that level reaches — not one
-//! high-water buffer per slot the cursor ever visited. Free lists are per
-//! level because bucket sizes are: a level-3 bucket holds 262 ms of
-//! events, a level-0 bucket one microsecond's.
+//! **Entries live in one arena; buckets are index lists.** Every entry in
+//! the wheel (ready run included) is a node of one `Vec` arena, and a
+//! bucket is a head/tail pair of an intrusive singly linked list through
+//! the nodes. Scheduling takes a node off the arena's free list, a cascade
+//! relinks node indices into lower buckets without moving an entry, and a
+//! pop returns its node to the free list. So the wheel's buffers are the
+//! arena — as many nodes as the most entries ever pending at once, grown
+//! by an eighth at a time — plus a ready run of `u32` indices and a fixed
+//! 6 KiB bucket table, whatever the shape of the schedule. (Per-bucket
+//! buffers instead keep the largest batch each bucket ever held: a
+//! same-microsecond batch of timeouts cascading through a level leaves a
+//! batch-sized buffer behind in every slot it passes.) The level-0 refill
+//! collects its bucket's indices into the ready run and sorts them by
+//! `seq`, which is O(n) on the already-ordered common case.
 
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem::size_of;
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
@@ -48,6 +55,10 @@ const LEVELS: usize = 6;
 /// Total bits the wheel resolves; times differing from the cursor above
 /// this go to the overflow heap.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// End of a node list (bucket or free list).
+const NIL: u32 = u32::MAX;
+/// Fewest nodes the arena grows by at once.
+const MIN_GROWTH: usize = 64;
 
 /// A scheduled entry: absolute due time in µs plus the global sequence
 /// number that makes the pop order total.
@@ -77,6 +88,26 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One arena slot: a pending entry and the next node of its bucket list,
+/// or (event `None`) a free node and the next free one.
+struct Node<E> {
+    time: u64,
+    seq: u64,
+    event: Option<E>,
+    next: u32,
+}
+
+/// A bucket's node list (`head == NIL` when empty) and its minimum
+/// pending time (`u64::MAX` when empty) — exact `peek` without walking it.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    min: u64,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket { head: NIL, tail: NIL, min: u64::MAX };
+
 /// The wheel proper. Pure priority-queue mechanics over `(time, seq)`;
 /// clock semantics (`now`, scheduling asserts) live in
 /// [`crate::EventQueue`].
@@ -89,23 +120,22 @@ impl<E> Ord for Entry<E> {
 ///   level, so the first occupied level (bottom-up) holds the earliest
 ///   pending time and a level-0 slot holds entries of one exact µs.
 /// * Overflow entries differ from `cur` in bits `>= WHEEL_BITS`.
+/// * Every node is on exactly one list: a bucket's, the ready run, or the
+///   free list.
 pub(crate) struct TimingWheel<E> {
-    /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + slot`). An
-    /// empty bucket owns no buffer.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Per level, the (empty) buffers of drained buckets, waiting for the
-    /// next bucket of that level to turn non-empty.
-    free: [Vec<Vec<Entry<E>>>; LEVELS],
-    /// Per-level occupancy bitmap (bit `s` ⇔ `slots[l * SLOTS + s]`
+    /// Node arena: every entry in the buckets or the ready run.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list.
+    free: u32,
+    /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + slot`).
+    buckets: Vec<Bucket>,
+    /// Per-level occupancy bitmap (bit `s` ⇔ bucket `l * SLOTS + s`
     /// non-empty).
     occupied: [u64; LEVELS],
-    /// Per-slot minimum pending time (`u64::MAX` when empty) — exact
-    /// `peek` without draining.
-    slot_min: Vec<u64>,
     /// Far-future events, beyond the wheel horizon.
     overflow: BinaryHeap<Entry<E>>,
-    /// Entries due exactly at `cur`, in ascending `seq` order.
-    ready: VecDeque<Entry<E>>,
+    /// Nodes due exactly at `cur`, in ascending `seq` order.
+    ready: VecDeque<u32>,
     /// The cursor: absolute µs the wheel is positioned at.
     cur: u64,
     /// Pending entries across ready + wheel + overflow.
@@ -115,10 +145,10 @@ pub(crate) struct TimingWheel<E> {
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            slots: std::iter::repeat_with(Vec::new).take(LEVELS * SLOTS).collect(),
-            free: std::array::from_fn(|_| Vec::new()),
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY_BUCKET; LEVELS * SLOTS],
             occupied: [0; LEVELS],
-            slot_min: vec![u64::MAX; LEVELS * SLOTS],
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
             cur: 0,
@@ -134,11 +164,26 @@ impl<E> TimingWheel<E> {
         self.len == 0
     }
 
+    /// Heap bytes held: the node arena and ready run at their capacity,
+    /// the overflow heap, and the fixed bucket table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node<E>>()
+            + self.ready.capacity() * size_of::<u32>()
+            + self.overflow.capacity() * size_of::<Entry<E>>()
+            + self.buckets.capacity() * size_of::<Bucket>()
+    }
+
     /// Schedules an entry. The caller guarantees `time >= cur` (enforced by
     /// the [`crate::EventQueue`] wrapper's not-into-the-past assert).
     pub(crate) fn schedule(&mut self, time: u64, seq: u64, event: E) {
+        debug_assert!(time >= self.cur);
         self.len += 1;
-        self.place(Entry { time, seq, event });
+        if (time ^ self.cur) >> WHEEL_BITS != 0 {
+            self.overflow.push(Entry { time, seq, event });
+        } else {
+            let i = self.alloc(Entry { time, seq, event });
+            self.place(i);
+        }
     }
 
     /// Earliest pending `(time)` without mutating anything.
@@ -149,7 +194,7 @@ impl<E> TimingWheel<E> {
         for l in 0..LEVELS {
             if self.occupied[l] != 0 {
                 let s = self.occupied[l].trailing_zeros() as usize;
-                return Some(self.slot_min[l * SLOTS + s]);
+                return Some(self.buckets[l * SLOTS + s].min);
             }
         }
         self.overflow.peek().map(|e| e.time)
@@ -161,10 +206,14 @@ impl<E> TimingWheel<E> {
         if self.ready.is_empty() {
             self.refill_ready();
         }
-        let e = self.ready.pop_front()?;
+        let i = self.ready.pop_front()?;
         self.len -= 1;
-        debug_assert_eq!(e.time, self.cur);
-        Some(e)
+        let node = &mut self.nodes[i as usize];
+        let event = node.event.take().expect("a ready node holds an entry");
+        node.next = self.free;
+        self.free = i;
+        debug_assert_eq!(node.time, self.cur);
+        Some(Entry { time: node.time, seq: node.seq, event })
     }
 
     /// Moves the cursor to `to` (µs). The caller guarantees no pending
@@ -184,68 +233,78 @@ impl<E> TimingWheel<E> {
         self.drain_overflow_epoch();
     }
 
-    /// Files one entry relative to the current cursor: the ready run for
-    /// `time == cur`, the lowest wheel level sharing all higher time bits
-    /// with the cursor, or the overflow heap beyond the wheel horizon.
-    fn place(&mut self, e: Entry<E>) {
-        debug_assert!(e.time >= self.cur);
-        let diff = e.time ^ self.cur;
+    /// Stores `e` in a node — the free list's head, else a new one. The
+    /// arena grows by an eighth (at least [`MIN_GROWTH`] nodes), so its
+    /// capacity stays within 1.125 × the most entries ever pending.
+    fn alloc(&mut self, e: Entry<E>) -> u32 {
+        let node = Node { time: e.time, seq: e.seq, event: Some(e.event), next: NIL };
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            return i;
+        }
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact((self.nodes.len() / 8).max(MIN_GROWTH));
+        }
+        let i = u32::try_from(self.nodes.len()).expect("fewer than 2^32 pending events");
+        self.nodes.push(node);
+        i
+    }
+
+    /// Files node `i` relative to the current cursor: the ready run for
+    /// `time == cur`, else the tail of the lowest wheel level's bucket
+    /// sharing all higher time bits with the cursor. (Only
+    /// [`Self::schedule`] and the overflow migration see times beyond the
+    /// horizon, and they keep those in the overflow heap.)
+    fn place(&mut self, i: u32) {
+        let Node { time, seq, .. } = self.nodes[i as usize];
+        debug_assert!(time >= self.cur);
+        let diff = time ^ self.cur;
+        debug_assert!(diff >> WHEEL_BITS == 0, "overflow times never enter the arena");
         if diff == 0 {
             // Same instant as the cursor: belongs to the ready run. Direct
             // schedules arrive in ascending seq (the global counter), but
             // cascaded re-files can interleave, so keep the run sorted.
-            let pos = self.ready.partition_point(|r| r.seq < e.seq);
-            if pos == self.ready.len() {
-                self.ready.push_back(e);
-            } else {
-                self.ready.insert(pos, e);
-            }
-            return;
-        }
-        if diff >> WHEEL_BITS != 0 {
-            self.overflow.push(e);
+            let nodes = &self.nodes;
+            let pos = self.ready.partition_point(|&r| nodes[r as usize].seq < seq);
+            self.ready.insert(pos, i);
             return;
         }
         let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        let slot = ((e.time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        let slot = ((time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         debug_assert!(
             slot as u64 > (self.cur >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)
                 || level == 0
         );
-        let idx = level * SLOTS + slot;
-        if self.occupied[level] & (1 << slot) == 0 {
+        self.nodes[i as usize].next = NIL;
+        let b = &mut self.buckets[level * SLOTS + slot];
+        if b.head == NIL {
+            b.head = i;
             self.occupied[level] |= 1 << slot;
-            if let Some(buf) = self.free[level].pop() {
-                self.slots[idx] = buf;
-            }
+        } else {
+            self.nodes[b.tail as usize].next = i;
         }
-        self.slot_min[idx] = self.slot_min[idx].min(e.time);
-        self.slots[idx].push(e);
+        b.tail = i;
+        b.min = b.min.min(time);
     }
 
-    /// Empties bucket `(level, slot)`, clearing its bitmap bit and minimum,
-    /// and returns its entries; the caller hands the drained buffer back
-    /// through [`Self::recycle`].
-    fn take_bucket(&mut self, level: usize, slot: usize) -> Vec<Entry<E>> {
-        let idx = level * SLOTS + slot;
+    /// Empties bucket `(level, slot)`, clearing its bitmap bit, and returns
+    /// what it held: the head of its node list and its minimum time.
+    fn take_bucket(&mut self, level: usize, slot: usize) -> Bucket {
         self.occupied[level] &= !(1 << slot);
-        self.slot_min[idx] = u64::MAX;
-        std::mem::take(&mut self.slots[idx])
+        std::mem::replace(&mut self.buckets[level * SLOTS + slot], EMPTY_BUCKET)
     }
 
-    fn recycle(&mut self, level: usize, buf: Vec<Entry<E>>) {
-        debug_assert!(buf.is_empty());
-        self.free[level].push(buf);
-    }
-
-    /// Empties bucket `(level, slot)` and re-files every entry against the
+    /// Empties bucket `(level, slot)` and re-files every node against the
     /// current cursor (always at a lower level, or into the ready run).
     fn cascade_bucket(&mut self, level: usize, slot: usize) {
-        let mut bucket = self.take_bucket(level, slot);
-        for e in bucket.drain(..) {
-            self.place(e);
+        let mut i = self.take_bucket(level, slot).head;
+        while i != NIL {
+            let next = self.nodes[i as usize].next;
+            self.place(i);
+            i = next;
         }
-        self.recycle(level, bucket);
     }
 
     /// Cascades every bucket whose time range contains the cursor (needed
@@ -267,7 +326,8 @@ impl<E> TimingWheel<E> {
     fn drain_overflow_epoch(&mut self) {
         while self.overflow.peek().is_some_and(|e| e.time >> WHEEL_BITS == self.cur >> WHEEL_BITS) {
             let e = self.overflow.pop().expect("peeked");
-            self.place(e);
+            let i = self.alloc(e);
+            self.place(i);
         }
     }
 
@@ -289,18 +349,21 @@ impl<E> TimingWheel<E> {
             };
             let slot = self.occupied[level].trailing_zeros() as usize;
             if level == 0 {
-                // A level-0 slot is one exact microsecond: drain it as the
-                // new ready run. Entries are seq-sorted except when a
+                // A level-0 slot is one exact microsecond: its list becomes
+                // the new ready run. Nodes are seq-ordered except when a
                 // cascade interleaved with direct schedules, so sort (O(n)
                 // on the already-sorted common case).
-                let time = self.slot_min[slot];
-                debug_assert!(time >= self.cur);
-                self.cur = time;
-                let mut run = self.take_bucket(0, slot);
-                run.sort_unstable_by_key(|e| e.seq);
-                debug_assert!(run.iter().all(|e| e.time == time));
-                self.ready.extend(run.drain(..));
-                self.recycle(0, run);
+                let bucket = self.take_bucket(0, slot);
+                debug_assert!(bucket.min >= self.cur);
+                self.cur = bucket.min;
+                let mut i = bucket.head;
+                while i != NIL {
+                    debug_assert_eq!(self.nodes[i as usize].time, bucket.min);
+                    self.ready.push_back(i);
+                    i = self.nodes[i as usize].next;
+                }
+                let nodes = &self.nodes;
+                self.ready.make_contiguous().sort_unstable_by_key(|&r| nodes[r as usize].seq);
                 return;
             }
             // Advance into the earliest occupied higher-level bucket and
@@ -405,9 +468,35 @@ mod tests {
         assert_eq!(order, ["y", "x", "z"]);
     }
 
-    /// Entries' worth of buffer the wheel's buckets hold, in use or free.
-    fn bucket_capacity<E>(w: &TimingWheel<E>) -> usize {
-        w.slots.iter().chain(w.free.iter().flatten()).map(Vec::capacity).sum()
+    /// Bytes of the wheel's entry buffers — arena, ready run and overflow
+    /// heap: all of its heap but the fixed bucket table.
+    fn buffer_bytes<E>(w: &TimingWheel<E>) -> usize {
+        w.heap_bytes() - LEVELS * SLOTS * size_of::<Bucket>()
+    }
+
+    /// Pops everything due before `until` µs, handing each entry to
+    /// `follow_up` (which may schedule more), and returns the high-water
+    /// pending count and the high-water buffer bytes seen after each pop.
+    fn run_until<E>(
+        w: &mut TimingWheel<E>,
+        until: u64,
+        mut follow_up: impl FnMut(&mut TimingWheel<E>, Entry<E>),
+    ) -> (usize, usize) {
+        let (mut pending, mut bytes) = (w.len(), buffer_bytes(w));
+        while w.peek_time().is_some_and(|t| t < until) {
+            let e = w.pop().expect("peeked");
+            follow_up(w, e);
+            pending = pending.max(w.len());
+            bytes = bytes.max(buffer_bytes(w));
+        }
+        (pending, bytes)
+    }
+
+    /// The bound both population shapes below are held to: buffers within
+    /// a quarter of what the most entries ever pending at once occupy.
+    fn assert_buffers_bounded<E>(pending: usize, bytes: usize) {
+        let bound = pending * size_of::<Node<E>>() * 5 / 4;
+        assert!(bytes <= bound, "buffers reached {bytes} B for {pending} pending entries");
     }
 
     #[test]
@@ -422,18 +511,52 @@ mod tests {
             w.schedule(i * 500, i, ());
         }
         let mut seq = LIVE;
-        let mut high_water = 0;
-        while w.peek_time().is_some_and(|t| t < 40_000_000) {
-            let e = w.pop().expect("peeked");
+        let (pending, bytes) = run_until(&mut w, 40_000_000, |w, e| {
             w.schedule(e.time + 1_000_000, seq, ());
             seq += 1;
-            high_water = high_water.max(bucket_capacity(&w));
-        }
+        });
         assert_eq!(w.len(), LIVE as usize);
-        assert!(
-            high_water <= 6 * LIVE as usize,
-            "bucket buffers reached {high_water} entries for {LIVE} live ones"
-        );
+        assert_buffers_bounded::<()>(pending, bytes);
+    }
+
+    #[test]
+    fn timeout_batches_keep_bucket_buffers_proportional_to_live_entries() {
+        // The query-timeout shape: once a second a round arms a batch of
+        // timeouts on one microsecond 8 s out, under a population of
+        // per-entry ticks jittered across the second. A batch cascades as
+        // one bucket through every level; buffers recycled per level keep
+        // the batch's size, and every bucket of a level sooner or later
+        // takes one of them, so the recycled buffers end up holding tens of
+        // batches for the eight pending.
+        const TICKS: u64 = 2_000;
+        const BATCH: u64 = 370;
+        const ROUND: u8 = 0;
+        const TICK: u8 = 1;
+        const TIMEOUT: u8 = 2;
+        let mut w = TimingWheel::new();
+        w.schedule(40, 0, ROUND);
+        for i in 1..=TICKS {
+            w.schedule((i * 2_654_435_761) % 1_000_000, i, TICK);
+        }
+        let mut seq = TICKS + 1;
+        let (pending, bytes) = run_until(&mut w, 40_000_000, |w, e| {
+            let mut at = |w: &mut TimingWheel<u8>, delay: u64, kind: u8| {
+                w.schedule(e.time + delay, seq, kind);
+                seq += 1;
+            };
+            match e.event {
+                ROUND => {
+                    for _ in 0..BATCH {
+                        at(w, 8_000_000, TIMEOUT);
+                    }
+                    at(w, 1_000_000, ROUND);
+                }
+                TICK => at(w, 1_000_000, TICK),
+                _ => {}
+            }
+        });
+        assert!(pending >= (TICKS + 8 * BATCH) as usize, "eight batches were pending at once");
+        assert_buffers_bounded::<u8>(pending, bytes);
     }
 
     #[test]
