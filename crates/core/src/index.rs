@@ -23,10 +23,11 @@
 //! # Layout
 //!
 //! Two parallel columns sorted by dense index — `Vec<u32>` of indices and
-//! `Vec<IndexEntry>` of 16-byte entries, 20 bytes per resident entry. A
-//! store holds at most `stor` (~100) entries, so a lookup is a binary
-//! search over one or two cache lines of indices, and insert/remove shift
-//! a short tail. Nothing is allocated until the first insert, and the
+//! `Vec<IndexEntry>` of 8-byte entries (a `u32` version and a `u32`
+//! expiry round), 12 bytes per resident entry. A store holds at most
+//! `stor` (~100) entries, so a lookup is a binary search over one or two
+//! cache lines of indices, and insert/remove shift a short tail. Nothing
+//! is allocated until the first insert, and the
 //! columns never grow past `capacity`: a store costs what it holds, which
 //! is what lets 10⁵–10⁶ simulated peers each carry one. Every observable
 //! result — [`InsertResult`]s, eviction victims, purge sets, [`iter`]
@@ -34,6 +35,21 @@
 //! alone; nothing depends on a hash table's bucket layout (the hash map
 //! this replaced lives on as the lockstep model in
 //! `crates/core/tests/properties.rs`).
+//!
+//! ## The `u32` horizon
+//!
+//! The public API speaks `u64` rounds and versions; the columns hold
+//! `u32`s. `u32::MAX` in the expiry column means *never*: a
+//! [`Ttl::Infinite`] entry, and also any finite expiry at or past round
+//! 2³²−1, which saturates to never. A version past `u32::MAX` saturates
+//! there (an article needs 4.29 × 10⁹ replacements to reach it), so
+//! versions never go backwards. Both narrowings happen in
+//! `IndexEntry::new` and never panic; reads widen through
+//! [`IndexEntry::version`] and [`IndexEntry::expires_at`], which maps
+//! never back to `u64::MAX`, so `Ttl::Infinite` entries outlive any `u64`
+//! clock. Liveness checks narrow the clock instead of widening every
+//! entry (`IndexEntry::live_above`), with the same answers. Below the
+//! horizon every result equals the `u64` store's.
 //!
 //! [`iter`]: PartialIndex::iter
 
@@ -46,24 +62,70 @@ use pdht_types::Key;
 /// index the entry is filed under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// The stored value's version.
-    pub version: u64,
+    /// The stored value's version, saturated at `u32::MAX`.
+    version: u32,
     /// Round at which the entry expires (exclusive: an entry with
-    /// `expires_at == now` is already gone).
-    pub expires_at: u64,
+    /// `expires_at == now` is already gone); `u32::MAX` (never) for
+    /// entries that never expire, including finite expiries at or past
+    /// round 2³²−1.
+    expires_at: u32,
 }
 
 impl IndexEntry {
+    /// The expiry column's "never".
+    const NEVER: u32 = u32::MAX;
+
+    /// The entry of `version` expiring at round `expires_at` — the one
+    /// place the store narrows the public `u64`s to its columns. Both
+    /// saturate at `u32::MAX`, which in the expiry column means never.
+    fn new(version: u64, expires_at: u64) -> IndexEntry {
+        let narrow = |x: u64| u32::try_from(x).unwrap_or(u32::MAX);
+        IndexEntry { version: narrow(version), expires_at: narrow(expires_at) }
+    }
+
+    /// The stored version (saturated at `u32::MAX`).
+    pub fn version(self) -> u64 {
+        u64::from(self.version)
+    }
+
+    /// The expiry round, `u64::MAX` for an entry that never expires (the
+    /// value [`Ttl::expires_at`] gives `Ttl::Infinite`).
+    pub fn expires_at(self) -> u64 {
+        match self.expires_at {
+            Self::NEVER => u64::MAX,
+            round => u64::from(round),
+        }
+    }
+
+    /// Whether the entry is still visible at round `now`.
+    fn live_at(self, now: u64) -> bool {
+        self.expires_at > Self::live_above(now)
+    }
+
+    /// The expiry column an entry must exceed to be live at round `now`:
+    /// `now` below the horizon, `u32::MAX - 1` from there on (only
+    /// never-expiring entries stay) and `u32::MAX` at the last `u64`
+    /// round, which nothing outlives. Comparing the column with it answers
+    /// what widening the entry and comparing it with `now` would, and it
+    /// is loop-invariant, so a purge sweep compares plain `u32`s.
+    fn live_above(now: u64) -> u32 {
+        match now {
+            u64::MAX => Self::NEVER,
+            _ => u32::try_from(now).unwrap_or(u32::MAX).min(Self::NEVER - 1),
+        }
+    }
+
     /// Re-insert of a resident key: the newer version wins, the expiry
-    /// only ever extends.
-    fn absorb(&mut self, version: u64, expires_at: u64) {
-        self.version = self.version.max(version);
-        self.expires_at = self.expires_at.max(expires_at);
+    /// only ever extends. (Both narrowings are monotone, so the maxima of
+    /// the columns are the narrowed maxima of the `u64`s.)
+    fn absorb(&mut self, fresh: IndexEntry) {
+        self.version = self.version.max(fresh.version);
+        self.expires_at = self.expires_at.max(fresh.expires_at);
     }
 }
 
 // The per-entry footprint the store sizing (and `peak_rss_mb`) rests on.
-const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 8);
 
 /// Outcome of an [`PartialIndex::insert`]: whether the key was new to this
 /// store, and any entry evicted to make room. The harness uses both to keep
@@ -131,9 +193,9 @@ impl PartialIndex {
     pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<u64> {
         let pos = self.keys.binary_search(&idx).ok()?;
         let e = &mut self.entries[pos];
-        if e.expires_at > now {
-            e.expires_at = ttl.expires_at(now);
-            Some(e.version)
+        if e.live_at(now) {
+            *e = IndexEntry::new(e.version(), ttl.expires_at(now));
+            Some(e.version())
         } else {
             None
         }
@@ -141,8 +203,8 @@ impl PartialIndex {
 
     /// The stored version of `idx`, without refreshing (diagnostics).
     pub fn peek(&self, idx: u32, now: u64) -> Option<u64> {
-        let e = &self.entries[self.keys.binary_search(&idx).ok()?];
-        (e.expires_at > now).then_some(e.version)
+        let e = self.entries[self.keys.binary_search(&idx).ok()?];
+        e.live_at(now).then_some(e.version())
     }
 
     /// Inserts key index `idx` with expiry `now + ttl`, overwriting only
@@ -174,10 +236,15 @@ impl PartialIndex {
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
-        let expires_at = ttl.expires_at(now);
+        self.insert_entry(idx, IndexEntry::new(version, ttl.expires_at(now)))
+    }
+
+    /// Files `fresh` under key index `idx` by [`PartialIndex::insert`]'s
+    /// rules.
+    fn insert_entry(&mut self, idx: u32, fresh: IndexEntry) -> InsertResult {
         let mut pos = match self.keys.binary_search(&idx) {
             Ok(pos) => {
-                self.entries[pos].absorb(version, expires_at);
+                self.entries[pos].absorb(fresh);
                 return InsertResult { was_new: false, evicted: None };
             }
             Err(pos) => pos,
@@ -199,7 +266,7 @@ impl PartialIndex {
             self.reserve((2 * self.keys.len()).max(4));
         }
         self.keys.insert(pos, idx);
-        self.entries.insert(pos, IndexEntry { version, expires_at });
+        self.entries.insert(pos, fresh);
         InsertResult { was_new: true, evicted }
     }
 
@@ -229,12 +296,13 @@ impl PartialIndex {
         // also across an `insert` below, whatever it evicted.
         let mut at = 0;
         for (idx, theirs) in donor.iter() {
+            let fresh = IndexEntry::new(theirs.version(), expires_at);
             at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
             let res = if self.keys.get(at) == Some(&idx) {
-                self.entries[at].absorb(theirs.version, expires_at);
+                self.entries[at].absorb(fresh);
                 InsertResult { was_new: false, evicted: None }
             } else {
-                self.insert_version(idx, theirs.version, now, ttl)
+                self.insert_entry(idx, fresh)
             };
             each(idx, res);
         }
@@ -255,7 +323,7 @@ impl PartialIndex {
     pub fn purge_expired_into(&mut self, now: u64, out: &mut Vec<u32>) {
         let mut kept = 0;
         for i in 0..self.keys.len() {
-            if self.entries[i].expires_at > now {
+            if self.entries[i].live_at(now) {
                 self.keys[kept] = self.keys[i];
                 self.entries[kept] = self.entries[i];
                 kept += 1;
@@ -431,9 +499,7 @@ mod tests {
         }
         let order: Vec<u32> = idx.iter().map(|(i, _)| i).collect();
         assert_eq!(order, [1, 2, 3, 5, 7]);
-        assert!(idx
-            .iter()
-            .all(|(i, e)| e == IndexEntry { version: u64::from(i), expires_at: u64::from(i) }));
+        assert!(idx.iter().all(|(i, e)| e == IndexEntry { version: i, expires_at: i }));
         assert_eq!(purged(&mut idx, 3), [1, 2, 3]);
         assert_eq!(idx.iter().map(|(i, _)| i).collect::<Vec<_>>(), [5, 7]);
     }
@@ -446,12 +512,75 @@ mod tests {
             idx.insert(i, k(i), v(i, 1), u64::from(i), Ttl::Rounds(5));
         }
         assert_eq!(idx.len(), 100);
-        assert_eq!(idx.heap_bytes(), 100 * 20, "doubling stops at the capacity bound");
+        assert_eq!(idx.heap_bytes(), 100 * 12, "doubling stops at the capacity bound");
         let mut exact = PartialIndex::new(100);
         exact.reserve(78);
-        assert_eq!(exact.heap_bytes(), 78 * 20);
+        assert_eq!(exact.heap_bytes(), 78 * 12);
         exact.reserve(1_000);
-        assert_eq!(exact.heap_bytes(), 100 * 20, "reserve clamps to the bound");
+        assert_eq!(exact.heap_bytes(), 100 * 12, "reserve clamps to the bound");
+    }
+
+    /// Round 2³²−1, where the `u32` expiry column runs out.
+    const HORIZON: u64 = u32::MAX as u64;
+
+    #[test]
+    fn finite_expiry_past_the_horizon_reads_as_never() {
+        let mut idx = PartialIndex::new(4);
+        idx.insert(1, k(1), v(1, 1), HORIZON - 3, Ttl::Rounds(2)); // last finite round
+        idx.insert(2, k(2), v(2, 1), HORIZON - 3, Ttl::Rounds(3)); // at the horizon
+        idx.insert(3, k(3), v(3, 1), HORIZON + 10, Ttl::Rounds(5)); // past it
+        let expiries: Vec<u64> = idx.iter().map(|(_, e)| e.expires_at()).collect();
+        assert_eq!(expiries, [HORIZON - 1, u64::MAX, u64::MAX]);
+        assert_eq!(purged(&mut idx, u64::MAX - 1), [1]);
+        assert_eq!(idx.peek(2, u64::MAX - 1), Some(1));
+        assert_eq!(idx.get_and_refresh(3, u64::MAX - 1, Ttl::Rounds(1)), Some(1));
+        // A refresh whose finite expiry lands below the horizon is finite
+        // again: the column holds the latest refresh, not a sticky flag.
+        assert_eq!(idx.get_and_refresh(2, 7, Ttl::Rounds(3)), Some(1));
+        assert_eq!(purged(&mut idx, 10), [2]);
+    }
+
+    #[test]
+    fn liveness_threshold_agrees_with_the_widened_expiry() {
+        let columns = [0, 1, 7, 8, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+        let clocks =
+            [0, 7, 8, HORIZON - 2, HORIZON - 1, HORIZON, HORIZON + 1, u64::MAX - 1, u64::MAX];
+        for expires_at in columns {
+            for now in clocks {
+                let e = IndexEntry { version: 1, expires_at };
+                assert_eq!(e.live_at(now), e.expires_at() > now, "column {expires_at} at {now}");
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_ttl_survives_any_clock() {
+        let mut idx = PartialIndex::new(2);
+        idx.insert(1, k(1), v(1, 1), 0, Ttl::Infinite);
+        for now in [0, HORIZON - 1, HORIZON, HORIZON + 1, u64::MAX - 1] {
+            assert_eq!(idx.get_and_refresh(1, now, Ttl::Infinite), Some(1), "round {now}");
+            assert!(purged(&mut idx, now).is_empty(), "round {now}");
+        }
+        assert_eq!(idx.iter().map(|(_, e)| e.expires_at()).collect::<Vec<_>>(), [u64::MAX]);
+    }
+
+    #[test]
+    fn versions_past_u32_max_never_go_backwards() {
+        let top = u64::from(u32::MAX);
+        let mut idx = PartialIndex::new(2);
+        let mut last = 0;
+        for version in [top - 1, top, top + 1, top - 2, u64::MAX, 7] {
+            idx.insert(1, k(1), v(1, version), 0, Ttl::Infinite);
+            let read = idx.peek(1, 0).unwrap();
+            assert_eq!(read, version.max(last).min(top), "after inserting {version}");
+            last = read;
+        }
+        assert_eq!(last, top, "saturated at u32::MAX");
+        // The rejoin pull carries the saturated version across unchanged.
+        let mut receiver = PartialIndex::new(2);
+        receiver.insert(1, k(1), v(1, 3), 0, Ttl::Rounds(5));
+        receiver.insert_all_from(&idx, 1, Ttl::Rounds(5), |_, _| {});
+        assert_eq!(receiver.peek(1, 1), Some(top));
     }
 
     #[test]

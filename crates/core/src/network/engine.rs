@@ -313,6 +313,9 @@ impl PhaseBreakdown {
 /// accumulate privately and merge commutatively at the round barrier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
+    /// Queries handed to a lane, counted before the offline check — the
+    /// total [`PdhtNetwork::check_outcomes`] splits into outcomes.
+    pub(crate) issued: u64,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
     pub(crate) stale_hits: u64,
@@ -333,6 +336,7 @@ pub(crate) struct Counters {
 impl Counters {
     /// Adds another counter set into this one (the shard-merge fold).
     pub(crate) fn merge_from(&mut self, other: &Counters) {
+        self.issued += other.issued;
         self.hits += other.hits;
         self.misses += other.misses;
         self.stale_hits += other.stale_hits;
@@ -746,6 +750,33 @@ impl PdhtNetwork {
         self.shards.lanes.iter().map(|l| l.inflight.len()).sum()
     }
 
+    /// Query-outcome conservation between rounds (lanes folded): every
+    /// issued query was skipped (origin offline), ended as a hit or a miss
+    /// (timeouts are misses), failed a NoIndex broadcast (which counts as
+    /// neither), or is still in flight; and every query that ended entered
+    /// the `query_hops` histogram once. `Err` names the broken law.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn check_outcomes(&self) -> std::result::Result<(), String> {
+        let c = &self.counters;
+        let no_index = self.world.cfg.strategy == Strategy::NoIndex;
+        let failed = if no_index { c.search_failures } else { 0 };
+        let in_flight = self.queries_in_flight() as u64;
+        let accounted = c.skipped_offline + c.hits + c.misses + failed + in_flight;
+        if c.issued != accounted {
+            return Err(format!(
+                "{} queries issued, {accounted} accounted: {} skipped + {} hits + {} misses \
+                 + {failed} failed + {in_flight} in flight",
+                c.issued, c.skipped_offline, c.hits, c.misses
+            ));
+        }
+        let ended = c.issued - c.skipped_offline - in_flight;
+        let observed = self.metrics.histogram("query_hops").map_or(0, pdht_sim::Histogram::count);
+        if observed != ended {
+            return Err(format!("{ended} queries ended, {observed} in the query_hops histogram"));
+        }
+        Ok(())
+    }
+
     /// Number of execution shards (lanes).
     pub fn shards(&self) -> usize {
         self.shards.lanes.len()
@@ -1058,9 +1089,10 @@ mod tests {
 
     #[test]
     fn index_all_stores_cost_what_they_hold() {
-        // 20 B per resident entry (u32 index + 16 B version and expiry),
-        // sized exactly at the preload; storing the derivable routed key
-        // and payload too cost 36 B, a per-peer hash table ~130 B.
+        // 12 B per resident entry (u32 index, u32 version, u32 expiry),
+        // sized exactly at the preload; u64 version and expiry cost 20 B,
+        // storing the derivable routed key and payload too 36 B, a
+        // per-peer hash table ~130 B.
         for kind in OverlayKind::ALL {
             let mut c = cfg(Strategy::IndexAll, 1.0 / 60.0);
             c.overlay = kind;
@@ -1071,7 +1103,7 @@ mod tests {
             assert!(resident >= 2_000);
             let bytes = net.store_bytes();
             assert!(
-                bytes <= 24 * resident,
+                bytes <= 16 * resident,
                 "{kind:?}: {bytes} B for {resident} entries = {} B/entry",
                 bytes / resident
             );
@@ -1080,15 +1112,19 @@ mod tests {
 
     #[test]
     fn store_copies_are_conserved_every_round() {
-        // The replica-copy accounting against a recount of the stores after
-        // every round of a loaded run: query inserts, evictions and TTL
-        // sweeps, fast churn with rejoin pulls, RLNC update waves, non-zero
-        // latency. Peers offline at the start lose their stores (a crash
-        // that loses state), so IndexAll rejoin pulls add entries instead
-        // of only refreshing held ones.
+        // The replica-copy accounting against a recount of the stores, and
+        // the query outcomes against the issued count, after every round of
+        // a loaded run: query inserts, evictions and TTL sweeps, fast churn
+        // with rejoin pulls, RLNC update waves, non-zero latency, timeouts
+        // abandoning queries mid-pipeline. Peers offline at the start lose
+        // their stores (a crash that loses state), so IndexAll rejoin pulls
+        // add entries instead of only refreshing held ones. NoIndex builds
+        // no overlay and no stores: one overlay kind, outcome check only.
         use crate::network::peer::ShardStores;
-        for strategy in [Strategy::Partial, Strategy::IndexAll] {
-            for kind in OverlayKind::ALL {
+        let mut timeouts = 0;
+        for strategy in [Strategy::Partial, Strategy::IndexAll, Strategy::NoIndex] {
+            let kinds = if strategy == Strategy::NoIndex { 1 } else { OverlayKind::ALL.len() };
+            for kind in OverlayKind::ALL.into_iter().take(kinds) {
                 for shards in [1, 4] {
                     let mut c = cfg_sharded(strategy, shards);
                     c.overlay = kind;
@@ -1099,6 +1135,7 @@ mod tests {
                     };
                     c.gossip_codec = crate::GossipCodec::Rlnc;
                     c.latency = crate::LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 200.0 };
+                    c.query_timeout_secs = Some(1.0);
                     let mut net = PdhtNetwork::new(c).unwrap();
                     let live = net.world.live();
                     let (slot, regions) = net.peers.split_mut();
@@ -1111,13 +1148,16 @@ mod tests {
                     }
                     for round in 0..20 {
                         net.step_round();
-                        if let Err(e) = net.peers.check_copies() {
+                        if let Err(e) = net.peers.check_copies().and(net.check_outcomes()) {
                             panic!("{strategy:?} {kind:?} shards={shards} round {round}: {e}");
                         }
                     }
+                    assert!(net.counters.issued > net.counters.skipped_offline, "queries ran");
+                    timeouts += net.counters.query_timeouts;
                 }
             }
         }
+        assert!(timeouts > 0, "no query timed out");
     }
 
     #[test]

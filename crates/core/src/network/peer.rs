@@ -14,7 +14,7 @@
 //! hashing, no allocation — which keeps the per-event TTL sweeps and
 //! query-path store updates allocation-free at 100k-peer scale.
 //!
-//! The stores themselves are sorted columns costing 20 bytes per resident
+//! The stores themselves are sorted columns costing 12 bytes per resident
 //! entry (see [`crate::index`]); an empty store owns no heap at all, and
 //! the IndexAll preload sizes each one exactly through
 //! [`PeerStores::reserve`], so [`PeerStores::heap_bytes`] tracks what the
@@ -435,7 +435,7 @@ mod tests {
         let mut looped = build();
         let donor: Vec<_> = looped.shards[0].stores[2].iter().collect();
         for (i, e) in donor {
-            looped.insert(PeerId(1), i, e.version, 3, Ttl::Rounds(4));
+            looped.insert(PeerId(1), i, e.version(), 3, Ttl::Rounds(4));
         }
         let (got, want) = (&walked.shards[0], &looped.shards[0]);
         assert_eq!(

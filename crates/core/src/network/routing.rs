@@ -296,6 +296,7 @@ impl QueryExec<'_> {
     /// Issues one query: resolves its DHT entry (or starts a broadcast)
     /// and drives the state machine until it completes or goes in flight.
     pub(crate) fn start_query(&mut self, q: Query, round: u64) {
+        self.lane.counters.issued += 1;
         if !self.world.live().is_online(q.origin) {
             self.lane.counters.skipped_offline += 1;
             return;

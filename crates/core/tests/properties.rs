@@ -1,7 +1,7 @@
 //! Property tests for the TTL partial index — the data structure at the
 //! heart of the selection algorithm.
 
-use pdht_core::{AdmissionFilter, AdmissionPolicy, IndexEntry, InsertResult, PartialIndex, Ttl};
+use pdht_core::{AdmissionFilter, AdmissionPolicy, InsertResult, PartialIndex, Ttl};
 use pdht_gossip::VersionedValue;
 use pdht_types::Key;
 use proptest::prelude::*;
@@ -35,10 +35,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// victim is the one-pass `(expires_at, routed key, index)` minimum the
 /// store's two-pass scan must reproduce. (The map left a full
 /// `(expires_at, key)` tie to its bucket order; the columns, and so this
-/// model, settle it on the smaller dense index.)
+/// model, settle it on the smaller dense index.) Its entries stay `u64`:
+/// the store's `u32` columns must agree with it below the horizon.
 struct ModelIndex {
-    entries: HashMap<u32, IndexEntry>,
+    entries: HashMap<u32, ModelEntry>,
     capacity: usize,
+}
+
+/// A model entry: the version and expiry round at full width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ModelEntry {
+    version: u64,
+    expires_at: u64,
 }
 
 impl ModelIndex {
@@ -72,7 +80,7 @@ impl ModelIndex {
             }
         }
         if self.capacity > 0 {
-            self.entries.insert(idx, IndexEntry { version, expires_at });
+            self.entries.insert(idx, ModelEntry { version, expires_at });
         }
         InsertResult { was_new: self.capacity > 0, evicted }
     }
@@ -92,7 +100,10 @@ impl ModelIndex {
     }
 }
 
-/// Operations of the lockstep run; `ttl == 0` stands for [`Ttl::Infinite`].
+/// Round 2³²−1, where the store's `u32` expiry column runs out.
+const HORIZON: u64 = u32::MAX as u64;
+
+/// Operations of the lockstep run; `ttl` is a code for [`lockstep_ttl`].
 #[derive(Debug, Clone)]
 enum LockstepOp {
     Insert { idx: u32, version: u64, ttl: u64 },
@@ -103,21 +114,38 @@ enum LockstepOp {
     Advance { by: u64 },
 }
 
+/// The TTL a lockstep `ttl` code stands for at round `now`: `0` is
+/// [`Ttl::Infinite`], `1..4` that many rounds, and `c >= 4` a finite
+/// expiry `c - 3` rounds short of the horizon (the next round once the
+/// clock has passed that) — so every finite expiry stays below the
+/// horizon while the clock does.
+fn lockstep_ttl(code: u64, now: u64) -> Ttl {
+    match code {
+        0 => Ttl::Infinite,
+        1..4 => Ttl::Rounds(code),
+        _ => Ttl::Rounds((HORIZON - (code - 3)).saturating_sub(now).max(1)),
+    }
+}
+
+fn lockstep_ttl_code() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, 0u64..4, 4u64..300]
+}
+
+fn lockstep_version() -> impl Strategy<Value = u64> {
+    // Small versions collide often; the top five reach `u32::MAX`, the
+    // widest version the store holds exactly.
+    prop_oneof![1u64..6, (HORIZON - 4)..=HORIZON]
+}
+
 fn lockstep_op() -> impl Strategy<Value = LockstepOp> {
     // Twelve indices against capacities 0..=8 force evictions; TTLs of 0..4
     // rounds force equal expiries, so victims are decided by the tie-break.
     prop_oneof![
-        (0u32..12, 1u64..6, 0u64..4).prop_map(|(idx, version, ttl)| LockstepOp::Insert {
-            idx,
-            version,
-            ttl
-        }),
-        (0u32..12, 1u64..6, 0u64..4).prop_map(|(idx, version, ttl)| LockstepOp::Insert {
-            idx,
-            version,
-            ttl
-        }),
-        (0u32..12, 0u64..4).prop_map(|(idx, ttl)| LockstepOp::Get { idx, ttl }),
+        (0u32..12, lockstep_version(), lockstep_ttl_code())
+            .prop_map(|(idx, version, ttl)| LockstepOp::Insert { idx, version, ttl }),
+        (0u32..12, lockstep_version(), lockstep_ttl_code())
+            .prop_map(|(idx, version, ttl)| LockstepOp::Insert { idx, version, ttl }),
+        (0u32..12, lockstep_ttl_code()).prop_map(|(idx, ttl)| LockstepOp::Get { idx, ttl }),
         (0u32..12).prop_map(|idx| LockstepOp::Peek { idx }),
         (0u32..12).prop_map(|idx| LockstepOp::Remove { idx }),
         Just(LockstepOp::Purge),
@@ -128,28 +156,30 @@ fn lockstep_op() -> impl Strategy<Value = LockstepOp> {
 proptest! {
     /// The sorted-column store and the hash-map model it replaced agree on
     /// every result of every operation, and `iter()` is the model's content
-    /// in ascending dense-index order.
+    /// in ascending dense-index order — from round 0 and from just short of
+    /// the `u32` horizon, with expiries and versions up to its edge.
     #[test]
     fn sorted_columns_match_the_hash_map_model(
         capacity in 0usize..=8,
+        start in prop_oneof![Just(0u64), Just(HORIZON - 300)],
         ops in prop::collection::vec(lockstep_op(), 1..120),
     ) {
-        let as_ttl = |ttl: u64| if ttl == 0 { Ttl::Infinite } else { Ttl::Rounds(ttl) };
         let mut index = PartialIndex::new(capacity);
         let mut model = ModelIndex { entries: HashMap::new(), capacity };
-        let mut now = 0u64;
+        let mut now = start;
         for op in ops {
             match op {
                 LockstepOp::Insert { idx, version, ttl } => {
                     let value = VersionedValue { version, data: u64::from(idx) };
+                    let ttl = lockstep_ttl(ttl, now);
                     prop_assert_eq!(
-                        index.insert(idx, Key::of_index(idx), value, now, as_ttl(ttl)),
-                        model.insert(idx, version, now, as_ttl(ttl))
+                        index.insert(idx, Key::of_index(idx), value, now, ttl),
+                        model.insert(idx, version, now, ttl)
                     );
                 }
                 LockstepOp::Get { idx, ttl } => prop_assert_eq!(
-                    index.get_and_refresh(idx, now, as_ttl(ttl)),
-                    model.get_and_refresh(idx, now, as_ttl(ttl))
+                    index.get_and_refresh(idx, now, lockstep_ttl(ttl, now)),
+                    model.get_and_refresh(idx, now, lockstep_ttl(ttl, now))
                 ),
                 LockstepOp::Peek { idx } => {
                     prop_assert_eq!(index.peek(idx, now), model.peek(idx, now))
@@ -166,11 +196,15 @@ proptest! {
                 LockstepOp::Advance { by } => now += by,
             }
             prop_assert_eq!(index.len(), model.entries.len());
-            prop_assert!(index.heap_bytes() <= 20 * capacity.max(4), "grew past the bound");
-            let mut want: Vec<(u32, IndexEntry)> =
+            prop_assert!(index.heap_bytes() <= 12 * capacity.max(4), "grew past the bound");
+            let mut want: Vec<(u32, ModelEntry)> =
                 model.entries.iter().map(|(&i, &e)| (i, e)).collect();
             want.sort_unstable_by_key(|&(i, _)| i);
-            prop_assert_eq!(index.iter().collect::<Vec<_>>(), want);
+            let got: Vec<(u32, ModelEntry)> = index
+                .iter()
+                .map(|(i, e)| (i, ModelEntry { version: e.version(), expires_at: e.expires_at() }))
+                .collect();
+            prop_assert_eq!(got, want);
         }
     }
 
