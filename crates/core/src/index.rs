@@ -242,13 +242,18 @@ impl PartialIndex {
     /// Files `fresh` under key index `idx` by [`PartialIndex::insert`]'s
     /// rules.
     fn insert_entry(&mut self, idx: u32, fresh: IndexEntry) -> InsertResult {
-        let mut pos = match self.keys.binary_search(&idx) {
+        match self.keys.binary_search(&idx) {
             Ok(pos) => {
                 self.entries[pos].absorb(fresh);
-                return InsertResult { was_new: false, evicted: None };
+                InsertResult { was_new: false, evicted: None }
             }
-            Err(pos) => pos,
-        };
+            Err(pos) => self.insert_absent(pos, idx, fresh),
+        }
+    }
+
+    /// Files `fresh` under key index `idx`, which is absent and belongs at
+    /// `pos` of the index column, evicting first if the store is full.
+    fn insert_absent(&mut self, mut pos: usize, idx: u32, fresh: IndexEntry) -> InsertResult {
         let mut evicted = None;
         if self.keys.len() >= self.capacity {
             if let Some(victim) = self.victim() {
@@ -280,29 +285,33 @@ impl PartialIndex {
             .min_by_key(|&i| Key::of_index(self.keys[i]).0)
     }
 
-    /// Inserts every entry of `donor` with expiry `now + ttl` — exactly
-    /// [`PartialIndex::insert`] per entry in ascending index order, each
-    /// result handed to `each` — as one in-step walk of the two sorted
-    /// stores: a key both hold costs one comparison, no search.
-    pub fn insert_all_from(
+    /// Inserts every `(index, version)` of `run`, which must ascend
+    /// strictly by index, with expiry `now + ttl` — exactly
+    /// [`PartialIndex::insert`] per entry in run order, each result handed
+    /// to `each` — as one in-step walk of the run and the sorted store: a
+    /// key both hold costs one comparison, and an absent key is filed where
+    /// the walk stands, with no search. Into an empty store every insert is
+    /// an append. The rejoin pull walks a donor's [`PartialIndex::iter`];
+    /// the IndexAll preload walks its replica group's keys.
+    pub fn insert_run(
         &mut self,
-        donor: &PartialIndex,
+        run: impl IntoIterator<Item = (u32, u64)>,
         now: u64,
         ttl: Ttl,
         mut each: impl FnMut(u32, InsertResult),
     ) {
         let expires_at = ttl.expires_at(now);
-        // Every key before `at` is smaller than the donor key in hand —
-        // also across an `insert` below, whatever it evicted.
+        // Every key before `at` is smaller than the run key in hand — also
+        // across an insert below, whatever it evicted.
         let mut at = 0;
-        for (idx, theirs) in donor.iter() {
-            let fresh = IndexEntry::new(theirs.version(), expires_at);
+        for (idx, version) in run {
+            let fresh = IndexEntry::new(version, expires_at);
             at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
             let res = if self.keys.get(at) == Some(&idx) {
                 self.entries[at].absorb(fresh);
                 InsertResult { was_new: false, evicted: None }
             } else {
-                self.insert_entry(idx, fresh)
+                self.insert_absent(at, idx, fresh)
             };
             each(idx, res);
         }
@@ -579,7 +588,12 @@ mod tests {
         // The rejoin pull carries the saturated version across unchanged.
         let mut receiver = PartialIndex::new(2);
         receiver.insert(1, k(1), v(1, 3), 0, Ttl::Rounds(5));
-        receiver.insert_all_from(&idx, 1, Ttl::Rounds(5), |_, _| {});
+        receiver.insert_run(
+            idx.iter().map(|(i, e)| (i, e.version())),
+            1,
+            Ttl::Rounds(5),
+            |_, _| {},
+        );
         assert_eq!(receiver.peek(1, 1), Some(top));
     }
 

@@ -487,21 +487,23 @@ impl PdhtNetwork {
             (None, Vec::new())
         };
 
-        // Store capacity: `stor`, raised if the overlay's group rounding
-        // (or hash skew) makes a group's key load exceed it under IndexAll
-        // (see module docs). Uses the *actual* per-group loads, not the
-        // average — hashed keys spread with Poisson fluctuation.
-        let group_loads = match (&overlay, cfg.strategy) {
+        // IndexAll preloads every key at its whole replica group: each
+        // group's keys as one ascending run of dense indices, from one pass
+        // over the keys. Store capacity: `stor`, raised if the overlay's
+        // group rounding (or hash skew) makes a group's key load exceed it
+        // (see module docs) — the *actual* largest run, not the average:
+        // hashed keys spread with Poisson fluctuation.
+        let group_runs: Vec<Vec<u32>> = match (&overlay, cfg.strategy) {
             (Some(o), Strategy::IndexAll) => {
-                let mut loads = vec![0usize; o.group_count()];
-                for &key in &keys {
-                    loads[o.group_of_key(key)] += 1;
+                let mut runs = vec![Vec::new(); o.group_count()];
+                for (i, &key) in keys.iter().enumerate() {
+                    runs[o.group_of_key(key)].push(i as u32);
                 }
-                loads
+                runs
             }
             _ => Vec::new(),
         };
-        let max_group_load = group_loads.iter().copied().max().unwrap_or(0);
+        let max_group_load = group_runs.iter().map(Vec::len).max().unwrap_or(0);
         let store_capacity = match cfg.strategy {
             Strategy::IndexAll => (s.stor as usize).max(max_group_load + 8),
             _ => s.stor as usize,
@@ -520,15 +522,18 @@ impl PdhtNetwork {
             .collect();
         let mut peers = PeerStores::new(&store_lanes, num_shards, store_capacity, num_keys);
         // IndexAll stores hold exactly their group's keys from the preload
-        // on: size each once, so a store costs what it holds (here, not at
-        // the preload, so the stores still sit below the topology).
+        // on, so each is sized once and filled from its group's run in the
+        // same step — group by group, member by member — where it is laid
+        // out, below the topology. Every fill is a run of appends into a
+        // store no other preload touches in between.
         if let Some(o) = &overlay {
-            for (group, &load) in group_loads.iter().enumerate() {
+            for (group, run) in group_runs.iter().enumerate() {
                 for &member in o.group_members(group) {
-                    peers.reserve(member, load);
+                    peers.preload(member, run, 1, 0, Ttl::Infinite);
                 }
             }
         }
+        drop(group_runs);
 
         // Unstructured side.
         let topo = Topology::random(num_peers, cfg.mean_degree, &mut rng_build)?;
@@ -574,19 +579,6 @@ impl PdhtNetwork {
             }
             _ => 0.0,
         };
-
-        // IndexAll: preload every key at its whole replica group.
-        if cfg.strategy == Strategy::IndexAll {
-            if let Some(o) = &overlay {
-                for (i, &key) in keys.iter().enumerate() {
-                    let group = o.group_of_key(key);
-                    for &member in o.group_members(group) {
-                        let res = peers.insert(member, i as u32, 1, 0, Ttl::Infinite);
-                        debug_assert!(res.evicted.is_none(), "preload must fit");
-                    }
-                }
-            }
-        }
 
         let world = World {
             latency: cfg.latency.build(),
@@ -1084,6 +1076,82 @@ mod tests {
             c.overlay = kind;
             let net = PdhtNetwork::new(c).unwrap();
             assert_eq!(net.indexed_keys(), 2_000, "{kind:?}");
+            assert_eq!(net.peers.check_copies(), Ok(()), "{kind:?}");
+        }
+    }
+
+    /// The key-major preload the build ran before the group-major fill:
+    /// every member's store sized to its group's load, group by group,
+    /// then every key filed at each member of its group — one searched
+    /// insert per entry, keys in ascending index order.
+    fn key_major_preload(net: &PdhtNetwork) -> PeerStores {
+        let w = &net.world;
+        let o = w.overlay.as_deref().expect("IndexAll builds an overlay");
+        let lanes: Vec<u16> = (0..w.nap)
+            .map(|p| store_lane(&w.ranges, &w.group_shard, Some(o), PeerId::from_idx(p)))
+            .collect();
+        let capacity = net.peers.store(PeerId(0)).capacity();
+        let mut stores = PeerStores::new(&lanes, net.shards.lanes.len(), capacity, w.keys.len());
+        let mut loads = vec![0; o.group_count()];
+        for &key in &w.keys {
+            loads[o.group_of_key(key)] += 1;
+        }
+        for (group, &load) in loads.iter().enumerate() {
+            for &member in o.group_members(group) {
+                stores.reserve(member, load);
+            }
+        }
+        for (i, &key) in w.keys.iter().enumerate() {
+            for &member in o.group_members(o.group_of_key(key)) {
+                let res = stores.insert(member, i as u32, 1, 0, Ttl::Infinite);
+                assert_eq!(res.evicted, None, "the preload fits");
+            }
+        }
+        stores
+    }
+
+    #[test]
+    fn group_major_preload_equals_the_key_major_reference() {
+        // The default shape on every overlay and lane count, plus one
+        // replica group holding every active peer (10 peers, repl 50) and
+        // groups of one or two members (41 peers, repl 2). Every store must
+        // hold what the key-major reference holds, in the same exactly
+        // sized columns, with the replica-copy accounting intact.
+        let default = Scenario::table1_scaled(20);
+        let one_group = Scenario { keys: 20, ..default.clone() };
+        let tiny_groups = Scenario { keys: 2_050, repl: 2, ..default.clone() };
+        for (shape, scenario) in
+            [("default", default), ("one_group", one_group), ("tiny", tiny_groups)]
+        {
+            for kind in OverlayKind::ALL {
+                for shards in [1, 4] {
+                    let case = format!("{shape} {kind:?} shards={shards}");
+                    let mut c = PdhtConfig::new(scenario.clone(), 1.0 / 60.0, Strategy::IndexAll);
+                    c.overlay = kind;
+                    c.shards = shards;
+                    let net = match PdhtNetwork::new(c) {
+                        Ok(net) => net,
+                        Err(e) => panic!("{case}: rejected: {e}"),
+                    };
+                    let o = net.world.overlay.as_deref().unwrap();
+                    let sizes = (0..o.group_count()).map(|g| o.group_members(g).len());
+                    match shape {
+                        "one_group" => assert_eq!(o.group_count(), 1, "{case}"),
+                        "tiny" => assert!(sizes.min().unwrap() <= 2, "{case}"),
+                        _ => {}
+                    }
+                    let reference = key_major_preload(&net);
+                    for peer in (0..net.world.nap).map(PeerId::from_idx) {
+                        let (got, want) = (net.peers.store(peer), reference.store(peer));
+                        assert!(got.iter().eq(want.iter()), "{case}: {peer:?} holds other entries");
+                        assert_eq!(got.heap_bytes(), want.heap_bytes(), "{case}: {peer:?}");
+                    }
+                    assert_eq!(net.store_bytes(), reference.heap_bytes(), "{case}");
+                    assert_eq!(net.indexed_keys(), reference.distinct_keys(), "{case}");
+                    assert_eq!(net.indexed_keys(), net.world.keys.len(), "{case}");
+                    assert_eq!(net.peers.check_copies(), Ok(()), "{case}");
+                }
+            }
         }
     }
 

@@ -157,7 +157,8 @@ impl StoreShard {
             (&tail[0], &mut head[receiver])
         };
         let copies = &mut self.copies;
-        into.insert_all_from(from, now, ttl, |idx, res| copies.record(idx, res));
+        let run = from.iter().map(|(idx, e)| (idx, e.version()));
+        into.insert_run(run, now, ttl, |idx, res| copies.record(idx, res));
     }
 }
 
@@ -221,7 +222,10 @@ impl PeerStores {
 
     /// Inserts `version` of key index `idx` at `peer`, maintaining the
     /// distinct-key accounting for both the insert and any eviction it
-    /// caused. Returns the raw result for callers that assert fit.
+    /// caused. The simulation paths go through [`ShardStores::insert`] and
+    /// [`PeerStores::preload`]; the facade form remains for the unit tests
+    /// and the key-major reference preload.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn insert(
         &mut self,
         peer: PeerId,
@@ -257,11 +261,34 @@ impl PeerStores {
         self.shards[rs].pull_local(dl, rl, now, ttl);
     }
 
+    /// Sizes `peer`'s store for `run` in one exact allocation and files
+    /// every key index of `run` (strictly ascending) at `version` with
+    /// expiry `now + ttl`, accounting as [`PeerStores::insert`] would entry
+    /// by entry — the IndexAll preload of one replica-group member: one
+    /// in-step walk that appends into an empty store, with no search.
+    pub(crate) fn preload(&mut self, peer: PeerId, run: &[u32], version: u64, now: u64, ttl: Ttl) {
+        let (s, l) = self.local(peer);
+        let StoreShard { stores, copies, .. } = &mut self.shards[s];
+        let store = &mut stores[l];
+        store.reserve(run.len());
+        let run = run.iter().map(|&idx| (idx, version));
+        store.insert_run(run, now, ttl, |idx, res| copies.record(idx, res));
+    }
+
     /// Sizes `peer`'s store for `total` resident entries in one exact
-    /// allocation (see [`PartialIndex::reserve`]).
+    /// allocation (see [`PartialIndex::reserve`]) — what
+    /// [`PeerStores::preload`] does before it fills.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn reserve(&mut self, peer: PeerId, total: usize) {
         let (s, l) = self.local(peer);
         self.shards[s].stores[l].reserve(total);
+    }
+
+    /// `peer`'s store (diagnostics and tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn store(&self, peer: PeerId) -> &PartialIndex {
+        let (s, l) = self.local(peer);
+        &self.shards[s].stores[l]
     }
 
     /// Heap bytes held by all stores' entry columns.

@@ -32,14 +32,15 @@ pub(crate) struct RowArena<const K: usize> {
 }
 
 impl<const K: usize> RowArena<K> {
-    /// An empty arena with room for `peers` tables of `rows` rows each
-    /// (tables may still hold more or fewer; this only sizes the reserve).
+    /// An empty arena with room for `peers` tables holding `rows` rows in
+    /// all. Builders pass the exact totals, so the arena is allocated once
+    /// and holds no slack (more rows still fit, by regrowth).
     pub(crate) fn with_capacity(peers: usize, rows: usize) -> Self {
         const { assert!(K > 0 && K <= u8::MAX as usize) };
         RowArena {
             spans: Vec::with_capacity(peers),
-            lens: Vec::with_capacity(peers * rows),
-            slots: Vec::with_capacity(peers * rows * K),
+            lens: Vec::with_capacity(rows),
+            slots: Vec::with_capacity(rows * K),
         }
     }
 
@@ -57,12 +58,6 @@ impl<const K: usize> RowArena<K> {
         self.lens.push(contacts.len() as u8);
         self.slots.extend_from_slice(contacts);
         self.slots.resize(self.lens.len() * K, PeerId(0));
-    }
-
-    /// Returns the build-time reserve to the allocator.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.lens.shrink_to_fit();
-        self.slots.shrink_to_fit();
     }
 
     fn span(&self, peer: PeerId) -> (usize, usize) {
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn rows_are_fixed_stride_and_peer_contiguous() {
-        let mut a = RowArena::<4>::with_capacity(2, 2);
+        let mut a = RowArena::<4>::with_capacity(3, 4);
         a.begin_peer();
         a.push_row(&ids(&[1, 2, 3, 4]));
         a.push_row(&ids(&[5]));
@@ -208,7 +203,7 @@ mod tests {
         a.begin_peer();
         a.push_row(&[]);
         a.push_row(&ids(&[9, 8]));
-        a.shrink_to_fit();
+        assert_eq!((a.lens.capacity(), a.slots.capacity()), (4, 4 * 4), "sized exactly");
 
         let (p0, p1, p2) = (PeerId(0), PeerId(1), PeerId(2));
         assert_eq!((a.row_count(p0), a.row_count(p1), a.row_count(p2)), (2, 0, 2));

@@ -147,26 +147,29 @@ impl KademliaOverlay {
         &self.sorted[start..end]
     }
 
+    /// Number of k-buckets the table of the node with id `x` keeps. The id
+    /// sharing the longest prefix with `x` is one of its neighbours in id
+    /// order; every bucket past that prefix has an empty range (and draws
+    /// nothing), so the table ends there.
+    fn table_rows(&self, x: u64) -> u32 {
+        let at = self.sorted.partition_point(|&(id, _)| id < x);
+        let bucket_of =
+            |i: usize| self.sorted.get(i).map_or(0, |&(id, _)| (id ^ x).leading_zeros() + 1);
+        bucket_of(at.wrapping_sub(1)).max(bucket_of(at + 1))
+    }
+
     /// (Re)builds every peer's k-buckets by sampling up to [`BUCKET_K`]
     /// contacts from each bucket's id range — the steady-state table a
     /// Kademlia node converges to after lookups have walked its tree.
     pub fn rebuild_routing_tables(&mut self, rng: &mut SmallRng) {
-        let n = self.ids.len();
-        // Random ids populate ~log2 n buckets per peer (plus a thinning
-        // tail); reserving that up front spares the build repeated
-        // regrowth, and the slack goes back once at the end.
-        let mut kbuckets = RowArena::with_capacity(n, n.ilog2() as usize + 3);
-        for p in 0..n {
-            let x = self.ids[p];
+        // Every table's row count follows from the id order alone and
+        // draws nothing, so a counting pass sizes the arena exactly before
+        // the fill: one allocation, no regrowth and no slack to return.
+        let rows = self.ids.iter().map(|&x| self.table_rows(x) as usize).sum();
+        let mut kbuckets = RowArena::with_capacity(self.ids.len(), rows);
+        for &x in &self.ids {
             kbuckets.begin_peer();
-            // The id sharing the longest prefix with `x` is one of its
-            // neighbours in id order; every bucket past that prefix has an
-            // empty range (and draws nothing), so the table ends there.
-            let at = self.sorted.partition_point(|&(id, _)| id < x);
-            let bucket_of =
-                |i: usize| self.sorted.get(i).map_or(0, |&(id, _)| (id ^ x).leading_zeros() + 1);
-            let rows = bucket_of(at.wrapping_sub(1)).max(bucket_of(at + 1));
-            for j in 0..rows {
+            for j in 0..self.table_rows(x) {
                 let range = self.bucket_range(x, j);
                 let mut bucket = StackRow::<BUCKET_K>::new();
                 if range.len() <= BUCKET_K {
@@ -182,7 +185,6 @@ impl KademliaOverlay {
                 kbuckets.push_row(bucket.as_slice());
             }
         }
-        kbuckets.shrink_to_fit();
         self.kbuckets = kbuckets;
     }
 

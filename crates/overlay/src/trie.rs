@@ -134,7 +134,7 @@ impl TrieOverlay {
     /// P-Grid's exchange protocol.
     pub fn rebuild_routing_tables(&mut self, rng: &mut SmallRng) {
         let n = self.paths.len();
-        let mut refs = RowArena::with_capacity(n, self.depth as usize);
+        let mut refs = RowArena::with_capacity(n, n * self.depth as usize);
         for peer in (0..n).map(PeerId::from_idx) {
             refs.begin_peer();
             for level in 0..self.depth {
@@ -151,7 +151,6 @@ impl TrieOverlay {
                 refs.push_row(level_refs.as_slice());
             }
         }
-        refs.shrink_to_fit();
         self.refs = refs;
     }
 

@@ -8,8 +8,10 @@ Reads DIR/runs/<set>/<workload>/<seed>/<side>/ (the benchmark's
 <workload>.json, its stdout, exit status and the /proc/stat cpu line before
 and after the run) and writes, per workload and end-to-end metric, both
 sides' values in seed order, medians and quartiles, pairwise wins and the
-BENCHMARK.json bound check. Held-out seeds are reported per seed, apart
-from the medians. Every run made is listed in `runs_made` with its steal
+BENCHMARK.json bound check, and the quartiles of every timed build
+pooled across runs (`setup_s_pooled`: each run times three builds and
+reports their median as `setup_s`). Held-out seeds are reported per seed,
+apart from the medians. Every run made is listed in `runs_made` with its steal
 fraction.
 """
 
@@ -164,12 +166,34 @@ def summarise_workload(decls, runs, seeds):
             block["metrics"][name] = {"missing": True, **vals}
             continue
         block["metrics"][name] = compare(decl, vals["parent"], vals["change"])
+    block["setup_s_pooled"] = pooled_setup(pairs)
     block["sim_metrics_bit_identical_per_seed"] = all(
         value(p["parent"], m) == value(p["change"], m)
         for p in pairs
         for m in ("answered_frac", "sim_msgs_per_query")
     )
     return block
+
+
+def pooled_setup(pairs):
+    """Every timed build of every run per side (`setup_s_samples`; each
+    run's `setup_s` is the median of its own), pooled into quartiles."""
+    out = {}
+    for side in SIDES:
+        samples = [
+            x for p in pairs if p[side]["doc"] is not None for x in p[side]["doc"]["setup_s_samples"]
+        ]
+        out[side] = {
+            "builds": len(samples),
+            "quartiles": quartiles(samples) if len(samples) >= 2 else None,
+            "min": min(samples, default=None),
+            "max": max(samples, default=None),
+        }
+    p, c = (out[side]["quartiles"] for side in SIDES)
+    if p and c:
+        out["change_median_over_parent"] = c["median"] / p["median"] if p["median"] else None
+        out["change_q3_below_parent_q1"] = c["q3"] < p["q1"]
+    return out
 
 
 def summarise_holdout(decls, runs, seeds):
