@@ -525,6 +525,14 @@ mod tests {
         let mut exact = PartialIndex::new(100);
         exact.reserve(78);
         assert_eq!(exact.heap_bytes(), 78 * 12);
+        // The IndexAll preload: an ascending run fills the reserved columns
+        // in place, every key new, nothing evicted.
+        let mut new = 0;
+        exact.insert_run((0..78).map(|i| (i * 613, 1)), 0, Ttl::Infinite, |_, res| {
+            assert_eq!(res.evicted, None);
+            new += usize::from(res.was_new);
+        });
+        assert_eq!((new, exact.len(), exact.heap_bytes()), (78, 78, 78 * 12));
         exact.reserve(1_000);
         assert_eq!(exact.heap_bytes(), 100 * 12, "reserve clamps to the bound");
     }

@@ -16,11 +16,13 @@
 //!
 //! The stores themselves are sorted columns costing 12 bytes per resident
 //! entry (see [`crate::index`]); an empty store owns no heap at all, and
-//! the IndexAll preload sizes each one exactly through
-//! [`PeerStores::reserve`], so [`PeerStores::heap_bytes`] tracks what the
-//! peers hold rather than a per-peer table size. Because every store is
-//! sorted, an IndexAll rejoin ([`PeerStores::pull`]) is one in-step walk
-//! of donor and receiver — no snapshot, no allocation.
+//! the IndexAll preload ([`PeerStores::preload`]) sizes each one exactly
+//! and fills it from its replica group's ascending key run in the same
+//! step, so [`PeerStores::heap_bytes`] tracks what the peers hold rather
+//! than a per-peer table size. Because every store is sorted, the preload
+//! and an IndexAll rejoin ([`PeerStores::pull`]) are one in-step walk
+//! ([`PartialIndex::insert_run`]) of a sorted run and the store — no
+//! search, no snapshot, no allocation beyond the preload's reservation.
 //!
 //! # Sharding
 //!
