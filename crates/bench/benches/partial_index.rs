@@ -5,6 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_core::{PartialIndex, Ttl};
 use pdht_gossip::VersionedValue;
 use pdht_types::Key;
+use std::sync::Arc;
 
 /// The routed key for dense index `i` — the engine's own convention.
 fn key(i: u64) -> Key {
@@ -92,7 +93,9 @@ fn bench_purge(c: &mut Criterion) {
 /// The IndexAll shape: a store holding its replica group's whole key load
 /// (~130 keys scattered over a 2M-key universe), never evicting. Queries
 /// hit, update waves re-insert resident keys, and the build preloads in
-/// ascending index order into an exactly reserved store.
+/// ascending index order into an exactly reserved store. `get_hit_shared`
+/// is `get_hit` on the build's layout: the key column shared with the
+/// rest of the group, the store holding only versions.
 fn bench_index_all(c: &mut Criterion) {
     const LOAD: u64 = 130;
     const STRIDE: u64 = 15_383;
@@ -114,6 +117,16 @@ fn bench_index_all(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/index_all_130");
     group.bench_function("get_hit", |b| {
         let mut idx = resident();
+        let mut now = 0u64;
+        b.iter(|| {
+            now += 1;
+            let ki = (now * 37 % LOAD) * STRIDE;
+            black_box(idx.get_and_refresh(ki as u32, now, Ttl::Infinite))
+        })
+    });
+    group.bench_function("get_hit_shared", |b| {
+        let run: Arc<[u32]> = (0..LOAD).map(|i| (i * STRIDE) as u32).collect();
+        let mut idx = PartialIndex::from_shared_run(LOAD as usize + 8, &run, 1);
         let mut now = 0u64;
         b.iter(|| {
             now += 1;

@@ -22,26 +22,49 @@
 //!
 //! # Layout
 //!
-//! Two parallel columns sorted by dense index — `Vec<u32>` of indices and
-//! `Vec<IndexEntry>` of 8-byte entries (a `u32` version and a `u32`
-//! expiry round), 12 bytes per resident entry. A store holds at most
-//! `stor` (~100) entries, so a lookup is a binary search over one or two
-//! cache lines of indices, and insert/remove shift a short tail. Nothing
-//! is allocated until the first insert, and the
-//! columns never grow past `capacity`: a store costs what it holds, which
-//! is what lets 10⁵–10⁶ simulated peers each carry one. Every observable
-//! result — [`InsertResult`]s, eviction victims, purge sets, [`iter`]
-//! order (ascending index) — is a function of the operation sequence
-//! alone; nothing depends on a hash table's bucket layout (the hash map
-//! this replaced lives on as the lockstep model in
-//! `crates/core/tests/properties.rs`).
+//! Two parallel columns sorted by dense index: the `u32` indices, and the
+//! entries. A store holds at most `stor` (~100) entries, so a lookup is a
+//! binary search over one or two cache lines of indices, and insert/remove
+//! shift a short tail. A store is in one of three states:
+//!
+//! - **Owned, timed** — a `Vec<u32>` of indices and a `Vec<IndexEntry>` of
+//!   8-byte entries (a `u32` version and a `u32` expiry round): 12 bytes
+//!   per resident entry. Every Partial store, from its first insert on.
+//! - **Owned, never** — while no entry can expire, the entry column holds
+//!   the `u32` versions alone: 8 bytes per entry. Where every store
+//!   starts ([`PartialIndex::new`] allocates nothing).
+//! - **Shared, never** — the index column is an `Arc<[u32]>` run shared
+//!   with every other store holding the same keys, and the store owns
+//!   only its versions: 4 bytes per entry, plus the run once. Built by
+//!   [`PartialIndex::from_shared_run`]: the IndexAll preload gives every
+//!   member of a replica group its group's run, and under IndexAll
+//!   nothing ever changes a store's key set.
+//!
+//! The changes are one-way. The first finite expiry — an insert of an
+//! absent key or a refresh, at a finite TTL below the horizon — widens
+//! the entry column to 8-byte entries, and only never-expiring stores
+//! share, so it also unshares the indices. A shared store copies the run
+//! into an owned column the first time its key set changes — an absent
+//! insert, an eviction, a purge that drops something, a removal — and
+//! every other sharer keeps the run untouched. Reads, version updates of
+//! resident keys, refreshes that stay never, and purges that drop nothing
+//! write only the store's own versions.
+//!
+//! The columns never grow past `capacity`: a store costs what it holds,
+//! which is what lets 10⁵–10⁶ simulated peers each carry one. Every
+//! observable result — [`InsertResult`]s, eviction victims, purge sets,
+//! [`iter`] order (ascending index) — is a function of the operation
+//! sequence alone, whichever state the store is in; nothing depends on a
+//! hash table's bucket layout (the hash map this replaced lives on as the
+//! lockstep model in `crates/core/tests/properties.rs`).
 //!
 //! ## The `u32` horizon
 //!
 //! The public API speaks `u64` rounds and versions; the columns hold
 //! `u32`s. `u32::MAX` in the expiry column means *never*: a
 //! [`Ttl::Infinite`] entry, and also any finite expiry at or past round
-//! 2³²−1, which saturates to never. A version past `u32::MAX` saturates
+//! 2³²−1, which saturates to never (a versions-only column holds only
+//! such entries). A version past `u32::MAX` saturates
 //! there (an article needs 4.29 × 10⁹ replacements to reach it), so
 //! versions never go backwards. Both narrowings happen in
 //! `IndexEntry::new` and never panic; reads widen through
@@ -56,6 +79,7 @@
 use crate::ttl::Ttl;
 use pdht_gossip::VersionedValue;
 use pdht_types::Key;
+use std::sync::Arc;
 
 /// One stored entry: the state of a resident key. Its routed key
 /// ([`Key::of_index`]) and payload (the dense index) are derived from the
@@ -95,6 +119,11 @@ impl IndexEntry {
             Self::NEVER => u64::MAX,
             round => u64::from(round),
         }
+    }
+
+    /// A never-expiring entry of the narrowed `version`.
+    fn never(version: u32) -> IndexEntry {
+        IndexEntry { version, expires_at: Self::NEVER }
     }
 
     /// Whether the entry is still visible at round `now`.
@@ -143,16 +172,169 @@ pub struct InsertResult {
 #[derive(Clone, Debug)]
 pub struct PartialIndex {
     /// Resident dense key indices, strictly ascending.
-    keys: Vec<u32>,
-    /// `entries[i]` is the entry of `keys[i]`.
-    entries: Vec<IndexEntry>,
+    keys: Keys,
+    /// Entry `i` is the entry of `keys[i]`.
+    entries: Entries,
     capacity: usize,
+}
+
+/// The index column: owned, or a run shared copy-on-write with every
+/// other store holding the same keys.
+#[derive(Clone, Debug)]
+enum Keys {
+    Owned(Vec<u32>),
+    Shared(Arc<[u32]>),
+}
+
+impl std::ops::Deref for Keys {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Keys::Owned(keys) => keys,
+            Keys::Shared(run) => run,
+        }
+    }
+}
+
+impl Keys {
+    /// The column to write, unshared first if it is shared: the store
+    /// takes its own copy and every other sharer keeps the run.
+    fn owned(&mut self) -> &mut Vec<u32> {
+        // At most two passes: the first unshares.
+        loop {
+            match self {
+                Keys::Owned(keys) => return keys,
+                Keys::Shared(run) => *self = Keys::Owned(run.to_vec()),
+            }
+        }
+    }
+}
+
+/// The entry column: 8-byte [`IndexEntry`]s, or — while no entry can
+/// expire — their versions alone.
+#[derive(Clone, Debug)]
+enum Entries {
+    Timed(Vec<IndexEntry>),
+    Never(Vec<u32>),
+}
+
+impl Entries {
+    fn get(&self, pos: usize) -> IndexEntry {
+        match self {
+            Entries::Timed(entries) => entries[pos],
+            Entries::Never(versions) => IndexEntry::never(versions[pos]),
+        }
+    }
+
+    /// The timed column, widening a versions-only one first (at the
+    /// same capacity).
+    fn timed(&mut self) -> &mut Vec<IndexEntry> {
+        // At most two passes: the first widens.
+        loop {
+            match self {
+                Entries::Timed(entries) => return entries,
+                Entries::Never(versions) => {
+                    let mut entries = Vec::with_capacity(versions.capacity());
+                    entries.extend(versions.iter().map(|&v| IndexEntry::never(v)));
+                    *self = Entries::Timed(entries);
+                }
+            }
+        }
+    }
+
+    /// Files `fresh` at `pos`. A versions-only column takes only
+    /// never-expiring entries: widen it first for any other.
+    fn insert(&mut self, pos: usize, fresh: IndexEntry) {
+        match self {
+            Entries::Timed(entries) => entries.insert(pos, fresh),
+            Entries::Never(versions) => versions.insert(pos, fresh.version),
+        }
+    }
+
+    /// [`IndexEntry::absorb`] at `pos`; a never-expiring entry stays so.
+    fn absorb(&mut self, pos: usize, fresh: IndexEntry) {
+        match self {
+            Entries::Timed(entries) => entries[pos].absorb(fresh),
+            Entries::Never(versions) => versions[pos] = versions[pos].max(fresh.version),
+        }
+    }
+
+    fn remove(&mut self, pos: usize) {
+        match self {
+            Entries::Timed(entries) => drop(entries.remove(pos)),
+            Entries::Never(versions) => drop(versions.remove(pos)),
+        }
+    }
+
+    fn reserve_exact(&mut self, extra: usize) {
+        match self {
+            Entries::Timed(entries) => entries.reserve_exact(extra),
+            Entries::Never(versions) => versions.reserve_exact(extra),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Entries::Timed(entries) => entries.capacity() * std::mem::size_of::<IndexEntry>(),
+            Entries::Never(versions) => versions.capacity() * std::mem::size_of::<u32>(),
+        }
+    }
+}
+
+/// Drops every entry of `column` that is not `live`, with its key from
+/// `keys`, appending the dropped keys to `out` in order; survivors compact
+/// in place, in order. The keys are written only if something goes.
+fn compact<T: Copy>(
+    keys: &mut Keys,
+    column: &mut Vec<T>,
+    live: impl Fn(T) -> bool,
+    out: &mut Vec<u32>,
+) {
+    let Some(first) = column.iter().position(|&e| !live(e)) else { return };
+    let keys = keys.owned();
+    let mut kept = first;
+    for i in first..keys.len() {
+        if live(column[i]) {
+            keys[kept] = keys[i];
+            column[kept] = column[i];
+            kept += 1;
+        } else {
+            out.push(keys[i]);
+        }
+    }
+    keys.truncate(kept);
+    column.truncate(kept);
 }
 
 impl PartialIndex {
     /// An empty index bounded to `capacity` entries. Allocates nothing.
     pub fn new(capacity: usize) -> PartialIndex {
-        PartialIndex { keys: Vec::new(), entries: Vec::new(), capacity }
+        PartialIndex {
+            keys: Keys::Owned(Vec::new()),
+            entries: Entries::Never(Vec::new()),
+            capacity,
+        }
+    }
+
+    /// An index bounded to `capacity` entries holding every key index of
+    /// `run` at `version`, never expiring — what inserting them in order
+    /// with [`Ttl::Infinite`] into [`PartialIndex::new`] gives. A
+    /// non-empty, strictly ascending `run` that fits is not copied: the
+    /// store shares it as its key column until its key set first changes,
+    /// and holds only the versions itself.
+    pub fn from_shared_run(capacity: usize, run: &Arc<[u32]>, version: u64) -> PartialIndex {
+        let mut index = PartialIndex::new(capacity);
+        if !run.is_empty() && run.len() <= capacity && run.windows(2).all(|w| w[0] < w[1]) {
+            let version = IndexEntry::new(version, u64::MAX).version;
+            index.keys = Keys::Shared(Arc::clone(run));
+            index.entries = Entries::Never(vec![version; run.len()]);
+        } else {
+            for &idx in run.iter() {
+                index.insert_version(idx, version, 0, Ttl::Infinite);
+            }
+        }
+        index
     }
 
     /// Number of live entries (expired-but-unpurged entries included; call
@@ -171,19 +353,48 @@ impl PartialIndex {
         self.capacity
     }
 
-    /// Heap bytes the two columns hold (allocated, not just occupied).
+    /// Heap bytes the store's own columns hold (allocated, not just
+    /// occupied). A key column shared with other stores is not the
+    /// store's own: whoever sums a set of stores counts each run once.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<u32>()
-            + self.entries.capacity() * std::mem::size_of::<IndexEntry>()
+        let keys = match &self.keys {
+            Keys::Owned(keys) => keys.capacity() * std::mem::size_of::<u32>(),
+            Keys::Shared(_) => 0,
+        };
+        keys + self.entries.heap_bytes()
+    }
+
+    /// The run this store shares as its key column, if it shares one.
+    pub(crate) fn shared_run(&self) -> Option<&Arc<[u32]>> {
+        match &self.keys {
+            Keys::Shared(run) => Some(run),
+            Keys::Owned(_) => None,
+        }
+    }
+
+    /// Whether the entries carry expiries (the 8-byte column).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn is_timed(&self) -> bool {
+        matches!(self.entries, Entries::Timed(_))
     }
 
     /// Sizes the columns for `total` resident entries (clamped to the
     /// capacity bound) in one exact allocation — for callers that know a
     /// store's load up front, instead of doubling towards it.
     pub fn reserve(&mut self, total: usize) {
-        let extra = total.min(self.capacity).saturating_sub(self.keys.len());
-        self.keys.reserve_exact(extra);
-        self.entries.reserve_exact(extra);
+        let extra = total.min(self.capacity).saturating_sub(self.len());
+        if extra > 0 {
+            self.keys.owned().reserve_exact(extra);
+            self.entries.reserve_exact(extra);
+        }
+    }
+
+    /// The timed entry column, widening a versions-only one first. Only
+    /// stores whose entries never expire share their keys, so this
+    /// unshares them too.
+    fn timed(&mut self) -> &mut Vec<IndexEntry> {
+        self.keys.owned();
+        self.entries.timed()
     }
 
     /// Looks up key index `idx` at round `now` and returns the stored
@@ -192,18 +403,20 @@ impl PartialIndex {
     /// entries are treated as absent.
     pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<u64> {
         let pos = self.keys.binary_search(&idx).ok()?;
-        let e = &mut self.entries[pos];
-        if e.live_at(now) {
-            *e = IndexEntry::new(e.version(), ttl.expires_at(now));
-            Some(e.version())
-        } else {
-            None
+        let e = self.entries.get(pos);
+        if !e.live_at(now) {
+            return None;
         }
+        let fresh = IndexEntry::new(e.version(), ttl.expires_at(now));
+        if fresh != e {
+            self.timed()[pos] = fresh;
+        }
+        Some(e.version())
     }
 
     /// The stored version of `idx`, without refreshing (diagnostics).
     pub fn peek(&self, idx: u32, now: u64) -> Option<u64> {
-        let e = self.entries[self.keys.binary_search(&idx).ok()?];
+        let e = self.entries.get(self.keys.binary_search(&idx).ok()?);
         e.live_at(now).then_some(e.version())
     }
 
@@ -244,7 +457,7 @@ impl PartialIndex {
     fn insert_entry(&mut self, idx: u32, fresh: IndexEntry) -> InsertResult {
         match self.keys.binary_search(&idx) {
             Ok(pos) => {
-                self.entries[pos].absorb(fresh);
+                self.entries.absorb(pos, fresh);
                 InsertResult { was_new: false, evicted: None }
             }
             Err(pos) => self.insert_absent(pos, idx, fresh),
@@ -255,9 +468,9 @@ impl PartialIndex {
     /// `pos` of the index column, evicting first if the store is full.
     fn insert_absent(&mut self, mut pos: usize, idx: u32, fresh: IndexEntry) -> InsertResult {
         let mut evicted = None;
-        if self.keys.len() >= self.capacity {
+        if self.len() >= self.capacity {
             if let Some(victim) = self.victim() {
-                evicted = Some(self.keys.remove(victim));
+                evicted = Some(self.keys.owned().remove(victim));
                 self.entries.remove(victim);
                 pos -= usize::from(victim < pos);
             }
@@ -265,12 +478,17 @@ impl PartialIndex {
         if self.capacity == 0 {
             return InsertResult { was_new: false, evicted };
         }
-        if self.keys.len() == self.keys.capacity() {
+        if fresh.expires_at != IndexEntry::NEVER {
+            // Widened before it grows, so the growth allocates once.
+            self.timed();
+        }
+        let keys = self.keys.owned();
+        if keys.len() == keys.capacity() {
             // Double, but never past the bound (a plain `push` would round
             // a 100-entry store up to 128).
-            self.reserve((2 * self.keys.len()).max(4));
+            self.reserve((2 * self.len()).max(4));
         }
-        self.keys.insert(pos, idx);
+        self.keys.owned().insert(pos, idx);
         self.entries.insert(pos, fresh);
         InsertResult { was_new: true, evicted }
     }
@@ -279,9 +497,12 @@ impl PartialIndex {
     /// minimum, a full tie going to the smaller dense index. Two passes —
     /// the soonest expiry, then the hash of only the entries tied at it.
     fn victim(&self) -> Option<usize> {
-        let soonest = self.entries.iter().map(|e| e.expires_at).min()?;
-        (0..self.entries.len())
-            .filter(|&i| self.entries[i].expires_at == soonest)
+        let soonest = match &self.entries {
+            Entries::Timed(entries) => entries.iter().map(|e| e.expires_at).min()?,
+            Entries::Never(versions) => versions.first().map(|_| IndexEntry::NEVER)?,
+        };
+        (0..self.len())
+            .filter(|&i| self.entries.get(i).expires_at == soonest)
             .min_by_key(|&i| Key::of_index(self.keys[i]).0)
     }
 
@@ -291,8 +512,7 @@ impl PartialIndex {
     /// to `each` — as one in-step walk of the run and the sorted store: a
     /// key both hold costs one comparison, and an absent key is filed where
     /// the walk stands, with no search. Into an empty store every insert is
-    /// an append. The rejoin pull walks a donor's [`PartialIndex::iter`];
-    /// the IndexAll preload walks its replica group's keys.
+    /// an append. The rejoin pull walks a donor's [`PartialIndex::iter`].
     pub fn insert_run(
         &mut self,
         run: impl IntoIterator<Item = (u32, u64)>,
@@ -308,7 +528,7 @@ impl PartialIndex {
             let fresh = IndexEntry::new(version, expires_at);
             at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
             let res = if self.keys.get(at) == Some(&idx) {
-                self.entries[at].absorb(fresh);
+                self.entries.absorb(at, fresh);
                 InsertResult { was_new: false, evicted: None }
             } else {
                 self.insert_absent(at, idx, fresh)
@@ -320,7 +540,7 @@ impl PartialIndex {
     /// Removes key index `idx` outright. Returns whether it was present.
     pub fn remove(&mut self, idx: u32) -> bool {
         let Ok(pos) = self.keys.binary_search(&idx) else { return false };
-        self.keys.remove(pos);
+        self.keys.owned().remove(pos);
         self.entries.remove(pos);
         true
     }
@@ -330,24 +550,21 @@ impl PartialIndex {
     /// the per-event sweep is allocation-free; the harness keeps a global
     /// refcount of indexed keys). Survivors compact in place, in order.
     pub fn purge_expired_into(&mut self, now: u64, out: &mut Vec<u32>) {
-        let mut kept = 0;
-        for i in 0..self.keys.len() {
-            if self.entries[i].live_at(now) {
-                self.keys[kept] = self.keys[i];
-                self.entries[kept] = self.entries[i];
-                kept += 1;
-            } else {
-                out.push(self.keys[i]);
+        let above = IndexEntry::live_above(now);
+        match &mut self.entries {
+            Entries::Timed(entries) => {
+                compact(&mut self.keys, entries, |e| e.expires_at > above, out)
+            }
+            Entries::Never(versions) => {
+                compact(&mut self.keys, versions, |_| IndexEntry::NEVER > above, out)
             }
         }
-        self.keys.truncate(kept);
-        self.entries.truncate(kept);
     }
 
     /// Iterates live entries in ascending dense-index order
     /// (diagnostics/pull-synchronization).
     pub fn iter(&self) -> impl Iterator<Item = (u32, IndexEntry)> + '_ {
-        self.keys.iter().copied().zip(self.entries.iter().copied())
+        self.keys.iter().enumerate().map(|(pos, &idx)| (idx, self.entries.get(pos)))
     }
 }
 
@@ -522,19 +739,111 @@ mod tests {
         }
         assert_eq!(idx.len(), 100);
         assert_eq!(idx.heap_bytes(), 100 * 12, "doubling stops at the capacity bound");
+        // An ascending run fills reserved columns in place, every key new,
+        // nothing evicted: 12 B per timed entry (index, version, expiry).
+        let run = |n: u32| (0..n).map(|i| (i * 613, 1));
         let mut exact = PartialIndex::new(100);
         exact.reserve(78);
-        assert_eq!(exact.heap_bytes(), 78 * 12);
-        // The IndexAll preload: an ascending run fills the reserved columns
-        // in place, every key new, nothing evicted.
         let mut new = 0;
-        exact.insert_run((0..78).map(|i| (i * 613, 1)), 0, Ttl::Infinite, |_, res| {
+        exact.insert_run(run(78), 0, Ttl::Rounds(5), |_, res| {
             assert_eq!(res.evicted, None);
             new += usize::from(res.was_new);
         });
         assert_eq!((new, exact.len(), exact.heap_bytes()), (78, 78, 78 * 12));
         exact.reserve(1_000);
         assert_eq!(exact.heap_bytes(), 100 * 12, "reserve clamps to the bound");
+        // Entries that never expire keep no expiry column: 8 B owned (index
+        // and version), 4 B — the version alone — sharing the run.
+        let mut never = PartialIndex::new(100);
+        never.reserve(78);
+        never.insert_run(run(78), 0, Ttl::Infinite, |_, _| {});
+        assert_eq!((never.len(), never.heap_bytes()), (78, 78 * 8));
+        let keys: Arc<[u32]> = run(78).map(|(i, _)| i).collect();
+        let shared = PartialIndex::from_shared_run(100, &keys, 1);
+        assert!(shared.iter().eq(never.iter()));
+        assert_eq!(shared.heap_bytes(), 78 * 4);
+    }
+
+    /// The run the copy-on-write tests share: five keys at version 1.
+    fn run() -> Arc<[u32]> {
+        Arc::from([2, 5, 7, 11, 13])
+    }
+
+    /// What [`run`] is without sharing: the same entries, owned.
+    fn owned_copy(capacity: usize) -> PartialIndex {
+        let mut idx = PartialIndex::new(capacity);
+        idx.insert_run(run().iter().map(|&i| (i, 1)), 0, Ttl::Infinite, |_, _| {});
+        idx
+    }
+
+    /// One store operation, its result rendered for comparison.
+    type StoreOp = fn(&mut PartialIndex) -> String;
+
+    #[test]
+    fn key_set_changes_and_expiries_materialize_only_the_writer() {
+        let ops: [(&str, usize, StoreOp); 6] = [
+            ("absent insert", 8, |s| format!("{:?}", s.insert(3, k(3), v(3, 1), 0, Ttl::Infinite))),
+            ("eviction", 5, |s| format!("{:?}", s.insert(4, k(4), v(4, 2), 1, Ttl::Infinite))),
+            ("purge", 8, |s| format!("{:?}", purged(s, u64::MAX))),
+            ("finite refresh", 8, |s| format!("{:?}", s.get_and_refresh(7, 3, Ttl::Rounds(4)))),
+            ("finite insert", 8, |s| {
+                format!("{:?}", s.insert(1, k(1), v(1, 1), 2, Ttl::Rounds(4)))
+            }),
+            ("remove", 8, |s| format!("{:?}", s.remove(11))),
+        ];
+        for (name, capacity, op) in ops {
+            let run = run();
+            let mut sharers = vec![PartialIndex::from_shared_run(capacity, &run, 1); 3];
+            let mut owned = owned_copy(capacity);
+            assert_eq!(owned.shared_run(), None);
+            assert_eq!(op(&mut sharers[0]), op(&mut owned), "{name}");
+            assert!(sharers[0].iter().eq(owned.iter()), "{name}: the writer took the op");
+            assert_eq!(sharers[0].shared_run(), None, "{name}: the writer owns its keys");
+            for other in &sharers[1..] {
+                assert!(other.shared_run().is_some_and(|r| Arc::ptr_eq(r, &run)), "{name}");
+                assert!(other.iter().eq(owned_copy(capacity).iter()), "{name}: sharer changed");
+            }
+            assert!(!owned.iter().eq(owned_copy(capacity).iter()), "{name} changed nothing");
+        }
+    }
+
+    #[test]
+    fn reads_version_writes_and_pulls_keep_sharing() {
+        let run = run();
+        let mut sharers = vec![PartialIndex::from_shared_run(8, &run, 1); 2];
+        let store = &mut sharers[0];
+        let held = InsertResult { was_new: false, evicted: None };
+        assert_eq!(store.insert(5, k(5), v(5, 4), 1, Ttl::Infinite), held);
+        assert_eq!(store.insert(7, k(7), v(7, 3), 1, Ttl::Rounds(2)), held);
+        assert_eq!(store.get_and_refresh(11, 9, Ttl::Infinite), Some(1));
+        assert_eq!(store.peek(13, u64::MAX - 1), Some(1));
+        assert!(purged(store, u64::MAX - 1).is_empty());
+        assert!(!store.remove(6));
+        store.reserve(3);
+        store.insert_run([(2, 6), (13, 2)], 4, Ttl::Infinite, |_, res| assert!(!res.was_new));
+        let versions: Vec<u64> = store.iter().map(|(_, e)| e.version()).collect();
+        assert_eq!(versions, [6, 4, 3, 1, 2]);
+        assert!(store.iter().all(|(_, e)| e.expires_at() == u64::MAX), "still never expiring");
+        assert!(!store.is_timed());
+        for sharer in &sharers {
+            assert!(sharer.shared_run().is_some_and(|r| Arc::ptr_eq(r, &run)));
+        }
+        assert!(sharers[1].iter().all(|(_, e)| e.version() == 1), "versions are per store");
+    }
+
+    #[test]
+    fn runs_that_cannot_be_shared_are_inserted_entry_by_entry() {
+        for (keys, capacity) in [(vec![5, 2, 9], 8), (vec![2, 2, 9], 8), (vec![1, 2, 3, 4], 3)] {
+            let run: Arc<[u32]> = keys.clone().into();
+            let store = PartialIndex::from_shared_run(capacity, &run, 3);
+            let mut want = PartialIndex::new(capacity);
+            for i in keys {
+                want.insert(i, k(i), v(i, 3), 0, Ttl::Infinite);
+            }
+            assert_eq!(store.shared_run(), None, "{run:?}");
+            assert!(store.iter().eq(want.iter()), "{run:?}");
+        }
+        assert_eq!(PartialIndex::from_shared_run(4, &Arc::from([]), 1).heap_bytes(), 0);
     }
 
     /// Round 2³²−1, where the `u32` expiry column runs out.

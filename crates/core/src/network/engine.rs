@@ -22,7 +22,7 @@
 use crate::config::{OverlayKind, PdhtConfig, Strategy};
 use crate::network::peer::PeerStores;
 use crate::network::shard::{lane_stream, origin_lane, partition_maps, store_lane, ShardedState};
-use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
+use crate::ttl::{model_key_ttl, AdaptiveTtl, TtlPolicy};
 use pdht_gossip::ReplicaGroup;
 use pdht_model::{CostModel, SelectionModel};
 use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
@@ -31,6 +31,7 @@ use pdht_types::{Key, Liveness, MessageKind, PeerId, Result, RngStreams, Round, 
 use pdht_unstructured::{Replication, Topology};
 use pdht_workload::{QueryWorkload, UpdateProcess};
 use rand::rngs::SmallRng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifier of an in-flight query: a generational key into its lane's
@@ -522,18 +523,17 @@ impl PdhtNetwork {
             .collect();
         let mut peers = PeerStores::new(&store_lanes, num_shards, store_capacity, num_keys);
         // IndexAll stores hold exactly their group's keys from the preload
-        // on, so each is sized once and filled from its group's run in the
-        // same step — group by group, member by member — where it is laid
-        // out, below the topology. Every fill is a run of appends into a
-        // store no other preload touches in between.
+        // on, so every member shares its group's run as its key column and
+        // holds only its own versions — filled group by group, member by
+        // member, where the stores are laid out, below the topology.
         if let Some(o) = &overlay {
-            for (group, run) in group_runs.iter().enumerate() {
+            for (group, run) in group_runs.into_iter().enumerate() {
+                let run: Arc<[u32]> = run.into();
                 for &member in o.group_members(group) {
-                    peers.preload(member, run, 1, 0, Ttl::Infinite);
+                    peers.preload(member, &run, 1);
                 }
             }
         }
-        drop(group_runs);
 
         // Unstructured side.
         let topo = Topology::random(num_peers, cfg.mean_degree, &mut rng_build)?;
@@ -1040,6 +1040,7 @@ impl PdhtNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ttl::Ttl;
     use pdht_model::Scenario;
 
     fn cfg(strategy: Strategy, f_qry: f64) -> PdhtConfig {
@@ -1080,7 +1081,8 @@ mod tests {
         }
     }
 
-    /// The key-major preload the build ran before the group-major fill:
+    /// The key-major preload the build ran before the group-major fill
+    /// and the shared runs:
     /// every member's store sized to its group's load, group by group,
     /// then every key filed at each member of its group — one searched
     /// insert per entry, keys in ascending index order.
@@ -1110,13 +1112,31 @@ mod tests {
         stores
     }
 
+    /// [`PeerStores::check_layout`] of `net`'s stores: each IndexAll
+    /// replica group shares one run — less the peers `crashed` marks, whose
+    /// stores the test wiped — and Partial stores own their keys.
+    fn check_layout(net: &PdhtNetwork, crashed: &[bool]) -> std::result::Result<(), String> {
+        let kept = |p: &&PeerId| !crashed.get(p.idx()).is_some_and(|&c| c);
+        let sharing: Option<Vec<Vec<PeerId>>> =
+            match (net.world.cfg.strategy, net.world.overlay.as_deref()) {
+                (Strategy::IndexAll, Some(o)) => Some(
+                    (0..o.group_count())
+                        .map(|g| o.group_members(g).iter().filter(kept).copied().collect())
+                        .collect(),
+                ),
+                _ => None,
+            };
+        net.peers.check_layout(sharing.as_deref())
+    }
+
     #[test]
     fn group_major_preload_equals_the_key_major_reference() {
         // The default shape on every overlay and lane count, plus one
         // replica group holding every active peer (10 peers, repl 50) and
         // groups of one or two members (41 peers, repl 2). Every store must
-        // hold what the key-major reference holds, in the same exactly
-        // sized columns, with the replica-copy accounting intact.
+        // hold what the key-major reference holds, with the replica-copy
+        // accounting intact — sharing its group's run where the reference
+        // owns exactly sized keys, so only the versions are its own.
         let default = Scenario::table1_scaled(20);
         let one_group = Scenario { keys: 20, ..default.clone() };
         let tiny_groups = Scenario { keys: 2_050, repl: 2, ..default.clone() };
@@ -1141,12 +1161,18 @@ mod tests {
                         _ => {}
                     }
                     let reference = key_major_preload(&net);
+                    let mut resident = 0;
                     for peer in (0..net.world.nap).map(PeerId::from_idx) {
                         let (got, want) = (net.peers.store(peer), reference.store(peer));
                         assert!(got.iter().eq(want.iter()), "{case}: {peer:?} holds other entries");
-                        assert_eq!(got.heap_bytes(), want.heap_bytes(), "{case}: {peer:?}");
+                        let keys = 4 * got.len();
+                        assert_eq!(got.heap_bytes() + keys, want.heap_bytes(), "{case}: {peer:?}");
+                        resident += got.len();
                     }
-                    assert_eq!(net.store_bytes(), reference.heap_bytes(), "{case}");
+                    let keys = net.world.keys.len();
+                    assert_eq!(net.store_bytes(), 4 * (resident + keys), "{case}");
+                    assert_eq!(reference.heap_bytes(), 8 * resident, "{case}");
+                    assert_eq!(check_layout(&net, &[]), Ok(()), "{case}");
                     assert_eq!(net.indexed_keys(), reference.distinct_keys(), "{case}");
                     assert_eq!(net.indexed_keys(), net.world.keys.len(), "{case}");
                     assert_eq!(net.peers.check_copies(), Ok(()), "{case}");
@@ -1157,9 +1183,10 @@ mod tests {
 
     #[test]
     fn index_all_stores_cost_what_they_hold() {
-        // 12 B per resident entry (u32 index, u32 version, u32 expiry),
-        // sized exactly at the preload; u64 version and expiry cost 20 B,
-        // storing the derivable routed key and payload too 36 B, a
+        // 4 B per resident entry (its u32 version) plus 4 B per key (its
+        // u32 index, once in its group's shared run). Owned keys and a u32
+        // expiry per entry cost 12 B per entry, u64 version and expiry
+        // 20 B, storing the derivable routed key and payload too 36 B, a
         // per-peer hash table ~130 B.
         for kind in OverlayKind::ALL {
             let mut c = cfg(Strategy::IndexAll, 1.0 / 60.0);
@@ -1168,13 +1195,8 @@ mod tests {
             let o = net.world.overlay.as_deref().unwrap();
             let resident: usize =
                 net.world.keys.iter().map(|&k| o.group_members(o.group_of_key(k)).len()).sum();
-            assert!(resident >= 2_000);
-            let bytes = net.store_bytes();
-            assert!(
-                bytes <= 16 * resident,
-                "{kind:?}: {bytes} B for {resident} entries = {} B/entry",
-                bytes / resident
-            );
+            assert!(resident >= 2 * 2_000, "{kind:?}: groups replicate");
+            assert_eq!(net.store_bytes(), 4 * resident + 4 * 2_000, "{kind:?}");
         }
     }
 
@@ -1186,8 +1208,10 @@ mod tests {
         // with rejoin pulls, RLNC update waves, non-zero latency, timeouts
         // abandoning queries mid-pipeline. Peers offline at the start lose
         // their stores (a crash that loses state), so IndexAll rejoin pulls
-        // add entries instead of only refreshing held ones. NoIndex builds
-        // no overlay and no stores: one overlay kind, outcome check only.
+        // add entries instead of only refreshing held ones; every other
+        // IndexAll store must keep sharing its group's run through churn,
+        // rejoin pulls, coded waves and timeouts. NoIndex builds no
+        // overlay and no stores: one overlay kind, outcome check only.
         use crate::network::peer::ShardStores;
         let mut timeouts = 0;
         for strategy in [Strategy::Partial, Strategy::IndexAll, Strategy::NoIndex] {
@@ -1206,9 +1230,11 @@ mod tests {
                     c.query_timeout_secs = Some(1.0);
                     let mut net = PdhtNetwork::new(c).unwrap();
                     let live = net.world.live();
+                    let crashed: Vec<bool> =
+                        (0..net.world.nap).map(|p| !live.is_online(PeerId::from_idx(p))).collect();
                     let (slot, regions) = net.peers.split_mut();
                     for peer in (0..net.world.nap).map(PeerId::from_idx) {
-                        if !live.is_online(peer) {
+                        if crashed[peer.idx()] {
                             let shard_id = slot[peer.idx()].0;
                             let shard = &mut regions[usize::from(shard_id)];
                             ShardStores { slot, shard_id, shard }.purge_expired(peer, u64::MAX);
@@ -1216,7 +1242,8 @@ mod tests {
                     }
                     for round in 0..20 {
                         net.step_round();
-                        if let Err(e) = net.peers.check_copies().and(net.check_outcomes()) {
+                        let checks = net.peers.check_copies().and(net.check_outcomes());
+                        if let Err(e) = checks.and(check_layout(&net, &crashed)) {
                             panic!("{strategy:?} {kind:?} shards={shards} round {round}: {e}");
                         }
                     }

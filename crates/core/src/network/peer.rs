@@ -14,15 +14,19 @@
 //! hashing, no allocation — which keeps the per-event TTL sweeps and
 //! query-path store updates allocation-free at 100k-peer scale.
 //!
-//! The stores themselves are sorted columns costing 12 bytes per resident
-//! entry (see [`crate::index`]); an empty store owns no heap at all, and
-//! the IndexAll preload ([`PeerStores::preload`]) sizes each one exactly
-//! and fills it from its replica group's ascending key run in the same
-//! step, so [`PeerStores::heap_bytes`] tracks what the peers hold rather
-//! than a per-peer table size. Because every store is sorted, the preload
-//! and an IndexAll rejoin ([`PeerStores::pull`]) are one in-step walk
-//! ([`PartialIndex::insert_run`]) of a sorted run and the store — no
-//! search, no snapshot, no allocation beyond the preload's reservation.
+//! The stores themselves are sorted columns (see [`crate::index`]): 12
+//! bytes per resident entry in a Partial store, whose entries expire, and
+//! 4 in an IndexAll store, which holds only its versions — the IndexAll
+//! preload ([`PeerStores::preload`]) gives every member of a replica group
+//! its group's ascending key run as a shared key column, and no entry
+//! there ever expires. An empty store owns no heap at all, so
+//! [`PeerStores::heap_bytes`] (each shared run counted once) tracks what
+//! the peers hold rather than a per-peer table size. Because every store
+//! is sorted, an IndexAll rejoin ([`PeerStores::pull`]) is one in-step
+//! walk ([`PartialIndex::insert_run`]) of the donor's store and the
+//! receiver's — no search, no snapshot, no allocation; between members of
+//! one group it only takes newer versions, so the receiver keeps sharing
+//! its run.
 //!
 //! # Sharding
 //!
@@ -40,6 +44,7 @@
 use crate::index::{InsertResult, PartialIndex};
 use crate::ttl::Ttl;
 use pdht_types::PeerId;
+use std::sync::Arc;
 
 /// Replica-copy refcounts of one shard: how many of its stores hold each
 /// dense key index, and how many indices are held at all.
@@ -263,23 +268,26 @@ impl PeerStores {
         self.shards[rs].pull_local(dl, rl, now, ttl);
     }
 
-    /// Sizes `peer`'s store for `run` in one exact allocation and files
-    /// every key index of `run` (strictly ascending) at `version` with
-    /// expiry `now + ttl`, accounting as [`PeerStores::insert`] would entry
-    /// by entry — the IndexAll preload of one replica-group member: one
-    /// in-step walk that appends into an empty store, with no search.
-    pub(crate) fn preload(&mut self, peer: PeerId, run: &[u32], version: u64, now: u64, ttl: Ttl) {
+    /// Fills `peer`'s store, which must be empty, with every key index of
+    /// `run` at `version`, never expiring — the IndexAll preload of one
+    /// replica-group member. A strictly ascending run within the store's
+    /// capacity (the build sizes every store for its group's run) is
+    /// shared, not copied: the store holds only the versions (see
+    /// [`PartialIndex::from_shared_run`]). Copies are accounted as
+    /// [`PeerStores::insert`] would entry by entry.
+    pub(crate) fn preload(&mut self, peer: PeerId, run: &Arc<[u32]>, version: u64) {
         let (s, l) = self.local(peer);
         let StoreShard { stores, copies, .. } = &mut self.shards[s];
         let store = &mut stores[l];
-        store.reserve(run.len());
-        let run = run.iter().map(|&idx| (idx, version));
-        store.insert_run(run, now, ttl, |idx, res| copies.record(idx, res));
+        *store = PartialIndex::from_shared_run(store.capacity(), run, version);
+        for (idx, _) in store.iter() {
+            copies.record(idx, InsertResult { was_new: true, evicted: None });
+        }
     }
 
     /// Sizes `peer`'s store for `total` resident entries in one exact
-    /// allocation (see [`PartialIndex::reserve`]) — what
-    /// [`PeerStores::preload`] does before it fills.
+    /// allocation (see [`PartialIndex::reserve`]), as the key-major
+    /// reference preload does before it inserts.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn reserve(&mut self, peer: PeerId, total: usize) {
         let (s, l) = self.local(peer);
@@ -293,9 +301,52 @@ impl PeerStores {
         &self.shards[s].stores[l]
     }
 
-    /// Heap bytes held by all stores' entry columns.
+    /// Heap bytes held by all stores' columns, each shared key run counted
+    /// once however many stores share it.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.shards.iter().flat_map(|s| &s.stores).map(PartialIndex::heap_bytes).sum()
+        let stores = || self.shards.iter().flat_map(|s| &s.stores);
+        let mut runs: Vec<&Arc<[u32]>> = stores().filter_map(PartialIndex::shared_run).collect();
+        runs.sort_unstable_by_key(|run| Arc::as_ptr(run).cast::<u32>());
+        runs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        let shared: usize = runs.iter().map(|run| run.len() * std::mem::size_of::<u32>()).sum();
+        stores().map(PartialIndex::heap_bytes).sum::<usize>() + shared
+    }
+
+    /// Checks the store layout. With `sharing` (IndexAll: the replica
+    /// groups), the listed members of each group that hold entries all
+    /// share one key run — the same allocation — and no listed member
+    /// carries expiries; unlisted stores are not checked. Without
+    /// (Partial), every store owns its keys. `Err` names the first store
+    /// out of place.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn check_layout(&self, sharing: Option<&[Vec<PeerId>]>) -> Result<(), String> {
+        let Some(groups) = sharing else {
+            let mut peers = (0..self.slot.len()).map(PeerId::from_idx);
+            return match peers.find(|&p| self.store(p).shared_run().is_some()) {
+                Some(peer) => Err(format!("{peer:?} shares its keys")),
+                None => Ok(()),
+            };
+        };
+        for (group, members) in groups.iter().enumerate() {
+            let mut run: Option<&Arc<[u32]>> = None;
+            for &peer in members {
+                let store = self.store(peer);
+                if store.is_timed() {
+                    return Err(format!("group {group}: {peer:?} holds expiries"));
+                }
+                if store.is_empty() {
+                    continue;
+                }
+                let Some(mine) = store.shared_run() else {
+                    return Err(format!("group {group}: {peer:?} owns its {} keys", store.len()));
+                };
+                if run.is_some_and(|run| !Arc::ptr_eq(run, mine)) {
+                    return Err(format!("group {group}: {peer:?} shares another run"));
+                }
+                run = Some(mine);
+            }
+        }
+        Ok(())
     }
 
     /// Recounts every shard's replica-copy accounting from its stores: each

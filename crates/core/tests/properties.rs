@@ -6,6 +6,7 @@ use pdht_gossip::VersionedValue;
 use pdht_types::Key;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Arbitrary index operations.
 #[derive(Debug, Clone)]
@@ -37,6 +38,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// `(expires_at, key)` tie to its bucket order; the columns, and so this
 /// model, settle it on the smaller dense index.) Its entries stay `u64`:
 /// the store's `u32` columns must agree with it below the horizon.
+#[derive(Clone)]
 struct ModelIndex {
     entries: HashMap<u32, ModelEntry>,
     capacity: usize,
@@ -153,58 +155,92 @@ fn lockstep_op() -> impl Strategy<Value = LockstepOp> {
     ]
 }
 
+/// Applies `op` at round `*now` to the store and its model, comparing
+/// their results.
+fn lockstep(
+    index: &mut PartialIndex,
+    model: &mut ModelIndex,
+    now: &mut u64,
+    op: LockstepOp,
+) -> Result<(), TestCaseError> {
+    match op {
+        LockstepOp::Insert { idx, version, ttl } => {
+            let value = VersionedValue { version, data: u64::from(idx) };
+            let ttl = lockstep_ttl(ttl, *now);
+            prop_assert_eq!(
+                index.insert(idx, Key::of_index(idx), value, *now, ttl),
+                model.insert(idx, version, *now, ttl)
+            );
+        }
+        LockstepOp::Get { idx, ttl } => prop_assert_eq!(
+            index.get_and_refresh(idx, *now, lockstep_ttl(ttl, *now)),
+            model.get_and_refresh(idx, *now, lockstep_ttl(ttl, *now))
+        ),
+        LockstepOp::Peek { idx } => prop_assert_eq!(index.peek(idx, *now), model.peek(idx, *now)),
+        LockstepOp::Remove { idx } => prop_assert_eq!(index.remove(idx), model.remove(idx)),
+        LockstepOp::Purge => {
+            let mut gone = Vec::new();
+            index.purge_expired_into(*now, &mut gone);
+            gone.sort_unstable();
+            prop_assert_eq!(gone, model.purge_expired(*now));
+        }
+        LockstepOp::Advance { by } => *now += by,
+    }
+    Ok(())
+}
+
+/// The store holds what its model holds, in ascending index order, within
+/// its byte bound.
+fn same_content(index: &PartialIndex, model: &ModelIndex) -> Result<(), TestCaseError> {
+    prop_assert_eq!(index.len(), model.entries.len());
+    prop_assert!(index.heap_bytes() <= 12 * model.capacity.max(4), "grew past the bound");
+    let mut want: Vec<(u32, ModelEntry)> = model.entries.iter().map(|(&i, &e)| (i, e)).collect();
+    want.sort_unstable_by_key(|&(i, _)| i);
+    let got: Vec<(u32, ModelEntry)> = index
+        .iter()
+        .map(|(i, e)| (i, ModelEntry { version: e.version(), expires_at: e.expires_at() }))
+        .collect();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
 proptest! {
     /// The sorted-column store and the hash-map model it replaced agree on
     /// every result of every operation, and `iter()` is the model's content
     /// in ascending dense-index order — from round 0 and from just short of
-    /// the `u32` horizon, with expiries and versions up to its edge.
+    /// the `u32` horizon, with expiries and versions up to its edge. With
+    /// `sharers`, one to three stores start from one never-expiring run
+    /// (shared copy-on-write where it fits the capacity) and each runs its
+    /// own operations and clock against its own model, all checked after
+    /// every operation: one store's writes never reach another's entries.
     #[test]
     fn sorted_columns_match_the_hash_map_model(
         capacity in 0usize..=8,
         start in prop_oneof![Just(0u64), Just(HORIZON - 300)],
-        ops in prop::collection::vec(lockstep_op(), 1..120),
+        sharers in 0usize..=3,
+        run in prop::collection::btree_set(0u32..12, 0..=8),
+        version in lockstep_version(),
+        ops in prop::collection::vec((0usize..3, lockstep_op()), 1..120),
     ) {
-        let mut index = PartialIndex::new(capacity);
-        let mut model = ModelIndex { entries: HashMap::new(), capacity };
-        let mut now = start;
-        for op in ops {
-            match op {
-                LockstepOp::Insert { idx, version, ttl } => {
-                    let value = VersionedValue { version, data: u64::from(idx) };
-                    let ttl = lockstep_ttl(ttl, now);
-                    prop_assert_eq!(
-                        index.insert(idx, Key::of_index(idx), value, now, ttl),
-                        model.insert(idx, version, now, ttl)
-                    );
-                }
-                LockstepOp::Get { idx, ttl } => prop_assert_eq!(
-                    index.get_and_refresh(idx, now, lockstep_ttl(ttl, now)),
-                    model.get_and_refresh(idx, now, lockstep_ttl(ttl, now))
-                ),
-                LockstepOp::Peek { idx } => {
-                    prop_assert_eq!(index.peek(idx, now), model.peek(idx, now))
-                }
-                LockstepOp::Remove { idx } => {
-                    prop_assert_eq!(index.remove(idx), model.remove(idx))
-                }
-                LockstepOp::Purge => {
-                    let mut gone = Vec::new();
-                    index.purge_expired_into(now, &mut gone);
-                    gone.sort_unstable();
-                    prop_assert_eq!(gone, model.purge_expired(now));
-                }
-                LockstepOp::Advance { by } => now += by,
+        let empty = || ModelIndex { entries: HashMap::new(), capacity };
+        let (mut stores, mut models) = if sharers == 0 {
+            (vec![PartialIndex::new(capacity)], vec![empty()])
+        } else {
+            let run: Arc<[u32]> = run.into_iter().collect();
+            let mut model = empty();
+            for &idx in run.iter() {
+                model.insert(idx, version, start, Ttl::Infinite);
             }
-            prop_assert_eq!(index.len(), model.entries.len());
-            prop_assert!(index.heap_bytes() <= 12 * capacity.max(4), "grew past the bound");
-            let mut want: Vec<(u32, ModelEntry)> =
-                model.entries.iter().map(|(&i, &e)| (i, e)).collect();
-            want.sort_unstable_by_key(|&(i, _)| i);
-            let got: Vec<(u32, ModelEntry)> = index
-                .iter()
-                .map(|(i, e)| (i, ModelEntry { version: e.version(), expires_at: e.expires_at() }))
-                .collect();
-            prop_assert_eq!(got, want);
+            let store = PartialIndex::from_shared_run(capacity, &run, version);
+            (vec![store; sharers], vec![model; sharers])
+        };
+        let mut clocks = vec![start; stores.len()];
+        for (which, op) in ops {
+            let at = which % stores.len();
+            lockstep(&mut stores[at], &mut models[at], &mut clocks[at], op)?;
+            for (index, model) in stores.iter().zip(&models) {
+                same_content(index, model)?;
+            }
         }
     }
 
