@@ -262,8 +262,12 @@ impl Entries {
 
     fn remove(&mut self, pos: usize) {
         match self {
-            Entries::Timed(entries) => drop(entries.remove(pos)),
-            Entries::Never(versions) => drop(versions.remove(pos)),
+            Entries::Timed(entries) => {
+                entries.remove(pos);
+            }
+            Entries::Never(versions) => {
+                versions.remove(pos);
+            }
         }
     }
 
@@ -408,8 +412,10 @@ impl PartialIndex {
             return None;
         }
         let fresh = IndexEntry::new(e.version(), ttl.expires_at(now));
-        if fresh != e {
-            self.timed()[pos] = fresh;
+        match &mut self.entries {
+            Entries::Timed(entries) => entries[pos] = fresh,
+            Entries::Never(_) if fresh == e => {}
+            Entries::Never(_) => self.timed()[pos] = fresh,
         }
         Some(e.version())
     }
@@ -497,13 +503,16 @@ impl PartialIndex {
     /// minimum, a full tie going to the smaller dense index. Two passes —
     /// the soonest expiry, then the hash of only the entries tied at it.
     fn victim(&self) -> Option<usize> {
-        let soonest = match &self.entries {
-            Entries::Timed(entries) => entries.iter().map(|e| e.expires_at).min()?,
-            Entries::Never(versions) => versions.first().map(|_| IndexEntry::NEVER)?,
-        };
-        (0..self.len())
-            .filter(|&i| self.entries.get(i).expires_at == soonest)
-            .min_by_key(|&i| Key::of_index(self.keys[i]).0)
+        let keys: &[u32] = &self.keys;
+        let hash = |&i: &usize| Key::of_index(keys[i]).0;
+        match &self.entries {
+            Entries::Timed(entries) => {
+                let soonest = entries.iter().map(|e| e.expires_at).min()?;
+                (0..keys.len()).filter(|&i| entries[i].expires_at == soonest).min_by_key(hash)
+            }
+            // Every entry ties at never.
+            Entries::Never(_) => (0..keys.len()).min_by_key(hash),
+        }
     }
 
     /// Inserts every `(index, version)` of `run`, which must ascend
