@@ -90,43 +90,19 @@ fn bench_purge(c: &mut Criterion) {
     });
 }
 
-/// The IndexAll shape: a store holding its replica group's whole key load
-/// (~130 keys scattered over a 2M-key universe), never evicting. Queries
-/// hit, update waves re-insert resident keys, and the build preloads in
-/// ascending index order into an exactly reserved store. `get_hit_shared`
-/// is `get_hit` on the build's layout: the key column shared with the
-/// rest of the group, the store holding only versions.
+/// The IndexAll shape, built as the engine builds it: a store sharing its
+/// replica group's key run (~130 keys scattered over a 2M-key universe)
+/// and holding only its versions, never evicting. Queries hit, update
+/// waves re-insert resident keys (both keep the store sharing), and the
+/// build gives each member of the group the run.
 fn bench_index_all(c: &mut Criterion) {
     const LOAD: u64 = 130;
     const STRIDE: u64 = 15_383;
-    let resident = || {
-        let mut idx = PartialIndex::new(LOAD as usize + 8);
-        idx.reserve(LOAD as usize);
-        for i in 0..LOAD {
-            let ki = i * STRIDE;
-            idx.insert(
-                ki as u32,
-                key(ki),
-                VersionedValue { version: 1, data: ki },
-                0,
-                Ttl::Infinite,
-            );
-        }
-        idx
-    };
+    const CAPACITY: usize = LOAD as usize + 8;
+    let run: Arc<[u32]> = (0..LOAD).map(|i| (i * STRIDE) as u32).collect();
     let mut group = c.benchmark_group("index/index_all_130");
-    group.bench_function("get_hit", |b| {
-        let mut idx = resident();
-        let mut now = 0u64;
-        b.iter(|| {
-            now += 1;
-            let ki = (now * 37 % LOAD) * STRIDE;
-            black_box(idx.get_and_refresh(ki as u32, now, Ttl::Infinite))
-        })
-    });
     group.bench_function("get_hit_shared", |b| {
-        let run: Arc<[u32]> = (0..LOAD).map(|i| (i * STRIDE) as u32).collect();
-        let mut idx = PartialIndex::from_shared_run(LOAD as usize + 8, &run, 1);
+        let mut idx = PartialIndex::from_shared_run(CAPACITY, &run, 1);
         let mut now = 0u64;
         b.iter(|| {
             now += 1;
@@ -135,7 +111,7 @@ fn bench_index_all(c: &mut Criterion) {
         })
     });
     group.bench_function("reinsert_resident", |b| {
-        let mut idx = resident();
+        let mut idx = PartialIndex::from_shared_run(CAPACITY, &run, 1);
         let mut now = 0u64;
         b.iter(|| {
             now += 1;
@@ -144,7 +120,9 @@ fn bench_index_all(c: &mut Criterion) {
             black_box(idx.insert(ki as u32, key(ki), value, now, Ttl::Infinite))
         })
     });
-    group.bench_function("preload_ascending", |b| b.iter(|| black_box(resident().len())));
+    group.bench_function("preload_ascending", |b| {
+        b.iter(|| black_box(PartialIndex::from_shared_run(CAPACITY, &run, 1).len()))
+    });
     group.finish();
 }
 

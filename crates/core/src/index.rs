@@ -22,32 +22,30 @@
 //!
 //! # Layout
 //!
-//! Two parallel columns sorted by dense index: the `u32` indices, and the
-//! entries. A store holds at most `stor` (~100) entries, so a lookup is a
-//! binary search over one or two cache lines of indices, and insert/remove
-//! shift a short tail. A store is in one of three states:
+//! Sorted columns: the `u32` dense indices, strictly ascending, and beside
+//! them what each resident key holds. A store holds at most `stor` (~100)
+//! entries, so a lookup is a binary search over one or two cache lines of
+//! indices, and insert/remove shift a short tail. A store is in one of two
+//! states:
 //!
-//! - **Owned, timed** — a `Vec<u32>` of indices and a `Vec<IndexEntry>` of
-//!   8-byte entries (a `u32` version and a `u32` expiry round): 12 bytes
-//!   per resident entry. Every Partial store, from its first insert on.
-//! - **Owned, never** — while no entry can expire, the entry column holds
-//!   the `u32` versions alone: 8 bytes per entry. Where every store
-//!   starts ([`PartialIndex::new`] allocates nothing).
-//! - **Shared, never** — the index column is an `Arc<[u32]>` run shared
-//!   with every other store holding the same keys, and the store owns
-//!   only its versions: 4 bytes per entry, plus the run once. Built by
-//!   [`PartialIndex::from_shared_run`]: the IndexAll preload gives every
-//!   member of a replica group its group's run, and under IndexAll
-//!   nothing ever changes a store's key set.
+//! - **Owned** — a `Vec<u32>` of indices and a `Vec<IndexEntry>` of 8-byte
+//!   entries (a `u32` version and a `u32` expiry round): 12 bytes per
+//!   resident entry. Every Partial store, and where every store starts
+//!   ([`PartialIndex::new`] allocates nothing).
+//! - **Shared** — the indices are an `Arc<[u32]>` run shared with every
+//!   other store holding the same keys, and the store owns only its
+//!   versions, none of which ever expires: 4 bytes per entry, plus the run
+//!   once. Built by [`PartialIndex::from_shared_run`]: the IndexAll preload
+//!   gives every member of a replica group its group's run, and under
+//!   IndexAll nothing ever changes a store's key set.
 //!
-//! The changes are one-way. The first finite expiry — an insert of an
-//! absent key or a refresh, at a finite TTL below the horizon — widens
-//! the entry column to 8-byte entries, and only never-expiring stores
-//! share, so it also unshares the indices. A shared store copies the run
-//! into an owned column the first time its key set changes — an absent
-//! insert, an eviction, a purge that drops something, a removal — and
-//! every other sharer keeps the run untouched. Reads, version updates of
-//! resident keys, refreshes that stay never, and purges that drop nothing
+//! There is one transition, Shared → Owned: the store copies the run and
+//! widens its versions to never-expiring entries, and every other sharer
+//! keeps the run untouched. A shared store takes it the first time its key
+//! set changes — an absent insert, an eviction, a purge that drops
+//! something, a removal — or an entry is given a finite expiry. Reads,
+//! version updates of resident keys (an entry that never expires keeps
+//! doing so), refreshes that stay never, and purges that drop nothing
 //! write only the store's own versions.
 //!
 //! The columns never grow past `capacity`: a store costs what it holds,
@@ -63,8 +61,8 @@
 //! The public API speaks `u64` rounds and versions; the columns hold
 //! `u32`s. `u32::MAX` in the expiry column means *never*: a
 //! [`Ttl::Infinite`] entry, and also any finite expiry at or past round
-//! 2³²−1, which saturates to never (a versions-only column holds only
-//! such entries). A version past `u32::MAX` saturates
+//! 2³²−1, which saturates to never (a shared store holds only such
+//! entries). A version past `u32::MAX` saturates
 //! there (an article needs 4.29 × 10⁹ replacements to reach it), so
 //! versions never go backwards. Both narrowings happen in
 //! `IndexEntry::new` and never panic; reads widen through
@@ -171,168 +169,116 @@ pub struct InsertResult {
 /// A bounded TTL key-value store over dense key indices.
 #[derive(Clone, Debug)]
 pub struct PartialIndex {
-    /// Resident dense key indices, strictly ascending.
-    keys: Keys,
-    /// Entry `i` is the entry of `keys[i]`.
-    entries: Entries,
+    columns: Columns,
     capacity: usize,
 }
 
-/// The index column: owned, or a run shared copy-on-write with every
-/// other store holding the same keys.
+/// The resident keys, strictly ascending, and what each holds: entry (or
+/// version) `i` belongs to key `i`.
 #[derive(Clone, Debug)]
-enum Keys {
-    Owned(Vec<u32>),
-    Shared(Arc<[u32]>),
+enum Columns {
+    Owned {
+        keys: Vec<u32>,
+        entries: Vec<IndexEntry>,
+    },
+    /// A run shared copy-on-write with every other store holding the same
+    /// keys; every entry never expires.
+    Shared {
+        run: Arc<[u32]>,
+        versions: Vec<u32>,
+    },
 }
 
-impl std::ops::Deref for Keys {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
+impl Columns {
+    fn keys(&self) -> &[u32] {
         match self {
-            Keys::Owned(keys) => keys,
-            Keys::Shared(run) => run,
+            Columns::Owned { keys, .. } => keys,
+            Columns::Shared { run, .. } => run,
         }
     }
-}
 
-impl Keys {
-    /// The column to write, unshared first if it is shared: the store
-    /// takes its own copy and every other sharer keeps the run.
-    fn owned(&mut self) -> &mut Vec<u32> {
+    fn get(&self, pos: usize) -> IndexEntry {
+        match self {
+            Columns::Owned { entries, .. } => entries[pos],
+            Columns::Shared { versions, .. } => IndexEntry::never(versions[pos]),
+        }
+    }
+
+    /// The owned columns, unshared first if they are shared: the store
+    /// copies the run and widens its versions, and every other sharer keeps
+    /// the run.
+    fn owned(&mut self) -> (&mut Vec<u32>, &mut Vec<IndexEntry>) {
         // At most two passes: the first unshares.
         loop {
             match self {
-                Keys::Owned(keys) => return keys,
-                Keys::Shared(run) => *self = Keys::Owned(run.to_vec()),
-            }
-        }
-    }
-}
-
-/// The entry column: 8-byte [`IndexEntry`]s, or — while no entry can
-/// expire — their versions alone.
-#[derive(Clone, Debug)]
-enum Entries {
-    Timed(Vec<IndexEntry>),
-    Never(Vec<u32>),
-}
-
-impl Entries {
-    fn get(&self, pos: usize) -> IndexEntry {
-        match self {
-            Entries::Timed(entries) => entries[pos],
-            Entries::Never(versions) => IndexEntry::never(versions[pos]),
-        }
-    }
-
-    /// The timed column, widening a versions-only one first (at the
-    /// same capacity).
-    fn timed(&mut self) -> &mut Vec<IndexEntry> {
-        // At most two passes: the first widens.
-        loop {
-            match self {
-                Entries::Timed(entries) => return entries,
-                Entries::Never(versions) => {
-                    let mut entries = Vec::with_capacity(versions.capacity());
-                    entries.extend(versions.iter().map(|&v| IndexEntry::never(v)));
-                    *self = Entries::Timed(entries);
+                Columns::Owned { keys, entries } => return (keys, entries),
+                Columns::Shared { run, versions } => {
+                    let entries = versions.iter().map(|&v| IndexEntry::never(v)).collect();
+                    *self = Columns::Owned { keys: run.to_vec(), entries };
                 }
             }
         }
     }
 
-    /// Files `fresh` at `pos`. A versions-only column takes only
-    /// never-expiring entries: widen it first for any other.
-    fn insert(&mut self, pos: usize, fresh: IndexEntry) {
-        match self {
-            Entries::Timed(entries) => entries.insert(pos, fresh),
-            Entries::Never(versions) => versions.insert(pos, fresh.version),
-        }
-    }
-
-    /// [`IndexEntry::absorb`] at `pos`; a never-expiring entry stays so.
+    /// [`IndexEntry::absorb`] at `pos`. A shared entry never expires, so
+    /// it outlasts any fresh expiry and only its version can change: the
+    /// store stays shared.
     fn absorb(&mut self, pos: usize, fresh: IndexEntry) {
         match self {
-            Entries::Timed(entries) => entries[pos].absorb(fresh),
-            Entries::Never(versions) => versions[pos] = versions[pos].max(fresh.version),
-        }
-    }
-
-    fn remove(&mut self, pos: usize) {
-        match self {
-            Entries::Timed(entries) => {
-                entries.remove(pos);
-            }
-            Entries::Never(versions) => {
-                versions.remove(pos);
-            }
-        }
-    }
-
-    fn reserve_exact(&mut self, extra: usize) {
-        match self {
-            Entries::Timed(entries) => entries.reserve_exact(extra),
-            Entries::Never(versions) => versions.reserve_exact(extra),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Entries::Timed(entries) => entries.capacity() * std::mem::size_of::<IndexEntry>(),
-            Entries::Never(versions) => versions.capacity() * std::mem::size_of::<u32>(),
+            Columns::Owned { entries, .. } => entries[pos].absorb(fresh),
+            Columns::Shared { versions, .. } => versions[pos] = versions[pos].max(fresh.version),
         }
     }
 }
 
-/// Drops every entry of `column` that is not `live`, with its key from
-/// `keys`, appending the dropped keys to `out` in order; survivors compact
-/// in place, in order. The keys are written only if something goes.
-fn compact<T: Copy>(
-    keys: &mut Keys,
-    column: &mut Vec<T>,
-    live: impl Fn(T) -> bool,
-    out: &mut Vec<u32>,
-) {
-    let Some(first) = column.iter().position(|&e| !live(e)) else { return };
-    let keys = keys.owned();
+/// Position of the entry to evict: the `(expires_at, routed-key hash)`
+/// minimum, a full tie going to the smaller dense index. Two passes — the
+/// soonest expiry, then the hash of only the entries tied at it.
+fn victim(keys: &[u32], entries: &[IndexEntry]) -> Option<usize> {
+    let soonest = entries.iter().map(|e| e.expires_at).min()?;
+    (0..keys.len())
+        .filter(|&i| entries[i].expires_at == soonest)
+        .min_by_key(|&i| Key::of_index(keys[i]).0)
+}
+
+/// Drops every entry whose expiry is not above `above`, with its key,
+/// appending the dropped keys to `out` in order; survivors compact in
+/// place, in order.
+fn purge(keys: &mut Vec<u32>, entries: &mut Vec<IndexEntry>, above: u32, out: &mut Vec<u32>) {
+    let Some(first) = entries.iter().position(|e| e.expires_at <= above) else { return };
     let mut kept = first;
     for i in first..keys.len() {
-        if live(column[i]) {
+        if entries[i].expires_at > above {
             keys[kept] = keys[i];
-            column[kept] = column[i];
+            entries[kept] = entries[i];
             kept += 1;
         } else {
             out.push(keys[i]);
         }
     }
     keys.truncate(kept);
-    column.truncate(kept);
+    entries.truncate(kept);
 }
 
 impl PartialIndex {
     /// An empty index bounded to `capacity` entries. Allocates nothing.
     pub fn new(capacity: usize) -> PartialIndex {
-        PartialIndex {
-            keys: Keys::Owned(Vec::new()),
-            entries: Entries::Never(Vec::new()),
-            capacity,
-        }
+        PartialIndex { columns: Columns::Owned { keys: Vec::new(), entries: Vec::new() }, capacity }
     }
 
     /// An index bounded to `capacity` entries holding every key index of
     /// `run` at `version`, never expiring — what inserting them in order
     /// with [`Ttl::Infinite`] into [`PartialIndex::new`] gives. A
     /// non-empty, strictly ascending `run` that fits is not copied: the
-    /// store shares it as its key column until its key set first changes,
-    /// and holds only the versions itself.
+    /// store shares it as its key column, and holds only the versions
+    /// itself, until its key set first changes or an entry is given a
+    /// finite expiry.
     pub fn from_shared_run(capacity: usize, run: &Arc<[u32]>, version: u64) -> PartialIndex {
         let mut index = PartialIndex::new(capacity);
         if !run.is_empty() && run.len() <= capacity && run.windows(2).all(|w| w[0] < w[1]) {
             let version = IndexEntry::new(version, u64::MAX).version;
-            index.keys = Keys::Shared(Arc::clone(run));
-            index.entries = Entries::Never(vec![version; run.len()]);
+            index.columns =
+                Columns::Shared { run: Arc::clone(run), versions: vec![version; run.len()] };
         } else {
             for &idx in run.iter() {
                 index.insert_version(idx, version, 0, Ttl::Infinite);
@@ -344,12 +290,12 @@ impl PartialIndex {
     /// Number of live entries (expired-but-unpurged entries included; call
     /// [`PartialIndex::purge_expired_into`] at round boundaries).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.columns.keys().len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.columns.keys().is_empty()
     }
 
     /// The capacity bound.
@@ -361,25 +307,21 @@ impl PartialIndex {
     /// occupied). A key column shared with other stores is not the
     /// store's own: whoever sums a set of stores counts each run once.
     pub fn heap_bytes(&self) -> usize {
-        let keys = match &self.keys {
-            Keys::Owned(keys) => keys.capacity() * std::mem::size_of::<u32>(),
-            Keys::Shared(_) => 0,
-        };
-        keys + self.entries.heap_bytes()
+        match &self.columns {
+            Columns::Owned { keys, entries } => {
+                keys.capacity() * std::mem::size_of::<u32>()
+                    + entries.capacity() * std::mem::size_of::<IndexEntry>()
+            }
+            Columns::Shared { versions, .. } => versions.capacity() * std::mem::size_of::<u32>(),
+        }
     }
 
     /// The run this store shares as its key column, if it shares one.
     pub(crate) fn shared_run(&self) -> Option<&Arc<[u32]>> {
-        match &self.keys {
-            Keys::Shared(run) => Some(run),
-            Keys::Owned(_) => None,
+        match &self.columns {
+            Columns::Shared { run, .. } => Some(run),
+            Columns::Owned { .. } => None,
         }
-    }
-
-    /// Whether the entries carry expiries (the 8-byte column).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_timed(&self) -> bool {
-        matches!(self.entries, Entries::Timed(_))
     }
 
     /// Sizes the columns for `total` resident entries (clamped to the
@@ -388,17 +330,10 @@ impl PartialIndex {
     pub fn reserve(&mut self, total: usize) {
         let extra = total.min(self.capacity).saturating_sub(self.len());
         if extra > 0 {
-            self.keys.owned().reserve_exact(extra);
-            self.entries.reserve_exact(extra);
+            let (keys, entries) = self.columns.owned();
+            keys.reserve_exact(extra);
+            entries.reserve_exact(extra);
         }
-    }
-
-    /// The timed entry column, widening a versions-only one first. Only
-    /// stores whose entries never expire share their keys, so this
-    /// unshares them too.
-    fn timed(&mut self) -> &mut Vec<IndexEntry> {
-        self.keys.owned();
-        self.entries.timed()
     }
 
     /// Looks up key index `idx` at round `now` and returns the stored
@@ -406,23 +341,21 @@ impl PartialIndex {
     /// query-refresh rule that makes the index query-adaptive). Expired
     /// entries are treated as absent.
     pub fn get_and_refresh(&mut self, idx: u32, now: u64, ttl: Ttl) -> Option<u64> {
-        let pos = self.keys.binary_search(&idx).ok()?;
-        let e = self.entries.get(pos);
+        let pos = self.columns.keys().binary_search(&idx).ok()?;
+        let e = self.columns.get(pos);
         if !e.live_at(now) {
             return None;
         }
         let fresh = IndexEntry::new(e.version(), ttl.expires_at(now));
-        match &mut self.entries {
-            Entries::Timed(entries) => entries[pos] = fresh,
-            Entries::Never(_) if fresh == e => {}
-            Entries::Never(_) => self.timed()[pos] = fresh,
+        if fresh != e {
+            self.columns.owned().1[pos] = fresh;
         }
         Some(e.version())
     }
 
     /// The stored version of `idx`, without refreshing (diagnostics).
     pub fn peek(&self, idx: u32, now: u64) -> Option<u64> {
-        let e = self.entries.get(self.keys.binary_search(&idx).ok()?);
+        let e = self.columns.get(self.columns.keys().binary_search(&idx).ok()?);
         e.live_at(now).then_some(e.version())
     }
 
@@ -455,15 +388,10 @@ impl PartialIndex {
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
-        self.insert_entry(idx, IndexEntry::new(version, ttl.expires_at(now)))
-    }
-
-    /// Files `fresh` under key index `idx` by [`PartialIndex::insert`]'s
-    /// rules.
-    fn insert_entry(&mut self, idx: u32, fresh: IndexEntry) -> InsertResult {
-        match self.keys.binary_search(&idx) {
+        let fresh = IndexEntry::new(version, ttl.expires_at(now));
+        match self.columns.keys().binary_search(&idx) {
             Ok(pos) => {
-                self.entries.absorb(pos, fresh);
+                self.columns.absorb(pos, fresh);
                 InsertResult { was_new: false, evicted: None }
             }
             Err(pos) => self.insert_absent(pos, idx, fresh),
@@ -473,46 +401,28 @@ impl PartialIndex {
     /// Files `fresh` under key index `idx`, which is absent and belongs at
     /// `pos` of the index column, evicting first if the store is full.
     fn insert_absent(&mut self, mut pos: usize, idx: u32, fresh: IndexEntry) -> InsertResult {
+        if self.capacity == 0 {
+            return InsertResult { was_new: false, evicted: None };
+        }
+        let capacity = self.capacity;
+        let (keys, entries) = self.columns.owned();
         let mut evicted = None;
-        if self.len() >= self.capacity {
-            if let Some(victim) = self.victim() {
-                evicted = Some(self.keys.owned().remove(victim));
-                self.entries.remove(victim);
+        if keys.len() >= capacity {
+            if let Some(victim) = victim(keys, entries) {
+                evicted = Some(keys.remove(victim));
+                entries.remove(victim);
                 pos -= usize::from(victim < pos);
             }
-        }
-        if self.capacity == 0 {
-            return InsertResult { was_new: false, evicted };
-        }
-        if fresh.expires_at != IndexEntry::NEVER {
-            // Widened before it grows, so the growth allocates once.
-            self.timed();
-        }
-        let keys = self.keys.owned();
-        if keys.len() == keys.capacity() {
+        } else if keys.len() == keys.capacity() {
             // Double, but never past the bound (a plain `push` would round
             // a 100-entry store up to 128).
-            self.reserve((2 * self.len()).max(4));
+            let extra = (2 * keys.len()).max(4).min(capacity) - keys.len();
+            keys.reserve_exact(extra);
+            entries.reserve_exact(extra);
         }
-        self.keys.owned().insert(pos, idx);
-        self.entries.insert(pos, fresh);
+        keys.insert(pos, idx);
+        entries.insert(pos, fresh);
         InsertResult { was_new: true, evicted }
-    }
-
-    /// Position of the entry to evict: the `(expires_at, routed-key hash)`
-    /// minimum, a full tie going to the smaller dense index. Two passes —
-    /// the soonest expiry, then the hash of only the entries tied at it.
-    fn victim(&self) -> Option<usize> {
-        let keys: &[u32] = &self.keys;
-        let hash = |&i: &usize| Key::of_index(keys[i]).0;
-        match &self.entries {
-            Entries::Timed(entries) => {
-                let soonest = entries.iter().map(|e| e.expires_at).min()?;
-                (0..keys.len()).filter(|&i| entries[i].expires_at == soonest).min_by_key(hash)
-            }
-            // Every entry ties at never.
-            Entries::Never(_) => (0..keys.len()).min_by_key(hash),
-        }
     }
 
     /// Inserts every `(index, version)` of `run`, which must ascend
@@ -535,9 +445,10 @@ impl PartialIndex {
         let mut at = 0;
         for (idx, version) in run {
             let fresh = IndexEntry::new(version, expires_at);
-            at += self.keys[at..].iter().take_while(|&&mine| mine < idx).count();
-            let res = if self.keys.get(at) == Some(&idx) {
-                self.entries.absorb(at, fresh);
+            let keys = self.columns.keys();
+            at += keys[at..].iter().take_while(|&&mine| mine < idx).count();
+            let res = if keys.get(at) == Some(&idx) {
+                self.columns.absorb(at, fresh);
                 InsertResult { was_new: false, evicted: None }
             } else {
                 self.insert_absent(at, idx, fresh)
@@ -548,9 +459,10 @@ impl PartialIndex {
 
     /// Removes key index `idx` outright. Returns whether it was present.
     pub fn remove(&mut self, idx: u32) -> bool {
-        let Ok(pos) = self.keys.binary_search(&idx) else { return false };
-        self.keys.owned().remove(pos);
-        self.entries.remove(pos);
+        let Ok(pos) = self.columns.keys().binary_search(&idx) else { return false };
+        let (keys, entries) = self.columns.owned();
+        keys.remove(pos);
+        entries.remove(pos);
         true
     }
 
@@ -559,21 +471,18 @@ impl PartialIndex {
     /// the per-event sweep is allocation-free; the harness keeps a global
     /// refcount of indexed keys). Survivors compact in place, in order.
     pub fn purge_expired_into(&mut self, now: u64, out: &mut Vec<u32>) {
-        let above = IndexEntry::live_above(now);
-        match &mut self.entries {
-            Entries::Timed(entries) => {
-                compact(&mut self.keys, entries, |e| e.expires_at > above, out)
-            }
-            Entries::Never(versions) => {
-                compact(&mut self.keys, versions, |_| IndexEntry::NEVER > above, out)
-            }
+        // A never-expiring entry outlives every round but the last.
+        if matches!(self.columns, Columns::Shared { .. }) && now != u64::MAX {
+            return;
         }
+        let (keys, entries) = self.columns.owned();
+        purge(keys, entries, IndexEntry::live_above(now), out);
     }
 
     /// Iterates live entries in ascending dense-index order
     /// (diagnostics/pull-synchronization).
     pub fn iter(&self) -> impl Iterator<Item = (u32, IndexEntry)> + '_ {
-        self.keys.iter().enumerate().map(|(pos, &idx)| (idx, self.entries.get(pos)))
+        self.columns.keys().iter().enumerate().map(|(pos, &idx)| (idx, self.columns.get(pos)))
     }
 }
 
@@ -761,12 +670,12 @@ mod tests {
         assert_eq!((new, exact.len(), exact.heap_bytes()), (78, 78, 78 * 12));
         exact.reserve(1_000);
         assert_eq!(exact.heap_bytes(), 100 * 12, "reserve clamps to the bound");
-        // Entries that never expire keep no expiry column: 8 B owned (index
-        // and version), 4 B — the version alone — sharing the run.
+        // Entries that never expire cost 12 B owned, like any other, and
+        // 4 B — the version alone — sharing the run.
         let mut never = PartialIndex::new(100);
         never.reserve(78);
         never.insert_run(run(78), 0, Ttl::Infinite, |_, _| {});
-        assert_eq!((never.len(), never.heap_bytes()), (78, 78 * 8));
+        assert_eq!((never.len(), never.heap_bytes()), (78, 78 * 12));
         let keys: Arc<[u32]> = run(78).map(|(i, _)| i).collect();
         let shared = PartialIndex::from_shared_run(100, &keys, 1);
         assert!(shared.iter().eq(never.iter()));
@@ -833,7 +742,6 @@ mod tests {
         let versions: Vec<u64> = store.iter().map(|(_, e)| e.version()).collect();
         assert_eq!(versions, [6, 4, 3, 1, 2]);
         assert!(store.iter().all(|(_, e)| e.expires_at() == u64::MAX), "still never expiring");
-        assert!(!store.is_timed());
         for sharer in &sharers {
             assert!(sharer.shared_run().is_some_and(|r| Arc::ptr_eq(r, &run)));
         }

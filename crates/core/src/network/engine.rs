@@ -1136,7 +1136,8 @@ mod tests {
         // groups of one or two members (41 peers, repl 2). Every store must
         // hold what the key-major reference holds, with the replica-copy
         // accounting intact — sharing its group's run where the reference
-        // owns exactly sized keys, so only the versions are its own.
+        // owns exactly sized keys and expiries, so only the versions are
+        // its own.
         let default = Scenario::table1_scaled(20);
         let one_group = Scenario { keys: 20, ..default.clone() };
         let tiny_groups = Scenario { keys: 2_050, repl: 2, ..default.clone() };
@@ -1165,13 +1166,17 @@ mod tests {
                     for peer in (0..net.world.nap).map(PeerId::from_idx) {
                         let (got, want) = (net.peers.store(peer), reference.store(peer));
                         assert!(got.iter().eq(want.iter()), "{case}: {peer:?} holds other entries");
-                        let keys = 4 * got.len();
-                        assert_eq!(got.heap_bytes() + keys, want.heap_bytes(), "{case}: {peer:?}");
+                        let keys_and_expiries = 8 * got.len();
+                        assert_eq!(
+                            got.heap_bytes() + keys_and_expiries,
+                            want.heap_bytes(),
+                            "{case}: {peer:?}"
+                        );
                         resident += got.len();
                     }
                     let keys = net.world.keys.len();
                     assert_eq!(net.store_bytes(), 4 * (resident + keys), "{case}");
-                    assert_eq!(reference.heap_bytes(), 8 * resident, "{case}");
+                    assert_eq!(reference.heap_bytes(), 12 * resident, "{case}");
                     assert_eq!(check_layout(&net, &[]), Ok(()), "{case}");
                     assert_eq!(net.indexed_keys(), reference.distinct_keys(), "{case}");
                     assert_eq!(net.indexed_keys(), net.world.keys.len(), "{case}");
@@ -1212,7 +1217,6 @@ mod tests {
         // IndexAll store must keep sharing its group's run through churn,
         // rejoin pulls, coded waves and timeouts. NoIndex builds no
         // overlay and no stores: one overlay kind, outcome check only.
-        use crate::network::peer::ShardStores;
         let mut timeouts = 0;
         for strategy in [Strategy::Partial, Strategy::IndexAll, Strategy::NoIndex] {
             let kinds = if strategy == Strategy::NoIndex { 1 } else { OverlayKind::ALL.len() };
@@ -1232,12 +1236,9 @@ mod tests {
                     let live = net.world.live();
                     let crashed: Vec<bool> =
                         (0..net.world.nap).map(|p| !live.is_online(PeerId::from_idx(p))).collect();
-                    let (slot, regions) = net.peers.split_mut();
                     for peer in (0..net.world.nap).map(PeerId::from_idx) {
                         if crashed[peer.idx()] {
-                            let shard_id = slot[peer.idx()].0;
-                            let shard = &mut regions[usize::from(shard_id)];
-                            ShardStores { slot, shard_id, shard }.purge_expired(peer, u64::MAX);
+                            net.peers.view(peer).purge_expired(peer, u64::MAX);
                         }
                     }
                     for round in 0..20 {
@@ -1307,7 +1308,6 @@ mod tests {
         // may hold a slot. Partial floods on every miss; IndexAll starts
         // with the offline peers' stores wiped so it floods too, and runs
         // update waves under each codec.
-        use crate::network::peer::ShardStores;
         use crate::{GossipCodec, LatencyConfig};
         let uniform = LatencyConfig::Uniform { lo_ms: 20.0, hi_ms: 200.0 };
         for strategy in [Strategy::Partial, Strategy::IndexAll] {
@@ -1325,12 +1325,9 @@ mod tests {
                         c.query_timeout_secs = Some(0.5);
                         let mut net = PdhtNetwork::new(c).unwrap();
                         let live = net.world.live();
-                        let (slot, regions) = net.peers.split_mut();
                         for peer in (0..net.world.nap).map(PeerId::from_idx) {
                             if !live.is_online(peer) {
-                                let shard_id = slot[peer.idx()].0;
-                                let shard = &mut regions[usize::from(shard_id)];
-                                ShardStores { slot, shard_id, shard }.purge_expired(peer, u64::MAX);
+                                net.peers.view(peer).purge_expired(peer, u64::MAX);
                             }
                         }
                         let case = format!("{strategy:?} {codec:?} shards={shards} {latency:?}");

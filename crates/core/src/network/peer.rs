@@ -14,14 +14,15 @@
 //! hashing, no allocation — which keeps the per-event TTL sweeps and
 //! query-path store updates allocation-free at 100k-peer scale.
 //!
-//! The stores themselves are sorted columns (see [`crate::index`]): 12
-//! bytes per resident entry in a Partial store, whose entries expire, and
-//! 4 in an IndexAll store, which holds only its versions — the IndexAll
+//! The stores themselves are sorted columns in one of two states (see
+//! [`crate::index`]): owned, 12 bytes per resident entry, in a Partial
+//! store, whose entries expire; shared, 4 bytes per entry, in an IndexAll
+//! store, which holds only its never-expiring versions — the IndexAll
 //! preload ([`PeerStores::preload`]) gives every member of a replica group
-//! its group's ascending key run as a shared key column, and no entry
-//! there ever expires. An empty store owns no heap at all, so
-//! [`PeerStores::heap_bytes`] (each shared run counted once) tracks what
-//! the peers hold rather than a per-peer table size. Because every store
+//! its group's ascending key run as a shared key column. An empty store
+//! owns no heap at all, so [`PeerStores::heap_bytes`] (each shared run
+//! counted once) tracks what the peers hold rather than a per-peer table
+//! size. Because every store
 //! is sorted, an IndexAll rejoin ([`PeerStores::pull`]) is one in-step
 //! walk ([`PartialIndex::insert_run`]) of the donor's store and the
 //! receiver's — no search, no snapshot, no allocation; between members of
@@ -40,6 +41,11 @@
 //! key's copies live entirely inside one shard, so per-shard `distinct`
 //! counts are disjoint and the global gauge is their sum. One shard is
 //! the identity mapping.
+//!
+//! A lane reaches its region through a [`ShardStores`] view, whose
+//! methods make the store call and its accounting in one step: that view
+//! is the one per-peer store API, and the unit tests reach it through
+//! [`PeerStores::view`].
 
 use crate::index::{InsertResult, PartialIndex};
 use crate::ttl::Ttl;
@@ -82,8 +88,8 @@ impl Copies {
 }
 
 /// One shard's worth of peer stores plus its disjoint slice of the
-/// distinct-key accounting. All methods address peers by their
-/// *shard-local* dense index.
+/// distinct-key accounting, in shard-local peer order. Lanes reach it
+/// through a [`ShardStores`] view.
 pub(crate) struct StoreShard {
     /// The member peers' [`PartialIndex`]es, in shard-local order.
     stores: Vec<PartialIndex>,
@@ -104,68 +110,6 @@ impl StoreShard {
     /// Distinct keys resident in this shard.
     pub(crate) fn distinct_keys(&self) -> usize {
         self.copies.distinct
-    }
-
-    /// Inserts `version` of key index `idx` at shard-local peer `local`,
-    /// maintaining the distinct-key accounting for both the insert and any
-    /// eviction it caused.
-    pub(crate) fn insert_local(
-        &mut self,
-        local: usize,
-        idx: u32,
-        version: u64,
-        now: u64,
-        ttl: Ttl,
-    ) -> InsertResult {
-        let res = self.stores[local].insert_version(idx, version, now, ttl);
-        self.copies.record(idx, res);
-        res
-    }
-
-    /// Read-through at shard-local peer `local`, refreshing the entry's TTL
-    /// on hit (the selection algorithm's refresh-on-query rule).
-    pub(crate) fn get_and_refresh_local(
-        &mut self,
-        local: usize,
-        idx: u32,
-        now: u64,
-        ttl: Ttl,
-    ) -> Option<u64> {
-        self.stores[local].get_and_refresh(idx, now, ttl)
-    }
-
-    /// Non-refreshing visibility check at shard-local peer `local`.
-    pub(crate) fn peek_local(&self, local: usize, idx: u32, now: u64) -> Option<u64> {
-        self.stores[local].peek(idx, now)
-    }
-
-    /// Evicts every expired entry at shard-local peer `local`, updating the
-    /// accounting.
-    pub(crate) fn purge_expired_local(&mut self, local: usize, now: u64) {
-        let mut buf = std::mem::take(&mut self.purge_buf);
-        buf.clear();
-        self.stores[local].purge_expired_into(now, &mut buf);
-        for &idx in &buf {
-            self.copies.release(idx);
-        }
-        self.purge_buf = buf;
-    }
-
-    /// Inserts every entry of shard-local peer `donor` at shard-local peer
-    /// `receiver` (expiry `now + ttl`), accounting as
-    /// [`StoreShard::insert_local`] would entry by entry.
-    fn pull_local(&mut self, donor: usize, receiver: usize, now: u64, ttl: Ttl) {
-        assert_ne!(donor, receiver, "a peer cannot pull from itself");
-        let (from, into) = if donor < receiver {
-            let (head, tail) = self.stores.split_at_mut(receiver);
-            (&head[donor], &mut tail[0])
-        } else {
-            let (head, tail) = self.stores.split_at_mut(donor);
-            (&tail[0], &mut head[receiver])
-        };
-        let copies = &mut self.copies;
-        let run = from.iter().map(|(idx, e)| (idx, e.version()));
-        into.insert_run(run, now, ttl, |idx, res| copies.record(idx, res));
     }
 }
 
@@ -221,17 +165,22 @@ impl PeerStores {
         (s as usize, l as usize)
     }
 
+    /// The [`ShardStores`] view of the shard holding `peer`'s store.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn view(&mut self, peer: PeerId) -> ShardStores<'_> {
+        let shard_id = self.slot[peer.idx()].0;
+        ShardStores { slot: &self.slot, shard_id, shard: &mut self.shards[usize::from(shard_id)] }
+    }
+
     /// Distinct keys resident in at least one store (sum over shards —
     /// disjoint because every key's copies live inside one shard).
     pub(crate) fn distinct_keys(&self) -> usize {
         self.shards.iter().map(StoreShard::distinct_keys).sum()
     }
 
-    /// Inserts `version` of key index `idx` at `peer`, maintaining the
-    /// distinct-key accounting for both the insert and any eviction it
-    /// caused. The simulation paths go through [`ShardStores::insert`] and
-    /// [`PeerStores::preload`]; the facade form remains for the unit tests
-    /// and the key-major reference preload.
+    /// [`ShardStores::insert`] at `peer`. The simulation paths go through
+    /// a lane's view and [`PeerStores::preload`]; this form is for the unit
+    /// tests and the key-major reference preload.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn insert(
         &mut self,
@@ -241,17 +190,7 @@ impl PeerStores {
         now: u64,
         ttl: Ttl,
     ) -> InsertResult {
-        let (s, l) = self.local(peer);
-        self.shards[s].insert_local(l, idx, version, now, ttl)
-    }
-
-    /// Non-refreshing visibility check at `peer`. The simulation paths all
-    /// go through [`ShardStores::peek`] now; the facade form remains for
-    /// the unit tests exercising store semantics peer-by-peer.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<u64> {
-        let (s, l) = self.local(peer);
-        self.shards[s].peek_local(l, idx, now)
+        self.view(peer).insert(peer, idx, version, now, ttl)
     }
 
     /// Copies `donor`'s whole store into `receiver`'s (expiry `now + ttl`)
@@ -265,7 +204,17 @@ impl PeerStores {
     pub(crate) fn pull(&mut self, donor: PeerId, receiver: PeerId, now: u64, ttl: Ttl) {
         let ((ds, dl), (rs, rl)) = (self.local(donor), self.local(receiver));
         assert_eq!(ds, rs, "rejoin donor {donor:?} and {receiver:?} live in different shards");
-        self.shards[rs].pull_local(dl, rl, now, ttl);
+        assert_ne!(dl, rl, "a peer cannot pull from itself");
+        let StoreShard { stores, copies, .. } = &mut self.shards[rs];
+        let (from, into) = if dl < rl {
+            let (head, tail) = stores.split_at_mut(rl);
+            (&head[dl], &mut tail[0])
+        } else {
+            let (head, tail) = stores.split_at_mut(dl);
+            (&tail[0], &mut head[rl])
+        };
+        let run = from.iter().map(|(idx, e)| (idx, e.version()));
+        into.insert_run(run, now, ttl, |idx, res| copies.record(idx, res));
     }
 
     /// Fills `peer`'s store, which must be empty, with every key index of
@@ -314,10 +263,10 @@ impl PeerStores {
 
     /// Checks the store layout. With `sharing` (IndexAll: the replica
     /// groups), the listed members of each group that hold entries all
-    /// share one key run — the same allocation — and no listed member
-    /// carries expiries; unlisted stores are not checked. Without
-    /// (Partial), every store owns its keys. `Err` names the first store
-    /// out of place.
+    /// share one key run — the same allocation — and so hold only
+    /// never-expiring versions (a shared store cannot hold an expiry);
+    /// unlisted stores are not checked. Without (Partial), every store owns
+    /// its keys. `Err` names the first store out of place.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn check_layout(&self, sharing: Option<&[Vec<PeerId>]>) -> Result<(), String> {
         let Some(groups) = sharing else {
@@ -331,9 +280,6 @@ impl PeerStores {
             let mut run: Option<&Arc<[u32]>> = None;
             for &peer in members {
                 let store = self.store(peer);
-                if store.is_timed() {
-                    return Err(format!("group {group}: {peer:?} holds expiries"));
-                }
                 if store.is_empty() {
                     continue;
                 }
@@ -405,7 +351,9 @@ impl ShardStores<'_> {
         l as usize
     }
 
-    /// See [`PeerStores::insert`].
+    /// Inserts `version` of key index `idx` at `peer`, maintaining the
+    /// distinct-key accounting for both the insert and any eviction it
+    /// caused.
     pub(crate) fn insert(
         &mut self,
         peer: PeerId,
@@ -415,7 +363,9 @@ impl ShardStores<'_> {
         ttl: Ttl,
     ) -> InsertResult {
         let l = self.local(peer);
-        self.shard.insert_local(l, idx, version, now, ttl)
+        let res = self.shard.stores[l].insert_version(idx, version, now, ttl);
+        self.shard.copies.record(idx, res);
+        res
     }
 
     /// Read-through at `peer`, refreshing the entry's TTL on hit
@@ -428,12 +378,12 @@ impl ShardStores<'_> {
         ttl: Ttl,
     ) -> Option<u64> {
         let l = self.local(peer);
-        self.shard.get_and_refresh_local(l, idx, now, ttl)
+        self.shard.stores[l].get_and_refresh(idx, now, ttl)
     }
 
-    /// See [`PeerStores::peek`].
+    /// Non-refreshing visibility check at `peer`.
     pub(crate) fn peek(&self, peer: PeerId, idx: u32, now: u64) -> Option<u64> {
-        self.shard.peek_local(self.local(peer), idx, now)
+        self.shard.stores[self.local(peer)].peek(idx, now)
     }
 
     /// Evicts every expired entry at `peer`, updating the accounting (TTL
@@ -441,7 +391,12 @@ impl ShardStores<'_> {
     /// peer's store).
     pub(crate) fn purge_expired(&mut self, peer: PeerId, now: u64) {
         let l = self.local(peer);
-        self.shard.purge_expired_local(l, now);
+        let StoreShard { stores, copies, purge_buf } = &mut *self.shard;
+        purge_buf.clear();
+        stores[l].purge_expired_into(now, purge_buf);
+        for &idx in purge_buf.iter() {
+            copies.release(idx);
+        }
     }
 }
 
@@ -455,8 +410,7 @@ mod tests {
     }
 
     fn purge(p: &mut PeerStores, peer: PeerId, now: u64) {
-        let (slot, shards) = p.split_mut();
-        ShardStores { slot, shard_id: 0, shard: &mut shards[0] }.purge_expired(peer, now);
+        p.view(peer).purge_expired(peer, now);
     }
 
     #[test]
@@ -487,8 +441,8 @@ mod tests {
         let res = p.insert(PeerId(0), 2, 1, 0, Ttl::Rounds(10));
         assert!(res.evicted.is_some(), "capacity 1 must evict");
         assert_eq!(p.distinct_keys(), 1);
-        assert!(p.peek(PeerId(0), 2, 0).is_some());
-        assert!(p.peek(PeerId(0), 1, 0).is_none());
+        assert!(p.store(PeerId(0)).peek(2, 0).is_some());
+        assert!(p.store(PeerId(0)).peek(1, 0).is_none());
     }
 
     #[test]
@@ -576,8 +530,8 @@ mod tests {
         p.insert(PeerId(1), 2, 1, 0, Ttl::Rounds(5));
         p.insert(PeerId(3), 3, 1, 0, Ttl::Rounds(5));
         assert_eq!(p.distinct_keys(), 3, "global distinct is the sum over shards");
-        assert!(p.peek(PeerId(2), 1, 0).is_some());
-        assert!(p.peek(PeerId(2), 2, 0).is_none());
+        assert!(p.store(PeerId(2)).peek(1, 0).is_some());
+        assert!(p.store(PeerId(2)).peek(2, 0).is_none());
         let (slot, shards) = p.split_mut();
         assert_eq!(slot, &[(0, 0), (1, 0), (0, 1), (1, 1)]);
         assert_eq!(shards.len(), 2);
@@ -606,6 +560,6 @@ mod tests {
         view.insert(PeerId(3), 6, 1, 0, Ttl::Rounds(9));
         assert!(view.get_and_refresh(PeerId(3), 6, 1, Ttl::Rounds(9)).is_some());
         assert_eq!(p.distinct_keys(), 2);
-        assert!(p.peek(PeerId(3), 6, 1).is_some());
+        assert!(p.store(PeerId(3)).peek(6, 1).is_some());
     }
 }
