@@ -104,48 +104,6 @@ pub fn report_cells(r: &SimReport) -> Vec<String> {
     ]
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn csv_round_trips() {
-        let header = ["policy", "msgs", "p"];
-        let rows = vec![
-            vec!["always (paper)".to_string(), "2730.3".into(), "0.916".into()],
-            vec!["second-chance".to_string(), "2598.5".into(), "0.887".into()],
-        ];
-        emit("unit_test_artifact", "round trip", &header, &rows);
-        let path = results_dir().join("unit_test_artifact.csv");
-        let body = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(path);
-        assert_eq!(
-            body,
-            "policy,msgs,p\nalways (paper),2730.3,0.916\nsecond-chance,2598.5,0.887\n"
-        );
-        // The printed table carries exactly the file's cells: skip the
-        // blank line, title and separator, then split the right-aligned
-        // columns on their two-space gutters.
-        let printed = render_table("round trip", &header, &rows);
-        let mut lines = printed.lines().skip(2);
-        let table_header = lines.next().unwrap();
-        let table_rows: Vec<&str> = lines.skip(1).collect();
-        let cells = |line: &str| -> Vec<String> {
-            line.split("  ").map(str::trim).filter(|c| !c.is_empty()).map(String::from).collect()
-        };
-        let csv: Vec<Vec<String>> =
-            body.lines().map(|l| l.split(',').map(String::from).collect()).collect();
-        assert_eq!(cells(table_header), csv[0]);
-        assert_eq!(table_rows.iter().map(|l| cells(l)).collect::<Vec<_>>(), csv[1..]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(f1(719.96), "720.0");
-    }
-}
-
 /// Command-line flags shared by the simulation bins (S2–S5): overlay
 /// substrate, latency model, population override, shard and thread
 /// counts, gossip codec, and a CI-friendly smoke mode.
@@ -424,6 +382,48 @@ pub fn write_histograms_csv(
         }
     }
     write_csv(name, &HISTOGRAM_CSV_HEADER, &rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn csv_round_trips() {
+        let header = ["policy", "msgs", "p"];
+        let rows = vec![
+            vec!["always (paper)".to_string(), "2730.3".into(), "0.916".into()],
+            vec!["second-chance".to_string(), "2598.5".into(), "0.887".into()],
+        ];
+        emit("unit_test_artifact", "round trip", &header, &rows);
+        let path = results_dir().join("unit_test_artifact.csv");
+        let body = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(
+            body,
+            "policy,msgs,p\nalways (paper),2730.3,0.916\nsecond-chance,2598.5,0.887\n"
+        );
+        // The printed table carries exactly the file's cells: skip the
+        // blank line, title and separator, then split the right-aligned
+        // columns on their two-space gutters.
+        let printed = render_table("round trip", &header, &rows);
+        let mut lines = printed.lines().skip(2);
+        let table_header = lines.next().unwrap();
+        let table_rows: Vec<&str> = lines.skip(1).collect();
+        let cells = |line: &str| -> Vec<String> {
+            line.split("  ").map(str::trim).filter(|c| !c.is_empty()).map(String::from).collect()
+        };
+        let csv: Vec<Vec<String>> =
+            body.lines().map(|l| l.split(',').map(String::from).collect()).collect();
+        assert_eq!(cells(table_header), csv[0]);
+        assert_eq!(table_rows.iter().map(|l| cells(l)).collect::<Vec<_>>(), csv[1..]);
+    }
+
+    #[test]
+    fn formatting_helpers() {
+        assert_eq!(f3(0.12345), "0.123");
+        assert_eq!(f1(719.96), "720.0");
+    }
 }
 
 #[cfg(test)]
