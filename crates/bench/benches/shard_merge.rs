@@ -8,9 +8,10 @@
 //! the common case when queries are dealt to their key's group shard) to 1
 //! (every message crosses, the pathological all-remote workload); the fill
 //! work per iteration is identical across fractions, so differences are
-//! the merge's routing + merge cost alone. The merge is the engine's
-//! [`merge_outboxes_into`], which k-way-merges into caller-owned
-//! [`MergeBuffers`] and allocates nothing at steady state.
+//! the merge's routing + sort cost alone. The merge is the engine's
+//! [`merge_outboxes_into`], which appends every outbox to caller-owned
+//! [`MergeBuffers`], sorts each destination's batch in place and allocates
+//! nothing at steady state.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_sim::{merge_outboxes_into, MergeBuffers, Outbox};
@@ -25,10 +26,10 @@ const MSGS_PER_SHARD: u64 = 1_024;
 
 /// Fills every outbox with `MSGS_PER_SHARD` messages, a deterministic
 /// `cross_fraction` of which address a foreign shard. Each source's times
-/// rise with the push index — producers stamp a forward-only lane clock,
-/// and [`Outbox::push`] requires nondecreasing times per destination — so
-/// every (source, destination) run arrives pre-sorted, the shape the
-/// barrier's k-way merge exploits.
+/// rise with the push index, as producers stamping a forward-only lane
+/// clock do, so every (source, destination) run arrives pre-sorted: at
+/// `cross_0` each batch is one sorted run, and more crossing traffic
+/// interleaves more runs per batch.
 fn fill(outboxes: &mut [Outbox<u64>], cross_fraction: f64) {
     let threshold = (cross_fraction * f64::from(u32::MAX)) as u64;
     for s in 0..outboxes.len() {

@@ -1268,7 +1268,7 @@ mod tests {
         // every batch they ever held, or 32 inline rows per decoder,
         // exceed both.
         const G: usize = 8;
-        const BUCKET_TABLE: usize = 6 * 1024;
+        const BUCKET_TABLE: usize = 11 * 1024;
         const MEMBER_HEADERS: usize = 192;
         let mut c = cfg_sharded(Strategy::IndexAll, 4);
         c.overlay = OverlayKind::Chord;

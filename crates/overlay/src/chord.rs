@@ -361,16 +361,6 @@ impl Overlay for ChordOverlay {
         let node = &self.nodes[peer.idx()];
         node.fingers.len() + node.successors.len()
     }
-
-    fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
-        for _ in 0..16 {
-            let cand = PeerId::from_idx(rng.random_range(0..self.nodes.len()));
-            if live.is_online(cand) {
-                return Some(cand);
-            }
-        }
-        (0..self.nodes.len()).map(PeerId::from_idx).find(|&p| live.is_online(p))
-    }
 }
 
 #[cfg(test)]

@@ -363,16 +363,6 @@ impl Overlay for KademliaOverlay {
     fn routing_entries(&self, peer: PeerId) -> usize {
         self.kbuckets.entries(peer)
     }
-
-    fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
-        for _ in 0..16 {
-            let cand = PeerId::from_idx(rng.random_range(0..self.ids.len()));
-            if live.is_online(cand) {
-                return Some(cand);
-            }
-        }
-        (0..self.ids.len()).map(PeerId::from_idx).find(|&p| live.is_online(p))
-    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, PeerId, Result};
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Result of a successful lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -302,6 +303,16 @@ pub trait Overlay: Send + Sync {
 
     /// A deterministic "well-known entry point": some online active peer a
     /// non-participant can hand its query to (Section 3.2: non-active peers
-    /// only need to know one online DHT peer).
-    fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId>;
+    /// only need to know one online DHT peer). Samples up to 16 random
+    /// active peers, then falls back to a scan in index order.
+    fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
+        let n = self.num_active();
+        for _ in 0..16 {
+            let cand = PeerId::from_idx(rng.random_range(0..n));
+            if live.is_online(cand) {
+                return Some(cand);
+            }
+        }
+        (0..n).map(PeerId::from_idx).find(|&p| live.is_online(p))
+    }
 }

@@ -303,17 +303,6 @@ impl Overlay for TrieOverlay {
     fn routing_entries(&self, peer: PeerId) -> usize {
         self.refs.entries(peer)
     }
-
-    fn entry_peer(&self, live: &Liveness, rng: &mut SmallRng) -> Option<PeerId> {
-        // Sample a handful of random active peers; fall back to a scan.
-        for _ in 0..16 {
-            let cand = PeerId::from_idx(rng.random_range(0..self.paths.len()));
-            if live.is_online(cand) {
-                return Some(cand);
-            }
-        }
-        (0..self.paths.len()).map(PeerId::from_idx).find(|&p| live.is_online(p))
-    }
 }
 
 #[cfg(test)]

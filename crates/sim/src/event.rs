@@ -6,7 +6,7 @@
 //! reproducible. Since the O(active-work) refactor the backend is the
 //! hierarchical timing wheel in [`crate::wheel`] (amortized O(1) per
 //! schedule/pop instead of the binary heap's O(log n) over every resident
-//! event). The original `BinaryHeap` queue lives on only as the oracle of
+//! event). The original binary-heap queue lives on only as the oracle of
 //! the conformance proptest (`crates/sim/tests/properties.rs`), which pins
 //! the wheel to its exact pop order for arbitrary schedules.
 
@@ -69,7 +69,7 @@ impl<E> EventQueue<E> {
 
     /// Heap bytes the queue holds: an entry arena sized by
     /// [`EventQueue::high_water`] (about 40 B per event for a 16 B
-    /// payload), plus a fixed 6 KiB bucket table.
+    /// payload), plus a fixed 11 KiB bucket table.
     pub fn heap_bytes(&self) -> usize {
         self.wheel.heap_bytes()
     }

@@ -5,9 +5,10 @@
 //! subsystem shares:
 //!
 //! * [`EventQueue`] — a stable priority queue over virtual time (ties break
-//!   by insertion order, so runs are reproducible), backed by a
-//!   hierarchical timing wheel (amortized O(1) per operation; its
-//!   `BinaryHeap` reference is the conformance proptest's oracle),
+//!   by insertion order, so runs are reproducible), backed by one
+//!   hierarchical timing wheel whose 11 levels span every `u64` µs
+//!   timestamp (amortized O(1) per operation; its binary-heap reference
+//!   is the conformance proptest's oracle),
 //! * [`Metrics`] — cumulative and per-round message accounting plus named
 //!   gauges (index size, hit rate, …) and hop [`Histogram`]s,
 //! * [`latency`] — pluggable per-hop [`LatencyModel`]s (zero, uniform,
@@ -16,9 +17,9 @@
 //!   `rand` (the offline set has no `rand_distr`),
 //! * [`shard`] — shard-parallel execution primitives: a [`ShardPool`] of
 //!   persistent parked workers plus deterministic cross-shard [`Outbox`]es
-//!   merged by `(time, src, seq)` into caller-owned [`MergeBuffers`], so
-//!   parallel rounds stay bit-reproducible and the barriers
-//!   allocation-free,
+//!   appended to caller-owned [`MergeBuffers`] and sorted in place by
+//!   `(time, src, seq)`, so parallel rounds stay bit-reproducible and the
+//!   barriers allocation-free,
 //! * [`Slab`] — a generational slab for in-flight per-query/per-update
 //!   contexts, so event dispatch parks and resumes state allocation-free,
 //! * [`VisitSet`] — a generation-stamped membership set, so per-query

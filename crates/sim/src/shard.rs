@@ -26,10 +26,9 @@
 //!   spawned once per `set_threads` configuration, woken by a condvar per
 //!   pass, and claim task chunks off a shared atomic cursor.
 //! * [`MergeBuffers`] makes the barrier **allocation-free across passes**:
-//!   the caller owns the per-destination batches and merge scratch, and
-//!   because every producer pushes to a given destination in nondecreasing
-//!   time order (lane clocks only move forward), the barrier k-way-merges
-//!   the already-sorted source runs instead of concatenating and sorting.
+//!   the caller owns the per-destination batches, and the barrier appends
+//!   every outbox to them and sorts each batch in place by its unique
+//!   `(time, src, seq)` key.
 
 use pdht_types::SimTime;
 use std::any::Any;
@@ -356,13 +355,10 @@ impl<T> Outbox<T> {
         self.src
     }
 
-    /// Buffers `payload` for shard `dest` at virtual time `time`.
-    ///
-    /// Within one pass, pushes toward the *same destination* must carry
-    /// nondecreasing times — producers stamp their (forward-only) lane
-    /// clock, so this holds by construction. The merge barrier
-    /// debug-asserts it and exploits it to k-way-merge the per-source runs
-    /// instead of sorting.
+    /// Buffers `payload` for shard `dest` at virtual time `time`, stamped
+    /// with this outbox's source and next sequence number. Pushes may
+    /// come in any time order: the barrier sorts each destination's batch
+    /// by `(time, src, seq)`.
     pub fn push(&mut self, dest: u32, time: SimTime, payload: T) {
         self.entries.push(OutMsg { dest, time, src: self.src, seq: self.seq, payload });
         self.seq += 1;
@@ -385,39 +381,19 @@ impl<T> Outbox<T> {
 }
 
 /// Caller-owned buffers for [`merge_outboxes_into`]: the per-destination
-/// batches plus the run-table and merge scratch. Holding one of these
-/// across rounds makes the barrier allocation-free at steady state —
-/// every internal `Vec` is cleared, never dropped, so capacity persists.
+/// batches. Holding one of these across rounds makes the barrier
+/// allocation-free at steady state — every batch is cleared, never
+/// dropped, so capacity persists.
 pub struct MergeBuffers<T> {
     /// Per-destination inbound batches, each in `(time, src, seq)` order
     /// after a merge.
     batches: Vec<Vec<OutMsg<T>>>,
-    /// Per-destination `(start, end)` source-run boundaries of the current
-    /// merge.
-    runs: Vec<Vec<(usize, usize)>>,
-    /// Batch lengths snapshot taken before each source is drained.
-    starts: Vec<usize>,
-    /// K-way-merge run cursors (absolute batch indices).
-    heads: Vec<usize>,
-    /// Destination-position permutation for the in-place reorder.
-    order: Vec<u32>,
 }
 
 impl<T> MergeBuffers<T> {
     /// Empty buffers for `dests` destination shards.
     pub fn new(dests: usize) -> MergeBuffers<T> {
-        MergeBuffers {
-            batches: (0..dests).map(|_| Vec::new()).collect(),
-            runs: (0..dests).map(|_| Vec::new()).collect(),
-            starts: vec![0; dests],
-            heads: Vec::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Number of destination shards.
-    pub fn dests(&self) -> usize {
-        self.batches.len()
+        MergeBuffers { batches: (0..dests).map(|_| Vec::new()).collect() }
     }
 
     /// The per-destination batches of the last merge.
@@ -440,14 +416,7 @@ impl<T> MergeBuffers<T> {
     pub fn heap_bytes(&self) -> usize {
         let batches: usize =
             self.batches.iter().map(|b| b.capacity() * size_of::<OutMsg<T>>()).sum();
-        let runs: usize =
-            self.runs.iter().map(|r| r.capacity() * size_of::<(usize, usize)>()).sum();
-        batches
-            + runs
-            + self.batches.capacity() * size_of::<Vec<OutMsg<T>>>()
-            + self.runs.capacity() * size_of::<Vec<(usize, usize)>>()
-            + (self.starts.capacity() + self.heads.capacity()) * size_of::<usize>()
-            + self.order.capacity() * size_of::<u32>()
+        batches + self.batches.capacity() * size_of::<Vec<OutMsg<T>>>()
     }
 }
 
@@ -460,14 +429,14 @@ impl<T> MergeBuffers<T> {
 /// sequence is identical at any thread count. Outboxes come back empty
 /// with their sequence counters reset, ready for the next pass.
 ///
-/// Each source's pushes toward a given destination arrive in
-/// nondecreasing-time order (see [`Outbox::push`]), and `seq` rises with
-/// push order, so each source run is already `(time, src, seq)`-sorted;
-/// the barrier therefore k-way-merges the runs in place instead of
-/// sorting, and at steady state performs **zero heap allocations**.
+/// The key is unique (`seq` is per source), so an unstable in-place sort
+/// gives that order and at steady state the barrier performs **zero heap
+/// allocations**. Producers stamp forward-only lane clocks, so each
+/// source's run toward a destination usually arrives sorted already, and
+/// a batch fed by one source sorts in O(n).
 ///
 /// # Panics
-/// Panics if any message addresses a destination `>= bufs.dests()`.
+/// Panics if any message addresses a destination `>= bufs.batches().len()`.
 pub fn merge_outboxes_into<'a, T, I>(outboxes: I, bufs: &mut MergeBuffers<T>)
 where
     I: IntoIterator<Item = &'a mut Outbox<T>>,
@@ -476,77 +445,14 @@ where
     for batch in &mut bufs.batches {
         batch.clear();
     }
-    for runs in &mut bufs.runs {
-        runs.clear();
-    }
-    // Distribute: appends from one source to one destination are
-    // contiguous, so each (source, destination) pair contributes exactly
-    // one already-sorted run, recorded by its `(start, end)` bounds.
     for outbox in outboxes {
-        for (d, start) in bufs.starts.iter_mut().enumerate() {
-            *start = bufs.batches[d].len();
-        }
         for msg in outbox.entries.drain(..) {
-            let d = msg.dest as usize;
-            debug_assert!(
-                bufs.batches[d].len() == bufs.starts[d]
-                    || bufs.batches[d].last().is_some_and(|prev| prev.time <= msg.time),
-                "source {} pushed out of time order toward destination {d}",
-                msg.src
-            );
-            bufs.batches[d].push(msg);
+            bufs.batches[msg.dest as usize].push(msg);
         }
         outbox.seq = 0;
-        for d in 0..bufs.batches.len() {
-            let (start, end) = (bufs.starts[d], bufs.batches[d].len());
-            if end > start {
-                bufs.runs[d].push((start, end));
-            }
-        }
     }
-    // K-way merge each destination's runs in place: compute the
-    // destination position of every element, then apply the permutation
-    // by cycle-following swaps.
-    for d in 0..bufs.batches.len() {
-        let runs = &bufs.runs[d];
-        if runs.len() <= 1 {
-            continue; // zero or one run: already sorted
-        }
-        let batch = &mut bufs.batches[d];
-        let n = batch.len();
-        bufs.heads.clear();
-        bufs.heads.extend(runs.iter().map(|&(start, _)| start));
-        bufs.order.clear();
-        bufs.order.resize(n, 0);
-        for t in 0..n {
-            let mut best: Option<usize> = None;
-            for (r, &(_, end)) in runs.iter().enumerate() {
-                if bufs.heads[r] >= end {
-                    continue;
-                }
-                best = match best {
-                    None => Some(r),
-                    Some(b) => {
-                        let (bm, rm) = (&batch[bufs.heads[b]], &batch[bufs.heads[r]]);
-                        if (rm.time, rm.src, rm.seq) < (bm.time, bm.src, bm.seq) {
-                            Some(r)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
-            }
-            let r = best.expect("non-empty runs cover every output position");
-            bufs.order[bufs.heads[r]] = t as u32;
-            bufs.heads[r] += 1;
-        }
-        for i in 0..n {
-            while bufs.order[i] != i as u32 {
-                let j = bufs.order[i] as usize;
-                batch.swap(i, j);
-                bufs.order.swap(i, j);
-            }
-        }
+    for batch in &mut bufs.batches {
+        batch.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
     }
 }
 
@@ -682,6 +588,22 @@ mod tests {
     }
 
     #[test]
+    fn merge_orders_a_source_pushing_out_of_time_order() {
+        let mut a: Outbox<u32> = Outbox::new(0);
+        let mut b: Outbox<u32> = Outbox::new(1);
+        a.push(0, t(9), 0);
+        a.push(0, t(2), 1);
+        b.push(0, t(5), 2);
+        a.push(0, t(5), 3);
+        a.push(0, t(2), 4);
+        b.push(0, t(1), 5);
+        let merged = merge([&mut a, &mut b], 1);
+        let keys: Vec<(u64, u32, u64)> =
+            merged.batches()[0].iter().map(|m| (m.time.as_micros(), m.src, m.seq)).collect();
+        assert_eq!(keys, [(1, 1, 1), (2, 0, 1), (2, 0, 3), (5, 0, 2), (5, 1, 0), (9, 0, 0)]);
+    }
+
+    #[test]
     fn merge_resets_sequences_for_the_next_pass() {
         let mut ob: Outbox<u8> = Outbox::new(0);
         ob.push(0, t(1), 1);
@@ -710,8 +632,7 @@ mod tests {
         assert_eq!(fwd, rev, "the (time, src, seq) key fixes the order");
     }
 
-    /// Deterministic multi-destination fill honoring the nondecreasing
-    /// per-destination push order.
+    /// Deterministic multi-destination fill, each source's times rising.
     fn fill_many(outboxes: &mut [Outbox<u64>], dests: u32, msgs: u64) {
         for (s, ob) in outboxes.iter_mut().enumerate() {
             for i in 0..msgs {

@@ -1,30 +1,28 @@
 //! Hierarchical timing wheel: the O(1)-amortized backend of
 //! [`crate::EventQueue`].
 //!
-//! A `BinaryHeap` future-event list pays O(log n) comparisons on every
+//! A binary-heap future-event list pays O(log n) comparisons on every
 //! push/pop. With the background-event refactor the queue carries ~2
 //! perpetual events per active peer, so at 100k+ peers every message
 //! arrival was paying for the whole resident population. The wheel makes
-//! scheduling and dispatch cost proportional to *active work*:
+//! scheduling and dispatch cost proportional to *active work*.
 //!
-//! * **Near future** — [`LEVELS`] wheel levels of [`SLOTS`] slots each.
-//!   Level `l` buckets time by bits `[6l, 6(l+1))` of the absolute
-//!   microsecond timestamp, so level 0 resolves single microseconds and the
-//!   whole wheel spans `2^36` µs (~19 virtual hours). Insertion picks the
-//!   *lowest* level at which the event shares all higher time bits with the
-//!   cursor, which keeps every occupied slot strictly ahead of the cursor —
-//!   no wrap-around ambiguity. As the cursor advances into a higher-level
-//!   bucket, that bucket *cascades*: its entries redistribute to lower
-//!   levels (each entry cascades at most `LEVELS - 1` times in its life).
-//! * **Far future** — events beyond the wheel horizon wait in an overflow
-//!   `BinaryHeap` and migrate into the wheel in whole top-level-bucket
-//!   groups when the cursor reaches their epoch.
+//! [`LEVELS`] wheel levels of [`SLOTS`] slots each: level `l` buckets time
+//! by bits `[6l, 6(l+1))` of the absolute microsecond timestamp, so level
+//! 0 resolves single microseconds and level 10 holds bits 60–63. The 11
+//! levels span every `u64` timestamp, so the wheel has no horizon and no
+//! second structure for far-future events. Insertion picks the *lowest*
+//! level at which the event shares all higher time bits with the cursor,
+//! which keeps every occupied slot strictly ahead of the cursor — no
+//! wrap-around ambiguity. As the cursor advances into a higher-level
+//! bucket, that bucket *cascades*: its entries redistribute to lower
+//! levels (each entry cascades at most `LEVELS - 1` times in its life).
 //!
 //! The pop order is the exact total order the heap backend produced —
 //! ascending `(time, seq)` — which the conformance proptest in
-//! `crates/sim/tests/properties.rs` pins against that `BinaryHeap` queue
+//! `crates/sim/tests/properties.rs` pins against that binary-heap queue
 //! (kept there as the oracle) for arbitrary schedules, same-instant ties,
-//! cascading boundaries and overflow times. Per-level occupancy bitmaps
+//! cascading boundaries and far-future times. Per-level occupancy bitmaps
 //! (one `u64` per level, since a level has 64 slots) plus per-slot minima
 //! make `peek` O(levels) without touching any bucket.
 //!
@@ -36,56 +34,33 @@
 //! pop returns its node to the free list. So the wheel's buffers are the
 //! arena — as many nodes as the most entries ever pending at once, grown
 //! by an eighth at a time — plus a ready run of `u32` indices and a fixed
-//! 6 KiB bucket table, whatever the shape of the schedule. (Per-bucket
+//! 11 KiB bucket table, whatever the shape of the schedule. (Per-bucket
 //! buffers instead keep the largest batch each bucket ever held: a
 //! same-microsecond batch of timeouts cascading through a level leaves a
 //! batch-sized buffer behind in every slot it passes.) The level-0 refill
 //! collects its bucket's indices into the ready run and sorts them by
 //! `seq`, which is O(n) on the already-ordered common case.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::mem::size_of;
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level (64, so one `u64` bitmap covers a level).
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; level `l` buckets bits `[6l, 6(l+1))` of the timestamp.
-const LEVELS: usize = 6;
-/// Total bits the wheel resolves; times differing from the cursor above
-/// this go to the overflow heap.
-const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Wheel levels; level `l` buckets bits `[6l, 6(l+1))` of the timestamp,
+/// and the top level's four bits (60–63) complete the `u64`.
+const LEVELS: usize = 64_usize.div_ceil(SLOT_BITS as usize);
 /// End of a node list (bucket or free list).
 const NIL: u32 = u32::MAX;
 /// Fewest nodes the arena grows by at once.
 const MIN_GROWTH: usize = 64;
 
-/// A scheduled entry: absolute due time in µs plus the global sequence
-/// number that makes the pop order total.
+/// A popped entry: its absolute due time in µs and its event.
 #[derive(Clone, Debug)]
 pub(crate) struct Entry<E> {
     pub(crate) time: u64,
-    pub(crate) seq: u64,
     pub(crate) event: E,
-}
-
-// Overflow-heap ordering: min-heap by (time, seq) — BinaryHeap is a
-// max-heap, so the comparison is inverted.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 /// One arena slot: a pending entry and the next node of its bucket list,
@@ -119,7 +94,6 @@ const EMPTY_BUCKET: Bucket = Bucket { head: NIL, tail: NIL, min: u64::MAX };
 /// * Every occupied wheel slot is strictly ahead of the cursor at its
 ///   level, so the first occupied level (bottom-up) holds the earliest
 ///   pending time and a level-0 slot holds entries of one exact µs.
-/// * Overflow entries differ from `cur` in bits `>= WHEEL_BITS`.
 /// * Every node is on exactly one list: a bucket's, the ready run, or the
 ///   free list.
 pub(crate) struct TimingWheel<E> {
@@ -132,13 +106,11 @@ pub(crate) struct TimingWheel<E> {
     /// Per-level occupancy bitmap (bit `s` ⇔ bucket `l * SLOTS + s`
     /// non-empty).
     occupied: [u64; LEVELS],
-    /// Far-future events, beyond the wheel horizon.
-    overflow: BinaryHeap<Entry<E>>,
     /// Nodes due exactly at `cur`, in ascending `seq` order.
     ready: VecDeque<u32>,
     /// The cursor: absolute µs the wheel is positioned at.
     cur: u64,
-    /// Pending entries across ready + wheel + overflow.
+    /// Pending entries across ready run and wheel.
     len: usize,
 }
 
@@ -149,7 +121,6 @@ impl<E> TimingWheel<E> {
             free: NIL,
             buckets: vec![EMPTY_BUCKET; LEVELS * SLOTS],
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
             cur: 0,
             len: 0,
@@ -165,11 +136,10 @@ impl<E> TimingWheel<E> {
     }
 
     /// Heap bytes held: the node arena and ready run at their capacity,
-    /// the overflow heap, and the fixed bucket table.
+    /// and the fixed bucket table.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * size_of::<Node<E>>()
             + self.ready.capacity() * size_of::<u32>()
-            + self.overflow.capacity() * size_of::<Entry<E>>()
             + self.buckets.capacity() * size_of::<Bucket>()
     }
 
@@ -178,12 +148,8 @@ impl<E> TimingWheel<E> {
     pub(crate) fn schedule(&mut self, time: u64, seq: u64, event: E) {
         debug_assert!(time >= self.cur);
         self.len += 1;
-        if (time ^ self.cur) >> WHEEL_BITS != 0 {
-            self.overflow.push(Entry { time, seq, event });
-        } else {
-            let i = self.alloc(Entry { time, seq, event });
-            self.place(i);
-        }
+        let i = self.alloc(Node { time, seq, event: Some(event), next: NIL });
+        self.place(i);
     }
 
     /// Earliest pending `(time)` without mutating anything.
@@ -191,13 +157,9 @@ impl<E> TimingWheel<E> {
         if !self.ready.is_empty() {
             return Some(self.cur);
         }
-        for l in 0..LEVELS {
-            if self.occupied[l] != 0 {
-                let s = self.occupied[l].trailing_zeros() as usize;
-                return Some(self.buckets[l * SLOTS + s].min);
-            }
-        }
-        self.overflow.peek().map(|e| e.time)
+        let l = self.occupied.iter().position(|&bits| bits != 0)?;
+        let s = self.occupied[l].trailing_zeros() as usize;
+        Some(self.buckets[l * SLOTS + s].min)
     }
 
     /// Pops the globally earliest entry in `(time, seq)` order, advancing
@@ -213,7 +175,7 @@ impl<E> TimingWheel<E> {
         node.next = self.free;
         self.free = i;
         debug_assert_eq!(node.time, self.cur);
-        Some(Entry { time: node.time, seq: node.seq, event })
+        Some(Entry { time: node.time, event })
     }
 
     /// Moves the cursor to `to` (µs). The caller guarantees no pending
@@ -229,15 +191,12 @@ impl<E> TimingWheel<E> {
         // Restore the strictly-ahead invariant: buckets whose range now
         // includes the cursor cascade down (their entries are all >= cur).
         self.cascade_cursor_buckets();
-        // Overflow entries that entered the wheel's epoch migrate in.
-        self.drain_overflow_epoch();
     }
 
-    /// Stores `e` in a node — the free list's head, else a new one. The
-    /// arena grows by an eighth (at least [`MIN_GROWTH`] nodes), so its
-    /// capacity stays within 1.125 × the most entries ever pending.
-    fn alloc(&mut self, e: Entry<E>) -> u32 {
-        let node = Node { time: e.time, seq: e.seq, event: Some(e.event), next: NIL };
+    /// Stores `node` in the arena — at the free list's head, else in a new
+    /// slot. The arena grows by an eighth (at least [`MIN_GROWTH`] nodes),
+    /// so its capacity stays within 1.125 × the most entries ever pending.
+    fn alloc(&mut self, node: Node<E>) -> u32 {
         if self.free != NIL {
             let i = self.free;
             self.free = self.nodes[i as usize].next;
@@ -254,14 +213,11 @@ impl<E> TimingWheel<E> {
 
     /// Files node `i` relative to the current cursor: the ready run for
     /// `time == cur`, else the tail of the lowest wheel level's bucket
-    /// sharing all higher time bits with the cursor. (Only
-    /// [`Self::schedule`] and the overflow migration see times beyond the
-    /// horizon, and they keep those in the overflow heap.)
+    /// sharing all higher time bits with the cursor.
     fn place(&mut self, i: u32) {
         let Node { time, seq, .. } = self.nodes[i as usize];
         debug_assert!(time >= self.cur);
         let diff = time ^ self.cur;
-        debug_assert!(diff >> WHEEL_BITS == 0, "overflow times never enter the arena");
         if diff == 0 {
             // Same instant as the cursor: belongs to the ready run. Direct
             // schedules arrive in ascending seq (the global counter), but
@@ -320,33 +276,11 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Migrates overflow entries sharing the cursor's top-level epoch into
-    /// the wheel (the heap pops them earliest-first, so same-time entries
-    /// re-file in seq order).
-    fn drain_overflow_epoch(&mut self) {
-        while self.overflow.peek().is_some_and(|e| e.time >> WHEEL_BITS == self.cur >> WHEEL_BITS) {
-            let e = self.overflow.pop().expect("peeked");
-            let i = self.alloc(e);
-            self.place(i);
-        }
-    }
-
     /// Positions the cursor at the earliest pending time and fills the
     /// ready run with that instant's entries. No-op on an empty queue.
     fn refill_ready(&mut self) {
-        loop {
-            if !self.ready.is_empty() {
-                return; // a cascade re-filed entries due exactly at `cur`
-            }
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                // Wheel empty: pull the next whole top-level epoch from the
-                // overflow heap (partial pulls would let later schedules
-                // into the wheel overtake still-parked overflow entries).
-                let Some(top) = self.overflow.peek() else { return };
-                self.cur = self.cur.max((top.time >> WHEEL_BITS) << WHEEL_BITS);
-                self.drain_overflow_epoch();
-                continue;
-            };
+        while self.ready.is_empty() {
+            let Some(level) = self.occupied.iter().position(|&bits| bits != 0) else { return };
             let slot = self.occupied[level].trailing_zeros() as usize;
             if level == 0 {
                 // A level-0 slot is one exact microsecond: its list becomes
@@ -366,11 +300,14 @@ impl<E> TimingWheel<E> {
                 self.ready.make_contiguous().sort_unstable_by_key(|&r| nodes[r as usize].seq);
                 return;
             }
-            // Advance into the earliest occupied higher-level bucket and
-            // cascade it; the loop then resolves the lower levels.
-            let span = 1u64 << (SLOT_BITS * (level as u32 + 1));
-            let bucket_start =
-                (self.cur & !(span - 1)) | ((slot as u64) << (SLOT_BITS * level as u32));
+            // Advance to the start of the earliest occupied higher-level
+            // bucket — the cursor's bits above this level, the slot at it,
+            // zeros below — and cascade it; the loop then resolves the
+            // lower levels (or a cascade fills the ready run). Shifting the
+            // level's digits down and back up never overflows, where a
+            // `1 << 6(level + 1)` span mask would at the top level.
+            let shift = SLOT_BITS * level as u32;
+            let bucket_start = ((self.cur >> shift) & !(SLOTS as u64 - 1) | slot as u64) << shift;
             self.cur = self.cur.max(bucket_start);
             self.cascade_bucket(level, slot);
         }
@@ -381,8 +318,14 @@ impl<E> TimingWheel<E> {
 mod tests {
     use super::*;
 
-    fn drain<E: Clone>(w: &mut TimingWheel<E>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| w.pop()).map(|e| (e.time, e.seq)).collect()
+    /// Pops up to `n` entries of a wheel whose events are their own
+    /// sequence numbers, as `(time, seq)` pairs.
+    fn drain_n(w: &mut TimingWheel<u64>, n: usize) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| w.pop()).take(n).map(|e| (e.time, e.event)).collect()
+    }
+
+    fn drain(w: &mut TimingWheel<u64>) -> Vec<(u64, u64)> {
+        drain_n(w, usize::MAX)
     }
 
     #[test]
@@ -390,7 +333,7 @@ mod tests {
         let mut w = TimingWheel::new();
         let times = [5u64, 1, 70, 1, 4096, 63, 64, 5, 1 << 37, 0];
         for (seq, &t) in times.iter().enumerate() {
-            w.schedule(t, seq as u64, ());
+            w.schedule(t, seq as u64, seq as u64);
         }
         let mut expect: Vec<(u64, u64)> =
             times.iter().enumerate().map(|(s, &t)| (t, s as u64)).collect();
@@ -457,19 +400,52 @@ mod tests {
     }
 
     #[test]
-    fn overflow_epoch_migrates_whole_groups() {
+    fn times_up_to_u64_max_pop_in_time_then_seq_order() {
+        // Times at and around the top level's bits (60–63) and the 2^36
+        // and 2^60 level boundaries, with same-instant ties. Popping them
+        // walks the cursor across both boundaries and up to u64::MAX; the
+        // refill's bucket start at level 10 must not overflow.
+        let mut times = vec![u64::MAX, u64::MAX - 1, u64::MAX, u64::MAX - 64, u64::MAX - (1 << 60)];
+        for edge in [1u64 << 36, 1 << 60] {
+            times.extend([edge - 1, edge, edge + 1, edge, edge + 100]);
+        }
+        times.extend([7, 1 << 40, (1 << 60) + (1 << 36), 3 << 60]);
         let mut w = TimingWheel::new();
-        let epoch = 1u64 << WHEEL_BITS;
-        w.schedule(epoch + 100, 0, "x");
-        w.schedule(epoch + 5, 1, "y");
-        w.schedule(epoch + 100, 2, "z");
-        // All three sit in overflow; popping must still be (time, seq).
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop()).map(|e| e.event).collect();
-        assert_eq!(order, ["y", "x", "z"]);
+        for (seq, &t) in times.iter().enumerate() {
+            w.schedule(t, seq as u64, seq as u64);
+        }
+        let mut expect: Vec<(u64, u64)> =
+            times.iter().enumerate().map(|(s, &t)| (t, s as u64)).collect();
+        expect.sort_unstable();
+        // Pop through 2^60 + 1, schedule a same-time tie and a later entry
+        // from there, then drain the rest.
+        let mut popped = drain_n(&mut w, 11);
+        let cur = popped.last().unwrap().0;
+        assert!(cur > 1 << 60, "the cursor crossed both boundaries");
+        let seq = times.len() as u64;
+        w.schedule(cur, seq, seq);
+        w.schedule(u64::MAX, seq + 1, seq + 1);
+        expect.extend([(cur, seq), (u64::MAX, seq + 1)]);
+        expect.sort_unstable();
+        popped.extend(drain(&mut w));
+        assert_eq!(popped, expect);
+        assert!(w.is_empty());
     }
 
-    /// Bytes of the wheel's entry buffers — arena, ready run and overflow
-    /// heap: all of its heap but the fixed bucket table.
+    #[test]
+    fn advance_cur_to_the_top_level_keeps_order() {
+        let mut w = TimingWheel::new();
+        w.schedule(u64::MAX, 0, "last");
+        w.schedule((1 << 63) + 5, 1, "b");
+        w.schedule(1 << 63, 2, "a");
+        w.advance_cur(1 << 63);
+        assert_eq!(w.peek_time(), Some(1 << 63));
+        let order: Vec<&str> = std::iter::from_fn(|| w.pop()).map(|e| e.event).collect();
+        assert_eq!(order, ["a", "b", "last"]);
+    }
+
+    /// Bytes of the wheel's entry buffers — arena and ready run: all of its
+    /// heap but the fixed bucket table.
     fn buffer_bytes<E>(w: &TimingWheel<E>) -> usize {
         w.heap_bytes() - LEVELS * SLOTS * size_of::<Bucket>()
     }

@@ -27,7 +27,7 @@ pub use fasthash::{FastHashMap, FastHashSet};
 pub use key::{Key, Prefix, KEY_BITS};
 pub use liveness::Liveness;
 pub use msg::{MessageKind, MsgCounts};
-pub use peer::{PeerId, PeerStatus};
+pub use peer::PeerId;
 pub use rng::{mix64, RngStreams};
 pub use time::{Round, SimTime};
 

@@ -1,4 +1,4 @@
-//! Peer identifiers and liveness status.
+//! Peer identifiers.
 
 use std::fmt;
 
@@ -45,29 +45,6 @@ impl From<u32> for PeerId {
     }
 }
 
-/// Liveness of a peer in the churn model.
-///
-/// Peers alternate between online sessions and offline periods; the overlay
-/// maintenance layer probes routing entries to detect [`PeerStatus::Offline`]
-/// peers (Section 3.3.1 of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum PeerStatus {
-    /// The peer participates in overlays and answers queries.
-    #[default]
-    Online,
-    /// The peer is temporarily disconnected; its state is retained and it
-    /// pulls missed updates when it returns (the \[DaHa03\] model).
-    Offline,
-}
-
-impl PeerStatus {
-    /// `true` if the peer is currently online.
-    #[inline]
-    pub fn is_online(self) -> bool {
-        matches!(self, PeerStatus::Online)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,11 +66,5 @@ mod tests {
     fn peer_id_formats_compactly() {
         assert_eq!(format!("{}", PeerId(7)), "peer#7");
         assert_eq!(format!("{:?}", PeerId(7)), "peer#7");
-    }
-
-    #[test]
-    fn status_defaults_to_online() {
-        assert!(PeerStatus::default().is_online());
-        assert!(!PeerStatus::Offline.is_online());
     }
 }

@@ -3,12 +3,11 @@
 //! Gnutella-like topologies: every peer keeps "a few open connections to
 //! other peers" (paper Section 3.1). Construction guarantees connectivity
 //! (a random Hamiltonian backbone) and then adds random edges to reach the
-//! target mean degree; an optional preferential-attachment mode yields the
-//! heavy-tailed degree distributions measured on real Gnutella.
+//! target mean degree.
 
 use pdht_types::{PdhtError, PeerId, Result};
 use rand::rngs::SmallRng;
-use rand::seq::{IndexedRandom, SliceRandom};
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// An undirected overlay graph over a dense peer population.
@@ -135,52 +134,6 @@ impl Topology {
                 attempts_left = attempts_left.max(next_edge_budget(topo.edges));
             }
         }
-        Ok(topo.finish(target_edges))
-    }
-
-    /// A preferential-attachment graph (Barabási–Albert flavour): each new
-    /// peer attaches to `m` existing peers chosen proportionally to degree.
-    /// Produces the heavy-tailed degree distributions observed on Gnutella.
-    ///
-    /// # Errors
-    /// Fails if `n < 2` or `m == 0`.
-    pub fn preferential(n: usize, m: usize, rng: &mut SmallRng) -> Result<Topology> {
-        if n < 2 {
-            return Err(PdhtError::InvalidConfig {
-                param: "n",
-                reason: "need at least two peers".into(),
-            });
-        }
-        if m == 0 {
-            return Err(PdhtError::InvalidConfig {
-                param: "m",
-                reason: "each peer must attach somewhere".into(),
-            });
-        }
-        let mut topo = Builder::new(n);
-        // Endpoint pool: each edge contributes both endpoints, so sampling
-        // uniformly from the pool is degree-proportional sampling.
-        let mut pool: Vec<usize> = Vec::with_capacity(2 * n * m);
-        topo.add_edge(0, 1);
-        pool.extend_from_slice(&[0, 1]);
-        for v in 2..n {
-            let mut attached = 0usize;
-            let mut guard = 0usize;
-            while attached < m.min(v) && guard < 50 * m {
-                guard += 1;
-                let &t = pool.as_slice().choose(rng).expect("pool non-empty");
-                if t != v && topo.add_edge(v, t) {
-                    pool.extend_from_slice(&[v, t]);
-                    attached += 1;
-                }
-            }
-            // Fallback so the graph stays connected even under collisions.
-            if attached == 0 {
-                topo.add_edge(v, v - 1);
-                pool.extend_from_slice(&[v, v - 1]);
-            }
-        }
-        let target_edges = topo.edges;
         Ok(topo.finish(target_edges))
     }
 
@@ -322,22 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn preferential_graph_is_connected_and_heavy_tailed() {
-        let t = Topology::preferential(2_000, 3, &mut rng()).unwrap();
-        assert!(t.is_connected());
-        let mut degrees: Vec<usize> =
-            (0..2_000).map(|i| t.neighbors(PeerId::from_idx(i)).len()).collect();
-        degrees.sort_unstable_by(|a, b| b.cmp(a));
-        // Heavy tail: the top hub has far more links than the median peer.
-        assert!(
-            degrees[0] >= 5 * degrees[1000].max(1),
-            "hub degree {} vs median {}",
-            degrees[0],
-            degrees[1000]
-        );
-    }
-
-    #[test]
     fn dense_targets_are_met_not_silently_undershot() {
         // At high density most uniform pairs collide with existing edges;
         // the old fixed global retry guard gave up early and silently
@@ -412,8 +349,6 @@ mod tests {
     fn degenerate_inputs_rejected() {
         assert!(Topology::random(1, 4, &mut rng()).is_err());
         assert!(Topology::random(10, 1, &mut rng()).is_err());
-        assert!(Topology::preferential(1, 2, &mut rng()).is_err());
-        assert!(Topology::preferential(10, 0, &mut rng()).is_err());
     }
 
     #[test]
