@@ -1,9 +1,12 @@
 //! Benchmarks of the GF(256) kernel behind the coded gossip codecs: the
 //! product-table multiply, [`gf_axpy`] at the row lengths the decoders
 //! actually touch, end-to-end decoder fills at each supported generation
-//! size for the dense and sparse encoders, and the triangular encode of a
-//! full-rank generation-32 decoder. (The Russian-peasant scalar rows PR 14
-//! measured the table against are recorded in `BENCH_ab_pr14.json`.)
+//! size for the dense and sparse encoders, and the encode of a full-rank
+//! decoder at generations 8 and 32. `Decoder::encode` and `insert` run
+//! the AVX2 row kernels where the CPU has them, the product table
+//! elsewhere; `gf_axpy` is always the product table. (The Russian-peasant
+//! scalar rows PR 14 measured the table against are recorded in
+//! `BENCH_ab_pr14.json`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_gossip::codec::{gf_axpy, gf_mul, CoeffVec, Decoder};
@@ -86,15 +89,20 @@ fn bench_decoder_fill(c: &mut Criterion) {
 
 fn bench_encode(c: &mut Criterion) {
     // A full-rank decoder with dense echelon rows: the sender a coded wave
-    // draws most of its packets from once the generation has spread.
-    let mut rng = SmallRng::seed_from_u64(0x6f_0004);
-    let mut sender = Decoder::empty(32);
-    while !sender.is_complete() {
-        let mut v = CoeffVec::zero(32);
-        v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random());
-        sender.insert(v);
+    // draws most of its packets from once the generation has spread. G = 8
+    // is `loaded_mix`'s generation, G = 32 `gossip_coded`'s.
+    for g in [8usize, 32] {
+        let mut rng = SmallRng::seed_from_u64(0x6f_0004);
+        let mut sender = Decoder::empty(g);
+        while !sender.is_complete() {
+            let mut v = CoeffVec::zero(g);
+            v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random());
+            sender.insert(v);
+        }
+        c.bench_function(&format!("gf/encode_g{g}_full_rank"), |b| {
+            b.iter(|| black_box(sender.encode(&mut rng)))
+        });
     }
-    c.bench_function("gf/encode_g32_full_rank", |b| b.iter(|| black_box(sender.encode(&mut rng))));
 }
 
 criterion_group!(benches, bench_mul, bench_axpy, bench_decoder_fill, bench_encode);

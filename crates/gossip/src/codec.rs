@@ -33,16 +33,27 @@
 //!
 //! # GF(256) kernels
 //!
-//! One mechanism: a const-built 64 KiB product table (`GF_PROD[f][b] =
-//! f·b`, generated from the private Russian-peasant `gf_mul_ref`) plus a
-//! 256-byte inverse table from the private `gf_inv_ref`; the two loops
-//! build the tables and are this module's tests' references, nothing
-//! else. [`gf_mul`], [`gf_axpy`] and
+//! The portable mechanism: a const-built 64 KiB product table
+//! (`GF_PROD[f][b] = f·b`, generated from the private Russian-peasant
+//! `gf_mul_ref`) plus a 256-byte inverse table from the private
+//! `gf_inv_ref`; the two loops build the tables and are this module's
+//! tests' references, nothing else. [`gf_mul`], [`gf_axpy`] and
 //! [`gf_scale`] all index the table — a row operation takes its
 //! multiplier's 256-byte row once and spends one lookup per byte, with
 //! nothing built per call. `Decoder` rows are echelon (row `c` is zero
-//! before column `c`), so elimination, encode and absorb fold only the
-//! `[c..g]` tail of a row.
+//! before column `c`), so the table loops of elimination, encode and
+//! sparse encode fold only the `[c..g]` tail of a row.
+//!
+//! On x86_64 with AVX2, [`Decoder::encode`] and [`Decoder::insert`] (and
+//! so [`Decoder::absorb`]) instead run a row kernel that holds a whole
+//! 32-byte row in one register and multiplies it by two `vpshufb`
+//! lookups into the 8 KiB split-nibble table `GF_NIB[f] = [f·n, f·(n <<
+//! 4)]`, also built from `gf_mul_ref`. Each call detects the feature once
+//! and runs its whole row loop in the kernel. The arithmetic is exact, so
+//! both paths give the same bytes, RNG draws and verdicts; the table loops
+//! stay as the portable path and as the oracle of the
+//! `avx2_rows_match_the_product_table` proptest. `encode_sparse`,
+//! `pick_chunk` and the public kernels stay on the table.
 //!
 //! # Decoder layout
 //!
@@ -175,6 +186,26 @@ static GF_PROD: [[u8; 256]; 256] = {
         while b < 256 {
             t[f][b] = gf_mul_ref(f as u8, b as u8);
             b += 1;
+        }
+        f += 1;
+    }
+    t
+};
+
+/// The split-nibble table, const-built from [`gf_mul_ref`]: `GF_NIB[f] =
+/// [f·n, f·(n << 4)]` for `n` in 0..16, so `f·b = GF_NIB[f][0][b & 15] ^
+/// GF_NIB[f][1][b >> 4]`. 8 KiB; one multiplier's 32 bytes are the two
+/// shuffle tables of the AVX2 row kernels.
+#[cfg(target_arch = "x86_64")]
+static GF_NIB: [[[u8; 16]; 2]; 256] = {
+    let mut t = [[[0u8; 16]; 2]; 256];
+    let mut f = 0;
+    while f < 256 {
+        let mut n = 0;
+        while n < 16 {
+            t[f][0][n] = gf_mul_ref(f as u8, n as u8);
+            t[f][1][n] = gf_mul_ref(f as u8, (n << 4) as u8);
+            n += 1;
         }
         f += 1;
     }
@@ -363,9 +394,21 @@ impl Decoder {
     /// Folds one packet in. Returns `true` iff it was innovative (raised
     /// the rank). Gaussian elimination against the stored echelon rows;
     /// the reduced vector becomes a new normalized pivot row or vanishes.
-    pub fn insert(&mut self, mut v: CoeffVec) -> bool {
+    pub fn insert(&mut self, v: CoeffVec) -> bool {
+        debug_assert_eq!(v.len(), self.rows.len(), "packet generation mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, detected on the line above.
+            #[allow(unsafe_code)]
+            return unsafe { avx2::insert(self, v) };
+        }
+        self.insert_table(v)
+    }
+
+    /// [`Decoder::insert`] off the product table, one lookup per byte of
+    /// each `[c..g]` fold: the portable path.
+    fn insert_table(&mut self, mut v: CoeffVec) -> bool {
         let g = self.rows.len();
-        debug_assert_eq!(v.len(), g, "packet generation mismatch");
         for (c, row) in self.rows.iter_mut().enumerate() {
             let f = v.coeffs[c];
             if f == 0 {
@@ -391,6 +434,17 @@ impl Decoder {
     /// Row `c` is echelon — zero before its pivot column `c` — so only
     /// `[c..g]` of it is folded.
     pub fn encode(&self, rng: &mut SmallRng) -> CoeffVec {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, detected on the line above.
+            #[allow(unsafe_code)]
+            return unsafe { avx2::encode(self, rng) };
+        }
+        self.encode_table(rng)
+    }
+
+    /// [`Decoder::encode`] off the product table: the portable path.
+    fn encode_table(&self, rng: &mut SmallRng) -> CoeffVec {
         let g = self.rows.len();
         let mut out = CoeffVec::zero(g);
         for (c, row) in self.rows.iter().enumerate() {
@@ -463,6 +517,95 @@ impl Decoder {
     }
 }
 
+/// The AVX2 row kernels: each is the whole row loop of one [`Decoder`]
+/// operation, with a 32-byte row in one `__m256i` and a multiply as two
+/// `vpshufb` lookups into the multiplier's [`GF_NIB`] tables. A full-width
+/// row op equals the `[c..g]` fold byte for byte: stored rows are zero
+/// outside `[c, g)`, and a reduced packet is zero before its pivot.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{gf_inv, CoeffVec, Decoder, GF_NIB, MAX_GENERATION};
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+    use std::arch::x86_64::*;
+
+    type Row = [u8; MAX_GENERATION];
+
+    /// Little-endian 64-bit word `i` of `bytes`.
+    #[inline]
+    fn word(bytes: &[u8], i: usize) -> i64 {
+        i64::from_le_bytes(std::array::from_fn(|k| bytes[8 * i + k]))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(row: &Row) -> __m256i {
+        let [w0, w1, w2, w3]: [i64; 4] = std::array::from_fn(|i| word(row, i));
+        _mm256_setr_epi64x(w0, w1, w2, w3)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(x: __m256i) -> Row {
+        let words = [
+            _mm256_extract_epi64::<0>(x),
+            _mm256_extract_epi64::<1>(x),
+            _mm256_extract_epi64::<2>(x),
+            _mm256_extract_epi64::<3>(x),
+        ];
+        std::array::from_fn(|k| words[k / 8].to_le_bytes()[k % 8])
+    }
+
+    /// `f · x` bytewise: the low and high nibble of every byte index
+    /// `f`'s two 16-entry tables, each broadcast to both 128-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul(x: __m256i, f: u8) -> __m256i {
+        let [lo, hi] = &GF_NIB[usize::from(f)];
+        let lo = _mm256_set_epi64x(word(lo, 1), word(lo, 0), word(lo, 1), word(lo, 0));
+        let hi = _mm256_set_epi64x(word(hi, 1), word(hi, 0), word(hi, 1), word(hi, 0));
+        let nibble = _mm256_set1_epi8(0x0f);
+        let low = _mm256_and_si256(x, nibble);
+        let high = _mm256_and_si256(_mm256_srli_epi16::<4>(x), nibble);
+        _mm256_xor_si256(_mm256_shuffle_epi8(lo, low), _mm256_shuffle_epi8(hi, high))
+    }
+
+    /// [`Decoder::encode`]: one coefficient drawn per present row in
+    /// ascending `c`, each row folded in whole.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn encode(d: &Decoder, rng: &mut SmallRng) -> CoeffVec {
+        let mut acc = _mm256_setzero_si256();
+        for (row, _) in d.rows.iter().zip(&d.present).filter(|(_, &held)| held) {
+            acc = _mm256_xor_si256(acc, mul(load(row), rng.random()));
+        }
+        CoeffVec { coeffs: store(acc), len: d.rows.len() as u8 }
+    }
+
+    /// [`Decoder::insert`]: the reduction against every held pivot row,
+    /// then the pivot scale of an innovative packet.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn insert(d: &mut Decoder, v: CoeffVec) -> bool {
+        let mut x = load(&v.coeffs);
+        let mut bytes = v.coeffs;
+        for (c, row) in d.rows.iter_mut().enumerate() {
+            let f = bytes[c];
+            if f == 0 {
+                continue;
+            }
+            if d.present[c] {
+                x = _mm256_xor_si256(x, mul(load(row), f));
+                bytes = store(x);
+            } else {
+                *row = store(mul(x, gf_inv(f)));
+                d.present[c] = true;
+                d.rank += 1;
+                return true;
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +639,20 @@ mod tests {
         for f in 0..=255u8 {
             for b in 0..=255u8 {
                 assert_eq!(gf_mul(f, b), gf_mul_ref(f, b), "f={f:#x} b={b:#x}");
+            }
+        }
+    }
+
+    /// Both split-nibble lookups of every multiplier recombine to the
+    /// reference product over all 256 × 256 pairs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn nibble_table_matches_the_peasant_reference_exhaustively() {
+        for f in 0..=255u8 {
+            let [lo, hi] = &GF_NIB[usize::from(f)];
+            for b in 0..=255u8 {
+                let got = lo[usize::from(b & 15)] ^ hi[usize::from(b >> 4)];
+                assert_eq!(got, gf_mul_ref(f, b), "f={f:#x} b={b:#x}");
             }
         }
     }
@@ -1003,6 +1160,57 @@ mod tests {
             let mut got: Vec<u8> = dst_seed[..n].to_vec();
             gf_axpy(&mut got, &src[..n], f);
             prop_assert_eq!(got, expect);
+        }
+
+        /// The AVX2 row kernels (what `encode` and `insert` dispatch to on
+        /// this CPU) and the product-table loops agree on the same decoder,
+        /// partial or full rank: the same encode and next RNG word, the
+        /// same verdict and resulting decoder for a stream of random
+        /// packets and for a dependent one, and the same absorb.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn avx2_rows_match_the_product_table(
+            g in 1usize..=32,
+            packets in 0usize..80,
+            mask in prop::sample::select(vec![0x01u8, 0x03, 0xff]),
+            donor_packets in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("avx2_rows_match_the_product_table: no AVX2 on this CPU, skipped");
+                return Ok(());
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let d = random_decoder(g, packets, mask, &mut rng);
+
+            let mut table_rng = rng.clone();
+            prop_assert_eq!(d.encode(&mut rng), d.encode_table(&mut table_rng));
+            prop_assert_eq!(rng.clone().random::<u64>(), table_rng.random::<u64>());
+
+            let (mut fast, mut table) = (d.clone(), d.clone());
+            for _ in 0..g + 2 {
+                let mut v = CoeffVec::zero(g);
+                v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random::<u8>() & mask);
+                prop_assert_eq!(fast.insert(v), table.insert_table(v));
+                prop_assert_eq!(&fast, &table);
+            }
+            let dependent = d.encode_table(&mut rng);
+            let (mut fast, mut table) = (d.clone(), d.clone());
+            prop_assert!(!fast.insert(dependent), "a combination of held rows is innovative");
+            prop_assert!(!table.insert_table(dependent));
+            prop_assert_eq!(&fast, &d);
+            prop_assert_eq!(&table, &d);
+
+            let donor = random_decoder(g, donor_packets, 0xff, &mut rng);
+            let (mut fast, mut table) = (d.clone(), d.clone());
+            let gained = fast.absorb(&donor);
+            for (c, &row) in donor.rows.iter().enumerate() {
+                if donor.present[c] {
+                    table.insert_table(CoeffVec { coeffs: row, len: g as u8 });
+                }
+            }
+            prop_assert_eq!(gained, table.rank() - d.rank());
+            prop_assert_eq!(&fast, &table);
         }
     }
 }

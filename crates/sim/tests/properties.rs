@@ -99,7 +99,8 @@ fn heap_backend_matches_wheel_on_a_mixed_schedule() {
 
 /// Times that stress every region of the timing wheel: slot boundaries at
 /// every level (powers of 64 ± 1), same-instant ties, and far-future
-/// values beyond the 2^36-µs wheel horizon (the overflow heap).
+/// values on the top levels, up to the end of the `u64` µs range (level
+/// `l` holds bits `6l..6l + 6`, so 2^36 is level 6 and 2^60 level 10).
 fn wheel_stress_time() -> impl Strategy<Value = u64> {
     prop_oneof![
         // Dense near-future times (level-0/1 slots, heavy tie pressure).
@@ -112,17 +113,23 @@ fn wheel_stress_time() -> impl Strategy<Value = u64> {
         ((1u64 << 30) - 2)..((1u64 << 30) + 66),
         // Mid-range wheel times.
         0u64..5_000_000,
-        // Beyond the wheel horizon: overflow-heap territory.
+        // Far-future times on levels 6-10.
         ((1u64 << 36) - 10)..((1u64 << 36) + 100_000),
         (1u64 << 40)..((1u64 << 40) + 1_000),
+        ((1u64 << 42) - 10)..((1u64 << 42) + 1_000),
+        ((1u64 << 48) - 10)..((1u64 << 48) + 1_000),
+        ((1u64 << 54) - 10)..((1u64 << 54) + 1_000),
+        ((1u64 << 60) - 10)..((1u64 << 60) + 1_000),
+        // The last 2^20 µs of the range (every level's top slot).
+        (u64::MAX - (1u64 << 20))..=u64::MAX,
     ]
 }
 
 proptest! {
     /// The timing-wheel queue pops in an order identical to the reference
     /// `BinaryHeap` backend for arbitrary schedules — including
-    /// same-instant ties, cascading boundaries, and far-future overflow
-    /// times — under interleaved scheduling and popping.
+    /// same-instant ties, cascading boundaries, and far-future times on
+    /// the top levels — under interleaved scheduling and popping.
     #[test]
     fn wheel_matches_heap_backend(
         phases in prop::collection::vec(
@@ -135,9 +142,13 @@ proptest! {
         let mut id = 0u32;
         for (delays, pops) in phases {
             // Schedule a batch relative to the current clock (the queues
-            // reject absolute times in the past).
+            // reject absolute times in the past), skipping any delay that
+            // would carry the time past `u64::MAX`.
             for d in delays {
-                let at = wheel.now() + SimTime::from_micros(d);
+                let Some(at) = wheel.now().as_micros().checked_add(d) else {
+                    continue;
+                };
+                let at = SimTime::from_micros(at);
                 wheel.schedule_at(at, id);
                 heap.schedule_at(at, id);
                 id += 1;
