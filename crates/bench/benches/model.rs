@@ -2,7 +2,7 @@
 //! each with a fixed-point solve over the 40 000-key Zipf.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_model::figures::{fig1, fig4};
+use pdht_model::params::QUERY_FREQ_SWEEP;
 use pdht_model::{IdealPartial, Scenario, SelectionModel, StrategyCosts};
 
 fn bench_fixed_point(c: &mut Criterion) {
@@ -28,8 +28,13 @@ fn bench_selection_point(c: &mut Criterion) {
 
 fn bench_whole_figures(c: &mut Criterion) {
     let s = Scenario::table1();
-    c.bench_function("model/fig1_sweep", |b| b.iter(|| fig1(black_box(&s)).unwrap()));
-    c.bench_function("model/fig4_sweep", |b| b.iter(|| fig4(black_box(&s)).unwrap()));
+    // A figure is its model type evaluated at every sweep point.
+    c.bench_function("model/fig1_sweep", |b| {
+        b.iter(|| QUERY_FREQ_SWEEP.map(|f| StrategyCosts::evaluate(black_box(&s), f).unwrap()))
+    });
+    c.bench_function("model/fig4_sweep", |b| {
+        b.iter(|| QUERY_FREQ_SWEEP.map(|f| SelectionModel::evaluate(black_box(&s), f).unwrap()))
+    });
 }
 
 criterion_group!(

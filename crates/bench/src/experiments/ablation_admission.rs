@@ -21,7 +21,7 @@ struct Outcome {
     walks: f64,
 }
 
-fn run(policy: AdmissionPolicy, label: &'static str) -> Outcome {
+fn measure(policy: AdmissionPolicy, label: &'static str) -> Outcome {
     let scenario = Scenario::table1_scaled(10); // 2 000 peers, 4 000 keys
     let mut cfg = PdhtConfig::new(scenario, 1.0 / 60.0, Strategy::Partial);
     cfg.admission = policy;
@@ -44,11 +44,11 @@ fn run(policy: AdmissionPolicy, label: &'static str) -> Outcome {
     }
 }
 
-fn main() {
+pub fn run() {
     let outcomes = [
-        run(AdmissionPolicy::Always, "always (paper)"),
-        run(AdmissionPolicy::SecondChance { window_rounds: 250 }, "second-chance"),
-        run(AdmissionPolicy::SecondChance { window_rounds: 50 }, "second-chance/50"),
+        measure(AdmissionPolicy::Always, "always (paper)"),
+        measure(AdmissionPolicy::SecondChance { window_rounds: 250 }, "second-chance"),
+        measure(AdmissionPolicy::SecondChance { window_rounds: 50 }, "second-chance/50"),
     ];
 
     emit(

@@ -9,12 +9,11 @@
 //!
 //! Writes the committed `results/ablation_overhead.csv`.
 
-use pdht_bench::{emit, f1};
-use pdht_model::figures::freq_label;
+use pdht_bench::{emit, f1, freq_label};
 use pdht_model::params::QUERY_FREQ_SWEEP;
 use pdht_model::{CostModel, Scenario, SelectionModel, StrategyCosts};
 
-fn main() {
+pub fn run() {
     let s = Scenario::table1();
     let cost = CostModel::new(&s);
     let mut rows: Vec<Vec<String>> = Vec::new();

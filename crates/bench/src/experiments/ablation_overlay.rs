@@ -86,7 +86,7 @@ fn measure(name: &'static str, overlay: &mut dyn Overlay, n: usize, seed: u64) -
     }
 }
 
-fn main() {
+pub fn run() {
     let mut rows: Vec<Vec<String>> = Vec::new();
 
     for &n in &[1_024usize, 4_096, 16_384] {

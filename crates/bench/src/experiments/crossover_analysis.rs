@@ -16,7 +16,7 @@ fn period(f: Option<f64>) -> String {
     }
 }
 
-fn main() {
+pub fn run() {
     let base = Scenario::table1();
 
     let variants: Vec<(String, Scenario)> = vec![

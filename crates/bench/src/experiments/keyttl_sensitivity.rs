@@ -7,12 +7,11 @@
 //! (fQry, TTL factor) point; writes the committed
 //! `results/keyttl_sensitivity.csv`.
 
-use pdht_bench::{emit, f1, f3};
-use pdht_model::figures::freq_label;
+use pdht_bench::{emit, f1, f3, freq_label};
 use pdht_model::selection::ttl_sensitivity;
 use pdht_model::Scenario;
 
-fn main() {
+pub fn run() {
     let s = Scenario::table1();
     let factors = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0];
     let freqs = [1.0 / 120.0, 1.0 / 600.0, 1.0 / 1800.0];

@@ -9,14 +9,13 @@
 //! report columns, in `results/sim_adaptivity.csv`.
 
 use pdht_bench::{
-    emit, parse_sim_args, reject_peers_override, report_cells, write_histograms_csv, REPORT_HEADER,
+    emit, reject_peers_override, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER,
 };
 use pdht_core::{PdhtConfig, PdhtNetwork, Strategy, TtlPolicy};
 use pdht_model::Scenario;
 use pdht_zipf::{PopularityShift, RankMap};
 
-fn main() {
-    let args = parse_sim_args();
+pub fn run(args: SimArgs) {
     reject_peers_override(&args, "sim_adaptivity");
     println!("S3 configuration: {}", args.describe());
     let scenario = Scenario::table1_scaled(20); // 1 000 peers, 2 000 keys

@@ -15,7 +15,7 @@
 //! *is* the experiment. `--smoke` shrinks rounds for CI. The printed table
 //! is `results/sim_gen_sweep.csv`, committed as generated by `--smoke`.
 
-use pdht_bench::{emit, f1, f3, parse_sim_args, reject_peers_override, write_histograms_csv};
+use pdht_bench::{emit, f1, f3, reject_peers_override, write_histograms_csv, SimArgs};
 use pdht_core::{GossipCodec, PdhtConfig, PdhtNetwork, SimReport, Strategy};
 use pdht_model::Scenario;
 
@@ -27,8 +27,7 @@ const CODECS: [(GossipCodec, &str); 4] = [
     (GossipCodec::RlncSparse, "rlnc-sparse"),
 ];
 
-fn main() {
-    let args = parse_sim_args();
+pub fn run(args: SimArgs) {
     reject_peers_override(&args, "sim_gen_sweep");
     println!(
         "S5 configuration: {} (the codec x generation grid replaces --gossip-codec/--gen-size)",

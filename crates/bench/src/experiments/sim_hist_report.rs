@@ -1,14 +1,14 @@
-//! Histogram report — the plotting companion to the S2–S5 bins: loads
-//! every `results/*_hist.csv` the simulation binaries persisted and prints
+//! Histogram report — the plotting companion to S2–S5: loads every
+//! `results/*_hist.csv` the simulation experiments persisted and prints
 //! one p50/p95/p99 comparison table over every run, grouped by metric
 //! (query hops, query latency, wave redundancy and bytes), so the
 //! cross-substrate latency story (ReCord's evaluation axis in `PAPERS.md`)
 //! reads off one screen instead of N CSVs. The table is
 //! `results/hist_report.csv`.
 //!
-//! Usage: run after any of the simulation bins, e.g.
-//! `cargo run --release -p pdht-bench --bin sim_vs_model -- --smoke` then
-//! `cargo run --release -p pdht-bench --bin sim_hist_report`.
+//! Usage: run after any of the simulation experiments, e.g.
+//! `cargo run --release -p pdht-bench -- sim_vs_model --smoke` then
+//! `cargo run --release -p pdht-bench -- sim_hist_report`.
 
 use pdht_bench::{emit, parse_histogram_csv_row, results_dir};
 use std::collections::BTreeMap;
@@ -26,7 +26,7 @@ fn unit(metric: &str) -> &'static str {
     }
 }
 
-fn main() {
+pub fn run() {
     let dir = results_dir();
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .map(|rd| {
@@ -40,8 +40,8 @@ fn main() {
     files.sort();
     if files.is_empty() {
         println!(
-            "no results/*_hist.csv found under {} — run the S2/S3/S4 bins first \
-             (e.g. `cargo run --release -p pdht-bench --bin sim_vs_model -- --smoke`)",
+            "no results/*_hist.csv found under {} — run the S2/S3/S4 experiments first \
+             (e.g. `cargo run --release -p pdht-bench -- sim_vs_model --smoke`)",
             dir.display()
         );
         return;

@@ -6,23 +6,21 @@
 //! timing-wheel scheduler (amortized O(1) per event), calendar-bucketed
 //! churn (O(transitions) per round) and allocation-free walk state; the
 //! shard-parallel refactor split each round's passes into `--shards` lanes
-//! run on `--threads` workers (deterministic outbox barriers). This bin is
-//! the scale smoke: it builds a Table-1-shaped network with the population
-//! overridden (default 100 000 peers; CI runs `--peers 1000000 --smoke`
-//! under a 75 s wall-clock budget) under Gnutella-like churn, runs the
-//! selection algorithm with fully jittered background schedules, and
-//! reports wall-clock per round alongside the usual message accounting.
-//! It then asserts the O(active-work) invariant — per-round dispatched
-//! events must track the active-peer/background population, not the total
-//! population — and that the accounting is thread-invariant at scale. A
-//! population too small to do work in the window exits 2 instead.
+//! run on `--threads` workers (deterministic outbox barriers). This
+//! experiment is the scale smoke: it builds a Table-1-shaped network with
+//! the population overridden (default 100 000 peers; CI runs `--peers
+//! 1000000 --smoke` under a 75 s wall-clock budget) under Gnutella-like
+//! churn, runs the selection algorithm with fully jittered background
+//! schedules, and reports wall-clock per round alongside the usual message
+//! accounting. It then asserts the O(active-work) invariant — per-round
+//! dispatched events must track the active-peer/background population, not
+//! the total population — and that the accounting is thread-invariant at
+//! scale. A population too small to do work in the window exits 2 instead.
 //! Timing numbers of record come from `benchmark/`, not from here. The
 //! table (shared report columns plus event and wall-clock columns) is
 //! `results/sim_scale.csv`.
 
-use pdht_bench::{
-    emit, exit_with, f1, parse_sim_args, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER,
-};
+use pdht_bench::{emit, exit_with, f1, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER};
 use pdht_core::{
     BackgroundSchedule, PdhtConfig, PdhtNetwork, PhaseBreakdown, SimReport, Strategy, TtlPolicy,
 };
@@ -39,7 +37,7 @@ const INVARIANCE_THREADS: [usize; 2] = [1, 4];
 /// Rounds per invariance run.
 const INVARIANCE_ROUNDS: u64 = 5;
 
-/// The S4 configuration at a given population under the bin's flags:
+/// The S4 configuration at a given population under the shared flags:
 /// Table-1 shape with the population overridden (key universe and
 /// replication at full scale, so per-peer load is realistic), one query
 /// per peer per 10 minutes, bounded TTL, Gnutella-like session churn, and
@@ -88,8 +86,7 @@ fn phase_ms(tm: &PhaseBreakdown, rounds: u64) -> (f64, f64, f64, f64) {
     (ms(tm.churn), ms(tm.queries), ms(tm.background), ms(tm.barriers))
 }
 
-fn main() {
-    let args = parse_sim_args();
+pub fn run(args: SimArgs) {
     let num_peers = args.peers.unwrap_or(100_000);
     let rounds: u64 = if args.smoke { 5 } else { 30 };
     let build = |peers: u32, args: &SimArgs| {

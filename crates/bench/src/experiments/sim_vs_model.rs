@@ -18,11 +18,10 @@
 //! whole run.
 
 use pdht_bench::{
-    emit, f1, f3, parse_sim_args, reject_peers_override, report_cells, write_histograms_csv,
-    SimArgs, REPORT_HEADER,
+    emit, f1, f3, freq_label, reject_peers_override, report_cells, write_histograms_csv, SimArgs,
+    REPORT_HEADER,
 };
 use pdht_core::{LatencyConfig, PdhtConfig, PdhtNetwork, SimReport, Strategy, TtlPolicy};
-use pdht_model::figures::freq_label;
 use pdht_model::{Scenario, SelectionModel, StrategyCosts};
 
 /// Runs one strategy for `rounds` and reports the second half. `ttl`
@@ -59,8 +58,7 @@ fn run_strategy(
     rep
 }
 
-fn main() {
-    let args = parse_sim_args();
+pub fn run(args: SimArgs) {
     reject_peers_override(&args, "sim_vs_model");
     println!("S2 configuration: {}", args.describe());
     let (scale, freqs): (u32, &[f64]) = if args.smoke {

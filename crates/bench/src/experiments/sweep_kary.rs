@@ -9,7 +9,7 @@ use pdht_bench::{emit, f1, f3};
 use pdht_model::kary::kary_sweep;
 use pdht_model::Scenario;
 
-fn main() {
+pub fn run() {
     let s = Scenario::table1();
     let f_qry = 1.0 / 300.0;
     let ks = [2u32, 4, 8, 16, 64, 256];

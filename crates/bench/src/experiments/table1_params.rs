@@ -8,7 +8,7 @@
 use pdht_bench::{emit, f3};
 use pdht_model::{params::QUERY_FREQ_SWEEP, CostModel, Scenario};
 
-fn main() {
+pub fn run() {
     let s = Scenario::table1();
     let cost = CostModel::new(&s);
 

@@ -52,7 +52,7 @@ fn measure(num_peers: usize, repl: usize, seed: u64) -> Row {
     Row { num_peers, repl, measured_msgs: measured, model_unit, implied_dup: measured / model_unit }
 }
 
-fn main() {
+pub fn run() {
     let mut rows: Vec<Row> = Vec::new();
     for &(n, repl) in
         &[(2_000usize, 20usize), (2_000, 50), (2_000, 100), (5_000, 50), (5_000, 125), (10_000, 50)]

@@ -1,13 +1,15 @@
-//! Shared plumbing for the experiment binaries: the one table/CSV emitter,
-//! the [`SimReport`] column block the simulation bins share, histogram
-//! CSVs, and the simulation bins' shared flags.
+//! Shared plumbing for the experiments of the `pdht-bench` binary: the one
+//! table/CSV emitter, the [`SimReport`] column block the simulation
+//! experiments share, histogram CSVs, and their shared flags.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see the experiment index in `DESIGN.md`). Each table goes through
-//! [`emit`] once, which prints it and writes `results/<name>.csv` from the
-//! same header and the same cells: the printed table *is* the CSV. The
-//! benchmark of record is the standalone `benchmark/` package, not these
-//! bins.
+//! Every module under `src/experiments/` regenerates one table or figure of
+//! the paper, and `src/main.rs` dispatches to it by name (its table is the
+//! experiment index in `DESIGN.md` §1):
+//! `cargo run --release -p pdht-bench -- <experiment> [flags]`. Each table
+//! goes through [`emit`] once, which prints it and writes
+//! `results/<name>.csv` from the same header and the same cells: the
+//! printed table *is* the CSV. The benchmark of record is the standalone
+//! `benchmark/` package, not these experiments.
 
 use pdht_core::SimReport;
 use pdht_sim::HistogramSummary;
@@ -69,7 +71,7 @@ pub fn emit(name: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints `error: {msg}` and exits 2, flushing what the bin already
+/// Prints `error: {msg}` and exits 2, flushing what the experiment already
 /// printed first (`process::exit` skips the stdout destructor).
 pub fn exit_with(msg: &str) -> ! {
     let _ = std::io::stdout().flush();
@@ -88,7 +90,20 @@ pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
-/// The [`SimReport`] columns the simulation bins (S2–S4) share, in this
+/// A human-readable label for a sweep frequency (e.g. `1/30`).
+pub fn freq_label(f_qry: f64) -> String {
+    if f_qry <= 0.0 {
+        return "0".to_string();
+    }
+    let period = 1.0 / f_qry;
+    if (period - period.round()).abs() < 1e-9 {
+        format!("1/{}", period.round() as u64)
+    } else {
+        format!("{f_qry:.6}")
+    }
+}
+
+/// The [`SimReport`] columns the simulation experiments (S2–S4) share, in this
 /// order; [`report_cells`] formats one report into them.
 pub const REPORT_HEADER: [&str; 5] =
     ["msgs_per_round", "p_indexed", "indexed_keys", "wasted_bandwidth", "gossip_bytes_per_round"];
@@ -104,7 +119,7 @@ pub fn report_cells(r: &SimReport) -> Vec<String> {
     ]
 }
 
-/// Command-line flags shared by the simulation bins (S2–S5): overlay
+/// Command-line flags shared by the simulation experiments (S2–S5): overlay
 /// substrate, latency model, population override, shard and thread
 /// counts, gossip codec, and a CI-friendly smoke mode.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +131,7 @@ pub struct SimArgs {
     /// (default: zero, the paper's whole-round semantics).
     pub latency: pdht_core::LatencyConfig,
     /// `--peers N`: override the scenario's total population (the S4 scale
-    /// knob; `None` keeps each bin's default).
+    /// knob; `None` keeps each experiment's default).
     pub peers: Option<u32>,
     /// `--threads N`: worker threads for the engine's lane passes
     /// (default 1). A purely *executor* knob: results never depend on it.
@@ -133,7 +148,8 @@ pub struct SimArgs {
     /// (`PdhtConfig::gossip_generation`; default 8, the fixed-size
     /// behavior; max [`pdht_gossip::MAX_GENERATION`]).
     pub gen_size: u32,
-    /// `--smoke`: shrink rounds/scale so CI can exercise the bin quickly.
+    /// `--smoke`: shrink rounds/scale so CI can exercise the experiment
+    /// quickly.
     pub smoke: bool,
 }
 
@@ -170,7 +186,7 @@ impl SimArgs {
         net.set_threads(self.threads.max(1) as usize);
     }
 
-    /// The flags as the bins' configuration line prints them.
+    /// The flags as the experiments' configuration line prints them.
     pub fn describe(&self) -> String {
         format!(
             "overlay = {:?}, latency = {:?}, threads = {}, shards = {}, gossip codec = {:?}, \
@@ -215,14 +231,15 @@ pub fn parse_gossip_codec(spec: &str) -> Result<pdht_core::GossipCodec, String> 
     }
 }
 
-/// Parses the shared simulation flags from `std::env::args`, exiting 2
-/// with a usage message on anything unrecognized (output the bin already
-/// printed is flushed first, so it is never lost).
-pub fn parse_sim_args() -> SimArgs {
+/// Parses the shared simulation flags (the command line after the
+/// experiment's name), exiting 2 with a usage message on anything
+/// unrecognized (output already printed is flushed first, so it is never
+/// lost).
+pub fn parse_sim_args(flags: impl IntoIterator<Item = String>) -> SimArgs {
     use pdht_core::OverlayKind;
     let usage = |msg: &str| -> ! {
         exit_with(&format!(
-            "{msg}\nusage: [--overlay trie|chord|kademlia] \
+            "{msg}\nusage: pdht-bench <experiment> [--overlay trie|chord|kademlia] \
              [--latency zero|uniform:LO_MS,HI_MS|lognormal:MEDIAN_MS,SIGMA] \
              [--peers N] [--threads N] [--shards N] \
              [--gossip-codec plain|chunked|rlnc|rlnc-sparse] [--gen-size G] [--smoke]"
@@ -232,7 +249,7 @@ pub fn parse_sim_args() -> SimArgs {
         parse_count_flag(flag, v, lo, hi).unwrap_or_else(|e| usage(&e))
     };
     let mut args = SimArgs::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = flags.into_iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
         match flag.as_str() {
@@ -262,14 +279,14 @@ pub fn parse_sim_args() -> SimArgs {
     args
 }
 
-/// Exits with an error if `--peers` was passed to a bin whose scenario is
-/// fixed (only the S4 scale bin honors the override) — silently ignoring
-/// the flag would mislabel the results.
-pub fn reject_peers_override(args: &SimArgs, bin: &str) {
+/// Exits with an error if `--peers` was passed to an experiment whose
+/// scenario is fixed (only S4 honors the override) — silently ignoring the
+/// flag would mislabel the results.
+pub fn reject_peers_override(args: &SimArgs, name: &str) {
     if let Some(n) = args.peers {
         exit_with(&format!(
-            "{bin} runs a fixed scenario and does not support --peers {n} \
-             (the population override is the S4 knob — use the sim_scale bin)"
+            "{name} runs a fixed scenario and does not support --peers {n} \
+             (the population override is the S4 knob — use the sim_scale experiment)"
         ));
     }
 }
@@ -423,6 +440,13 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f3(0.12345), "0.123");
         assert_eq!(f1(719.96), "720.0");
+    }
+
+    #[test]
+    fn freq_labels_render_like_the_paper_axis() {
+        assert_eq!(freq_label(1.0 / 30.0), "1/30");
+        assert_eq!(freq_label(1.0 / 7200.0), "1/7200");
+        assert_eq!(freq_label(0.0), "0");
     }
 }
 

@@ -264,6 +264,21 @@ impl PdhtConfig {
     pub fn validate(&self) -> Result<()> {
         self.scenario.validate()?;
         self.latency.validate()?;
+        // An infinite online mean is no churn; a finite one draws both
+        // session lengths from exponentials, whose rates must be positive.
+        let (on, off) = (self.churn.mean_online_secs, self.churn.mean_offline_secs);
+        if on.is_nan() || on <= 0.0 {
+            return Err(PdhtError::InvalidConfig {
+                param: "churn.mean_online_secs",
+                reason: format!("must be > 0 (infinite = no churn), got {on}"),
+            });
+        }
+        if on.is_finite() && !(off.is_finite() && off > 0.0) {
+            return Err(PdhtError::InvalidConfig {
+                param: "churn.mean_offline_secs",
+                reason: format!("must be finite and > 0 under churn, got {off}"),
+            });
+        }
         if let Some(t) = self.query_timeout_secs {
             if !t.is_finite() || t <= 0.0 {
                 return Err(PdhtError::InvalidConfig {
@@ -417,6 +432,21 @@ mod tests {
 
         let mut c = base();
         c.shards = 256;
+        assert!(c.validate().is_ok());
+
+        let churn = |on: f64, off: f64| {
+            let mut c = base();
+            c.churn = ChurnConfig { mean_online_secs: on, mean_offline_secs: off };
+            c.validate()
+        };
+        for (on, off) in [(0.0, 2400.0), (-5.0, 2400.0), (f64::NAN, 2400.0), (3600.0, 0.0)] {
+            assert!(churn(on, off).is_err(), "churn ({on}, {off}) must be rejected");
+        }
+        assert!(churn(3600.0, f64::INFINITY).is_err(), "finite sessions need a finite absence");
+        assert!(churn(3600.0, 2400.0).is_ok());
+        assert!(churn(0.5, 1e-3).is_ok());
+        let mut c = base();
+        c.churn = ChurnConfig::none();
         assert!(c.validate().is_ok());
     }
 

@@ -3,6 +3,7 @@
 
 use pdht_core::{OverlayKind, PdhtConfig, PdhtNetwork, SimReport, Strategy};
 use pdht_model::Scenario;
+use pdht_zipf::{PopularityShift, RankMap};
 
 fn cfg(strategy: Strategy, kind: OverlayKind) -> PdhtConfig {
     let mut c = PdhtConfig::new(Scenario::table1_scaled(20), 1.0 / 30.0, strategy);
@@ -35,6 +36,23 @@ fn all_overlays_identical_under_no_index() {
         assert_eq!(other.p_indexed, 0.0);
         assert_eq!(trie.search_failures, other.search_failures);
         assert_eq!(trie.skipped_offline, other.skipped_offline);
+    }
+}
+
+/// A popularity shift routes Zipf ranks to key indices, so its rank maps
+/// must cover the scenario's key universe exactly: fewer keys than the
+/// scenario fails a rank lookup, more routes queries past the universe.
+/// Both are configuration errors at build time, not panics mid-run.
+#[test]
+fn a_shift_over_the_wrong_key_count_is_rejected() {
+    let keys = Scenario::table1_scaled(20).keys as usize;
+    for n in [keys / 2, keys * 2, keys] {
+        let mut c = cfg(Strategy::Partial, OverlayKind::Trie);
+        let shift =
+            PopularityShift::new(vec![(0, RankMap::identity(n)), (3, RankMap::rotation(n, n / 2))]);
+        c.shift = Some(shift.unwrap());
+        let built = PdhtNetwork::new(c);
+        assert_eq!(built.is_ok(), n == keys, "a shift over {n} keys on a {keys}-key scenario");
     }
 }
 

@@ -1,204 +1,49 @@
-//! Sweep drivers producing exactly the series plotted in the paper's
-//! figures. The bench binaries format these as tables/CSV; keeping the
-//! computation here lets integration tests assert on the same numbers the
-//! harness prints.
-
-use crate::params::{Scenario, QUERY_FREQ_SWEEP};
-use crate::selection::SelectionModel;
-use crate::strategy::StrategyCosts;
-use pdht_types::Result;
-
-/// A human-readable label for a sweep frequency (e.g. `1/30`).
-pub fn freq_label(f_qry: f64) -> String {
-    if f_qry <= 0.0 {
-        return "0".to_string();
-    }
-    let period = 1.0 / f_qry;
-    if (period - period.round()).abs() < 1e-9 {
-        format!("1/{}", period.round() as u64)
-    } else {
-        format!("{f_qry:.6}")
-    }
-}
-
-/// One x-axis point of Fig. 1: total msg/s of the three strategies.
-#[derive(Clone, Debug)]
-pub struct Fig1Row {
-    /// Query frequency per peer (1/s).
-    pub f_qry: f64,
-    /// Eq. 11 total.
-    pub index_all: f64,
-    /// Eq. 12 total.
-    pub no_index: f64,
-    /// Eq. 13 total.
-    pub partial: f64,
-}
-
-/// Fig. 1 over the paper's sweep.
-///
-/// # Errors
-/// Propagates model errors.
-pub fn fig1(s: &Scenario) -> Result<Vec<Fig1Row>> {
-    QUERY_FREQ_SWEEP
-        .iter()
-        .map(|&f_qry| {
-            let c = StrategyCosts::evaluate(s, f_qry)?;
-            Ok(Fig1Row {
-                f_qry,
-                index_all: c.index_all,
-                no_index: c.no_index,
-                partial: c.partial_ideal,
-            })
-        })
-        .collect()
-}
-
-/// One x-axis point of Fig. 2: savings of ideal partial indexing.
-#[derive(Clone, Debug)]
-pub struct Fig2Row {
-    /// Query frequency per peer (1/s).
-    pub f_qry: f64,
-    /// `1 − partial/indexAll`.
-    pub vs_index_all: f64,
-    /// `1 − partial/noIndex`.
-    pub vs_no_index: f64,
-}
-
-/// Fig. 2 over the paper's sweep.
-///
-/// # Errors
-/// Propagates model errors.
-pub fn fig2(s: &Scenario) -> Result<Vec<Fig2Row>> {
-    QUERY_FREQ_SWEEP
-        .iter()
-        .map(|&f_qry| {
-            let c = StrategyCosts::evaluate(s, f_qry)?;
-            Ok(Fig2Row {
-                f_qry,
-                vs_index_all: c.saving_vs_index_all(),
-                vs_no_index: c.saving_vs_no_index(),
-            })
-        })
-        .collect()
-}
-
-/// One x-axis point of Fig. 3: ideal index size and hit probability.
-#[derive(Clone, Debug)]
-pub struct Fig3Row {
-    /// Query frequency per peer (1/s).
-    pub f_qry: f64,
-    /// `maxRank / keys` — fraction of keys indexed.
-    pub index_fraction: f64,
-    /// Eq. 5 — fraction of queries answerable from the index.
-    pub p_indexed: f64,
-}
-
-/// Fig. 3 over the paper's sweep.
-///
-/// # Errors
-/// Propagates model errors.
-pub fn fig3(s: &Scenario) -> Result<Vec<Fig3Row>> {
-    QUERY_FREQ_SWEEP
-        .iter()
-        .map(|&f_qry| {
-            let c = StrategyCosts::evaluate(s, f_qry)?;
-            Ok(Fig3Row {
-                f_qry,
-                index_fraction: c.ideal.index_fraction(s),
-                p_indexed: c.ideal.p_indexed,
-            })
-        })
-        .collect()
-}
-
-/// One x-axis point of Fig. 4: savings of the *selection algorithm*.
-#[derive(Clone, Debug)]
-pub struct Fig4Row {
-    /// Query frequency per peer (1/s).
-    pub f_qry: f64,
-    /// keyTtl used (rounds).
-    pub key_ttl: f64,
-    /// Eq. 17 total (msg/s).
-    pub total_cost: f64,
-    /// Saving vs indexAll.
-    pub vs_index_all: f64,
-    /// Saving vs noIndex.
-    pub vs_no_index: f64,
-}
-
-/// Fig. 4 over the paper's sweep.
-///
-/// # Errors
-/// Propagates model errors.
-pub fn fig4(s: &Scenario) -> Result<Vec<Fig4Row>> {
-    QUERY_FREQ_SWEEP
-        .iter()
-        .map(|&f_qry| {
-            let m = SelectionModel::evaluate(s, f_qry)?;
-            Ok(Fig4Row {
-                f_qry,
-                key_ttl: m.key_ttl,
-                total_cost: m.total_cost,
-                vs_index_all: m.saving_vs_index_all(),
-                vs_no_index: m.saving_vs_no_index(),
-            })
-        })
-        .collect()
-}
+//! The series of the paper's Figs. 1–4 are no types of their own: Figs. 1–3
+//! are `StrategyCosts` and Fig. 4 is `SelectionModel`, each evaluated at
+//! every point of `QUERY_FREQ_SWEEP` (the `pdht-bench` experiments F1–F4
+//! tabulate exactly that). The tests below pin the shapes the paper plots.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::params::{Scenario, QUERY_FREQ_SWEEP};
+    use crate::selection::SelectionModel;
+    use crate::strategy::StrategyCosts;
 
-    #[test]
-    fn figures_cover_the_whole_sweep() {
-        let s = Scenario::table1();
-        assert_eq!(fig1(&s).unwrap().len(), QUERY_FREQ_SWEEP.len());
-        assert_eq!(fig2(&s).unwrap().len(), QUERY_FREQ_SWEEP.len());
-        assert_eq!(fig3(&s).unwrap().len(), QUERY_FREQ_SWEEP.len());
-        assert_eq!(fig4(&s).unwrap().len(), QUERY_FREQ_SWEEP.len());
+    fn strategy_sweep(s: &Scenario) -> Vec<StrategyCosts> {
+        QUERY_FREQ_SWEEP.iter().map(|&f| StrategyCosts::evaluate(s, f).unwrap()).collect()
     }
 
     #[test]
     fn fig1_and_fig2_are_consistent() {
-        let s = Scenario::table1();
-        let f1 = fig1(&s).unwrap();
-        let f2 = fig2(&s).unwrap();
-        for (a, b) in f1.iter().zip(&f2) {
-            assert_eq!(a.f_qry, b.f_qry);
-            assert!((b.vs_index_all - (1.0 - a.partial / a.index_all)).abs() < 1e-12);
-            assert!((b.vs_no_index - (1.0 - a.partial / a.no_index)).abs() < 1e-12);
+        // Fig. 2's savings are Fig. 1's totals, compared.
+        for c in strategy_sweep(&Scenario::table1()) {
+            assert!(
+                (c.saving_vs_index_all() - (1.0 - c.partial_ideal / c.index_all)).abs() < 1e-12
+            );
+            assert!((c.saving_vs_no_index() - (1.0 - c.partial_ideal / c.no_index)).abs() < 1e-12);
         }
     }
 
     #[test]
     fn fig3_series_decline_with_load() {
         let s = Scenario::table1();
-        let f3 = fig3(&s).unwrap();
+        let f3 = strategy_sweep(&s);
         for w in f3.windows(2) {
-            assert!(w[0].index_fraction >= w[1].index_fraction);
-            assert!(w[0].p_indexed >= w[1].p_indexed);
+            assert!(w[0].ideal.index_fraction(&s) >= w[1].ideal.index_fraction(&s));
+            assert!(w[0].ideal.p_indexed >= w[1].ideal.p_indexed);
         }
         // And pIndxd stays well above the index fraction (the Zipf gap).
-        for r in &f3 {
-            assert!(r.p_indexed > r.index_fraction);
+        for c in &f3 {
+            assert!(c.ideal.p_indexed > c.ideal.index_fraction(&s));
         }
     }
 
     #[test]
     fn fig4_savings_peak_at_average_frequencies() {
         let s = Scenario::table1();
-        let f4 = fig4(&s).unwrap();
-        let at = |f: f64| f4.iter().find(|r| (r.f_qry - f).abs() < 1e-12).unwrap();
+        let at = |f: f64| SelectionModel::evaluate(&s, f).unwrap();
         let busy = at(1.0 / 30.0);
         let mid = at(1.0 / 600.0);
-        assert!(mid.vs_index_all > busy.vs_index_all);
-    }
-
-    #[test]
-    fn freq_labels_render_like_the_paper_axis() {
-        assert_eq!(freq_label(1.0 / 30.0), "1/30");
-        assert_eq!(freq_label(1.0 / 7200.0), "1/7200");
-        assert_eq!(freq_label(0.0), "0");
+        assert!(mid.saving_vs_index_all() > busy.saving_vs_index_all());
     }
 }

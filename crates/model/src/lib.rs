@@ -12,8 +12,13 @@
 //!   `partial` (Eq. 11–13) plus savings (Fig. 2),
 //! * [`selection`] — the decentralized TTL selection algorithm's cost
 //!   (Eq. 14–17, Fig. 4) and the §5.1.1 keyTtl sensitivity scan,
-//! * [`figures`] — sweep drivers that produce exactly the series plotted in
-//!   Figs. 1–4.
+//! * [`crossover`] — the `fQry` at which two strategies cost the same,
+//! * [`kary`] — the `k`-ary key-space generalisation (footnote 3).
+//!
+//! The series of Figs. 1–4 are [`StrategyCosts`] (Figs. 1–3) and
+//! [`SelectionModel`] (Fig. 4) evaluated over
+//! [`params::QUERY_FREQ_SWEEP`]; the `pdht-bench` experiments F1–F4
+//! tabulate them.
 //!
 //! # Example
 //!
@@ -29,7 +34,7 @@
 
 pub mod cost;
 pub mod crossover;
-pub mod figures;
+mod figures;
 pub mod kary;
 pub mod params;
 pub mod partial;

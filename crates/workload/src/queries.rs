@@ -36,7 +36,8 @@ impl QueryWorkload {
     /// per second over `keys` keys with Zipf exponent `alpha`.
     ///
     /// # Errors
-    /// Propagates parameter validation failures.
+    /// Propagates parameter validation failures, and rejects a shift whose
+    /// rank maps do not cover exactly `keys` keys.
     pub fn new(
         keys: usize,
         alpha: f64,
@@ -48,6 +49,12 @@ impl QueryWorkload {
             return Err(pdht_types::PdhtError::InvalidConfig {
                 param: "f_qry",
                 reason: format!("must be finite and >= 0, got {f_qry}"),
+            });
+        }
+        if let Some(n) = shift.as_ref().map(|s| s.map_at(0).n()).filter(|&n| n != keys) {
+            return Err(pdht_types::PdhtError::InvalidConfig {
+                param: "shift",
+                reason: format!("rank maps cover {n} keys, the scenario has {keys}"),
             });
         }
         Ok(QueryWorkload {

@@ -1,9 +1,8 @@
-//! Cross-crate consistency of the analytical model: the figure generators,
-//! the strategy evaluator and the selection model must all agree with the
-//! primitive equations, across scenario perturbations — not just at the
-//! Table 1 point.
+//! Cross-crate consistency of the analytical model: the strategy evaluator
+//! and the selection model (whose sweeps are the paper's figures) must
+//! agree with the primitive equations, across scenario perturbations — not
+//! just at the Table 1 point.
 
-use pdht::model::figures::{fig1, fig2, fig3, fig4};
 use pdht::model::params::QUERY_FREQ_SWEEP;
 use pdht::model::{CostModel, IdealPartial, Scenario, SelectionModel, StrategyCosts};
 use pdht::zipf::RoundModel;
@@ -55,23 +54,6 @@ fn selection_model_reconstructs_eq17() {
             + m.p_indexed * q * c2
             + (1.0 - m.p_indexed) * q * (c2 + cost.c_s_unstr() + c2);
         assert!((m.total_cost - expect).abs() < 1e-6);
-    }
-}
-
-#[test]
-fn figures_are_projections_of_the_same_model() {
-    let s = Scenario::table1();
-    let f1 = fig1(&s).unwrap();
-    let f2 = fig2(&s).unwrap();
-    let f3 = fig3(&s).unwrap();
-    let f4 = fig4(&s).unwrap();
-    for i in 0..QUERY_FREQ_SWEEP.len() {
-        let c = StrategyCosts::evaluate(&s, QUERY_FREQ_SWEEP[i]).unwrap();
-        assert!((f1[i].partial - c.partial_ideal).abs() < 1e-9);
-        assert!((f2[i].vs_index_all - c.saving_vs_index_all()).abs() < 1e-12);
-        assert!((f3[i].p_indexed - c.ideal.p_indexed).abs() < 1e-12);
-        let sel = SelectionModel::evaluate(&s, QUERY_FREQ_SWEEP[i]).unwrap();
-        assert!((f4[i].total_cost - sel.total_cost).abs() < 1e-9);
     }
 }
 
