@@ -3,13 +3,13 @@
 //! actually touch, end-to-end decoder fills at each supported generation
 //! size for the dense and sparse encoders, and the encode of a full-rank
 //! decoder at generations 8 and 32. `Decoder::encode` and `insert` run
-//! the AVX2 row kernels where the CPU has them, the product table
-//! elsewhere; `gf_axpy` is always the product table. (The Russian-peasant
-//! scalar rows PR 14 measured the table against are recorded in
-//! `BENCH_ab_pr14.json`.)
+//! the row kernel tier this CPU has (`RowKernel::detect`: GFNI, AVX2 or
+//! the product table), printed before the rows; `gf_axpy` is always the
+//! product table. (The Russian-peasant scalar rows PR 14 measured the
+//! table against are recorded in `BENCH_ab_pr14.json`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pdht_gossip::codec::{gf_axpy, gf_mul, CoeffVec, Decoder};
+use pdht_gossip::codec::{gf_axpy, gf_mul, CoeffVec, Decoder, RowKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,6 +59,7 @@ fn bench_axpy(c: &mut Criterion) {
 }
 
 fn bench_decoder_fill(c: &mut Criterion) {
+    println!("decoder row kernel: {:?}", RowKernel::detect());
     for g in [8usize, 16, 32] {
         let source = Decoder::full(g);
         for sparse in [false, true] {

@@ -13,7 +13,9 @@
 //!
 //! The `--gossip-codec` and `--gen-size` flags are ignored here — the grid
 //! *is* the experiment. `--smoke` shrinks rounds for CI. The printed table
-//! is `results/sim_gen_sweep.csv`, committed as generated by `--smoke`.
+//! is `results/sim_gen_sweep.csv`, committed as generated by a plain
+//! `--smoke` run (no other flag), the only run that writes that name: any
+//! other run writes the git-ignored `results/sim_gen_sweep_run.csv`.
 
 use pdht_bench::{emit, f1, f3, reject_peers_override, write_histograms_csv, SimArgs};
 use pdht_core::{GossipCodec, PdhtConfig, PdhtNetwork, SimReport, Strategy};
@@ -26,6 +28,16 @@ const CODECS: [(GossipCodec, &str); 4] = [
     (GossipCodec::Rlnc, "rlnc"),
     (GossipCodec::RlncSparse, "rlnc-sparse"),
 ];
+
+/// The table's name: the committed reference for the plain `--smoke` run
+/// CI regenerates and diffs, a git-ignored one for every other run.
+fn table_name(args: &SimArgs) -> &'static str {
+    if *args == (SimArgs { smoke: true, ..SimArgs::default() }) {
+        "sim_gen_sweep"
+    } else {
+        "sim_gen_sweep_run"
+    }
+}
 
 pub fn run(args: SimArgs) {
     reject_peers_override(&args, "sim_gen_sweep");
@@ -89,8 +101,9 @@ pub fn run(args: SimArgs) {
             hist_reports.push((format!("{name}@g{gen}"), rep));
         }
     }
+    let name = table_name(&args);
     emit(
-        "sim_gen_sweep",
+        name,
         &format!(
             "S5 generation-size sweep — repl 64, {rounds} rounds, seed pinned \
              (bytes_per_innovative = gossip bytes per rank-raising receive)"
@@ -108,7 +121,29 @@ pub fn run(args: SimArgs) {
         ],
         &rows,
     );
+    if name != "sim_gen_sweep" {
+        println!("(not the committed results/sim_gen_sweep.csv: only a plain --smoke run writes it)");
+    }
     let hist_path =
-        write_histograms_csv("sim_gen_sweep_hist", &hist_reports).expect("write histogram CSV");
+        write_histograms_csv(&format!("{name}_hist"), &hist_reports).expect("write histogram CSV");
     println!("wrote {}", hist_path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{table_name, SimArgs};
+
+    #[test]
+    fn only_the_plain_smoke_run_writes_the_committed_table() {
+        let smoke = SimArgs { smoke: true, ..SimArgs::default() };
+        assert_eq!(table_name(&smoke), "sim_gen_sweep");
+        for other in [
+            SimArgs::default(),
+            SimArgs { shards: 4, threads: 2, ..smoke },
+            SimArgs { threads: 2, ..smoke },
+            SimArgs { overlay: pdht_core::OverlayKind::Chord, ..smoke },
+        ] {
+            assert_eq!(table_name(&other), "sim_gen_sweep_run", "{other:?}");
+        }
+    }
 }

@@ -122,7 +122,7 @@ pub fn report_cells(r: &SimReport) -> Vec<String> {
 /// Command-line flags shared by the simulation experiments (S2–S5): overlay
 /// substrate, latency model, population override, shard and thread
 /// counts, gossip codec, and a CI-friendly smoke mode.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimArgs {
     /// `--overlay trie|chord|kademlia` (default: trie, the paper's
     /// substrate).

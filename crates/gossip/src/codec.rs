@@ -44,15 +44,25 @@
 //! before column `c`), so the table loops of elimination, encode and
 //! sparse encode fold only the `[c..g]` tail of a row.
 //!
-//! On x86_64 with AVX2, [`Decoder::encode`] and [`Decoder::insert`] (and
-//! so [`Decoder::absorb`]) instead run a row kernel that holds a whole
-//! 32-byte row in one register and multiplies it by two `vpshufb`
-//! lookups into the 8 KiB split-nibble table `GF_NIB[f] = [f·n, f·(n <<
-//! 4)]`, also built from `gf_mul_ref`. Each call detects the feature once
-//! and runs its whole row loop in the kernel. The arithmetic is exact, so
-//! both paths give the same bytes, RNG draws and verdicts; the table loops
-//! stay as the portable path and as the oracle of the
-//! `avx2_rows_match_the_product_table` proptest. `encode_sparse`,
+//! On x86_64, [`Decoder::encode`] and [`Decoder::insert`] (and so
+//! [`Decoder::absorb`]) instead run a row kernel that holds a whole
+//! 32-byte row in one register. Each call picks the fastest
+//! [`RowKernel`] tier the CPU has and runs its whole row loop there:
+//!
+//! * **GFNI** (AVX2 and GFNI): a multiply is one `vgf2p8mulb`, which
+//!   multiplies bytes in GF(2⁸) modulo x⁸+x⁴+x³+x+1, this module's field.
+//!   In `insert` the factor of held row `c` never leaves the packet
+//!   register: byte `c` is broadcast by a `vpermd` and a `vpshufb`, and a
+//!   `cmpeq`/`movemask` bit tests an absent column for a pivot, so only
+//!   an innovative packet extracts a scalar (for `gf_inv`).
+//! * **AVX2** (AVX2 without GFNI: Haswell to Cascade Lake, Zen 1–3): a
+//!   multiply is two `vpshufb` lookups into the 8 KiB split-nibble table
+//!   `GF_NIB[f] = [f·n, f·(n << 4)]`, also built from `gf_mul_ref`.
+//!
+//! The arithmetic is exact, so every tier gives the same bytes, RNG draws
+//! and verdicts; the table loops stay as the portable path and as the
+//! oracle every tier the CPU has is checked against
+//! (`every_simd_row_kernel_matches_the_product_table`). `encode_sparse`,
 //! `pick_chunk` and the public kernels stay on the table.
 //!
 //! # Decoder layout
@@ -395,14 +405,34 @@ impl Decoder {
     /// the rank). Gaussian elimination against the stored echelon rows;
     /// the reduced vector becomes a new normalized pivot row or vanishes.
     pub fn insert(&mut self, v: CoeffVec) -> bool {
+        self.insert_on(RowKernel::detect(), v)
+    }
+
+    /// [`Decoder::insert`] on `kernel`, or off the product table when this
+    /// CPU lacks the kernel's features (each arm re-detects them).
+    fn insert_on(&mut self, kernel: RowKernel, v: CoeffVec) -> bool {
         debug_assert_eq!(v.len(), self.rows.len(), "packet generation mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, detected on the line above.
-            #[allow(unsafe_code)]
-            return unsafe { avx2::insert(self, v) };
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            RowKernel::Gfni
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("gfni") =>
+            {
+                // SAFETY: the CPU supports AVX2 and GFNI, detected by the guard.
+                #[allow(unsafe_code)]
+                unsafe {
+                    gfni::insert(self, v)
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            RowKernel::Avx2 if is_x86_feature_detected!("avx2") => {
+                // SAFETY: the CPU supports AVX2, detected by the guard.
+                #[allow(unsafe_code)]
+                unsafe {
+                    avx2::insert(self, v)
+                }
+            }
+            _ => self.insert_table(v),
         }
-        self.insert_table(v)
     }
 
     /// [`Decoder::insert`] off the product table, one lookup per byte of
@@ -434,13 +464,33 @@ impl Decoder {
     /// Row `c` is echelon — zero before its pivot column `c` — so only
     /// `[c..g]` of it is folded.
     pub fn encode(&self, rng: &mut SmallRng) -> CoeffVec {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, detected on the line above.
-            #[allow(unsafe_code)]
-            return unsafe { avx2::encode(self, rng) };
+        self.encode_on(RowKernel::detect(), rng)
+    }
+
+    /// [`Decoder::encode`] on `kernel`, or off the product table when this
+    /// CPU lacks the kernel's features (each arm re-detects them).
+    fn encode_on(&self, kernel: RowKernel, rng: &mut SmallRng) -> CoeffVec {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            RowKernel::Gfni
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("gfni") =>
+            {
+                // SAFETY: the CPU supports AVX2 and GFNI, detected by the guard.
+                #[allow(unsafe_code)]
+                unsafe {
+                    gfni::encode(self, rng)
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            RowKernel::Avx2 if is_x86_feature_detected!("avx2") => {
+                // SAFETY: the CPU supports AVX2, detected by the guard.
+                #[allow(unsafe_code)]
+                unsafe {
+                    avx2::encode(self, rng)
+                }
+            }
+            _ => self.encode_table(rng),
         }
-        self.encode_table(rng)
     }
 
     /// [`Decoder::encode`] off the product table: the portable path.
@@ -517,6 +567,34 @@ impl Decoder {
     }
 }
 
+/// The row kernel tier [`Decoder::insert`] and [`Decoder::encode`] run
+/// on (see the module docs); [`RowKernel::detect`] picks it per call.
+/// Ordered by speed, and each tier's features include the ones below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum RowKernel {
+    /// The portable product-table loops.
+    Table,
+    /// AVX2: a multiply is two `vpshufb` lookups into the nibble tables.
+    Avx2,
+    /// AVX2 and GFNI: a multiply is one `vgf2p8mulb`.
+    Gfni,
+}
+
+impl RowKernel {
+    /// The fastest tier this CPU runs (so it runs every tier up to it).
+    pub fn detect() -> RowKernel {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return if is_x86_feature_detected!("gfni") {
+                RowKernel::Gfni
+            } else {
+                RowKernel::Avx2
+            };
+        }
+        RowKernel::Table
+    }
+}
+
 /// The AVX2 row kernels: each is the whole row loop of one [`Decoder`]
 /// operation, with a 32-byte row in one `__m256i` and a multiply as two
 /// `vpshufb` lookups into the multiplier's [`GF_NIB`] tables. A full-width
@@ -539,14 +617,14 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn load(row: &Row) -> __m256i {
+    pub(super) fn load(row: &Row) -> __m256i {
         let [w0, w1, w2, w3]: [i64; 4] = std::array::from_fn(|i| word(row, i));
         _mm256_setr_epi64x(w0, w1, w2, w3)
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn store(x: __m256i) -> Row {
+    pub(super) fn store(x: __m256i) -> Row {
         let words = [
             _mm256_extract_epi64::<0>(x),
             _mm256_extract_epi64::<1>(x),
@@ -597,6 +675,64 @@ mod avx2 {
                 bytes = store(x);
             } else {
                 *row = store(mul(x, gf_inv(f)));
+                d.present[c] = true;
+                d.rank += 1;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The GFNI row kernels: `vgf2p8mulb` multiplies bytes in GF(2⁸) modulo
+/// x⁸+x⁴+x³+x+1, this module's field, so one instruction replaces the two
+/// nibble lookups of the AVX2 kernels and needs no table. In `insert` the
+/// factor of a held row is broadcast from the packet register, never
+/// stored and reloaded.
+#[cfg(target_arch = "x86_64")]
+mod gfni {
+    use super::avx2::{load, store};
+    use super::{gf_inv, CoeffVec, Decoder};
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+    use std::arch::x86_64::*;
+
+    /// Byte `c` of `x` in every byte: its dword broadcast to all eight,
+    /// then byte `c % 4` of the dword picked in each 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn splat_byte(x: __m256i, c: usize) -> __m256i {
+        let dword = _mm256_permutevar8x32_epi32(x, _mm256_set1_epi32((c / 4) as i32));
+        _mm256_shuffle_epi8(dword, _mm256_set1_epi8((c % 4) as i8))
+    }
+
+    /// [`Decoder::encode`]: one coefficient drawn per present row in
+    /// ascending `c`, each row folded in whole.
+    #[target_feature(enable = "avx2,gfni")]
+    pub(super) fn encode(d: &Decoder, rng: &mut SmallRng) -> CoeffVec {
+        let mut acc = _mm256_setzero_si256();
+        for (row, _) in d.rows.iter().zip(&d.present).filter(|(_, &held)| held) {
+            let f: u8 = rng.random();
+            acc = _mm256_xor_si256(acc, _mm256_gf2p8mul_epi8(load(row), _mm256_set1_epi8(f as i8)));
+        }
+        CoeffVec { coeffs: store(acc), len: d.rows.len() as u8 }
+    }
+
+    /// [`Decoder::insert`]: every held row is folded in by the packet's
+    /// byte at its pivot (a zero factor folds in zero), and the first
+    /// absent column with a nonzero byte takes the scaled packet.
+    #[target_feature(enable = "avx2,gfni")]
+    pub(super) fn insert(d: &mut Decoder, v: CoeffVec) -> bool {
+        let mut x = load(&v.coeffs);
+        for (c, row) in d.rows.iter_mut().enumerate() {
+            if d.present[c] {
+                x = _mm256_xor_si256(x, _mm256_gf2p8mul_epi8(load(row), splat_byte(x, c)));
+                continue;
+            }
+            let zeros = _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, _mm256_setzero_si256()));
+            if (zeros as u32 >> c) & 1 == 0 {
+                let inv = gf_inv(store(x)[c]);
+                *row = store(_mm256_gf2p8mul_epi8(x, _mm256_set1_epi8(inv as i8)));
                 d.present[c] = true;
                 d.rank += 1;
                 return true;
@@ -1162,55 +1298,66 @@ mod tests {
             prop_assert_eq!(got, expect);
         }
 
-        /// The AVX2 row kernels (what `encode` and `insert` dispatch to on
-        /// this CPU) and the product-table loops agree on the same decoder,
-        /// partial or full rank: the same encode and next RNG word, the
-        /// same verdict and resulting decoder for a stream of random
-        /// packets and for a dependent one, and the same absorb.
+        /// Every SIMD row kernel this CPU has, not only the one `encode`
+        /// and `insert` dispatch to, agrees with the product-table loops on
+        /// the same decoder, partial or full rank: the same encode and next
+        /// RNG word, the same verdict and resulting decoder for a stream of
+        /// random packets, for a dependent one and for a donor's rows, and
+        /// `absorb` agrees too.
         #[cfg(target_arch = "x86_64")]
         #[test]
-        fn avx2_rows_match_the_product_table(
+        fn every_simd_row_kernel_matches_the_product_table(
             g in 1usize..=32,
             packets in 0usize..80,
             mask in prop::sample::select(vec![0x01u8, 0x03, 0xff]),
             donor_packets in 0usize..40,
             seed in any::<u64>(),
         ) {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                eprintln!("avx2_rows_match_the_product_table: no AVX2 on this CPU, skipped");
-                return Ok(());
-            }
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let d = random_decoder(g, packets, mask, &mut rng);
-
-            let mut table_rng = rng.clone();
-            prop_assert_eq!(d.encode(&mut rng), d.encode_table(&mut table_rng));
-            prop_assert_eq!(rng.clone().random::<u64>(), table_rng.random::<u64>());
-
-            let (mut fast, mut table) = (d.clone(), d.clone());
-            for _ in 0..g + 2 {
-                let mut v = CoeffVec::zero(g);
-                v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random::<u8>() & mask);
-                prop_assert_eq!(fast.insert(v), table.insert_table(v));
-                prop_assert_eq!(&fast, &table);
-            }
-            let dependent = d.encode_table(&mut rng);
-            let (mut fast, mut table) = (d.clone(), d.clone());
-            prop_assert!(!fast.insert(dependent), "a combination of held rows is innovative");
-            prop_assert!(!table.insert_table(dependent));
-            prop_assert_eq!(&fast, &d);
-            prop_assert_eq!(&table, &d);
-
-            let donor = random_decoder(g, donor_packets, 0xff, &mut rng);
-            let (mut fast, mut table) = (d.clone(), d.clone());
-            let gained = fast.absorb(&donor);
-            for (c, &row) in donor.rows.iter().enumerate() {
-                if donor.present[c] {
-                    table.insert_table(CoeffVec { coeffs: row, len: g as u8 });
+            for kernel in [RowKernel::Avx2, RowKernel::Gfni] {
+                if kernel > RowKernel::detect() {
+                    eprintln!(
+                        "every_simd_row_kernel_matches_the_product_table: no {kernel:?} on this \
+                         CPU, skipped"
+                    );
+                    continue;
                 }
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let d = random_decoder(g, packets, mask, &mut rng);
+
+                let mut table_rng = rng.clone();
+                prop_assert_eq!(d.encode_on(kernel, &mut rng), d.encode_table(&mut table_rng));
+                prop_assert_eq!(rng.clone().random::<u64>(), table_rng.random::<u64>());
+
+                let (mut fast, mut table) = (d.clone(), d.clone());
+                for _ in 0..g + 2 {
+                    let mut v = CoeffVec::zero(g);
+                    v.as_mut_slice().iter_mut().for_each(|b| *b = rng.random::<u8>() & mask);
+                    prop_assert_eq!(fast.insert_on(kernel, v), table.insert_table(v));
+                    prop_assert_eq!(&fast, &table);
+                }
+                let dependent = d.encode_table(&mut rng);
+                let (mut fast, mut table) = (d.clone(), d.clone());
+                prop_assert!(
+                    !fast.insert_on(kernel, dependent),
+                    "a combination of held rows is innovative"
+                );
+                prop_assert!(!table.insert_table(dependent));
+                prop_assert_eq!(&fast, &d);
+                prop_assert_eq!(&table, &d);
+
+                let donor = random_decoder(g, donor_packets, 0xff, &mut rng);
+                let (mut fast, mut table) = (d.clone(), d.clone());
+                for (c, &row) in donor.rows.iter().enumerate() {
+                    if donor.present[c] {
+                        let v = CoeffVec { coeffs: row, len: g as u8 };
+                        prop_assert_eq!(fast.insert_on(kernel, v), table.insert_table(v));
+                    }
+                }
+                prop_assert_eq!(&fast, &table);
+                let mut absorbed = d.clone();
+                prop_assert_eq!(absorbed.absorb(&donor), table.rank() - d.rank());
+                prop_assert_eq!(&absorbed, &table);
             }
-            prop_assert_eq!(gained, table.rank() - d.rank());
-            prop_assert_eq!(&fast, &table);
         }
     }
 }

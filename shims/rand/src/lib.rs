@@ -128,14 +128,16 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
     loop {
         let v = rng.next_u64();
         let (hi, lo) = {
             let wide = u128::from(v) * u128::from(bound);
             ((wide >> 64) as u64, wide as u64)
         };
-        if lo <= zone {
+        // Accept iff `lo <= u64::MAX - 2^64 mod bound`. The remainder is
+        // below `bound`, so `lo <= u64::MAX - bound` accepts without it:
+        // the division runs only when `lo` is among the top `bound` values.
+        if lo <= u64::MAX - bound || lo <= u64::MAX - (u64::MAX - bound + 1) % bound {
             return hi;
         }
     }
@@ -214,7 +216,73 @@ impl<R: RngCore + ?Sized> Rng for R {}
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::{uniform_below, Rng, RngCore, SeedableRng};
+
+    /// Replays a fixed list of words and counts how many were drawn.
+    struct Script {
+        words: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.drawn += 1;
+            self.words[self.drawn - 1]
+        }
+    }
+
+    /// [`uniform_below`] without its short circuit: Lemire's acceptance
+    /// zone computed, with its division, before every draw.
+    fn uniform_below_ref(rng: &mut Script, bound: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+        loop {
+            let wide = u128::from(rng.next_u64()) * u128::from(bound);
+            if wide as u64 <= zone {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    /// Words whose low product `lo = word · bound mod 2^64` lands two below
+    /// to two above both acceptance thresholds, `u64::MAX - bound` and the
+    /// zone, give the same value after the same number of draws as the
+    /// formula without the short circuit (a rejected word is followed by
+    /// `0`, which every bound accepts).
+    #[test]
+    fn short_circuit_keeps_the_accept_set() {
+        let (mut accepted, mut rejected) = (0, 0);
+        for bound in [3u64, 7, (1 << 32) + 1, (1 << 63) + 1, u64::MAX - 1] {
+            // `lo` is a multiple of 2^k; the odd part of `bound` is
+            // invertible mod 2^64 (Newton's iteration doubles the correct
+            // low bits each step: 3 → 96).
+            let k = bound.trailing_zeros();
+            let odd = bound >> k;
+            let mut inv = odd;
+            for _ in 0..5 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inv)));
+            }
+            let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+            for threshold in [u64::MAX - bound, zone] {
+                for delta in -2i64..=2 {
+                    let lo = threshold.wrapping_add_signed(delta) >> k << k;
+                    let word = (lo >> k).wrapping_mul(inv);
+                    assert_eq!(word.wrapping_mul(bound), lo, "bound {bound}");
+                    let mut new = Script { words: vec![word, 0], drawn: 0 };
+                    let mut old = Script { words: vec![word, 0], drawn: 0 };
+                    let got = uniform_below(&mut new, bound);
+                    assert_eq!(got, uniform_below_ref(&mut old, bound), "bound {bound} lo {lo}");
+                    assert_eq!(new.drawn, old.drawn, "bound {bound} lo {lo}");
+                    assert!(got < bound);
+                    if new.drawn == 1 {
+                        accepted += 1;
+                    } else {
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "accepted {accepted}, rejected {rejected}");
+    }
 
     #[test]
     fn deterministic_streams() {
