@@ -5,8 +5,8 @@
 //! decoder at generations 8 and 32. `Decoder::encode` and `insert` run
 //! the row kernel tier this CPU has (`RowKernel::detect`: GFNI, AVX2 or
 //! the product table), printed before the rows; `gf_axpy` is always the
-//! product table. (The Russian-peasant scalar rows PR 14 measured the
-//! table against are recorded in `BENCH_ab_pr14.json`.)
+//! product table. (The Russian-peasant scalar rows the table was first
+//! measured against are recorded in `BENCH_ab_pr14.json`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_gossip::codec::{gf_axpy, gf_mul, CoeffVec, Decoder, RowKernel};
