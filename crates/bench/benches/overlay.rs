@@ -61,39 +61,43 @@ fn bench_maintenance(c: &mut Criterion) {
 /// `overlay.maint.ns_per_peer_step`.
 const TICKS_PER_ITER: usize = 20_000;
 
-/// Kademlia maintenance the way the sharded engine runs it at 100k peers
-/// (the benchmark's `route_event` shape): peers tick in shuffled order
-/// (jittered `PeerMaintenance` events walk the tables at random; allocation
-/// order flatters the tick ~2.3x with a prefetcher the engine never gets,
-/// see `benchmark/README.md`), under Gnutella-like availability, at the
-/// engine's calibration of `env·log2(n)` probes per peer-second; each tick
-/// plans against the shared overlay and the batch is applied at the end.
+/// Kademlia maintenance the way the sharded engine runs it: peers tick in
+/// shuffled order (jittered `PeerMaintenance` events walk the tables at
+/// random; allocation order flatters the tick ~2.3x with a prefetcher the
+/// engine never gets, see `benchmark/README.md`), under Gnutella-like
+/// availability, at the engine's calibration of `env·log2(n)` probes per
+/// peer-second; each tick plans against the shared overlay and the batch is
+/// applied at the end. `route_event`'s overlay holds 20k peers (its
+/// 20 000 ticks a round); the 100k row prices the same tick on a table
+/// five times larger than any cache.
 fn bench_kademlia_maintenance_shuffled(c: &mut Criterion) {
-    let n = 100_000usize;
-    let mut rng = SmallRng::seed_from_u64(4);
-    let mut kad = KademliaOverlay::build(n, 50, &mut rng).unwrap();
-    let mut live = Liveness::all_online(n);
-    for p in (0..n).map(PeerId::from_idx) {
-        live.set(p, rng.random::<f64>() < 0.6);
+    for n in [20_000usize, 100_000] {
+        let name = format!("overlay/kademlia_maintenance_plan_{}k_shuffled", n / 1000);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut kad = KademliaOverlay::build(n, 50, &mut rng).unwrap();
+        let mut live = Liveness::all_online(n);
+        for p in (0..n).map(PeerId::from_idx) {
+            live.set(p, rng.random::<f64>() < 0.6);
+        }
+        let entries: usize = (0..n).map(|p| kad.routing_entries(PeerId::from_idx(p))).sum();
+        let probe_rate = (n as f64).log2() * n as f64 / (14.0 * entries as f64);
+        let mut order: Vec<PeerId> = (0..n).map(PeerId::from_idx).collect();
+        order.shuffle(&mut rng);
+        let mut ticks = order.chunks_exact(TICKS_PER_ITER).cycle();
+        c.bench_function(&name, |b| {
+            let mut m = Metrics::new();
+            let mut scratch = PlanScratch::new();
+            let mut repairs = Vec::new();
+            b.iter(|| {
+                repairs.clear();
+                for &p in ticks.next().expect("cycle never ends") {
+                    let (rng, m) = (&mut rng, &mut m);
+                    kad.maintenance_plan(p, probe_rate, &live, rng, m, &mut scratch, &mut repairs);
+                }
+                kad.maintenance_apply(&repairs, &live);
+            })
+        });
     }
-    let entries: usize = (0..n).map(|p| kad.routing_entries(PeerId::from_idx(p))).sum();
-    let probe_rate = (n as f64).log2() * n as f64 / (14.0 * entries as f64);
-    let mut order: Vec<PeerId> = (0..n).map(PeerId::from_idx).collect();
-    order.shuffle(&mut rng);
-    let mut ticks = order.chunks_exact(TICKS_PER_ITER).cycle();
-    c.bench_function("overlay/kademlia_maintenance_plan_100k_shuffled", |b| {
-        let mut m = Metrics::new();
-        let mut scratch = PlanScratch::new();
-        let mut repairs = Vec::new();
-        b.iter(|| {
-            repairs.clear();
-            for &p in ticks.next().expect("cycle never ends") {
-                let (rng, m) = (&mut rng, &mut m);
-                kad.maintenance_plan(p, probe_rate, &live, rng, m, &mut scratch, &mut repairs);
-            }
-            kad.maintenance_apply(&repairs, &live);
-        })
-    });
 }
 
 fn bench_build(c: &mut Criterion) {

@@ -12,7 +12,7 @@
 use pdht_sim::Metrics;
 use pdht_types::{Liveness, MessageKind, PeerId};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::RngCore;
 
 /// A peer's run of rows: `rows` consecutive rows starting at row `first`.
 #[derive(Clone, Copy)]
@@ -63,6 +63,12 @@ impl<const K: usize> RowArena<K> {
     fn span(&self, peer: PeerId) -> (usize, usize) {
         let Span { first, rows } = self.spans[peer.idx()];
         (first as usize, rows as usize)
+    }
+
+    /// Arena index of row 0 of `peer`'s table: its row `j` is arena row
+    /// `first_row(peer) + j`.
+    pub(crate) fn first_row(&self, peer: PeerId) -> usize {
+        self.span(peer).0
     }
 
     /// Number of rows in `peer`'s table.
@@ -163,23 +169,55 @@ impl<const K: usize> StackRow<K> {
     }
 }
 
+/// The per-contact probe test `rng.random::<f64>() < env`, on the raw
+/// word. The float draw is `(x >> 11)·2⁻⁵³`, exact, and so is `env·2⁵³`
+/// (a power-of-two scale), so the draw is below `env` exactly when the
+/// integer `x >> 11` is below `⌈env·2⁵³⌉`. The saturating cast sends NaN
+/// and negative rates to 0 (never probe) and rates ≥ 1 to 2⁵³ (always),
+/// as the float compare does. The same one word is consumed per test.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ProbeRate(u64);
+
+impl ProbeRate {
+    const ONE: u64 = 1 << 53;
+
+    pub(crate) fn new(env: f64) -> Self {
+        ProbeRate(((env * Self::ONE as f64).ceil() as u64).min(Self::ONE))
+    }
+
+    /// Whether the draw `word` probes.
+    #[inline]
+    pub(crate) fn accepts(self, word: u64) -> bool {
+        (word >> 11) < self.0
+    }
+
+    /// Draws one word and tests it.
+    #[inline]
+    pub(crate) fn hit(self, rng: &mut SmallRng) -> bool {
+        self.accepts(rng.next_u64())
+    }
+}
+
 /// The probe sweep of one row: each contact is probed with probability
-/// `env` (one draw per contact, one `Probe` per hit), and probed contacts
-/// found offline are collected into `stale` for repair after the walk.
+/// `rate` (one draw per contact, one `Probe` per hit), and probed contacts
+/// found offline are collected into `stale` for repair after the walk. A
+/// contact is read only when its draw hits, so a sweep that probes nothing
+/// touches no slot of the row.
+#[inline]
 pub(crate) fn probe_row(
     row: &[PeerId],
-    env: f64,
+    rate: ProbeRate,
     live: &Liveness,
     rng: &mut SmallRng,
     metrics: &mut Metrics,
     stale: &mut Vec<PeerId>,
 ) {
     stale.clear();
-    for &c in row {
-        if rng.random::<f64>() < env {
+    for c in row {
+        if rate.hit(rng) {
             metrics.record(MessageKind::Probe);
-            if !live.is_online(c) {
-                stale.push(c);
+            if !live.is_online(*c) {
+                stale.push(*c);
             }
         }
     }
@@ -188,6 +226,7 @@ pub(crate) fn probe_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ids(xs: &[u32]) -> Vec<PeerId> {
         xs.iter().map(|&x| PeerId(x)).collect()
@@ -243,6 +282,54 @@ mod tests {
         assert_eq!(s.as_slice(), &ids(&[3, 2])[..]);
         s.repair_at(1, Some(PeerId(9)));
         assert_eq!(s.as_slice(), &ids(&[3, 9])[..]);
+    }
+
+    /// The draw `rng.random::<f64>() < env` would make from `word`.
+    fn float_accepts(word: u64, env: f64) -> bool {
+        ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < env
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// At every rate edge case and at arbitrary rates, the integer
+        /// test agrees with the float draw on the words either side of its
+        /// threshold and on an arbitrary word.
+        #[test]
+        fn probe_rate_accepts_exactly_what_the_float_draw_does(
+            k in 0u64..=(1 << 53),
+            word in any::<u64>(),
+            bits in any::<u64>(),
+            unit in any::<f64>(),
+        ) {
+            let grid = k as f64 / (1u64 << 53) as f64;
+            let envs = [
+                0.0,
+                -0.0,
+                -1.0,
+                5e-324,
+                grid,
+                grid.next_down(),
+                grid.next_up(),
+                0.011,
+                1.0 - f64::EPSILON / 2.0,
+                1.0,
+                1.5,
+                f64::INFINITY,
+                f64::NAN,
+                f64::from_bits(bits),
+                unit,
+            ];
+            for env in envs {
+                let rate = ProbeRate::new(env);
+                // The first word the threshold rejects; 0 (wrapped) when it
+                // rejects none.
+                let edge = rate.0 << 11;
+                for w in [edge.wrapping_sub(1), edge, edge.wrapping_add(1), word] {
+                    prop_assert_eq!(rate.accepts(w), float_accepts(w, env), "env {env:e}, word {w:#x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! the remaining clockwise distance — the same `O(log n)` hop and table
 //! asymptotics as the trie, with different constants.
 
+use crate::arena::ProbeRate;
 use crate::traits::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Result};
@@ -287,12 +288,15 @@ impl Overlay for ChordOverlay {
         if !live.is_online(peer) {
             return;
         }
-        let i = peer.idx();
+        let rate = ProbeRate::new(env);
+        let node = &self.nodes[peer.idx()];
         // Fingers: a stale finger is re-targeted to the next online peer
-        // clockwise of its old position.
-        for (fi, &f) in self.nodes[i].fingers.iter().enumerate() {
-            if rng.random::<f64>() < env {
+        // clockwise of its old position. An entry is read only when its
+        // draw hits.
+        for (fi, f) in node.fingers.iter().enumerate() {
+            if rate.hit(rng) {
                 metrics.record(MessageKind::Probe);
+                let f = *f;
                 if !live.is_online(f) {
                     let old_id = self.nodes[f.idx()].id;
                     let mut probe_point = old_id.wrapping_add(1);
@@ -312,10 +316,10 @@ impl Overlay for ChordOverlay {
         // Successors are probed but repaired by re-deriving the list from
         // the ring (free).
         let mut any_stale = false;
-        for &s in &self.nodes[i].successors {
-            if rng.random::<f64>() < env {
+        for s in &node.successors {
+            if rate.hit(rng) {
                 metrics.record(MessageKind::Probe);
-                if !live.is_online(s) {
+                if !live.is_online(*s) {
                     any_stale = true;
                 }
             }

@@ -20,7 +20,7 @@
 //! is the *balanced* outcome: peers are dealt round-robin over the `2^d`
 //! prefixes (so no group is empty) and draw the remaining id bits randomly.
 
-use crate::arena::{probe_row, RowArena, StackRow};
+use crate::arena::{probe_row, ProbeRate, RowArena, StackRow};
 use crate::traits::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Result, KEY_BITS};
@@ -45,6 +45,11 @@ pub struct KademliaOverlay {
     /// its deepest populated bucket (random ids leave everything beyond
     /// ~log2 n empty).
     kbuckets: RowArena<BUCKET_K>,
+    /// One bit per arena row of `kbuckets`: set when the bucket's id range
+    /// is empty. Ids never change after build, so such a bucket was built
+    /// empty and stays empty (no refresh or revive has a candidate to
+    /// draw), and maintenance skips it.
+    dead: Vec<u64>,
     /// `(id, peer)` sorted by id — the range oracle bucket sampling and
     /// stale-entry repair draw from.
     sorted: Vec<(u64, PeerId)>,
@@ -107,7 +112,8 @@ impl KademliaOverlay {
         sorted.sort_unstable_by_key(|&(id, _)| id);
 
         let kbuckets = RowArena::with_capacity(0, 0);
-        let mut overlay = KademliaOverlay { depth, ids, kbuckets, sorted, groups, group_of };
+        let mut overlay =
+            KademliaOverlay { depth, ids, kbuckets, dead: Vec::new(), sorted, groups, group_of };
         overlay.rebuild_routing_tables(rng);
         Ok(overlay)
     }
@@ -167,10 +173,14 @@ impl KademliaOverlay {
         // the fill: one allocation, no regrowth and no slack to return.
         let rows = self.ids.iter().map(|&x| self.table_rows(x) as usize).sum();
         let mut kbuckets = RowArena::with_capacity(self.ids.len(), rows);
+        let mut dead = vec![0u64; rows.div_ceil(64)];
+        let mut r = 0;
         for &x in &self.ids {
             kbuckets.begin_peer();
             for j in 0..self.table_rows(x) {
                 let range = self.bucket_range(x, j);
+                dead[r / 64] |= u64::from(range.is_empty()) << (r % 64);
+                r += 1;
                 let mut bucket = StackRow::<BUCKET_K>::new();
                 if range.len() <= BUCKET_K {
                     range.iter().for_each(|&(_, peer)| bucket.push(peer));
@@ -186,6 +196,12 @@ impl KademliaOverlay {
             }
         }
         self.kbuckets = kbuckets;
+        self.dead = dead;
+    }
+
+    /// Whether arena row `r` is a bucket with an empty id range.
+    fn is_dead(&self, r: usize) -> bool {
+        self.dead[r / 64] >> (r % 64) & 1 == 1
     }
 
     /// Draws up to [`REFRESH_TRIES`] candidates from the id range of bucket
@@ -263,10 +279,17 @@ impl Overlay for KademliaOverlay {
         // is strict progress.
         let b = Key(self.ids[current.idx()]).common_prefix_len(key) as usize;
         // Greedy: contact attempts in XOR-distance order to the key. Every
-        // attempt is a real message, wasted if the target is offline.
+        // attempt is a real message, wasted if the target is offline. Ids
+        // are distinct, so distances are too: selecting the nearest untried
+        // contact per attempt gives the sorted order without sorting the
+        // tail a first online contact never reaches.
         let mut order = StackRow::<BUCKET_K>::copy_of(self.kbuckets.row(current, b));
-        order.as_mut_slice().sort_unstable_by_key(|&c| self.ids[c.idx()] ^ key.0);
-        for &cand in order.as_slice() {
+        let order = order.as_mut_slice();
+        for k in 0..order.len() {
+            let dist = |i: usize| self.ids[order[i].idx()] ^ key.0;
+            let nearest = (k..order.len()).min_by_key(|&i| dist(i)).expect("k < len");
+            order.swap(k, nearest);
+            let cand = order[k];
             state.hops += 1;
             // Saturating: once exhausted, each further bucket gets exactly
             // one attempt before dead-ending (mirrors the trie).
@@ -307,12 +330,19 @@ impl Overlay for KademliaOverlay {
         if !live.is_online(peer) {
             return;
         }
-        let x = self.ids[peer.idx()];
+        let rate = ProbeRate::new(env);
+        let first = self.kbuckets.first_row(peer);
         for (j, row) in self.kbuckets.rows(peer).enumerate() {
-            probe_row(row, env, live, rng, metrics, &mut scratch.stale);
+            // A dead bucket is empty, so its sweep draws nothing, and its
+            // revive finds an empty range and draws nothing either.
+            if self.is_dead(first + j) {
+                continue;
+            }
+            probe_row(row, rate, live, rng, metrics, &mut scratch.stale);
             if scratch.stale.is_empty() && !row.is_empty() {
                 continue;
             }
+            let x = self.ids[peer.idx()];
             // Refresh acceptance (`!contains(cand)`) and the drained check
             // below read the bucket *mid-mutation*, so the bucket's repairs
             // are replayed on a stack copy to keep the candidate draws
@@ -591,6 +621,68 @@ mod tests {
         for from in (0..64).map(PeerId::from_idx) {
             let out = o.lookup(from, key, &live, &mut r, &mut m).expect("recovered lookup");
             assert!(o.is_responsible(out.peer, key));
+        }
+    }
+
+    /// `(j, dead bit)` for every bucket of `p`.
+    fn rows(o: &KademliaOverlay, p: PeerId) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let first = o.kbuckets.first_row(p);
+        (0..o.bucket_count(p)).map(move |j| (j, o.is_dead(first + j)))
+    }
+
+    #[test]
+    fn dead_bit_is_the_empty_range_for_good() {
+        for (n, g, seed) in [(2, 1, 1), (64, 4, 2), (600, 8, 3), (2000, 8, 4), (5000, 50, 5)] {
+            let mut o = KademliaOverlay::build(n, g, &mut SmallRng::seed_from_u64(seed)).unwrap();
+            let peers = || (0..n).map(PeerId::from_idx);
+            let mut dead = 0;
+            for p in peers() {
+                for (j, is_dead) in rows(&o, p) {
+                    let empty_range = o.bucket_range(o.ids[p.idx()], j as u32).is_empty();
+                    assert_eq!(is_dead, empty_range, "n {n}: bit of bucket {j} of {p}");
+                    assert_eq!(is_dead, o.bucket(p, j).is_empty(), "n {n}: bucket {j} of {p}");
+                    dead += usize::from(is_dead);
+                }
+            }
+            assert!(n < 64 || dead > 0, "n {n}: the shape must have dead buckets");
+
+            let mut live = Liveness::all_online(n);
+            let mut r = SmallRng::seed_from_u64(seed ^ 0xdead);
+            let (mut m, mut scratch, mut repairs) =
+                (Metrics::new(), PlanScratch::new(), Vec::new());
+            let mut planned = 0;
+            for _ in 0..40 {
+                for p in peers() {
+                    let on = live.is_online(p);
+                    if r.random::<f64>() < if on { 0.2 } else { 0.4 } {
+                        live.set(p, !on);
+                    }
+                }
+                repairs.clear();
+                for p in peers() {
+                    o.maintenance_plan(p, 0.5, &live, &mut r, &mut m, &mut scratch, &mut repairs);
+                }
+                for rep in &repairs {
+                    let (Repair::KadRefresh { peer, bucket, .. }
+                    | Repair::KadRevive { peer, bucket, .. }) = *rep
+                    else {
+                        unreachable!("non-Kademlia repair {rep:?}")
+                    };
+                    let r = o.kbuckets.first_row(peer) + bucket as usize;
+                    assert!(!o.is_dead(r), "repair {rep:?} names a dead bucket");
+                }
+                o.maintenance_apply(&repairs, &live);
+                planned += repairs.len();
+                for p in peers() {
+                    for (j, is_dead) in rows(&o, p) {
+                        assert!(
+                            !is_dead || o.bucket(p, j).is_empty(),
+                            "dead bucket {j} of {p} filled"
+                        );
+                    }
+                }
+            }
+            assert!(n < 64 || planned > 0, "n {n}: churn must drive repairs");
         }
     }
 

@@ -12,7 +12,7 @@
 //! across leaves. The paper's own analysis likewise assumes a balanced
 //! binary key space (Section 3.2, footnote 3).
 
-use crate::arena::{probe_row, RowArena, StackRow};
+use crate::arena::{probe_row, ProbeRate, RowArena, StackRow};
 use crate::traits::{HopOutcome, LookupState, Overlay, PlanScratch, Repair};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId, Prefix, Result};
@@ -277,8 +277,9 @@ impl Overlay for TrieOverlay {
         if !live.is_online(peer) {
             return;
         }
+        let rate = ProbeRate::new(env);
         for (level, row) in (0..self.depth).zip(self.refs.rows(peer)) {
-            probe_row(row, env, live, rng, metrics, &mut scratch.stale);
+            probe_row(row, rate, live, rng, metrics, &mut scratch.stale);
             for &stale in &scratch.stale {
                 let replacement = self.sample_sibling(peer, level, rng);
                 out.push(Repair::TrieRef { peer, level, stale, replacement });

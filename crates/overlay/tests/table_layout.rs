@@ -350,7 +350,7 @@ proptest! {
         n in 16usize..320,
         g in 1usize..24,
         seed in any::<u64>(),
-        env in prop::sample::select(vec![0.05f64, 1.0]),
+        env in prop::sample::select(vec![0.05f64, 1.0, 0.011, 1e-300]),
     ) {
         Lockstep::kademlia(n, g, seed).churned_rounds(seed, env)?;
     }
@@ -360,7 +360,7 @@ proptest! {
         n in 16usize..320,
         g in 1usize..24,
         seed in any::<u64>(),
-        env in prop::sample::select(vec![0.05f64, 1.0]),
+        env in prop::sample::select(vec![0.05f64, 1.0, 0.011, 1e-300]),
     ) {
         Lockstep::trie(n, g, seed).churned_rounds(seed, env)?;
     }
