@@ -11,7 +11,8 @@
 # workload the two sides then run back to back — the parent first on odd
 # seeds, the change first on even ones — each with BENCHMARK.json's command
 # at its `run_seconds` and `--trace 0`. The first line of /proc/stat is read
-# around every run, so the summary can report each run's steal fraction.
+# around every run, so the summary can report each run's steal fraction, and
+# bash's `time` records each run's user and system CPU seconds beside it.
 # `--holdout` seeds run after the main set, interleaved the same way, and
 # are reported apart from the medians. Defaults: every workload of
 # BENCHMARK.json, seeds 1-10, no held-out seed, out results/BENCH_ab.json.
@@ -67,16 +68,19 @@ for side in parent change; do
 done
 sha256sum "$dir"/target-{parent,change}/release/pdht-benchmark | tee "$dir/binaries.sha256"
 
-# One benchmark run of `side`; outputs, exit status and the /proc/stat cpu
-# line before and after land in runs/<set>/<workload>/<seed>/<side>/.
+# One benchmark run of `side`; outputs, exit status, the /proc/stat cpu
+# line before and after, and the run's user and system CPU seconds
+# (`cpu_times`, one line "U S") land in runs/<set>/<workload>/<seed>/<side>/.
 run() {
     local set="$1" side="$2" workload="$3" seed="$4"
     local to="$dir/runs/$set/$workload/$seed/$side" status=0
+    local TIMEFORMAT='%3U %3S'
     mkdir -p "$to"
     head -n 1 /proc/stat > "$to/proc_stat"
-    (cd "$dir/$side" && CARGO_TARGET_DIR="$dir/target-$side" "${cmd[@]}" \
+    # The inner group keeps the run's own redirection off `time`'s report.
+    { time { (cd "$dir/$side" && CARGO_TARGET_DIR="$dir/target-$side" "${cmd[@]}" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 --out "$to") \
-        > "$to/stdout.log" 2>&1 || status=$?
+        > "$to/stdout.log" 2>&1 || status=$?; }; } 2> "$to/cpu_times"
     head -n 1 /proc/stat >> "$to/proc_stat"
     echo "$status" > "$to/status"
     echo "$set $workload seed $seed $side: exit $status"

@@ -5,14 +5,15 @@
                           [--benchmark BENCHMARK.json]
 
 Reads DIR/runs/<set>/<workload>/<seed>/<side>/ (the benchmark's
-<workload>.json, its stdout, exit status and the /proc/stat cpu line before
-and after the run) and writes, per workload and end-to-end metric, both
+<workload>.json, its stdout, exit status, the /proc/stat cpu line before
+and after the run, and its user and system CPU seconds) and writes, per workload and end-to-end metric, both
 sides' values in seed order, medians and quartiles, pairwise wins and the
 BENCHMARK.json bound check, and the quartiles of every timed build
 pooled across runs (`setup_s_pooled`: each run times three builds and
-reports their median as `setup_s`). Held-out seeds are reported per seed,
-apart from the medians. Every run made is listed in `runs_made` with its steal
-fraction.
+reports their median as `setup_s`). Each run's CPU seconds (`cpu_s`, user + system, cargo's own check
+included) sit beside its steal fraction, with per-side quartiles and pair
+wins. Held-out seeds are reported per seed, apart from the medians. Every
+run made is listed in `runs_made` with its steal fraction and `cpu_s`.
 """
 
 import argparse
@@ -43,6 +44,16 @@ def steal_frac(path):
     return delta[7] / total if total > 0 and len(delta) == 8 else None
 
 
+def cpu_s(path):
+    """User + system seconds from a `cpu_times` line "U S"; None if absent."""
+    try:
+        with open(path) as f:
+            user, system = (float(x) for x in f.read().split())
+    except (OSError, ValueError):
+        return None
+    return user + system
+
+
 def load_run(path, workload):
     with open(os.path.join(path, "status")) as f:
         status = int(f.read())
@@ -61,6 +72,7 @@ def load_run(path, workload):
         "doc": doc,
         "result": result,
         "steal_frac": steal_frac(os.path.join(path, "proc_stat")),
+        "cpu_s": cpu_s(os.path.join(path, "cpu_times")),
         "mtime": os.path.getmtime(os.path.join(path, "status")),
     }
 
@@ -157,6 +169,7 @@ def summarise_workload(decls, runs, seeds):
             for p in pairs
         ),
         "steal_frac": {side: [p[side]["steal_frac"] for p in pairs] for side in SIDES},
+        "cpu_s": cpu_summary(pairs),
         "metrics": {},
     }
     for decl in decls:
@@ -173,6 +186,21 @@ def summarise_workload(decls, runs, seeds):
         for m in ("answered_frac", "sim_msgs_per_query")
     )
     return block
+
+
+def cpu_summary(pairs):
+    """Each side's run CPU seconds in seed order, their quartiles and IQR,
+    and the pairs where the change used less CPU."""
+    out = {side: [p[side]["cpu_s"] for p in pairs] for side in SIDES}
+    if any(x is None for side in SIDES for x in out[side]) or len(pairs) < 2:
+        return out
+    for side in SIDES:
+        q = quartiles(out[side])
+        out[side + "_quartiles"] = q
+        out[side + "_iqr"] = q["q3"] - q["q1"]
+    out["change_wins"] = sum(c < p for p, c in zip(out["parent"], out["change"]))
+    out["pairs"] = len(pairs)
+    return out
 
 
 def pooled_setup(pairs):
@@ -207,6 +235,7 @@ def summarise_holdout(decls, runs, seeds):
             },
             "fingerprints_equal": fingerprint(pair["parent"]) == fingerprint(pair["change"]),
             "steal_frac": {side: pair[side]["steal_frac"] for side in SIDES},
+            "cpu_s": {side: pair[side]["cpu_s"] for side in SIDES},
         }
         for decl in decls:
             p, c = (value(pair[side], decl["name"]) for side in SIDES)
@@ -274,6 +303,7 @@ def main():
                             "exit_status": run["status"],
                             "correct": run["result"] is not None and run["result"]["correct"],
                             "steal_frac": run["steal_frac"],
+                            "cpu_s": run["cpu_s"],
                             "finished_at": run["mtime"],
                         }
                     )
