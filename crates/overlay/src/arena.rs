@@ -175,7 +175,7 @@ impl<const K: usize> StackRow<K> {
 /// integer `x >> 11` is below `⌈env·2⁵³⌉`. The saturating cast sends NaN
 /// and negative rates to 0 (never probe) and rates ≥ 1 to 2⁵³ (always),
 /// as the float compare does. The same one word is consumed per test.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub(crate) struct ProbeRate(u64);
 
 impl ProbeRate {
