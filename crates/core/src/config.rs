@@ -340,13 +340,21 @@ impl PdhtConfig {
                 reason: "graph needs mean degree >= 2".into(),
             });
         }
-        if let TtlPolicy::FromModel { factor } = self.ttl_policy {
-            if !factor.is_finite() || factor <= 0.0 {
-                return Err(PdhtError::InvalidConfig {
-                    param: "ttl_policy.factor",
-                    reason: format!("must be finite and > 0, got {factor}"),
-                });
+        // A NaN adaptive target never compares below the hit rate (the TTL
+        // would shrink to its floor every window), and the controller would
+        // silently clamp one outside [0, 1].
+        let bad_ttl = match self.ttl_policy {
+            TtlPolicy::FromModel { factor: x } if !(x.is_finite() && x > 0.0) => {
+                Some(("ttl_policy.factor", "finite and > 0", x))
             }
+            TtlPolicy::Adaptive { target_hit_rate: x } if !(0.0..=1.0).contains(&x) => {
+                Some(("ttl_policy.target_hit_rate", "finite and in [0, 1]", x))
+            }
+            _ => None,
+        };
+        if let Some((param, range, x)) = bad_ttl {
+            let reason = format!("must be {range}, got {x}");
+            return Err(PdhtError::InvalidConfig { param, reason });
         }
         if let AdmissionPolicy::SecondChance { window_rounds } = self.admission {
             if window_rounds == 0 {
@@ -397,6 +405,22 @@ mod tests {
         let mut c = base();
         c.ttl_policy = TtlPolicy::FromModel { factor: 0.0 };
         assert!(c.validate().is_err());
+
+        for t in [f64::NAN, 1.5, -0.1] {
+            let mut c = base();
+            c.ttl_policy = TtlPolicy::Adaptive { target_hit_rate: t };
+            match c.validate() {
+                Err(PdhtError::InvalidConfig { param, .. }) => {
+                    assert_eq!(param, "ttl_policy.target_hit_rate", "target {t}");
+                }
+                other => panic!("target {t} must be rejected, got {other:?}"),
+            }
+        }
+        for t in [0.0, 0.85, 1.0] {
+            let mut c = base();
+            c.ttl_policy = TtlPolicy::Adaptive { target_hit_rate: t };
+            assert!(c.validate().is_ok(), "target {t}");
+        }
 
         let mut c = base();
         c.purge_stride = 0;

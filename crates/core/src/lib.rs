@@ -9,13 +9,12 @@
 //!   values for sensitivity scans, and an adaptive controller (the paper's
 //!   stated future work),
 //! * [`network`] — the full-network simulation engine: an event-driven
-//!   round orchestrator ([`network::engine`]) over per-peer index state
-//!   ([`network::peer`]), query execution ([`network::routing`]) and
-//!   background maintenance ([`network::maintenance`]), combining a
-//!   configurable structured overlay (trie or Chord, chosen via
-//!   [`PdhtConfig::overlay`]), the unstructured overlay, replica gossip,
-//!   churn and the Zipf workload; this is the apparatus behind the
-//!   simulation experiments (S2/S3 in the repository's `DESIGN.md`).
+//!   round orchestrator over per-peer index state, query execution and
+//!   background maintenance, combining a configurable structured overlay
+//!   (trie, Chord or Kademlia, chosen via [`PdhtConfig::overlay`]), the
+//!   unstructured overlay, replica gossip, churn and the Zipf workload;
+//!   this is the apparatus behind the simulation experiments (S2/S3 in the
+//!   repository's `DESIGN.md`).
 //!
 //! # Quickstart
 //!
@@ -44,9 +43,6 @@ pub use config::{
     MAX_BACKGROUND_JITTER_US,
 };
 pub use index::{IndexEntry, InsertResult, PartialIndex};
-pub use network::{
-    EventHook, HookAction, HookPoint, NetEvent, PdhtNetwork, PhaseBreakdown, QueryId, RoundPhase,
-    SimReport, UpdateId,
-};
+pub use network::{PdhtNetwork, PhaseBreakdown, SimReport};
 pub use pdht_gossip::GossipCodec;
 pub use ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};

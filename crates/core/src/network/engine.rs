@@ -37,22 +37,20 @@ use std::time::{Duration, Instant};
 /// Identifier of an in-flight query: a generational key into its lane's
 /// slab, so events referencing resolved queries miss instead of aliasing a
 /// recycled slot. Unique per lane, not across lanes.
-pub type QueryId = u64;
+pub(crate) type QueryId = u64;
 
 /// Identifier of an in-flight update propagation (same slab-key scheme).
-pub type UpdateId = u64;
+pub(crate) type UpdateId = u64;
 
 /// An event on a lane's virtual-time queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetEvent {
+pub(crate) enum NetEvent {
     /// A message of an in-flight query lands at its destination: advance
-    /// that query's state machine by one step.
+    /// that query's state machine by one step (an arrival for a query no
+    /// longer in flight is ignored).
     MessageArrival {
         /// The query whose message arrived.
         query: QueryId,
-        /// The query's step counter when the message was sent (diagnostics
-        /// for hooks; arrival for a query no longer in flight is ignored).
-        hop: u32,
     },
     /// An in-flight query's deadline expired: abandon it if still running.
     QueryTimeout {
@@ -74,61 +72,13 @@ pub enum NetEvent {
         peer: PeerId,
     },
     /// A message wave of an in-flight update propagation lands: advance
-    /// that update's state machine by one step (route hop or gossip wave).
+    /// that update's state machine by one step (route hop or gossip wave;
+    /// arrivals for finished propagations are ignored).
     GossipPush {
         /// The propagation whose wave arrived.
         update: UpdateId,
-        /// Step counter when the wave was sent (diagnostics; arrivals for
-        /// finished propagations are ignored).
-        step: u32,
     },
 }
-
-/// Where in the event stream an [`EventHook`] observation fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HookPoint {
-    /// A round phase is about to dispatch — the seam for injecting faults
-    /// at precise instants (e.g. a blackout between `Churn` and `Queries`).
-    BeforePhase {
-        /// The round being executed.
-        round: u64,
-        /// The phase about to run.
-        phase: RoundPhase,
-    },
-    /// A lane dispatched a message-level event (arrival or timeout) of a
-    /// query still in flight.
-    ///
-    /// Message events live on lane queues drained inside parallel passes,
-    /// where a shared mutable hook cannot run, so lanes log them and the
-    /// serial barrier ending the pass replays the log in `(lane, time)`
-    /// order — an order fixed by the shard count alone. The observation
-    /// (and any action it returns) therefore lands *after* the events of
-    /// its pass, at every shard count.
-    MessageDispatched {
-        /// The round the event fired in.
-        round: u64,
-        /// The lane that dispatched it.
-        lane: usize,
-        /// The in-flight query it belongs to (a key into `lane`'s slab).
-        query: QueryId,
-    },
-}
-
-/// A fault an [`EventHook`] can inject at the observed instant.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum HookAction {
-    /// Knock a uniform fraction of all peers offline at once (they rejoin
-    /// through the configured churn process).
-    Blackout {
-        /// Fraction of peers to take down, in `[0, 1]`.
-        fraction: f64,
-    },
-}
-
-/// An experiment hook observing event boundaries; returned actions are
-/// applied at the observation: before a phase's work, and at the barrier
-/// ending the pass for message observations.
-pub type EventHook = Box<dyn FnMut(HookPoint) -> Vec<HookAction>>;
 
 /// One phase of a simulated round.
 ///
@@ -136,7 +86,7 @@ pub type EventHook = Box<dyn FnMut(HookPoint) -> Vec<HookAction>>;
 /// instant: lane events due before a phase's instant dispatch before its
 /// serial work, later ones after.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundPhase {
+pub(crate) enum RoundPhase {
     /// Peer session transitions; rejoining IndexAll peers pull missed
     /// updates.
     Churn,
@@ -164,8 +114,8 @@ const PHASES: [RoundPhase; 6] = [
 
 /// µs of virtual time between consecutive phase instants within a round.
 /// The gap leaves room for the per-peer background events *after* their
-/// phase marker: a [`HookPoint::BeforePhase`] observation must fire before
-/// any of that phase's per-peer work dispatches.
+/// phase marker, so a phase's serial work runs before any of that phase's
+/// per-peer work dispatches.
 pub(crate) const PHASE_SPACING_US: u64 = 10;
 
 /// Offset (µs past the round start) of the [`RoundPhase::Queries`] instant —
@@ -247,8 +197,6 @@ pub struct PdhtNetwork {
     pub(crate) metrics: Metrics,
     /// The round the next `step_round` executes.
     pub(crate) next_round: Round,
-    /// Experiment hook observing phase/message boundaries.
-    pub(crate) hook: Option<EventHook>,
     /// Events dispatched over the whole run — phase markers plus every
     /// lane event (the O(active-work) regression gauge: per-round deltas
     /// must track transitions/queries/background events, not the total
@@ -605,7 +553,6 @@ impl PdhtNetwork {
             adaptive,
             metrics: Metrics::new(),
             next_round: Round(0),
-            hook: None,
             events_dispatched: 0,
             rng_overlay: streams.stream("overlay"),
             rng_updates: streams.stream("updates"),
@@ -730,13 +677,6 @@ impl PdhtNetwork {
         self.world.churn.force_blackout(fraction, &mut self.shards.churn_rngs[0]);
     }
 
-    /// Installs an [`EventHook`] observing every phase boundary and message
-    /// event (see [`HookPoint`] for when each observation — and any action
-    /// it returns — lands). Replaces any previous hook.
-    pub fn set_event_hook(&mut self, hook: EventHook) {
-        self.hook = Some(hook);
-    }
-
     /// Queries currently in flight (always 0 when every hop delay is zero).
     pub fn queries_in_flight(&self) -> usize {
         self.shards.lanes.iter().map(|l| l.inflight.len()).sum()
@@ -836,8 +776,8 @@ impl PdhtNetwork {
     }
 
     /// Executes one round: walks the six phase markers in order, each one
-    /// its hook observation, its serial work, then a parallel drain of the
-    /// lanes up to the next marker. Message arrivals of in-flight queries
+    /// its serial work, then a parallel drain of the lanes up to the next
+    /// marker. Message arrivals of in-flight queries
     /// interleave with the phases at their own instants; arrivals falling
     /// beyond the round boundary stay parked and fire in the round they
     /// belong to.
@@ -846,7 +786,6 @@ impl PdhtNetwork {
         for (index, phase) in PHASES.into_iter().enumerate() {
             // A marker counts as one dispatched event, like any lane event.
             self.events_dispatched += 1;
-            self.run_hook(HookPoint::BeforePhase { round: round.0, phase });
             self.run_phase(index, phase, round);
         }
         self.next_round = round.next();
@@ -854,7 +793,7 @@ impl PdhtNetwork {
 
     /// One phase: its serial work, then the lane pass that drains every
     /// lane up to one tick before the next marker — so per-peer background
-    /// events fire *after* their phase's hook seam (`OverlayMaintenance`
+    /// events fire *after* their phase's marker (`OverlayMaintenance`
     /// and `PurgeExpired` are pure calibration boundaries with no serial
     /// work of their own).
     fn run_phase(&mut self, index: usize, phase: RoundPhase, round: Round) {
@@ -904,19 +843,6 @@ impl PdhtNetwork {
             self.fold_lanes();
             if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
                 tm.barriers += t0.elapsed();
-            }
-        }
-    }
-
-    /// Calls the hook (temporarily detached to keep the borrow checker
-    /// happy) and applies any requested actions.
-    pub(crate) fn run_hook(&mut self, point: HookPoint) {
-        let Some(mut hook) = self.hook.take() else { return };
-        let actions = hook(point);
-        self.hook = Some(hook);
-        for action in actions {
-            match action {
-                HookAction::Blackout { fraction } => self.force_blackout(fraction),
             }
         }
     }
@@ -1488,42 +1414,6 @@ mod tests {
             net.step_round();
             assert_eq!(pending(&net), 0, "boundary event must fire in round 1");
             assert_eq!(net.events_dispatched(), 13);
-        }
-    }
-
-    #[test]
-    fn observed_log_is_written_only_under_a_hook_and_drained_every_round() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        for shards in [1, 4] {
-            let mut c = cfg_sharded(Strategy::Partial, shards);
-            c.latency = crate::LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 };
-            // Hook-less: nothing drains the log, so a single write would
-            // still be there (and would have allocated).
-            let mut net = PdhtNetwork::new(c.clone()).unwrap();
-            net.run(3);
-            for lane in &net.shards.lanes {
-                assert_eq!(lane.observed.capacity(), 0, "shards={shards}: log touched unhooked");
-            }
-
-            let seen = Rc::new(Cell::new(0u64));
-            let seen_hook = Rc::clone(&seen);
-            let mut net = PdhtNetwork::new(c).unwrap();
-            net.set_event_hook(Box::new(move |point| {
-                if let HookPoint::MessageDispatched { .. } = point {
-                    seen_hook.set(seen_hook.get() + 1);
-                }
-                Vec::new()
-            }));
-            for _ in 0..3 {
-                net.step_round();
-                for lane in &net.shards.lanes {
-                    assert!(lane.observed.is_empty(), "shards={shards}: log outlived its round");
-                }
-            }
-            assert!(seen.get() > 0, "shards={shards}: message events must reach the hook");
-            let logged: usize = net.shards.lanes.iter().map(|l| l.observed.capacity()).sum();
-            assert!(logged > 0, "shards={shards}: observations travel through the lane logs");
         }
     }
 

@@ -68,9 +68,6 @@ pub(crate) struct UpdateCtx {
     entry: PeerId,
     /// Position within the article's key list.
     pos: usize,
-    /// Forwarding steps so far (route hops / gossip waves / shard
-    /// handoffs).
-    steps: u32,
     stage: UpdateStage,
 }
 
@@ -227,7 +224,6 @@ impl QueryExec<'_> {
             new_version,
             entry,
             pos: 0,
-            steps: 0,
             stage: UpdateStage::Route { lookup: o.begin_lookup(entry, key) },
         };
         self.drive_update(ctx, round);
@@ -246,12 +242,11 @@ impl QueryExec<'_> {
                     return;
                 }
                 UpdateFate::Next => {
-                    ctx.steps += 1;
                     let delay = self.world.latency.sample(&mut self.lane.rng_latency);
                     if delay == SimTime::ZERO {
                         continue;
                     }
-                    let event = NetEvent::GossipPush { update: ctx.id, step: ctx.steps };
+                    let event = NetEvent::GossipPush { update: ctx.id };
                     self.lane.events.schedule_in(delay, event);
                     let id = ctx.id;
                     self.lane.updates_inflight.park(id, ctx);
@@ -263,7 +258,6 @@ impl QueryExec<'_> {
                     // adopts the context at the next pass barrier.
                     self.lane.updates_inflight.free(ctx.id);
                     ctx.id = 0;
-                    ctx.steps += 1;
                     let now = self.lane.events.now();
                     self.lane.outbox.push(dest, now, LaneMsg::Update(ctx));
                     return;

@@ -9,33 +9,35 @@
 //!
 //! # Architecture
 //!
-//! The engine is composed of five seams, one per submodule:
+//! The engine exports three things: [`PdhtNetwork`] (build a network, run
+//! rounds), [`SimReport`] (read a window of rounds) and [`PhaseBreakdown`]
+//! (opt-in wall-clock split of a run). Behind them it is composed of five
+//! seams, one per crate-private submodule:
 //!
-//! * [`peer`] — per-peer state: every active peer's TTL'd [`crate::PartialIndex`]
+//! * `peer` — per-peer state: every active peer's TTL'd [`crate::PartialIndex`]
 //!   plus the global distinct-key accounting, behind one borrow-friendly
-//!   facade ([`peer::PeerStores`]),
-//! * [`routing`] — query execution: the Section 5.1 pipeline (DHT entry,
+//!   facade (`PeerStores`),
+//! * `routing` — query execution: the Section 5.1 pipeline (DHT entry,
 //!   structured lookup, replica flood, unstructured broadcast search,
 //!   insert-on-miss) as a message-granular state machine over in-flight
 //!   queries — one event per DHT forward, flood frontier level, or walker
 //!   wave, each delayed by the configured [`crate::LatencyConfig`],
-//! * [`maintenance`] — background work: churn transitions and rejoin
+//! * `maintenance` — background work: churn transitions and rejoin
 //!   pulls, routing-table probe maintenance, TTL eviction sweeps, and
 //!   update propagation through replica gossip,
-//! * [`shard`] — the lanes: the population splits into
+//! * `shard` — the lanes: the population splits into
 //!   [`crate::PdhtConfig::shards`] shards (one by default), each owning a
 //!   lane (stores, RNG streams, in-flight slabs, event queue); every phase
 //!   drains the lanes in parallel on a persistent thread pool with a
 //!   deterministic outbox merge between the passes,
-//! * [`engine`] — the `World` every lane pass shares read-only (config,
+//! * `engine` — the `World` every lane pass shares read-only (config,
 //!   key universe, substrates, processes, partition maps) and
-//!   orchestration: each round walks its six phase markers —
-//!   hook observation, serial work, lane pass — with query messages and
-//!   per-peer background events riding the lanes' deterministic
-//!   [`pdht_sim::EventQueue`]s as [`NetEvent`]s dispatched in virtual-time
-//!   order, a plain [`pdht_types::Round`] counter tracking the next
-//!   round, per-query latency histograms feeding [`SimReport`], and
-//!   [`engine::EventHook`]s injecting faults at precise instants.
+//!   orchestration: each round walks its six phase markers — serial work,
+//!   then a lane pass — with query messages and per-peer background events
+//!   riding the lanes' deterministic [`pdht_sim::EventQueue`]s as
+//!   crate-private `NetEvent`s dispatched in virtual-time order, a plain
+//!   [`pdht_types::Round`] counter tracking the next round, and per-query
+//!   latency histograms feeding [`SimReport`].
 //!
 //! The structured overlay is held as a `Box<dyn Overlay>` chosen from
 //! [`crate::PdhtConfig::overlay`] at build time, so the same engine runs
@@ -66,7 +68,4 @@ pub(crate) mod peer;
 pub(crate) mod routing;
 pub(crate) mod shard;
 
-pub use engine::{
-    EventHook, HookAction, HookPoint, NetEvent, PdhtNetwork, PhaseBreakdown, QueryId, RoundPhase,
-    SimReport, UpdateId,
-};
+pub use engine::{PdhtNetwork, PhaseBreakdown, SimReport};

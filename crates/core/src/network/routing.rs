@@ -213,9 +213,6 @@ pub(crate) struct QueryExec<'a> {
     pub(crate) world: &'a World,
     pub(crate) stores: ShardStores<'a>,
     pub(crate) lane: &'a mut LaneState,
-    /// Whether an [`super::engine::EventHook`] is installed (message events
-    /// are logged into `lane.observed` only then).
-    pub(crate) hooked: bool,
 }
 
 impl QueryExec<'_> {
@@ -229,28 +226,12 @@ impl QueryExec<'_> {
             self.lane.dispatched += 1;
             let round = scheduled.time.round().0;
             match scheduled.event {
-                NetEvent::MessageArrival { query, .. } => {
-                    self.observe_message(scheduled.time, query);
-                    self.on_message_arrival(query, round);
-                }
-                NetEvent::QueryTimeout { query } => {
-                    self.observe_message(scheduled.time, query);
-                    self.on_query_timeout(query);
-                }
-                NetEvent::GossipPush { update, .. } => self.on_gossip_push(update, round),
+                NetEvent::MessageArrival { query } => self.on_message_arrival(query, round),
+                NetEvent::QueryTimeout { query } => self.on_query_timeout(query),
+                NetEvent::GossipPush { update } => self.on_gossip_push(update, round),
                 NetEvent::PeerMaintenance { peer } => self.on_peer_maintenance(peer),
                 NetEvent::TtlSweep { peer } => self.on_ttl_sweep(peer, round),
             }
-        }
-    }
-
-    /// Logs a message event for the hook, if one is installed. Stale events
-    /// (arrivals/timeouts of already-resolved queries) are no-ops and stay
-    /// invisible, as do the per-peer background ticks (phase boundaries
-    /// remain the hook's calibration seam).
-    fn observe_message(&mut self, time: SimTime, query: QueryId) {
-        if self.hooked && self.lane.inflight.contains(query) {
-            self.lane.observed.push((time, query));
         }
     }
 
@@ -383,7 +364,7 @@ impl QueryExec<'_> {
                         }
                         ctx.timeout_armed = true;
                     }
-                    let event = NetEvent::MessageArrival { query: ctx.id, hop: ctx.steps };
+                    let event = NetEvent::MessageArrival { query: ctx.id };
                     self.lane.events.schedule_in(delay, event);
                     let id = ctx.id;
                     self.lane.inflight.park(id, ctx);

@@ -14,8 +14,8 @@
 //!   lanes in parallel up to the next phase instant: maintenance ticks
 //!   fire after the `OverlayMaintenance` marker, TTL sweeps after
 //!   `PurgeExpired`, dealt update propagations after `ContentUpdates`, and
-//!   the merged query batches after `Queries` — preserving the
-//!   [`super::engine::HookPoint::BeforePhase`] seams.
+//!   the merged query batches after `Queries` — so each phase's serial
+//!   work runs before that phase's per-peer events.
 //! * Cross-lane traffic (queries addressed to another shard's replica
 //!   group, update propagations advancing to a key another shard owns)
 //!   rides per-lane outboxes merged at an allocation-free barrier into the
@@ -25,8 +25,7 @@
 //! * Maintenance ticks *plan* repairs against the shared routing tables
 //!   ([`pdht_overlay::Overlay::maintenance_plan`]); the barrier applies
 //!   each lane's plan serially in lane order, so the tables stay immutable
-//!   while workers route through them. The same barrier replays the
-//!   message events an installed [`super::engine::EventHook`] observes.
+//!   while workers route through them.
 //!
 //! Results depend only on `S` — the thread count just decides how many
 //! workers pull lane tasks off the pool — so any `--threads` value yields
@@ -36,7 +35,7 @@
 //! store shard = replica-group shard at every insert site and everything
 //! else rides the outboxes.
 
-use super::engine::{Counters, HookPoint, NetEvent, PdhtNetwork, QueryId, QUERIES_OFFSET_US};
+use super::engine::{Counters, NetEvent, PdhtNetwork, QUERIES_OFFSET_US};
 use super::maintenance::UpdateCtx;
 use super::peer::{ShardStores, StoreShard};
 use super::routing::{QueryCtx, QueryExec};
@@ -104,9 +103,6 @@ pub(crate) struct LaneState {
     pub(crate) repairs: Vec<Repair>,
     /// Reusable maintenance-plan scratch.
     pub(crate) plan: PlanScratch,
-    /// Live message events dispatched while a hook is installed, replayed
-    /// through it at the pass barrier (never written without one).
-    pub(crate) observed: Vec<(SimTime, QueryId)>,
     /// Lane events dispatched, folded into the engine's global counter at
     /// the bookkeeping barrier.
     pub(crate) dispatched: u64,
@@ -218,7 +214,6 @@ impl ShardedState {
                 outbox: Outbox::new(s as u32),
                 repairs: Vec::new(),
                 plan: PlanScratch::new(),
-                observed: Vec::new(),
                 dispatched: 0,
             })
             .collect();
@@ -270,7 +265,7 @@ impl PdhtNetwork {
     /// order, deliver each shard's batch with per-message clock clamping
     /// (`max(msg.time, lane now)`), drain lane events due by `deadline`,
     /// then — serially, in lane order — apply the planned routing-table
-    /// repairs and replay observed message events through the hook. Loops
+    /// repairs. Loops
     /// until every outbox is quiescent — cross-lane waves (update handoffs)
     /// settle within the pass. `advance` parks every lane clock afterwards
     /// (the round boundary on the final pass).
@@ -281,7 +276,6 @@ impl PdhtNetwork {
         queries_bucket: bool,
     ) {
         let timing = self.phase_timers.is_some();
-        let hooked = self.hook.is_some();
         let mut pool_time = std::time::Duration::ZERO;
         let mut barrier_time = std::time::Duration::ZERO;
         let mut first = true;
@@ -320,7 +314,7 @@ impl PdhtNetwork {
                 let t0 = timing.then(Instant::now);
                 st.pool.run(&mut tasks, |s, task| {
                     let stores = ShardStores { slot, shard_id: s as u16, shard: &mut *task.store };
-                    let mut exec = QueryExec { world, stores, lane: &mut *task.lane, hooked };
+                    let mut exec = QueryExec { world, stores, lane: &mut *task.lane };
                     for msg in task.batch.drain(..) {
                         // A handed-off context can carry a timestamp
                         // behind this lane's clock; deliveries clamp
@@ -353,9 +347,6 @@ impl PdhtNetwork {
                     barrier_time += t0.elapsed();
                 }
             }
-            if hooked {
-                self.replay_observed_messages();
-            }
             if !work {
                 break;
             }
@@ -373,19 +364,6 @@ impl PdhtNetwork {
                 tm.background += pool_time;
             }
             tm.barriers += barrier_time;
-        }
-    }
-
-    /// Replays the message events the lanes dispatched this pass through
-    /// the hook in `(lane, time)` order — a total order that depends only
-    /// on the shard count — applying returned actions as it goes.
-    fn replay_observed_messages(&mut self) {
-        for lane in 0..self.shards.lanes.len() {
-            let mut observed = std::mem::take(&mut self.shards.lanes[lane].observed);
-            for (time, query) in observed.drain(..) {
-                self.run_hook(HookPoint::MessageDispatched { round: time.round().0, lane, query });
-            }
-            self.shards.lanes[lane].observed = observed;
         }
     }
 

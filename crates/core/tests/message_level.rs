@@ -1,10 +1,7 @@
 //! Integration tests for the message-granular engine: latency models,
-//! in-flight queries, timeouts, and the event hook.
+//! in-flight queries, timeouts, and blackouts forced between rounds.
 
-use pdht_core::{
-    HookAction, HookPoint, LatencyConfig, OverlayKind, PdhtConfig, PdhtNetwork, RoundPhase,
-    SimReport, Strategy,
-};
+use pdht_core::{LatencyConfig, OverlayKind, PdhtConfig, PdhtNetwork, SimReport, Strategy};
 use pdht_model::Scenario;
 use proptest::prelude::*;
 
@@ -108,42 +105,32 @@ fn timeouts_abandon_slow_queries() {
 }
 
 #[test]
-fn hook_injects_blackout_between_churn_and_queries() {
-    // The hook fires before every phase; returning a blackout action before
-    // round 10's Queries phase (i.e. after its Churn ran) must knock peers
-    // out exactly then — visible as a skipped-query spike in that round.
+fn blackout_between_rounds_skips_the_next_rounds_queries() {
+    // A blackout forced after round 9 must knock peers out for round 10's
+    // query phase — visible as a skipped-query spike in that round.
     let mut net = PdhtNetwork::new(cfg(Strategy::Partial, LatencyConfig::Zero)).expect("builds");
-    net.set_event_hook(Box::new(|point| match point {
-        HookPoint::BeforePhase { round: 10, phase: RoundPhase::Queries } => {
-            vec![HookAction::Blackout { fraction: 0.8 }]
-        }
-        _ => Vec::new(),
-    }));
-    net.run(12);
+    net.run(10);
+    net.force_blackout(0.8);
+    net.run(2);
     let before = net.report(0, 9);
     let at = net.report(10, 10);
     assert_eq!(before.skipped_offline, 0, "no churn configured before the blackout");
     assert!(
         at.skipped_offline > 0,
-        "80% blackout right before the query phase must skip offline origins"
+        "80% blackout right before the round must skip offline origins"
     );
     assert!(at.availability < 0.5, "availability gauge must see the blackout");
 }
 
 #[test]
-fn hook_fires_before_the_phase_its_background_events_follow() {
-    // BeforePhase{OverlayMaintenance} must observe the instant *before*
-    // that round's per-peer maintenance ticks dispatch: a total blackout
-    // injected there silences that round's probes entirely.
+fn blackout_between_rounds_silences_the_next_rounds_probes() {
+    // Round 5's per-peer maintenance ticks dispatch after the blackout
+    // forced at the end of round 4: a total blackout silences them all.
     let mut net = PdhtNetwork::new(cfg(Strategy::IndexAll, LatencyConfig::Zero)).expect("builds");
-    net.set_event_hook(Box::new(|point| match point {
-        HookPoint::BeforePhase { round: 5, phase: RoundPhase::OverlayMaintenance } => {
-            vec![HookAction::Blackout { fraction: 1.0 }]
-        }
-        _ => Vec::new(),
-    }));
-    net.run(6);
-    let probes = |r: &pdht_core::SimReport| -> f64 {
+    net.run(5);
+    net.force_blackout(1.0);
+    net.run(1);
+    let probes = |r: &SimReport| -> f64 {
         r.by_kind
             .iter()
             .filter(|(k, _)| *k == pdht_types::MessageKind::Probe)
@@ -154,57 +141,23 @@ fn hook_fires_before_the_phase_its_background_events_follow() {
     assert_eq!(
         probes(&net.report(5, 5)),
         0.0,
-        "a blackout at BeforePhase(OverlayMaintenance) must silence that round's probes"
+        "a total blackout must silence the next round's probes"
     );
 }
 
 #[test]
-fn hook_observes_message_events_under_latency() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    for shards in [1u32, 4] {
-        let seen = Rc::new(RefCell::new((0u64, 0u64)));
-        let seen_hook = Rc::clone(&seen);
-        let mut c = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
-        c.shards = shards;
-        let mut net = PdhtNetwork::new(c).expect("builds");
-        net.set_event_hook(Box::new(move |point| {
-            let mut s = seen_hook.borrow_mut();
-            match point {
-                HookPoint::BeforePhase { .. } => s.0 += 1,
-                HookPoint::MessageDispatched { lane, .. } => {
-                    assert!(lane < shards as usize);
-                    s.1 += 1;
-                }
-            }
-            Vec::new()
-        }));
-        net.run(5);
-        let (phases, messages) = *seen.borrow();
-        assert_eq!(phases, 5 * 6, "shards={shards}: six phases per round");
-        assert!(messages > 0, "shards={shards}: per-hop events must be observable");
-    }
-}
-
-#[test]
-fn blackout_from_a_message_observation_is_thread_invariant() {
-    // A fault injected from a message observation lands at the serial
-    // barrier ending the pass, in (lane, time) replay order — so the run
-    // stays a function of the shard count alone.
+fn blackout_mid_run_is_thread_invariant() {
+    // The blackout draws on lane 0's churn stream, and in-flight queries
+    // straddle it under latency: the run must stay a function of the shard
+    // count alone.
     let run_at = |threads: usize| {
         let mut c = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
         c.shards = 4;
         let mut net = PdhtNetwork::new(c).expect("builds");
         net.set_threads(threads);
-        let mut fired = false;
-        net.set_event_hook(Box::new(move |point| match point {
-            HookPoint::MessageDispatched { round: 6, .. } if !fired => {
-                fired = true;
-                vec![HookAction::Blackout { fraction: 0.7 }]
-            }
-            _ => Vec::new(),
-        }));
-        net.run(10);
+        net.run(6);
+        net.force_blackout(0.7);
+        net.run(4);
         assert_eq!(net.report(0, 5).skipped_offline, 0, "no churn before the blackout");
         (net.report(0, 9), net.events_dispatched(), net.indexed_keys())
     };

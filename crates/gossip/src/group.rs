@@ -365,7 +365,7 @@ impl ReplicaGroup {
     /// One gossip round of an in-progress rumor push: every active spreader
     /// pushes to `PUSH_FANOUT` random subnet neighbors in parallel (each
     /// push one [`MessageKind::GossipPush`]), with feedback death after
-    /// [`DEATH_THRESHOLD`] fruitless rounds. Returns `true` when the rumor
+    /// `DEATH_THRESHOLD` (3) fruitless rounds. Returns `true` when the rumor
     /// has died out. Message-granular engines park the wave between rounds.
     ///
     /// Under [`GossipCodec::Plain`] this is the legacy push, message- and

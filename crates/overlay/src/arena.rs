@@ -300,7 +300,7 @@ mod tests {
             k in 0u64..=(1 << 53),
             word in any::<u64>(),
             bits in any::<u64>(),
-            unit in any::<f64>(),
+            unit in 0.0..1.0f64,
         ) {
             let grid = k as f64 / (1u64 << 53) as f64;
             let envs = [

@@ -4,7 +4,7 @@
 //! makes the pop order *total* — two events scheduled for the same instant
 //! pop in scheduling order — which keeps simulations bit-for-bit
 //! reproducible. Since the O(active-work) refactor the backend is the
-//! hierarchical timing wheel in [`crate::wheel`] (amortized O(1) per
+//! crate's hierarchical timing wheel (`wheel.rs`; amortized O(1) per
 //! schedule/pop instead of the binary heap's O(log n) over every resident
 //! event). The original binary-heap queue lives on only as the oracle of
 //! the conformance proptest (`crates/sim/tests/properties.rs`), which pins

@@ -280,6 +280,16 @@ mod tests {
     }
 
     #[test]
+    fn any_f64_covers_the_full_domain() {
+        let mut rng = crate::TestRng::for_case("any_f64", 0);
+        let draws: Vec<f64> =
+            (0..1_000).map(|_| crate::Strategy::new_value(&any::<f64>(), &mut rng)).collect();
+        assert!(draws.iter().any(|&x| x < 0.0), "no negative value");
+        assert!(draws.iter().any(|x| !x.is_finite()), "no non-finite value");
+        assert!(draws.iter().any(|&x| x >= 1.0), "no value >= 1");
+    }
+
+    #[test]
     fn cases_are_deterministic_per_test() {
         let collect = || {
             let mut out = Vec::new();

@@ -101,10 +101,38 @@ impl Arbitrary for bool {
     }
 }
 
+/// The edge values `any::<f64>()` draws a quarter of the time: both zeros,
+/// both infinities, NaN, the normal extremes, the smallest subnormal and
+/// the unit boundaries.
+const SPECIAL_F64: [f64; 13] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    f64::MAX,
+    f64::MIN,
+    f64::from_bits(1),
+    -f64::from_bits(1),
+    1.0,
+    -1.0,
+];
+
 impl Arbitrary for f64 {
+    /// The full domain, as proptest's `any::<f64>()` covers it: a quarter
+    /// of the draws are `SPECIAL_F64` edge values, an eighth are
+    /// subnormals of either sign, and the rest reinterpret a random word
+    /// (every sign, exponent and NaN payload).
     #[inline]
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.unit_f64()
+        const SIGN_AND_MANTISSA: u64 = (1 << 63) | ((1 << 52) - 1);
+        match rng.below(8) {
+            0 | 1 => SPECIAL_F64[rng.below(SPECIAL_F64.len() as u64) as usize],
+            2 => f64::from_bits(rng.next_u64() & SIGN_AND_MANTISSA),
+            _ => f64::from_bits(rng.next_u64()),
+        }
     }
 }
 
@@ -294,7 +322,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
 pub mod collection {
     use super::{BTreeSet, Debug, SizeRange, Strategy, TestRng};
 
-    /// Strategy for `Vec<S::Value>` (see [`vec`]).
+    /// Strategy for `Vec<S::Value>` (see [`vec()`]).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
