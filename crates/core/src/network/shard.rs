@@ -265,10 +265,9 @@ impl PdhtNetwork {
     /// order, deliver each shard's batch with per-message clock clamping
     /// (`max(msg.time, lane now)`), drain lane events due by `deadline`,
     /// then — serially, in lane order — apply the planned routing-table
-    /// repairs. Loops
-    /// until every outbox is quiescent — cross-lane waves (update handoffs)
-    /// settle within the pass. `advance` parks every lane clock afterwards
-    /// (the round boundary on the final pass).
+    /// repairs. Loops until every outbox is quiescent — cross-lane waves
+    /// (update handoffs) settle within the pass. `advance` parks every lane
+    /// clock afterwards (the round boundary on the final pass).
     pub(crate) fn lane_pass(
         &mut self,
         deadline: SimTime,

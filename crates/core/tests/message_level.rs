@@ -147,9 +147,9 @@ fn blackout_between_rounds_silences_the_next_rounds_probes() {
 
 #[test]
 fn blackout_mid_run_is_thread_invariant() {
-    // The blackout draws on lane 0's churn stream, and in-flight queries
-    // straddle it under latency: the run must stay a function of the shard
-    // count alone.
+    // The blackout draws on lane 0's churn stream while four lanes run
+    // under latency: a fault injected mid-run must leave the run a
+    // function of the shard count alone.
     let run_at = |threads: usize| {
         let mut c = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
         c.shards = 4;
