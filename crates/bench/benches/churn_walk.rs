@@ -1,12 +1,12 @@
 //! Benchmarks of the two remaining per-round O(population) costs the
 //! O(active-work) refactor removed: churn session stepping (now a calendar
 //! of round buckets — cost tracks transitions, not peers) and random-walk
-//! waves (now borrowing the engine-owned generation-stamped visited set —
-//! no per-query O(population) allocation).
+//! waves (a walk holds its walkers' positions and nothing sized by the
+//! population, so starting one is O(walkers)).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_overlay::{ChurnConfig, ChurnModel};
-use pdht_sim::{Metrics, VisitSet};
+use pdht_sim::Metrics;
 use pdht_types::{Liveness, PeerId};
 use pdht_unstructured::{RandomWalk, Topology, WalkWave};
 use rand::rngs::SmallRng;
@@ -48,9 +48,8 @@ fn bench_churn_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// Walker waves on a 100k-peer topology: begin + a bounded number of waves
-/// per iteration, visited state borrowed from one shared [`VisitSet`] —
-/// the steady-state cost a query pays in the engine.
+/// Walker waves on a 100k-peer topology: a start plus a bounded number of
+/// waves per iteration — the steady-state cost a query pays in the engine.
 fn bench_walk_wave(c: &mut Criterion) {
     let mut group = c.benchmark_group("walk/wave_100k");
     group.sample_size(30);
@@ -58,26 +57,23 @@ fn bench_walk_wave(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0x3a1c);
     let topo = Topology::random(n, 5, &mut rng).expect("topology builds");
     let live = Liveness::all_online(n);
-    let mut scratch = VisitSet::new(n);
     let mut metrics = Metrics::new();
     for walkers in [16usize, 64] {
         group.bench_function(format!("begin_plus_8_waves_{walkers}w"), |b| {
             let mut origin = 0usize;
             b.iter(|| {
                 origin = (origin + 7919) % n;
-                let mut walk = RandomWalk::begin(
-                    &topo,
+                let mut walk = RandomWalk::start(
                     PeerId::from_idx(origin),
                     walkers,
                     u64::MAX / 2,
                     |_| false,
                     &live,
-                    &mut scratch,
                 )
                 .expect("walk starts");
                 let mut waves = 0u32;
                 for _ in 0..8 {
-                    match walk.wave(&topo, |_| false, &live, &mut rng, &mut metrics, &mut scratch) {
+                    match walk.step(&topo, |_| false, &live, &mut rng, &mut metrics) {
                         WalkWave::InProgress => waves += 1,
                         WalkWave::Found(_) | WalkWave::Exhausted => break,
                     }

@@ -1,10 +1,10 @@
-//! Benchmarks of the unstructured overlay: graph construction and the two
-//! search algorithms at the paper's replication factor.
+//! Benchmarks of the unstructured overlay: graph construction and
+//! random-walk search at the paper's replication factor.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_sim::Metrics;
 use pdht_types::{Liveness, PeerId};
-use pdht_unstructured::{flood, random_walks, Replication, Topology};
+use pdht_unstructured::{random_walks, Replication, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,18 +36,6 @@ fn bench_walks(c: &mut Criterion) {
     });
 }
 
-fn bench_flood(c: &mut Criterion) {
-    let (topo, repl, live, mut rng) = setup(5_000);
-    c.bench_function("unstructured/flood_5k", |b| {
-        let mut m = Metrics::new();
-        b.iter(|| {
-            let item = rng.random_range(0..64usize);
-            let origin = PeerId::from_idx(rng.random_range(0..5_000));
-            black_box(flood(&topo, origin, 32, |p| repl.is_holder(item, p), &live, &mut m))
-        })
-    });
-}
-
 fn bench_topology_build(c: &mut Criterion) {
     c.bench_function("unstructured/random_graph_20k", |b| {
         b.iter(|| {
@@ -57,5 +45,5 @@ fn bench_topology_build(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_walks, bench_flood, bench_topology_build);
+criterion_group!(benches, bench_walks, bench_topology_build);
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //! report columns, in `results/sim_adaptivity.csv`.
 
 use pdht_bench::{
-    emit, reject_peers_override, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER,
+    emit, emit_histograms, reject_peers_override, report_cells, SimArgs, REPORT_HEADER,
 };
 use pdht_core::{PdhtConfig, PdhtNetwork, Strategy, TtlPolicy};
 use pdht_model::Scenario;
@@ -86,10 +86,8 @@ pub fn run(args: SimArgs) {
     // The histograms are cumulative over the whole run, so persist them once
     // from the final report (ROADMAP open item: latency histograms → CSVs).
     let final_report = net.report(0, total_rounds - 1);
-    let hist_path = write_histograms_csv(
+    emit_histograms(
         "sim_adaptivity_hist",
         &[(format!("partial/{:?}", net.config().overlay).to_lowercase(), final_report)],
-    )
-    .expect("write histogram CSV");
-    println!("wrote {}", hist_path.display());
+    );
 }

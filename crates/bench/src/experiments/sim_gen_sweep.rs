@@ -17,7 +17,7 @@
 //! `--smoke` run (no other flag), the only run that writes that name: any
 //! other run writes the git-ignored `results/sim_gen_sweep_run.csv`.
 
-use pdht_bench::{emit, f1, f3, reject_peers_override, write_histograms_csv, SimArgs};
+use pdht_bench::{emit, emit_histograms, f1, f3, reject_peers_override, SimArgs};
 use pdht_core::{GossipCodec, PdhtConfig, PdhtNetwork, SimReport, Strategy};
 use pdht_model::Scenario;
 
@@ -124,9 +124,7 @@ pub fn run(args: SimArgs) {
     if name != "sim_gen_sweep" {
         println!("(not the committed results/sim_gen_sweep.csv: only a plain --smoke run writes it)");
     }
-    let hist_path =
-        write_histograms_csv(&format!("{name}_hist"), &hist_reports).expect("write histogram CSV");
-    println!("wrote {}", hist_path.display());
+    emit_histograms(&format!("{name}_hist"), &hist_reports);
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! table (shared report columns plus event and wall-clock columns) is
 //! `results/sim_scale.csv`.
 
-use pdht_bench::{emit, exit_with, f1, report_cells, write_histograms_csv, SimArgs, REPORT_HEADER};
+use pdht_bench::{emit, emit_histograms, exit_with, f1, report_cells, SimArgs, REPORT_HEADER};
 use pdht_core::{
     BackgroundSchedule, PdhtConfig, PdhtNetwork, PhaseBreakdown, SimReport, Strategy, TtlPolicy,
 };
@@ -140,15 +140,13 @@ pub fn run(args: SimArgs) {
          background {background_ms:.2}, barriers {barriers_ms:.2} — serial fraction {:.3}",
         breakdown.serial_fraction()
     );
-    let hist = write_histograms_csv(
+    emit_histograms(
         "sim_scale_hist",
         &[(
             format!("partial@{num_peers}p/{:?}", net.config().overlay).to_lowercase(),
             report.clone(),
         )],
-    )
-    .expect("write histogram CSV");
-    println!("wrote {}", hist.display());
+    );
 
     check_did_work(&report, num_peers).unwrap_or_else(|e| exit_with(&e));
 

@@ -18,7 +18,7 @@
 //! whole run.
 
 use pdht_bench::{
-    emit, f1, f3, freq_label, reject_peers_override, report_cells, write_histograms_csv, SimArgs,
+    emit, emit_histograms, f1, f3, freq_label, reject_peers_override, report_cells, SimArgs,
     REPORT_HEADER,
 };
 use pdht_core::{LatencyConfig, PdhtConfig, PdhtNetwork, SimReport, Strategy, TtlPolicy};
@@ -169,7 +169,5 @@ pub fn run(args: SimArgs) {
         &rows,
     );
     println!("{}", checks.join("\n"));
-    let hist_path =
-        write_histograms_csv("sim_vs_model_hist", &hist_reports).expect("write histogram CSV");
-    println!("wrote {}", hist_path.display());
+    emit_histograms("sim_vs_model_hist", &hist_reports);
 }

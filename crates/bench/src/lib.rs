@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiments of the `pdht-bench` binary: the one
-//! table/CSV emitter, the [`SimReport`] column block the simulation
-//! experiments share, histogram CSVs, and their shared flags.
+//! table/CSV emitter, the [`SimReport`] column block and histogram table
+//! the simulation experiments share, and their shared flags.
 //!
 //! Every module under `src/experiments/` regenerates one table or figure of
 //! the paper, and `src/main.rs` dispatches to it by name (its table is the
@@ -12,7 +12,6 @@
 //! `benchmark/` package, not these experiments.
 
 use pdht_core::SimReport;
-use pdht_sim::HistogramSummary;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -320,85 +319,41 @@ pub fn parse_latency(spec: &str) -> Result<pdht_core::LatencyConfig, String> {
     Err(format!("unknown latency model {spec:?}"))
 }
 
-/// The header of every histogram CSV (`write_histograms_csv`): one row per
-/// `(label, metric)` pair carrying the full [`HistogramSummary`].
+/// The header of every histogram table ([`emit_histograms`]): one row per
+/// `(label, metric)` pair carrying the full
+/// [`HistogramSummary`](pdht_sim::HistogramSummary).
 pub const HISTOGRAM_CSV_HEADER: [&str; 8] =
     ["label", "metric", "count", "mean", "p50", "p95", "p99", "max"];
 
-/// Flattens one labelled [`HistogramSummary`] into a CSV row. The mean is
-/// formatted with `Display`, which for `f64` is the shortest representation
-/// that parses back exactly — so rows round-trip losslessly (asserted by
-/// `histogram_rows_round_trip`).
-pub fn histogram_csv_row(label: &str, metric: &str, h: &HistogramSummary) -> Vec<String> {
-    vec![
-        label.to_string(),
-        metric.to_string(),
-        h.count.to_string(),
-        format!("{}", h.mean),
-        h.p50.to_string(),
-        h.p95.to_string(),
-        h.p99.to_string(),
-        h.max.to_string(),
-    ]
-}
-
-/// Parses a row written by [`histogram_csv_row`] back into its label,
-/// metric, and summary.
-///
-/// # Errors
-/// Returns a description of the malformed row.
-pub fn parse_histogram_csv_row(row: &str) -> Result<(String, String, HistogramSummary), String> {
-    let fields: Vec<&str> = row.split(',').collect();
-    if fields.len() != HISTOGRAM_CSV_HEADER.len() {
-        return Err(format!(
-            "expected {} fields, got {} in {row:?}",
-            HISTOGRAM_CSV_HEADER.len(),
-            fields.len()
-        ));
-    }
-    let int = |s: &str| s.parse::<u64>().map_err(|e| format!("bad integer {s:?}: {e}"));
-    Ok((
-        fields[0].to_string(),
-        fields[1].to_string(),
-        HistogramSummary {
-            count: int(fields[2])?,
-            mean: fields[3].parse::<f64>().map_err(|e| format!("bad mean {:?}: {e}", fields[3]))?,
-            p50: int(fields[4])?,
-            p95: int(fields[5])?,
-            p99: int(fields[6])?,
-            max: int(fields[7])?,
-        },
-    ))
-}
-
-/// Writes the per-query hop/latency and per-wave wasted-bandwidth
-/// histograms of labelled [`pdht_core::SimReport`]s to
-/// `results/<name>.csv` (one row per populated histogram), returning the
-/// path. Reports without histograms (e.g. a run that answered no queries,
-/// or ran no update gossip) contribute no rows.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_histograms_csv(
-    name: &str,
-    reports: &[(String, pdht_core::SimReport)],
-) -> std::io::Result<PathBuf> {
+/// Emits the per-query hop/latency and per-wave wasted-bandwidth
+/// histograms of labelled [`SimReport`]s as the table `results/<name>.csv`
+/// (one row per populated histogram). Reports without histograms (e.g. a
+/// run that answered no queries, or ran no update gossip) contribute no
+/// rows. The mean is formatted with `Display`, the shortest representation
+/// that parses back exactly.
+pub fn emit_histograms(name: &str, reports: &[(String, SimReport)]) {
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (label, report) in reports {
-        if let Some(h) = &report.query_hops {
-            rows.push(histogram_csv_row(label, "query_hops", h));
-        }
-        if let Some(h) = &report.query_latency_us {
-            rows.push(histogram_csv_row(label, "query_latency_us", h));
-        }
-        if let Some(h) = &report.gossip_wave_redundant {
-            rows.push(histogram_csv_row(label, "gossip_wave_redundant", h));
-        }
-        if let Some(h) = &report.gossip_wave_bytes {
-            rows.push(histogram_csv_row(label, "gossip_wave_bytes", h));
+    for (label, r) in reports {
+        for (metric, h) in [
+            ("query_hops", &r.query_hops),
+            ("query_latency_us", &r.query_latency_us),
+            ("gossip_wave_redundant", &r.gossip_wave_redundant),
+            ("gossip_wave_bytes", &r.gossip_wave_bytes),
+        ] {
+            let Some(h) = h else { continue };
+            rows.push(vec![
+                label.clone(),
+                metric.to_string(),
+                h.count.to_string(),
+                h.mean.to_string(),
+                h.p50.to_string(),
+                h.p95.to_string(),
+                h.p99.to_string(),
+                h.max.to_string(),
+            ]);
         }
     }
-    write_csv(name, &HISTOGRAM_CSV_HEADER, &rows)
+    emit(name, &format!("{name}: histograms per run"), &HISTOGRAM_CSV_HEADER, &rows);
 }
 
 #[cfg(test)]
@@ -453,11 +408,55 @@ mod tests {
 #[cfg(test)]
 mod histogram_csv_tests {
     use super::*;
+    use pdht_core::{LatencyConfig, PdhtConfig, PdhtNetwork, Strategy};
+    use pdht_sim::HistogramSummary;
+
+    /// A short Partial run under uniform latency, so its query histograms
+    /// are populated.
+    fn short_report() -> SimReport {
+        let mut cfg =
+            PdhtConfig::new(pdht_model::Scenario::table1_scaled(20), 1.0 / 30.0, Strategy::Partial);
+        cfg.latency = LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 };
+        let mut net = PdhtNetwork::new(cfg).expect("network builds");
+        net.run(12);
+        net.report(0, 11)
+    }
+
+    /// Emits `reports` as `results/<name>.csv`, then reads the file back as
+    /// `(label, metric, summary)` rows and removes it.
+    fn emit_and_read_back(
+        name: &str,
+        reports: &[(String, SimReport)],
+    ) -> Vec<(String, String, HistogramSummary)> {
+        emit_histograms(name, reports);
+        let path = results_dir().join(format!("{name}.csv"));
+        let body = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(path);
+        let mut lines = body.lines();
+        assert_eq!(lines.next().unwrap(), HISTOGRAM_CSV_HEADER.join(","));
+        lines
+            .map(|line| {
+                let f: Vec<&str> = line.split(',').collect();
+                assert_eq!(f.len(), HISTOGRAM_CSV_HEADER.len(), "{line}");
+                let int = |s: &str| s.parse::<u64>().expect("integer cell");
+                let h = HistogramSummary {
+                    count: int(f[2]),
+                    mean: f[3].parse().expect("mean cell"),
+                    p50: int(f[4]),
+                    p95: int(f[5]),
+                    p99: int(f[6]),
+                    max: int(f[7]),
+                };
+                (f[0].to_string(), f[1].to_string(), h)
+            })
+            .collect()
+    }
 
     #[test]
     fn histogram_rows_round_trip() {
         // A mean with a non-terminating binary expansion must survive the
-        // format → parse cycle bit-for-bit (f64 Display is shortest-exact).
+        // format → parse cycle bit-for-bit (f64 Display is shortest-exact),
+        // and every histogram a report carries gets its own row.
         let summary = HistogramSummary {
             count: 12_345,
             mean: 7.0 / 3.0,
@@ -466,37 +465,33 @@ mod histogram_csv_tests {
             p99: 128,
             max: 100_000,
         };
-        let row = histogram_csv_row("partial@1/30", "query_latency_us", &summary);
-        let (label, metric, parsed) = parse_histogram_csv_row(&row.join(",")).expect("parses");
-        assert_eq!(label, "partial@1/30");
-        assert_eq!(metric, "query_latency_us");
-        assert_eq!(parsed, summary, "CSV row must round-trip the summary exactly");
+        let mut report = short_report();
+        report.query_hops = Some(summary);
+        report.query_latency_us = Some(summary);
+        report.gossip_wave_redundant = Some(summary);
+        report.gossip_wave_bytes = Some(summary);
+        let rows = emit_and_read_back("unit_test_histogram_rows", &[("p@1/30".into(), report)]);
+        let metrics: Vec<&str> = rows.iter().map(|r| r.1.as_str()).collect();
+        assert_eq!(
+            metrics,
+            ["query_hops", "query_latency_us", "gossip_wave_redundant", "gossip_wave_bytes"]
+        );
+        for (label, metric, parsed) in rows {
+            assert_eq!(label, "p@1/30");
+            assert_eq!(parsed, summary, "{metric} must round-trip the summary exactly");
+        }
     }
 
     #[test]
     fn histogram_csv_file_round_trips_simreport_values() {
-        // End-to-end: run a short simulation, persist its SimReport
+        // End-to-end: run a short simulation, emit its SimReport
         // histograms, read the file back, and compare against the report.
-        use pdht_core::{LatencyConfig, PdhtConfig, PdhtNetwork, Strategy};
-        let mut cfg =
-            PdhtConfig::new(pdht_model::Scenario::table1_scaled(20), 1.0 / 30.0, Strategy::Partial);
-        cfg.latency = LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 };
-        let mut net = PdhtNetwork::new(cfg).expect("network builds");
-        net.run(12);
-        let report = net.report(0, 11);
+        let report = short_report();
         assert!(report.query_hops.is_some() && report.query_latency_us.is_some());
-
-        let path = write_histograms_csv(
-            "unit_test_histograms",
-            &[("partial".to_string(), report.clone())],
-        )
-        .expect("write CSV");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        let mut lines = body.lines();
-        assert_eq!(lines.next().unwrap(), HISTOGRAM_CSV_HEADER.join(","));
+        let rows =
+            emit_and_read_back("unit_test_histograms", &[("partial".to_string(), report.clone())]);
         let mut seen = 0;
-        for line in lines {
-            let (label, metric, parsed) = parse_histogram_csv_row(line).expect("parses");
+        for (label, metric, parsed) in rows {
             assert_eq!(label, "partial");
             let original = match metric.as_str() {
                 "query_hops" => report.query_hops.expect("hops populated"),
@@ -507,7 +502,6 @@ mod histogram_csv_tests {
             seen += 1;
         }
         assert_eq!(seen, 2, "both histograms must be persisted");
-        let _ = std::fs::remove_file(path);
     }
 }
 

@@ -52,7 +52,6 @@ experiments! {
     ("S4", sim_scale, "simulated", Sim),
     ("S5", sim_gen_sweep, "simulated", Sim),
     ("A3", ablation_admission, "simulated", Fixed),
-    ("—", sim_hist_report, "report", Fixed),
 }
 
 fn main() {

@@ -30,7 +30,6 @@ fn an_unknown_experiment_exits_2_and_lists_every_experiment() {
         "sim_scale",
         "sim_gen_sweep",
         "ablation_admission",
-        "sim_hist_report",
     ] {
         assert!(
             stderr.lines().any(|l| l.split_whitespace().nth(1) == Some(name)),

@@ -340,10 +340,13 @@ impl PdhtConfig {
                 reason: "graph needs mean degree >= 2".into(),
             });
         }
-        // A NaN adaptive target never compares below the hit rate (the TTL
-        // would shrink to its floor every window), and the controller would
-        // silently clamp one outside [0, 1].
+        // A 0-round fixed TTL sizes an index of no peers, so the network
+        // would run broadcast-only. A NaN adaptive target never compares
+        // below the hit rate (the TTL would shrink to its floor every
+        // window), and the controller would silently clamp one outside
+        // [0, 1].
         let bad_ttl = match self.ttl_policy {
+            TtlPolicy::Fixed(0) => Some(("ttl_policy", "at least 1 round", 0.0)),
             TtlPolicy::FromModel { factor: x } if !(x.is_finite() && x > 0.0) => {
                 Some(("ttl_policy.factor", "finite and > 0", x))
             }
@@ -405,6 +408,15 @@ mod tests {
         let mut c = base();
         c.ttl_policy = TtlPolicy::FromModel { factor: 0.0 };
         assert!(c.validate().is_err());
+
+        // A 0-round TTL would size the index to nothing and run the
+        // network as broadcast-only.
+        let mut c = base();
+        c.ttl_policy = TtlPolicy::Fixed(0);
+        match c.validate() {
+            Err(PdhtError::InvalidConfig { param, .. }) => assert_eq!(param, "ttl_policy"),
+            other => panic!("Fixed(0) must be rejected, got {other:?}"),
+        }
 
         for t in [f64::NAN, 1.5, -0.1] {
             let mut c = base();

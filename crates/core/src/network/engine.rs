@@ -465,7 +465,7 @@ impl PdhtNetwork {
         // partition maps instead of a finished `World`.
         let num_shards = (cfg.shards as usize).clamp(1, num_peers.max(1));
         let (ranges, group_shard) = partition_maps(num_shards, s.num_peers, overlay.as_deref());
-        let shards = ShardedState::new(num_shards, s.num_peers, &streams, cfg.admission);
+        let shards = ShardedState::new(num_shards, &streams, cfg.admission);
         let store_lanes: Vec<u16> = (0..nap)
             .map(|p| store_lane(&ranges, &group_shard, overlay.as_deref(), PeerId::from_idx(p)))
             .collect();
@@ -504,7 +504,7 @@ impl PdhtNetwork {
         // TTL policy.
         let model_ttl = model_key_ttl(s, cfg.f_qry)?;
         let (ttl_rounds, adaptive) = match cfg.ttl_policy {
-            TtlPolicy::Fixed(t) => (t.max(1), None),
+            TtlPolicy::Fixed(t) => (t, None),
             TtlPolicy::FromModel { factor } => (((model_ttl * factor).round() as u64).max(1), None),
             TtlPolicy::Adaptive { target_hit_rate } => {
                 let ctl = AdaptiveTtl::new(model_ttl, target_hit_rate, cfg.adaptive_window);

@@ -337,8 +337,8 @@ impl QueryExec<'_> {
                     return UpdateFate::Next;
                 }
                 // One sample per completed wave: its total wasted receives
-                // (the sim_hist_report wasted-bandwidth row) and its total
-                // wire bytes.
+                // (the `gossip_wave_redundant` row of the S2–S5 histogram
+                // tables) and its total wire bytes.
                 metrics.observe("gossip_wave_redundant", wave.redundant());
                 metrics.observe("gossip_wave_bytes", wave.bytes());
                 self.next_update_key(ctx)

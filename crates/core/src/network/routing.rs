@@ -437,13 +437,12 @@ impl QueryExec<'_> {
             QueryStage::Walk { ref mut walk, mode } => {
                 let content = &self.world.content;
                 let article = ctx.article as usize;
-                let wave = walk.wave(
+                let wave = walk.step(
                     &self.world.topo,
                     |p| content.is_holder(article, p),
                     self.world.live(),
                     &mut self.lane.rng_search,
                     &mut self.lane.metrics,
-                    &mut self.lane.scratch,
                 );
                 match wave {
                     WalkWave::InProgress => StepFate::Next,
@@ -584,22 +583,19 @@ impl QueryExec<'_> {
     }
 
     /// Begins a k-random-walk broadcast for a holder of `article` from
-    /// `origin` (visited state lives in the lane-owned scratch set);
-    /// `Err` is the immediately resolved outcome.
+    /// `origin`; `Err` is the immediately resolved outcome.
     fn begin_walk(
         &mut self,
         origin: PeerId,
         article: u32,
     ) -> std::result::Result<RandomWalk, SearchOutcome> {
-        let World { cfg, content, topo, .. } = self.world;
-        RandomWalk::begin(
-            topo,
+        let World { cfg, content, .. } = self.world;
+        RandomWalk::start(
             origin,
             cfg.walkers,
             u64::from(cfg.walk_budget_factor) * u64::from(cfg.scenario.num_peers),
             |p| content.is_holder(article as usize, p),
             self.world.live(),
-            &mut self.lane.scratch,
         )
     }
 

@@ -42,9 +42,7 @@ use super::routing::{QueryCtx, QueryExec};
 use crate::admission::{AdmissionFilter, AdmissionPolicy};
 use pdht_gossip::WavePool;
 use pdht_overlay::{Overlay, PlanScratch, Repair};
-use pdht_sim::{
-    merge_outboxes_into, EventQueue, MergeBuffers, Metrics, Outbox, ShardPool, Slab, VisitSet,
-};
+use pdht_sim::{merge_outboxes_into, EventQueue, MergeBuffers, Metrics, Outbox, ShardPool, Slab};
 use pdht_types::{PeerId, RngStreams, Round, SimTime};
 use pdht_workload::Query;
 use rand::rngs::SmallRng;
@@ -80,10 +78,6 @@ pub(crate) struct LaneState {
     /// Lane-private outcome counters, merged at the bookkeeping barrier.
     pub(crate) counters: Counters,
     pub(crate) admission: AdmissionFilter,
-    /// Generation-stamped visited scratch shared by every random walk of
-    /// this lane, so starting a broadcast search is O(walkers) instead of
-    /// allocating an O(num_peers) map per query.
-    pub(crate) scratch: VisitSet,
     /// Recyclable flood/rumor wave scratch owned by this lane.
     pub(crate) waves: WavePool,
     /// In-flight queries, keyed by [`QueryId`] (generational slab — parking
@@ -190,10 +184,9 @@ pub(crate) fn store_lane(
 }
 
 impl ShardedState {
-    /// Builds `shards` lanes over `num_peers` peers.
+    /// Builds `shards` lanes.
     pub(crate) fn new(
         shards: usize,
-        num_peers: u32,
         streams: &RngStreams,
         admission: AdmissionPolicy,
     ) -> ShardedState {
@@ -206,7 +199,6 @@ impl ShardedState {
                 metrics: Metrics::new(),
                 counters: Counters::default(),
                 admission: AdmissionFilter::new(admission),
-                scratch: VisitSet::new(num_peers as usize),
                 waves: WavePool::new(),
                 inflight: Slab::with_capacity(16),
                 updates_inflight: Slab::with_capacity(8),

@@ -40,7 +40,7 @@ impl Ttl {
 /// How peers choose the keyTtl.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TtlPolicy {
-    /// A fixed TTL in rounds (used by sensitivity experiments).
+    /// A fixed TTL in rounds, at least 1 (used by sensitivity experiments).
     Fixed(u64),
     /// `1/fMin` derived from the analytical model, optionally scaled by an
     /// estimation-error factor (§5.1.1's ±50 % scan uses 0.5 and 1.5).

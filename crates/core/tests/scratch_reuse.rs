@@ -15,7 +15,7 @@ use pdht_model::Scenario;
 fn flood_heavy_net(threads: usize) -> PdhtNetwork {
     // Same flood-heavy shape as the golden vectors: Partial strategy at
     // fQry = 1/10 runs a replica flood on every index miss, a rumor push
-    // on every insert, and the walk scratch on every broadcast.
+    // on every insert, and a random walk on every broadcast.
     let mut cfg = PdhtConfig::new(Scenario::table1_scaled(20), 1.0 / 10.0, Strategy::Partial);
     cfg.overlay = OverlayKind::Trie;
     cfg.seed = 0x5c4a7c4;

@@ -21,15 +21,13 @@
 //!   `(time, src, seq)`, so parallel rounds stay bit-reproducible and the
 //!   barriers allocation-free,
 //! * [`Slab`] — a generational slab for in-flight per-query/per-update
-//!   contexts, so event dispatch parks and resumes state allocation-free,
-//! * [`VisitSet`] — a generation-stamped membership set, so per-query
-//!   visited maps borrow one engine-owned buffer instead of allocating.
+//!   contexts, so event dispatch parks and resumes state allocation-free.
 
 pub mod event;
 pub mod latency;
 pub mod metrics;
 pub mod random;
-pub mod scratch;
+mod scratch;
 pub mod shard;
 pub mod slab;
 pub(crate) mod wheel;

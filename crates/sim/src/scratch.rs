@@ -1,114 +1,15 @@
-//! Reusable per-engine scratch state.
-//!
-//! [`VisitSet`] is a generation-stamped membership set over a dense index
-//! space: `begin` opens a new logical set by bumping a generation counter,
-//! and `insert` stamps indices with that generation. Opening a set is O(1)
-//! and never touches the backing storage (except on the ~4-billionth
-//! wrap), so hot paths that used to allocate an O(population) `Vec<bool>`
-//! per query — the random-walk `visited` map — borrow one engine-owned
-//! `VisitSet` instead.
-//!
-//! Multiple logical sets can be live at once (each holder keeps the token
-//! its `begin` returned): stamps from different generations never alias,
-//! though an *older* set loses an index once a newer set stamps over it
-//! and will count that index as fresh again. The walk pipeline only uses
-//! membership for the distinct-peers-visited statistic, never for routing
-//! or RNG decisions, so interleaved in-flight walks stay bit-for-bit
-//! correct on everything the accounting pins.
+//! The random walk's former visited-set scratch, kept as an empty type so
+//! callers of the walk's earlier entry points still compile.
 
-/// A generation-stamped membership set over `0..len` (see module docs).
+/// Field-less stand-in for the visited set that `RandomWalk::begin` and
+/// `RandomWalk::wave` (in `pdht_unstructured`) once took; they ignore it.
+#[doc(hidden)]
 #[derive(Clone, Debug)]
-pub struct VisitSet {
-    stamp: Vec<u32>,
-    gen: u32,
-}
+pub struct VisitSet;
 
 impl VisitSet {
-    /// A set over the index space `0..len`, with no generation open yet.
-    pub fn new(len: usize) -> VisitSet {
-        VisitSet { stamp: vec![0; len], gen: 0 }
-    }
-
-    /// Capacity of the index space.
-    pub fn len(&self) -> usize {
-        self.stamp.len()
-    }
-
-    /// `true` for a zero-capacity set.
-    pub fn is_empty(&self) -> bool {
-        self.stamp.is_empty()
-    }
-
-    /// Opens a fresh logical set and returns its generation token. On
-    /// generation wrap the backing store is cleared so stale stamps from
-    /// ~4 billion sets ago cannot alias.
-    pub fn begin(&mut self) -> u32 {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
-        self.gen
-    }
-
-    /// Inserts `idx` into the logical set `gen`; `true` if it was not yet
-    /// a member.
-    ///
-    /// # Panics
-    /// Panics if `idx` is outside the index space.
-    #[inline]
-    pub fn insert(&mut self, gen: u32, idx: usize) -> bool {
-        if self.stamp[idx] == gen {
-            false
-        } else {
-            self.stamp[idx] = gen;
-            true
-        }
-    }
-
-    /// `true` if `idx` is a member of the logical set `gen`.
-    #[inline]
-    pub fn contains(&self, gen: u32, idx: usize) -> bool {
-        self.stamp[idx] == gen
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn insert_reports_first_membership_only() {
-        let mut s = VisitSet::new(8);
-        let g = s.begin();
-        assert!(s.insert(g, 3));
-        assert!(!s.insert(g, 3));
-        assert!(s.contains(g, 3));
-        assert!(!s.contains(g, 4));
-    }
-
-    #[test]
-    fn begin_resets_membership_without_touching_storage() {
-        let mut s = VisitSet::new(4);
-        let g1 = s.begin();
-        s.insert(g1, 0);
-        s.insert(g1, 1);
-        let g2 = s.begin();
-        assert!(!s.contains(g2, 0), "a new generation starts empty");
-        assert!(s.insert(g2, 0));
-        // The older generation still sees its un-overwritten stamps.
-        assert!(s.contains(g1, 1));
-    }
-
-    #[test]
-    fn generation_wrap_clears_stale_stamps() {
-        let mut s = VisitSet::new(2);
-        s.gen = u32::MAX - 1;
-        let g = s.begin(); // MAX
-        s.insert(g, 0);
-        let g2 = s.begin(); // wraps to 1 and clears
-        assert_eq!(g2, 1);
-        assert!(!s.contains(g2, 0));
-        assert!(s.insert(g2, 0));
+    /// An empty stand-in; `len` is ignored.
+    pub fn new(_len: usize) -> VisitSet {
+        VisitSet
     }
 }

@@ -13,8 +13,7 @@ use std::ops::{AddAssign, Index, IndexMut};
 ///
 /// The grouping mirrors the paper's cost terms:
 /// * index search cost `cSIndx` → [`RouteHop`](MessageKind::RouteHop),
-/// * broadcast search cost `cSUnstr` → [`FloodStep`](MessageKind::FloodStep)
-///   / [`WalkStep`](MessageKind::WalkStep),
+/// * broadcast search cost `cSUnstr` → [`WalkStep`](MessageKind::WalkStep),
 /// * routing maintenance `cRtn` → [`Probe`](MessageKind::Probe),
 /// * update/replica cost `cUpd`, `repl·dup2` → the gossip variants,
 /// * selection-algorithm insert-on-miss → [`IndexInsert`](MessageKind::IndexInsert).
@@ -25,7 +24,10 @@ pub enum MessageKind {
     RouteHop,
     /// A liveness probe of a routing-table entry.
     Probe,
-    /// One transmission during unstructured flooding (duplicates included).
+    /// One transmission of an unstructured TTL flood. Nothing records it
+    /// now (broadcast search is random walks); it keeps its slot because
+    /// the golden vectors and the benchmark's fingerprints list every kind
+    /// in [`MessageKind::ALL`] order.
     FloodStep,
     /// One step of a random walker.
     WalkStep,

@@ -4,6 +4,7 @@
 //! Index and content use the same factor "to assure the same search
 //! reliability in structured and unstructured networks" (Section 4).
 
+use pdht_types::fasthash::{self, FastHashSet};
 use pdht_types::{PdhtError, PeerId, Result};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -40,21 +41,9 @@ impl Replication {
                 reason: format!("cannot place {repl} copies on {num_peers} peers"),
             });
         }
-        let mut holders = Vec::with_capacity(num_items);
-        // Floyd's algorithm for sampling `repl` distinct values without
-        // building a full permutation per item.
-        let mut picked = pdht_types::fasthash::set_with_capacity::<u32>(repl * 2);
-        for _ in 0..num_items {
-            picked.clear();
-            for j in (num_peers - repl)..num_peers {
-                let t = rng.random_range(0..=j as u32);
-                let chosen = if picked.contains(&t) { j as u32 } else { t };
-                picked.insert(chosen);
-            }
-            let mut set: Vec<PeerId> = picked.iter().map(|&p| PeerId(p)).collect();
-            set.sort_unstable();
-            holders.push(set);
-        }
+        let mut picked = fasthash::set_with_capacity(repl * 2);
+        let holders =
+            (0..num_items).map(|_| sample_holders(repl, num_peers, &mut picked, rng)).collect();
         Ok(Replication { holders, num_peers })
     }
 
@@ -80,17 +69,28 @@ impl Replication {
     /// is published to fresh random peers).
     pub fn replace_item(&mut self, item: usize, rng: &mut SmallRng) {
         let repl = self.holders[item].len();
-        let mut set = Vec::with_capacity(repl);
-        let mut picked = pdht_types::fasthash::set_with_capacity::<u32>(repl * 2);
-        for j in (self.num_peers - repl)..self.num_peers {
-            let t = rng.random_range(0..=j as u32);
-            let chosen = if picked.contains(&t) { j as u32 } else { t };
-            picked.insert(chosen);
-        }
-        set.extend(picked.iter().map(|&p| PeerId(p)));
-        set.sort_unstable();
-        self.holders[item] = set;
+        let mut picked = fasthash::set_with_capacity(repl * 2);
+        self.holders[item] = sample_holders(repl, self.num_peers, &mut picked, rng);
     }
+}
+
+/// Floyd's algorithm: `repl` distinct peers of `0..num_peers`, sorted,
+/// without building a permutation. `picked` is cleared first, so a caller
+/// placing many items reuses one set.
+fn sample_holders(
+    repl: usize,
+    num_peers: usize,
+    picked: &mut FastHashSet<u32>,
+    rng: &mut SmallRng,
+) -> Vec<PeerId> {
+    picked.clear();
+    for j in (num_peers - repl)..num_peers {
+        let t = rng.random_range(0..=j as u32);
+        picked.insert(if picked.contains(&t) { j as u32 } else { t });
+    }
+    let mut set: Vec<PeerId> = picked.iter().map(|&p| PeerId(p)).collect();
+    set.sort_unstable();
+    set
 }
 
 #[cfg(test)]

@@ -1,101 +1,26 @@
-//! Search in the unstructured overlay: TTL flooding and k-random-walks.
+//! Search in the unstructured overlay: k-random-walks.
 //!
-//! Both algorithms count **every transmitted copy** of the query — including
-//! copies delivered to peers that already saw it — because those duplicates
-//! are exactly the `dup` factor of the paper's Eq. 6. Flooding is the
-//! Gnutella baseline; multiple random walks are the cheaper alternative the
-//! paper assumes (\[LvCa02\]).
+//! A walk counts **every step** it takes, including steps onto peers an
+//! earlier step already visited, because those repeats are the `dup`
+//! factor of the paper's Eq. 6 (`cSUnstr = numPeers/repl · dup`). Multiple
+//! random walks are the search the paper assumes (\[LvCa02\]).
 
 use crate::topology::Topology;
 use pdht_sim::{Metrics, VisitSet};
 use pdht_types::{Liveness, MessageKind, PeerId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::VecDeque;
 
 /// Result of an unstructured search.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SearchOutcome {
     /// The first holder reached, if any.
     pub found: Option<PeerId>,
-    /// Total messages sent (all copies, duplicates included).
+    /// Total walk steps sent, repeat visits included.
     pub messages: u64,
-    /// Distinct online peers that processed the query.
-    pub peers_visited: usize,
 }
 
-impl SearchOutcome {
-    /// Measured duplication factor: messages per distinct peer reached
-    /// (the empirical analogue of the model's `dup`).
-    pub fn duplication_factor(&self) -> f64 {
-        if self.peers_visited == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.peers_visited as f64
-        }
-    }
-}
-
-/// TTL-bounded flooding from `origin`.
-///
-/// Every online peer forwards the query to all neighbors except the one it
-/// came from; each transmission costs one [`MessageKind::FloodStep`].
-/// The search stops expanding at `ttl` hops but keeps counting the frontier
-/// messages already in flight. The *first* holder reached (BFS order) is
-/// reported.
-pub fn flood<F>(
-    topo: &Topology,
-    origin: PeerId,
-    ttl: u32,
-    is_holder: F,
-    live: &Liveness,
-    metrics: &mut Metrics,
-) -> SearchOutcome
-where
-    F: Fn(PeerId) -> bool,
-{
-    let mut visited = vec![false; topo.len()];
-    let mut queue: VecDeque<(PeerId, u32)> = VecDeque::new();
-    let mut messages = 0u64;
-    let mut peers_visited = 0usize;
-    let mut found = None;
-
-    if !live.is_online(origin) {
-        return SearchOutcome { found: None, messages: 0, peers_visited: 0 };
-    }
-    visited[origin.idx()] = true;
-    peers_visited += 1;
-    if is_holder(origin) {
-        return SearchOutcome { found: Some(origin), messages: 0, peers_visited };
-    }
-    queue.push_back((origin, 0));
-
-    while let Some((peer, depth)) = queue.pop_front() {
-        if depth >= ttl {
-            continue;
-        }
-        for &nb in topo.neighbors(peer) {
-            // The copy is transmitted regardless of the receiver's state —
-            // that is the duplication cost.
-            messages += 1;
-            metrics.record(MessageKind::FloodStep);
-            if !live.is_online(nb) || visited[nb.idx()] {
-                continue;
-            }
-            visited[nb.idx()] = true;
-            peers_visited += 1;
-            if found.is_none() && is_holder(nb) {
-                found = Some(nb);
-                // Gnutella floods keep propagating (no global stop signal);
-                // we keep expanding to model the true cost.
-            }
-            queue.push_back((nb, depth + 1));
-        }
-    }
-    SearchOutcome { found, messages, peers_visited }
-}
-
-/// Result of one [`RandomWalk::wave`].
+/// Result of one [`RandomWalk::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalkWave {
     /// A walker reached a holder; the search is over.
@@ -107,77 +32,73 @@ pub enum WalkWave {
 }
 
 /// A resumable k-random-walk search: the `walkers` tokens advance one step
-/// each per [`RandomWalk::wave`] call (walkers are parallel, so one wave is
+/// each per [`RandomWalk::step`] call (walkers are parallel, so one wave is
 /// one network-hop of virtual time). Message-granular engines park this
 /// state between waves; [`random_walks`] drives it to completion with no
-/// inter-wave delay.
-///
-/// The walk does not own a visited map: the caller threads a shared,
-/// engine-owned [`VisitSet`] through [`RandomWalk::begin`] and
-/// [`RandomWalk::wave`], and the walk keeps only the generation token of
-/// its logical set — starting a query is O(walkers), not O(population).
-/// Membership only feeds the distinct-peers-visited statistic (never
-/// trajectories, RNG draws, or message counts), so a concurrent walk
-/// stamping over an older generation cannot perturb the accounting.
+/// inter-wave delay. A walk holds its walkers' positions and its step
+/// count, nothing sized by the population.
 #[derive(Clone, Debug)]
 pub struct RandomWalk {
     positions: Vec<PeerId>,
-    /// Generation token of this walk's logical set in the shared scratch.
-    visited_gen: u32,
     messages: u64,
-    peers_visited: usize,
     max_steps: u64,
 }
 
 impl RandomWalk {
-    /// Starts a walk search from `origin`, opening a fresh generation in
-    /// `scratch` (which must span the topology's peer population).
-    /// Resolves immediately (`Err(outcome)`) when the origin is offline,
-    /// there are no walkers, or the origin itself holds the item.
+    /// Starts a walk search from `origin`. Resolves immediately
+    /// (`Err(outcome)`) when the origin is offline, there are no walkers,
+    /// or the origin itself holds the item.
     ///
     /// # Errors
     /// The `Err` variant *is* the immediately resolved search outcome, not
     /// a failure.
-    pub fn begin<F>(
-        topo: &Topology,
+    pub fn start<F>(
         origin: PeerId,
         walkers: usize,
         max_steps: u64,
         is_holder: F,
         live: &Liveness,
-        scratch: &mut VisitSet,
     ) -> std::result::Result<RandomWalk, SearchOutcome>
     where
         F: Fn(PeerId) -> bool,
     {
-        debug_assert!(scratch.len() >= topo.len(), "scratch must span the population");
         if !live.is_online(origin) || walkers == 0 {
-            return Err(SearchOutcome { found: None, messages: 0, peers_visited: 0 });
+            return Err(SearchOutcome { found: None, messages: 0 });
         }
-        let visited_gen = scratch.begin();
-        scratch.insert(visited_gen, origin.idx());
         if is_holder(origin) {
-            return Err(SearchOutcome { found: Some(origin), messages: 0, peers_visited: 1 });
+            return Err(SearchOutcome { found: Some(origin), messages: 0 });
         }
-        Ok(RandomWalk {
-            positions: vec![origin; walkers],
-            visited_gen,
-            messages: 0,
-            peers_visited: 1,
-            max_steps,
-        })
+        Ok(RandomWalk { positions: vec![origin; walkers], messages: 0, max_steps })
+    }
+
+    /// [`RandomWalk::start`] under its earlier signature, which
+    /// `benchmark/src/layers.rs` replays walks through; `topo` and
+    /// `scratch` are unused.
+    #[doc(hidden)]
+    pub fn begin<F>(
+        _topo: &Topology,
+        origin: PeerId,
+        walkers: usize,
+        max_steps: u64,
+        is_holder: F,
+        live: &Liveness,
+        _scratch: &mut VisitSet,
+    ) -> std::result::Result<RandomWalk, SearchOutcome>
+    where
+        F: Fn(PeerId) -> bool,
+    {
+        RandomWalk::start(origin, walkers, max_steps, is_holder, live)
     }
 
     /// One parallel wave: every walker takes one step through the online
     /// subgraph, each costing one [`MessageKind::WalkStep`].
-    pub fn wave<F>(
+    pub fn step<F>(
         &mut self,
         topo: &Topology,
         is_holder: F,
         live: &Liveness,
         rng: &mut SmallRng,
         metrics: &mut Metrics,
-        scratch: &mut VisitSet,
     ) -> WalkWave
     where
         F: Fn(PeerId) -> bool,
@@ -234,9 +155,6 @@ impl RandomWalk {
             self.messages += 1;
             metrics.record(MessageKind::WalkStep);
             *pos = next;
-            if scratch.insert(self.visited_gen, next.idx()) {
-                self.peers_visited += 1;
-            }
             if is_holder(next) {
                 return WalkWave::Found(next);
             }
@@ -248,20 +166,35 @@ impl RandomWalk {
         }
     }
 
+    /// [`RandomWalk::step`] under its earlier signature (see
+    /// [`RandomWalk::begin`]); `scratch` is unused.
+    #[doc(hidden)]
+    pub fn wave<F>(
+        &mut self,
+        topo: &Topology,
+        is_holder: F,
+        live: &Liveness,
+        rng: &mut SmallRng,
+        metrics: &mut Metrics,
+        _scratch: &mut VisitSet,
+    ) -> WalkWave
+    where
+        F: Fn(PeerId) -> bool,
+    {
+        self.step(topo, is_holder, live, rng, metrics)
+    }
+
     /// The accumulated outcome, with `found` supplied by the final wave.
     pub fn outcome(&self, found: Option<PeerId>) -> SearchOutcome {
-        SearchOutcome { found, messages: self.messages, peers_visited: self.peers_visited }
+        SearchOutcome { found, messages: self.messages }
     }
 }
 
 /// k-random-walk search (\[LvCa02\]): `walkers` tokens walk the online
 /// subgraph, each step costing one [`MessageKind::WalkStep`]; the search
 /// stops as soon as any walker stands on a holder, or when the shared
-/// `max_steps` budget is exhausted.
-///
-/// Convenience driver over [`RandomWalk`] with a locally allocated
-/// [`VisitSet`]; engines that issue many searches should own one scratch
-/// set and drive [`RandomWalk`] directly.
+/// `max_steps` budget is exhausted. Drives a [`RandomWalk`] with no
+/// inter-wave delay.
 #[allow(clippy::too_many_arguments)]
 pub fn random_walks<F>(
     topo: &Topology,
@@ -276,14 +209,12 @@ pub fn random_walks<F>(
 where
     F: Fn(PeerId) -> bool,
 {
-    let mut scratch = VisitSet::new(topo.len());
-    let mut walk =
-        match RandomWalk::begin(topo, origin, walkers, max_steps, &is_holder, live, &mut scratch) {
-            Ok(walk) => walk,
-            Err(resolved) => return resolved,
-        };
+    let mut walk = match RandomWalk::start(origin, walkers, max_steps, &is_holder, live) {
+        Ok(walk) => walk,
+        Err(resolved) => return resolved,
+    };
     loop {
-        match walk.wave(topo, &is_holder, live, rng, metrics, &mut scratch) {
+        match walk.step(topo, &is_holder, live, rng, metrics) {
             WalkWave::Found(holder) => return walk.outcome(Some(holder)),
             WalkWave::Exhausted => return walk.outcome(None),
             WalkWave::InProgress => {}
@@ -307,88 +238,6 @@ mod tests {
         let topo = Topology::random(n, 5, &mut r).unwrap();
         let repl = Replication::place(20, repl, n, &mut r).unwrap();
         (topo, repl, Liveness::all_online(n))
-    }
-
-    #[test]
-    fn flood_finds_replicated_items() {
-        let (topo, repl, live) = setup(1_000, 20);
-        let mut m = Metrics::new();
-        let out = flood(&topo, PeerId(0), 16, |p| repl.is_holder(0, p), &live, &mut m);
-        assert!(out.found.is_some());
-        assert!(repl.is_holder(0, out.found.unwrap()));
-        assert!(out.messages > 0);
-        assert_eq!(m.totals()[MessageKind::FloodStep], out.messages);
-    }
-
-    #[test]
-    fn flood_covers_network_and_measures_duplication() {
-        let (topo, _, live) = setup(1_000, 20);
-        let mut m = Metrics::new();
-        // No holder: the flood sweeps the whole graph.
-        let out = flood(&topo, PeerId(0), 32, |_| false, &live, &mut m);
-        assert!(out.found.is_none());
-        assert_eq!(out.peers_visited, 1_000, "flood must reach every online peer");
-        // Each peer retransmits to deg-1 neighbors; with mean degree ~5 the
-        // duplication factor is well above 1 (the paper uses 1.8 for the
-        // walk-based search; raw flooding is worse).
-        assert!(out.duplication_factor() > 1.5, "dup = {}", out.duplication_factor());
-    }
-
-    #[test]
-    fn flood_ttl_bounds_reach() {
-        let (topo, _, live) = setup(1_000, 20);
-        let mut m = Metrics::new();
-        let shallow = flood(&topo, PeerId(0), 2, |_| false, &live, &mut m);
-        let deep = flood(&topo, PeerId(0), 8, |_| false, &live, &mut m);
-        assert!(shallow.peers_visited < deep.peers_visited);
-        assert!(shallow.messages < deep.messages);
-    }
-
-    #[test]
-    fn flood_skips_offline_regions() {
-        let (topo, _, mut live) = setup(300, 5);
-        for i in 100..300 {
-            live.set(PeerId(i), false);
-        }
-        let mut m = Metrics::new();
-        let out = flood(&topo, PeerId(0), 32, |_| false, &live, &mut m);
-        assert!(out.peers_visited <= 100);
-    }
-
-    #[test]
-    fn flood_from_offline_origin_is_empty() {
-        let (topo, _, mut live) = setup(100, 5);
-        live.set(PeerId(0), false);
-        let mut m = Metrics::new();
-        let out = flood(&topo, PeerId(0), 8, |_| true, &live, &mut m);
-        assert_eq!(out, SearchOutcome { found: None, messages: 0, peers_visited: 0 });
-    }
-
-    #[test]
-    fn walks_find_replicated_items_cheaper_than_flooding() {
-        let (topo, repl, live) = setup(2_000, 100);
-        let mut r = rng();
-        let mut m = Metrics::new();
-        let walk = random_walks(
-            &topo,
-            PeerId(0),
-            16,
-            50_000,
-            |p| repl.is_holder(1, p),
-            &live,
-            &mut r,
-            &mut m,
-        );
-        assert!(walk.found.is_some());
-        assert!(repl.is_holder(1, walk.found.unwrap()));
-        let mut m2 = Metrics::new();
-        let fl = flood(&topo, PeerId(0), 32, |p| repl.is_holder(1, p), &live, &mut m2);
-        assert!(
-            walk.messages < fl.messages,
-            "walks ({}) should beat flooding ({})",
-            walk.messages,
-            fl.messages
-        );
     }
 
     #[test]
@@ -493,8 +342,44 @@ mod tests {
         let out = random_walks(&topo, PeerId(7), 4, 100, |p| p == PeerId(7), &live, &mut r, &mut m);
         assert_eq!(out.found, Some(PeerId(7)));
         assert_eq!(out.messages, 0);
-        let fl = flood(&topo, PeerId(7), 4, |p| p == PeerId(7), &live, &mut m);
-        assert_eq!(fl.found, Some(PeerId(7)));
-        assert_eq!(fl.messages, 0);
+    }
+
+    #[test]
+    fn begin_and_wave_replay_start_and_step() {
+        // The two shims must walk exactly as the entry points they wrap:
+        // same waves, same outcome, same step count, same RNG position.
+        let (topo, repl, live) = setup(1_000, 5);
+        let holder = |p| repl.is_holder(3, p);
+        let mut scratch = VisitSet::new(topo.len());
+        let (mut r1, mut r2) = (rng(), rng());
+        let (mut m1, mut m2) = (Metrics::new(), Metrics::new());
+        let mut old = RandomWalk::begin(&topo, PeerId(0), 8, 20_000, holder, &live, &mut scratch)
+            .expect("walk starts");
+        let mut new = RandomWalk::start(PeerId(0), 8, 20_000, holder, &live).expect("walk starts");
+        let (mut waves_old, mut waves_new) = (Vec::new(), Vec::new());
+        loop {
+            let w = old.wave(&topo, holder, &live, &mut r1, &mut m1, &mut scratch);
+            waves_old.push(w);
+            if w != WalkWave::InProgress {
+                break;
+            }
+        }
+        loop {
+            let w = new.step(&topo, holder, &live, &mut r2, &mut m2);
+            waves_new.push(w);
+            if w != WalkWave::InProgress {
+                break;
+            }
+        }
+        assert!(waves_new.len() > 1, "the walk must take several waves");
+        assert_eq!(waves_old, waves_new);
+        let found = match waves_new.last() {
+            Some(WalkWave::Found(p)) => Some(*p),
+            _ => None,
+        };
+        assert_eq!(old.outcome(found), new.outcome(found));
+        assert_eq!(m1.totals()[MessageKind::WalkStep], m2.totals()[MessageKind::WalkStep]);
+        assert_eq!(m2.totals()[MessageKind::WalkStep], new.outcome(found).messages);
+        assert_eq!(r1.random::<u64>(), r2.random::<u64>());
     }
 }

@@ -2,7 +2,7 @@
 
 use pdht_sim::Metrics;
 use pdht_types::{Liveness, PeerId};
-use pdht_unstructured::{flood, random_walks, Replication, Topology};
+use pdht_unstructured::{random_walks, Replication, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,42 +28,6 @@ proptest! {
             nbs.dedup();
             prop_assert_eq!(nbs.len(), before, "parallel edge");
         }
-    }
-
-    /// Flooding with unbounded TTL from any online origin visits exactly
-    /// the origin's online connected component.
-    #[test]
-    fn flood_visits_component(
-        n in 2usize..300,
-        seed in any::<u64>(),
-        offline in prop::collection::vec(any::<bool>(), 300),
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let t = Topology::random(n, 4, &mut rng).unwrap();
-        let mut live = Liveness::all_online(n);
-        for (i, &off) in offline.iter().take(n).enumerate() {
-            if off && i != 0 {
-                live.set(PeerId::from_idx(i), false);
-            }
-        }
-        let mut m = Metrics::new();
-        let out = flood(&t, PeerId(0), u32::MAX, |_| false, &live, &mut m);
-
-        // Reference BFS over the online subgraph.
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut stack = vec![0usize];
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &nb in t.neighbors(PeerId::from_idx(v)) {
-                if live.is_online(nb) && !seen[nb.idx()] {
-                    seen[nb.idx()] = true;
-                    count += 1;
-                    stack.push(nb.idx());
-                }
-            }
-        }
-        prop_assert_eq!(out.peers_visited, count);
     }
 
     /// Replication holders are always valid, distinct peers; random walks

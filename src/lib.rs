@@ -17,7 +17,7 @@
 //! | [`model`] | `crates/model` | the analytical cost model and figure sweeps |
 //! | [`sim`] | `crates/sim` | deterministic event queue, latency models, round driver, metrics |
 //! | [`overlay`] | `crates/overlay` | the [`overlay::Overlay`] trait, trie + Chord + Kademlia DHTs, churn, conformance kit |
-//! | [`unstructured`] | `crates/unstructured` | random graphs, flooding, k-random-walks |
+//! | [`unstructured`] | `crates/unstructured` | random graphs, k-random-walk search |
 //! | [`gossip`] | `crates/gossip` | replica groups, push/pull rumor spreading |
 //! | [`workload`] | `crates/workload` | news metadata, key catalogs, query/update streams |
 //! | [`core`] | `crates/core` | partial index, TTL policies, the event-driven network engine |
